@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSamples
 from .profile import BodyOfRevolution
-from .transform import (box_operator, intersection_radial, inverse_radon,
-                        obstruction_field, reciprocal_intersection_profile)
+from .transform import box_operator, intersection_radial, obstruction_field
 
 MIN_SAMPLES = 10 ** 4
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 4, math.pi / 6)
@@ -191,7 +190,7 @@ def field_sign_scan(body: BodyOfRevolution, refinement_levels: int = 3,
                 min_location=fld.min_location, verdict=fld.verdict)
 
     n = body.dimension
-    g = inverse_radon(reciprocal_intersection_profile(body), n)
+    g = fld.g
     lo_bound = max(g.domain[0], 1e-6)
     breakpoints = list(g.breakpoint_locations)
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import QuadratureRequest, integrate
+from .calculus import QuadratureRequest, cumulative_integrate, integrate
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
 from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile, Piece,
@@ -41,36 +41,80 @@ def _require_even_dimension(n: int, minimum: int = 4):
 
 # --------------------------------------------------------------- kernel jets
 
-def _kernel_integral_jet(q_values: Callable[[float], float],
+class MomentTable:
+    """Moments B(x) = int_0^x q and, for n = 6, C(x) = int_0^x t^2 q.
+
+    Here q = profile^power.  Nodes queued with :meth:`prepare` are computed
+    together, in one :func:`cumulative_integrate` pass, the first time any
+    moment is asked for; a point outside the table gets the same routine on
+    [0, x] and is cached.  ``diagnostics`` sums the counters of every pass.
+    """
+
+    def __init__(self, profile: RadialProfile, power: int, n: int):
+        if n not in (4, 6):
+            raise DomainError(f"kernel-integral jets are implemented for n in {{4, 6}}, got {n}")
+        self.profile = profile
+        self.power = power
+        self.n = n
+        self._values: dict = {}
+        self._pending: list = []
+        self.diagnostics = {"panels": 0, "integrand_evals": 0, "max_depth": 0,
+                            "worst_error_fraction": 0.0}
+
+    def prepare(self, nodes: Sequence[float]) -> None:
+        """Queue nodes for the next pass."""
+        self._pending.extend(float(x) for x in nodes)
+
+    def _integrand(self, t: np.ndarray) -> np.ndarray:
+        q = self.profile.eval_array(t) ** self.power
+        return q if self.n == 4 else np.stack([q, t * t * q])
+
+    def at(self, x: float) -> tuple:
+        """(B(x), C(x)); C is None for n = 4."""
+        if x <= 0.0:
+            raise DomainError(f"upper limit must be positive, got {x}")
+        out = self._values.get(x)
+        if out is not None:
+            return out
+        nodes = self._pending + [x]
+        self._pending = []
+        res = cumulative_integrate(self._integrand, nodes,
+                                   self.profile.breakpoint_locations)
+        b_row = res.values[0].tolist()
+        c_row = res.values[1].tolist() if self.n == 6 else [None] * len(b_row)
+        self._values.update(zip(res.nodes.tolist(), zip(b_row, c_row)))
+        d = self.diagnostics
+        d["panels"] += res.panels
+        d["integrand_evals"] += res.evaluations
+        d["max_depth"] = max(d["max_depth"], res.max_depth)
+        d["worst_error_fraction"] = max(d["worst_error_fraction"],
+                                        res.worst_error_fraction)
+        return self._values[x]
+
+
+def _kernel_integral_jet(b_val: float, c_val: Optional[float],
                          q_jet: Callable[[float, int, Optional[str]], Jet],
-                         breakpoints: Sequence[float], n: int, x: float,
-                         order: int, side: Optional[str]) -> Jet:
+                         n: int, x: float, order: int, side: Optional[str]) -> Jet:
     """Taylor jet at x of H(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt.
 
-    Only n = 4 and n = 6 are supported; for these, every derivative of H
+    Only n = 4 and n = 6 are supported (the :class:`MomentTable` that
+    supplies B and C checks n and x); for these, every derivative of H
     above the first (n=4) or second (n=6) localizes to jets of q at t = x,
-    so a single quadrature pass (plus local jets) gives an exact jet:
+    so the moments B = int_0^x q and C = int_0^x t^2 q (plus local jets)
+    give an exact jet:
 
-      n=4:  H' = q
-      n=6:  H = x^2 B - C,  B = int q,  C = int t^2 q;
+      n=4:  H = B,  H' = q
+      n=6:  H = x^2 B - C;
             H' = 2xB,  H'' = 2B + 2xq,  H''' = 4q + 2xq',  H'''' = 6q' + 2xq''
     """
-    if n not in (4, 6):
-        raise DomainError(f"kernel-integral jets are implemented for n in {{4, 6}}, got {n}")
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
-    if x <= 0.0:
-        raise DomainError(f"upper limit must be positive, got {x}")
-    bps = [b for b in breakpoints if 0.0 < b < x]
     if n == 4:
-        value = integrate(QuadratureRequest(q_values, 0.0, x, bps))
-        derivs = [value]
+        derivs = [b_val]
         if order >= 1:
             jq = q_jet(x, order - 1, side)
             derivs += [jq.deriv(k - 1) for k in range(1, order + 1)]
     else:
-        b_val = integrate(QuadratureRequest(q_values, 0.0, x, bps))
-        c_val = integrate(QuadratureRequest(lambda t: t * t * q_values(t), 0.0, x, bps))
         derivs = [x * x * b_val - c_val]
         if order >= 1:
             derivs.append(2.0 * x * b_val)
@@ -85,12 +129,6 @@ def _kernel_integral_jet(q_values: Callable[[float], float],
                 q2 = jq.deriv(2)
                 derivs.append(6.0 * q1 + 2.0 * x * q2)
     return Jet([d / _FACT[k] for k, d in enumerate(derivs)])
-
-
-def _power_integrand(profile: ProfileLike, power: int) -> Callable[[float], float]:
-    def fn(t: float) -> float:
-        return profile.value(t) ** power
-    return fn
 
 
 def _power_jet(profile: ProfileLike, power: int):
@@ -117,11 +155,17 @@ def h_fn(profile: RadialProfile, n: int, x: float) -> float:
 
 
 def h_jet(profile: RadialProfile, n: int, x: float, order: int = 4,
-          side: Optional[str] = None) -> Jet:
-    """Jet of h_n at x (derivatives exact via the localization identities)."""
-    return _kernel_integral_jet(_power_integrand(profile, n - 1),
-                                _power_jet(profile, n - 1),
-                                profile.breakpoint_locations, n, x, order, side)
+          side: Optional[str] = None, moments: Optional[MomentTable] = None) -> Jet:
+    """Jet of h_n at x (derivatives exact via the localization identities).
+
+    B and C are read from ``moments``, the :class:`MomentTable` of
+    rho^(n-1); without one they are computed on [0, x].
+    """
+    if moments is None:
+        moments = MomentTable(profile, n - 1, n)
+    b_val, c_val = moments.at(x)
+    return _kernel_integral_jet(b_val, c_val, _power_jet(profile, n - 1),
+                                n, x, order, side)
 
 
 def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
@@ -135,12 +179,11 @@ def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
     if q.variable != COSINE:
         raise DomainError("forward transform input must use the cosine convention")
 
-    def q_values(t: float) -> float:
-        return q.value(t)
+    moments = MomentTable(q, 1, n)
 
     def source(x: float, order: int, side: Optional[str]) -> Jet:
-        jh = _kernel_integral_jet(q_values, q._jet, q.breakpoint_locations,
-                                  n, x, order, side)
+        b_val, c_val = moments.at(x)
+        jh = _kernel_integral_jet(b_val, c_val, q._jet, n, x, order, side)
         return jh / Jet.variable(x, order) ** (n - 3)
 
     return DerivedProfile(source, q.breakpoint_locations, domain=(_EPS_AXIS, 1.0),
@@ -178,9 +221,10 @@ def intersection_radial(body: BodyOfRevolution) -> DerivedProfile:
     n = body.dimension
     _require_even_dimension(n)
     profile = body.profile
+    moments = MomentTable(profile, n - 1, n)
 
     def source(x: float, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(profile, n, x, order, side)
+        jh = h_jet(profile, n, x, order, side, moments=moments)
         return jh / Jet.variable(x, order) ** (n - 3)
 
     out = DerivedProfile(source, profile.breakpoint_locations,
@@ -199,14 +243,17 @@ def reciprocal_closed_form(profile: RadialProfile) -> RadialProfile:
                          name=f"1/({profile.name})" if profile.name else "reciprocal")
 
 
-def reciprocal_intersection_profile(body: BodyOfRevolution) -> ProfileLike:
+def reciprocal_intersection_profile(body: BodyOfRevolution,
+                                    moments: Optional[MomentTable] = None
+                                    ) -> ProfileLike:
     """The inverse-Radon input x -> x^(n-3)/h_n(x).
 
     When the intersection profile has an attached closed form (R^6 cylinder),
     its exact reciprocal is returned so that downstream results match the
     known printed expressions digit for digit; otherwise a quadrature-backed
-    function with jets of order up to 4.  The two differ by a fixed positive
-    factor only, which no sign decision depends on.
+    function with jets of order up to 4 that reads B and C from ``moments``
+    (a fresh :class:`MomentTable` when omitted).  The two differ by a fixed
+    positive factor only, which no sign decision depends on.
     """
     n = body.dimension
     _require_even_dimension(n)
@@ -214,9 +261,11 @@ def reciprocal_intersection_profile(body: BodyOfRevolution) -> ProfileLike:
     if getattr(ik, "closed_form", None) is not None:
         return reciprocal_closed_form(ik.closed_form)
     profile = body.profile
+    if moments is None:
+        moments = MomentTable(profile, n - 1, n)
 
     def source(x: float, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(profile, n, x, order, side)
+        jh = h_jet(profile, n, x, order, side, moments=moments)
         return Jet.variable(x, order) ** (n - 3) / jh
 
     return DerivedProfile(source, profile.breakpoint_locations,
@@ -347,7 +396,9 @@ class ObstructionField:
     one-sided limits appear as consecutive rows sharing the same t, with
     ``is_left_limit`` marking the left one.  ``atoms`` lists (location,
     weight) point masses; a negative density value (below tolerance) or a
-    negative atom certifies the NotPolarZonoid verdict.
+    negative atom certifies the NotPolarZonoid verdict.  ``g`` is the
+    inverse-Radon profile the rows were evaluated from, so the field can be
+    refined at further points without rebuilding it.
     """
 
     dimension: int
@@ -364,6 +415,11 @@ class ObstructionField:
     negativity_tol: float
     negative_jump_witness: bool = False
     breakpoint_classes: list = dc_field(default_factory=list)
+    # Counters of the moment pass (panels, integrand_evals, max_depth,
+    # worst_error_fraction); deterministic, and kept out of the CSV and the
+    # summary line.
+    diagnostics: dict = dc_field(default_factory=dict)
+    g: Optional[ProfileLike] = dc_field(default=None, repr=False, compare=False)
 
     def value_at(self, t: float) -> float:
         idx = int(np.argmin(np.abs(np.asarray(self.grid) - t)))
@@ -397,10 +453,8 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     n = body.dimension
     if n not in (4, 6):
         raise DomainError(f"obstruction field implemented for n in {{4, 6}}, got {n}")
-    f = reciprocal_intersection_profile(body)
-    g = inverse_radon(f, n)
-
-    joints = [_classify_joint(g, t0, class_tol) for t0 in g.breakpoint_locations]
+    moments = MomentTable(body.profile, n - 1, n)
+    g = inverse_radon(reciprocal_intersection_profile(body, moments=moments), n)
 
     if grid is None:
         grid_arr = default_grid(g.breakpoint_locations,
@@ -410,6 +464,11 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
         grid_arr = np.asarray(sorted(grid), dtype=float)
         if grid_arr.size and (grid_arr[0] <= 0.0 or grid_arr[-1] > 1.0):
             raise DomainError("grid points must lie in (0, 1]")
+    # Rows evaluate g at grid points and joints only, so one cumulative pass
+    # over those nodes serves every moment the field needs.
+    moments.prepare(np.concatenate([grid_arr, g.breakpoint_locations]))
+
+    joints = [_classify_joint(g, t0, class_tol) for t0 in g.breakpoint_locations]
 
     rows = []  # (t, value, is_left_limit, at_breakpoint)
     for t in grid_arr:
@@ -469,4 +528,6 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
         negative_jump_witness=jump_witness,
         breakpoint_classes=[(j.location, j.smoothness_class, j.first_derivative_jump)
                             for j in joints],
+        diagnostics=dict(moments.diagnostics),
+        g=g,
     )

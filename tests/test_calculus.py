@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ibodies import calculus
 from ibodies.calculus import (QuadratureRequest, RootBracket, bisect,
-                              fd_check, integrate, one_sided_limit)
+                              cumulative_integrate, fd_check, integrate,
+                              one_sided_limit)
 from ibodies.errors import Divergent, InvalidBracket, NoConvergence
-from ibodies.families import FamilySpec, instantiate
+from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 
 SQ2 = math.sqrt(0.5)
 
@@ -93,6 +95,94 @@ def test_tolerance_overrides():
             calculus.set_default_tolerances(rel_tol=-1.0)
     finally:
         calculus.set_default_tolerances(rel_tol=old_rel, abs_tol=old_abs)
+
+
+# ------------------------------------------------------ cumulative quadrature
+
+def test_cumulative_is_exact_on_low_degree_polynomials():
+    # Gauss-Kronrod 7/15 integrates degree <= 22 exactly on every panel.
+    nodes = np.linspace(0.05, 1.0, 20)
+    degrees = (0, 1, 5, 13, 22)
+    res = cumulative_integrate(lambda t: np.stack([t ** d for d in degrees]), nodes)
+    for row, d in zip(res.values, degrees):
+        assert np.max(np.abs(row - nodes ** (d + 1) / (d + 1))) < 1e-15
+    assert res.max_depth == 0
+    assert res.panels == 20
+    assert res.evaluations == 15 * 20
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_cumulative_agrees_with_integrate_for_every_builtin(name):
+    params = {"cyl_caps_KM": {"M": 2.25}, "octagon_Kb": {"b": 0.65},
+              "lp_revolution": {"p": 4.5}}.get(name, {})
+    rho = _rho(name, **params)
+    bps = rho.breakpoint_locations
+    nodes = sorted(set(np.linspace(1e-6, 1.0, 9).tolist() + bps))
+    for n in (4, 6):
+        def q(t):
+            return rho.eval_array(t) ** (n - 1)
+
+        res = cumulative_integrate(lambda t: np.stack([q(t), t * t * q(t)]), nodes, bps)
+        for k, x in enumerate(nodes):
+            want_b = integrate(QuadratureRequest(lambda t: rho.value(t) ** (n - 1),
+                                                 0.0, x, bps))
+            want_c = integrate(QuadratureRequest(
+                lambda t: t * t * rho.value(t) ** (n - 1), 0.0, x, bps))
+            assert abs(res.values[0, k] - want_b) <= 1e-12 * abs(want_b)
+            assert abs(res.values[1, k] - want_c) <= 1e-12 * abs(want_c)
+
+
+def test_cumulative_step_integrand_split_at_its_breakpoint():
+    # A panel straddling the jump would make the rule inexact and force
+    # bisection; split at the breakpoint, every panel sees a constant.
+    def step(t):
+        return np.where(t < 0.3, 1.0, 2.0)
+
+    nodes = [0.1, 0.2, 0.5, 1.0]
+    res = cumulative_integrate(step, nodes, breakpoints=[0.3])
+    exact = [0.1, 0.2, 0.3 + 2.0 * 0.2, 0.3 + 2.0 * 0.7]
+    assert np.max(np.abs(res.values[0] - exact)) < 1e-15
+    assert res.panels == 5 and res.max_depth == 0
+    unsplit = cumulative_integrate(step, nodes)
+    assert unsplit.max_depth > 0
+
+
+def test_cumulative_rejects_non_finite_integrands():
+    with pytest.raises(NoConvergence):
+        cumulative_integrate(lambda t: np.where(t > 0.5, np.nan, 1.0), [1.0])
+    with pytest.raises(NoConvergence):
+        cumulative_integrate(lambda t: np.where(t > 0.5, np.inf, 1.0), [0.25, 1.0])
+
+
+def test_cumulative_divergent_integral_raises():
+    with pytest.raises(NoConvergence):
+        cumulative_integrate(lambda t: 1.0 / t, [1.0])
+
+
+def test_cumulative_empty_interval_rejected():
+    with pytest.raises(ValueError):
+        cumulative_integrate(lambda t: t, [0.0])
+    with pytest.raises(ValueError):
+        cumulative_integrate(lambda t: t, [-0.5, 0.5])
+
+
+def test_cumulative_follows_default_tolerances():
+    # sqrt has an endpoint singularity in its derivative: the work needed
+    # depends on the tolerance, which is read at call time.
+    fn = np.sqrt
+    tight = cumulative_integrate(fn, [1.0])
+    old_rel, old_abs = calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL
+    try:
+        calculus.set_default_tolerances(rel_tol=1e-4, abs_tol=1e-6)
+        loose = cumulative_integrate(fn, [1.0])
+    finally:
+        calculus.set_default_tolerances(rel_tol=old_rel, abs_tol=old_abs)
+    again = cumulative_integrate(fn, [1.0])
+    assert loose.evaluations < tight.evaluations
+    assert again.evaluations == tight.evaluations
+    assert again.values[0, 0] == tight.values[0, 0]
+    assert abs(tight.values[0, 0] - 2.0 / 3.0) < 1e-10
+    assert abs(loose.values[0, 0] - 2.0 / 3.0) < 1e-4
 
 
 # ---------------------------------------------------------- one-sided limits
