@@ -164,6 +164,19 @@ def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
     return kronrod * half, err * half, resabs * half
 
 
+def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tuple:
+    """Running sums of the panel integrals and error estimates, read at every
+    node; the panels (given as lists of arrays) tile [0, max node]."""
+    order = np.argsort(np.concatenate(a), kind="stable")
+    right = np.concatenate(b)[order]
+    at = np.searchsorted(right, nodes, side="right")
+    out = []
+    for parts in (val, err):
+        sums = np.cumsum(np.concatenate(parts, axis=1)[:, order], axis=1)
+        out.append(np.concatenate([np.zeros((sums.shape[0], 1)), sums], axis=1)[:, at])
+    return tuple(out)
+
+
 def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
                          nodes: Sequence[float],
                          breakpoints: Sequence[float] = ()) -> CumulativeIntegral:
@@ -173,9 +186,11 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
     (integrands, points).  [0, largest node] is split into panels at every
     node and interior breakpoint, so no panel straddles a kink; each round
     evaluates all open panels with one call of ``fn`` (Gauss-Kronrod 7/15)
-    and bisects those that miss their share of the tolerance.  A running sum
-    over the panels, in order, gives every node's value and accumulated
-    error estimate.
+    and bisects those that miss their share of the tolerance, until every
+    panel meets its share or every node's accumulated error estimate (open
+    panels counted at their current estimates) is within
+    max(abs_tol, rel_tol * |value|).  A running sum over the panels, in
+    order, gives every node's value and accumulated error estimate.
 
     Tolerances are the module-level settings at call time.  Raises
     NoConvergence when the integrand is not finite at an evaluation point or
@@ -207,6 +222,14 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
         ok |= (mid <= a) | (mid >= b)  # panel too narrow to bisect
         if depth == MAX_BISECTIONS or panels + ok.sum() + 2 * (~ok).sum() > MAX_PANELS:
             ok[:] = True
+        elif not ok.all():
+            # A panel can miss its share for ever (a square-root singularity
+            # in a derivative at its end) while every node already meets the
+            # tolerance; stop refining then, open panels at their estimates.
+            values, errors = _at_nodes(done_a + [a], done_b + [b], done_val + [val],
+                                       done_err + [err], nodes)
+            if np.all(errors <= np.maximum(abs_tol, rel_tol * np.abs(values))):
+                ok[:] = True
         if ok.any():
             done_a.append(a[ok])
             done_b.append(b[ok])
@@ -218,15 +241,7 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
         a, b = (np.concatenate([a[bad], mid[bad]]),
                 np.concatenate([mid[bad], b[bad]]))
 
-    order = np.argsort(np.concatenate(done_a), kind="stable")
-    right = np.concatenate(done_b)[order]
-    val = np.concatenate(done_val, axis=1)[:, order]
-    err = np.concatenate(done_err, axis=1)[:, order]
-    zero = np.zeros((val.shape[0], 1))
-    at = np.searchsorted(right, nodes, side="right")
-    values = np.concatenate([zero, np.cumsum(val, axis=1)], axis=1)[:, at]
-    errors = np.concatenate([zero, np.cumsum(err, axis=1)], axis=1)[:, at]
-
+    values, errors = _at_nodes(done_a, done_b, done_val, done_err, nodes)
     fraction = errors / np.maximum(abs_tol, rel_tol * np.abs(values))
     worst = np.unravel_index(int(np.argmax(fraction)), fraction.shape)
     if fraction[worst] > 10.0:

@@ -6,6 +6,14 @@ propagates coefficients through the standard power-series recurrences, so the
 derivatives obtained from a jet are exact up to floating-point rounding --
 no step-size noise, no symbolic blowup.
 
+A coefficient is either a float (a jet about one point) or a numpy array (a
+jet about every point of an array at once, evaluated elementwise).  Both run
+through the same recurrences, summed in the same fixed order; only the
+elementary functions differ (libm for floats, numpy for arrays), so the two
+agree to the last ulp or so.  The checks that refuse a jet (a vanishing
+divisor, a fractional power of a vanishing or negative base) raise when any
+element fails.
+
 The default truncation order used by the profile layer is 3; transform-level
 compositions internally run at order 4 (a second derivative of a function
 that itself consumes two derivative levels).
@@ -17,46 +25,82 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
+import numpy as np
+
 from .errors import DomainError, SmoothnessError
 
-Scalar = Union[int, float]
+Coefficient = Union[float, np.ndarray]
 
 # Tolerance for recognising an integer exponent given as a float.
 _INT_EXP_TOL = 1e-12
 
 
+def _any(cond) -> bool:
+    """Whether a condition holds at any element (a bool passes through)."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _finite(c: Coefficient) -> bool:
+    return bool(np.isfinite(c).all()) if isinstance(c, np.ndarray) else math.isfinite(c)
+
+
+def _overflow_check(arg: np.ndarray, out: np.ndarray, what: str) -> None:
+    # libm raises OverflowError where numpy returns inf; raise the same.
+    if (np.isinf(out) & np.isfinite(arg)).any():
+        raise OverflowError(f"{what} out of range")
+
+
+def _exp(c: Coefficient) -> Coefficient:
+    if isinstance(c, np.ndarray):
+        with np.errstate(over="ignore"):
+            out = np.exp(c)
+        _overflow_check(c, out, "exp")
+        return out
+    return math.exp(c)
+
+
+def _pow(c: Coefficient, q: float) -> Coefficient:
+    if isinstance(c, np.ndarray):
+        with np.errstate(over="ignore"):
+            out = np.power(c, q)
+        _overflow_check(c, out, "power")
+        return out
+    return c ** q
+
+
 class Jet:
-    """Taylor coefficients of a function about one point, with arithmetic."""
+    """Taylor coefficients of a function about one point (or about every
+    point of an array), with arithmetic."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[float]):
-        self.coeffs = tuple(float(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable[Coefficient]):
+        self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("a jet needs at least the order-0 coefficient")
 
     # ---------------------------------------------------------------- basics
 
     @classmethod
-    def constant(cls, value: Scalar, order: int) -> "Jet":
-        return cls((float(value),) + (0.0,) * order)
+    def constant(cls, value, order: int) -> "Jet":
+        return cls((value,) + (0.0,) * order)
 
     @classmethod
-    def variable(cls, value: Scalar, order: int) -> "Jet":
-        """Jet of the identity function t -> t at the point ``value``."""
+    def variable(cls, value, order: int) -> "Jet":
+        """Jet of the identity function t -> t at the point(s) ``value``."""
         if order == 0:
-            return cls((float(value),))
-        return cls((float(value), 1.0) + (0.0,) * (order - 1))
+            return cls((value,))
+        return cls((value, 1.0) + (0.0,) * (order - 1))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> float:
+    def value(self) -> Coefficient:
         return self.coeffs[0]
 
-    def deriv(self, k: int) -> float:
+    def deriv(self, k: int) -> Coefficient:
         """k-th derivative at the expansion point."""
         if k > self.order:
             raise SmoothnessError(f"jet of order {self.order} has no derivative {k}")
@@ -65,6 +109,11 @@ class Jet:
     def derivs(self) -> tuple:
         """(f, f', ..., f^(order)) at the expansion point."""
         return tuple(math.factorial(k) * c for k, c in enumerate(self.coeffs))
+
+    def item(self, i: int) -> "Jet":
+        """The float jet about point ``i`` of an array jet."""
+        return Jet(tuple(float(c[i]) if isinstance(c, np.ndarray) else float(c)
+                         for c in self.coeffs))
 
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
@@ -78,7 +127,8 @@ class Jet:
         return Jet(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in self.coeffs)
+        """Whether every coefficient is finite at every point."""
+        return all(_finite(c) for c in self.coeffs)
 
     def __repr__(self) -> str:
         return f"Jet({self.coeffs})"
@@ -110,27 +160,24 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(tuple(c * float(other) for c in self.coeffs))
+            return Jet(tuple(c * other for c in self.coeffs))
         a, b, n = self._align(other)
-        return Jet(
-            tuple(
-                math.fsum(a[j] * b[k - j] for j in range(k + 1))
-                for k in range(n + 1)
-            )
-        )
+        return Jet(tuple(sum(a[j] * b[k - j] for j in range(k + 1))
+                         for k in range(n + 1)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(tuple(c / float(other) for c in self.coeffs))
+            return Jet(tuple(c / other for c in self.coeffs))
         a, b, n = self._align(other)
-        if b[0] == 0.0:
+        b0 = b[0]
+        if _any(b0 == 0.0):
             raise SmoothnessError("division by a quantity vanishing at the evaluation point")
-        out = [a[0] / b[0]]
+        out = [a[0] / b0]
         for k in range(1, n + 1):
-            acc = a[k] - math.fsum(b[j] * out[k - j] for j in range(1, k + 1))
-            out.append(acc / b[0])
+            acc = a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))
+            out.append(acc / b0)
         return Jet(out)
 
     def __rtruediv__(self, other) -> "Jet":
@@ -154,31 +201,36 @@ class Jet:
             q = float(exponent)
             is_int = abs(q - round(q)) <= _INT_EXP_TOL
         n = self.order
-        a0 = self.coeffs[0]
-
-        if a0 == 0.0:
-            if is_int and round(q) >= 0:
-                return self._int_power(round(q))
-            if q > n + _INT_EXP_TOL:
-                return Jet.constant(0.0, n)
-            raise SmoothnessError(
-                f"power {q} of a quantity vanishing at the evaluation point "
-                "has no finite jet at this order"
-            )
-        if a0 < 0.0 and not is_int:
-            raise DomainError(f"fractional power {q} of a negative quantity")
         if is_int:
             k = round(q)
             if k >= 0:
                 return self._int_power(k)
+            # A vanishing base fails the division check.
             return Jet.constant(1.0, n) / self._int_power(-k)
-        out = [a0 ** q]
+
+        a0 = self.coeffs[0]
+        zero = a0 == 0.0
+        if _any(zero):
+            if not q > n + _INT_EXP_TOL:
+                raise SmoothnessError(
+                    f"power {q} of a quantity vanishing at the evaluation point "
+                    "has no finite jet at this order"
+                )
+            if not isinstance(zero, np.ndarray):
+                return Jet.constant(0.0, n)
+            # Run the recurrence on a unit base there, then zero the result.
+            a0 = np.where(zero, 1.0, a0)
+        else:
+            zero = None
+        if _any(a0 < 0.0):
+            raise DomainError(f"fractional power {q} of a negative quantity")
+        c = self.coeffs
+        out = [_pow(a0, q)]
         for k in range(1, n + 1):
-            acc = math.fsum(
-                (j * (q + 1.0) - k) * self.coeffs[j] * out[k - j]
-                for j in range(1, k + 1)
-            )
+            acc = sum((j * (q + 1.0) - k) * c[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / (k * a0))
+        if zero is not None:
+            out = [np.where(zero, 0.0, o) for o in out]
         return Jet(out)
 
     def _int_power(self, k: int) -> "Jet":
@@ -195,9 +247,10 @@ class Jet:
         return self.__pow__(Fraction(1, 2))
 
     def exp(self) -> "Jet":
-        out = [math.exp(self.coeffs[0])]
+        c = self.coeffs
+        out = [_exp(c[0])]
         for k in range(1, self.order + 1):
-            acc = math.fsum(j * self.coeffs[j] * out[k - j] for j in range(1, k + 1))
+            acc = sum(j * c[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / k)
         return Jet(out)
 

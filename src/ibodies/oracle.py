@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSamples
 from .profile import BodyOfRevolution
-from .transform import box_operator, intersection_radial, obstruction_field
+from .transform import (_AXIS_NOISE_T, box_operator, intersection_radial,
+                        obstruction_field)
 
 MIN_SAMPLES = 10 ** 4
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 4, math.pi / 6)
@@ -191,7 +192,9 @@ def field_sign_scan(body: BodyOfRevolution, refinement_levels: int = 3,
 
     n = body.dimension
     g = fld.g
-    lo_bound = max(g.domain[0], 1e-6)
+    # Rows the field excludes (the dimension-6 axis rows) seed and refine
+    # nothing.
+    lo_bound = max(g.domain[0], 1e-6, _AXIS_NOISE_T if n == 6 else 0.0)
     breakpoints = list(g.breakpoint_locations)
 
     # Seed the search from the best *interior* sample: one-sided limits at a
@@ -199,7 +202,7 @@ def field_sign_scan(body: BodyOfRevolution, refinement_levels: int = 3,
     # point where the density itself is negative.
     ts = np.asarray(fld.grid, dtype=float)
     vs = np.asarray(fld.continuous_values, dtype=float)
-    interior = np.ones(ts.shape, dtype=bool)
+    interior = ~np.isin(ts, [t for t, _ in fld.excluded])
     for b in breakpoints:
         interior &= np.abs(ts - b) > 1e-12
     if interior.any():
@@ -221,7 +224,7 @@ def field_sign_scan(body: BodyOfRevolution, refinement_levels: int = 3,
         for b in breakpoints:
             keep &= np.abs(local - b) > 1e-12
         local = local[keep]
-        values = np.array([box_operator(g, n, float(t)) for t in local])
+        values = box_operator(g, n, local)
         k = int(np.argmin(values))
         if values[k] < best_v:
             best_t, best_v = float(local[k]), float(values[k])

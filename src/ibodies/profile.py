@@ -14,6 +14,7 @@ the two parameterizations from being mixed up silently.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,8 +66,9 @@ class ExprNode:
 
     # ------------------------------------------------------------ evaluation
 
-    def eval_jet(self, t: float, order: int) -> Jet:
-        """Taylor jet of the expression at t, truncated at ``order``."""
+    def eval_jet(self, t, order: int) -> Jet:
+        """Taylor jet of the expression at t (a float or an array of points),
+        truncated at ``order``."""
         if self.op == "const":
             return Jet.constant(self.value, order)
         if self.op == "t":
@@ -91,30 +93,6 @@ class ExprNode:
 
     def eval(self, t: float) -> float:
         return self.eval_jet(t, 0).value
-
-    def eval_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (values only) used by the Monte Carlo oracle."""
-        if self.op == "const":
-            return np.full_like(t, self.value, dtype=float)
-        if self.op == "t":
-            return np.asarray(t, dtype=float)
-        if self.op == "add":
-            return self.children[0].eval_array(t) + self.children[1].eval_array(t)
-        if self.op == "sub":
-            return self.children[0].eval_array(t) - self.children[1].eval_array(t)
-        if self.op == "mul":
-            return self.children[0].eval_array(t) * self.children[1].eval_array(t)
-        if self.op == "div":
-            return self.children[0].eval_array(t) / self.children[1].eval_array(t)
-        if self.op == "pow":
-            return np.power(self.children[0].eval_array(t), float(self.exponent))
-        if self.op == "sqrt":
-            return np.sqrt(self.children[0].eval_array(t))
-        if self.op == "exp":
-            return np.exp(self.children[0].eval_array(t))
-        if self.op == "neg":
-            return -self.children[0].eval_array(t)
-        raise AssertionError(self.op)
 
     # ---------------------------------------------------------- serialization
 
@@ -289,6 +267,9 @@ class Breakpoint:
     second_derivative_jump: float = 0.0
 
 
+_SMOOTH_TO = {"C0": 0, "C1": 1, "C2+": 2}
+
+
 def _side_for(t: float, lo: float, hi: float, breakpoints: Sequence[float],
               order: int, side: Optional[str], classes=None):
     """Resolve which side of ``t`` an evaluation should use.
@@ -316,7 +297,7 @@ def _side_for(t: float, lo: float, hi: float, breakpoints: Sequence[float],
                 return "left"  # values agree across the joint (continuity invariant)
             if classes is not None:
                 cls = classes[i]
-                smooth_to = {"C0": 0, "C1": 1, "C2+": 2}[cls]
+                smooth_to = _SMOOTH_TO[cls]
                 if order <= smooth_to:
                     return "left"  # derivatives up to this order agree
             raise SideRequired(
@@ -324,6 +305,41 @@ def _side_for(t: float, lo: float, hi: float, breakpoints: Sequence[float],
                 f"for derivatives of order {order}"
             )
     return None
+
+
+def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float],
+                order: int, side: Optional[str], classes=None) -> Optional[str]:
+    """:func:`_side_for` for an array of points, with one side for all of them.
+
+    Raises as :func:`_side_for` would for any single point: outside
+    [lo, hi], ``side`` pointing out of the domain at an endpoint, or a point
+    on a non-smooth joint without a side.  Returns ``side``, or "left" when
+    points sit on joints where the requested derivatives agree.
+    """
+    if side not in (None, "left", "right"):
+        raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
+    if not t.size:
+        return side
+    outside = (t < lo - _BP_MATCH_TOL) | (t > hi + _BP_MATCH_TOL)
+    if outside.any():
+        raise DomainError(f"argument {t[outside][0]} outside [{lo}, {hi}]")
+    if side == "left" and (np.abs(t - lo) <= _BP_MATCH_TOL).any():
+        raise DomainError(f"no left neighborhood at the lower endpoint {lo}")
+    if side == "right" and (np.abs(t - hi) <= _BP_MATCH_TOL).any():
+        raise DomainError(f"no right neighborhood at the upper endpoint {hi}")
+    if side is not None or not len(breakpoints):
+        return side
+    on = np.abs(t[:, None] - np.asarray(breakpoints)[None, :]) <= _BP_MATCH_TOL
+    hit = np.flatnonzero(on.any(axis=0))
+    if not hit.size:
+        return None
+    if order == 0 or (classes is not None
+                      and all(order <= _SMOOTH_TO[classes[i]] for i in hit)):
+        return "left"
+    raise SideRequired(
+        f"t={breakpoints[hit[0]]} is a non-smooth joint; pass side='left' or "
+        f"side='right' for derivatives of order {order}"
+    )
 
 
 class RadialProfile:
@@ -357,8 +373,12 @@ class RadialProfile:
         self.class_tol = class_tol
         self.domain = (0.0, 1.0)
         self.breakpoint_locations = [p.interval[1] for p in pieces[:-1]]
+        # Piece i governs [b_i, b_(i+1)]; a point within _BP_MATCH_TOL of a
+        # joint b belongs to the piece on the side asked for (right by default).
+        self._left_of = [b + _BP_MATCH_TOL for b in self.breakpoint_locations]
+        self._right_of = [b - _BP_MATCH_TOL for b in self.breakpoint_locations]
         self._validate_values()
-        self.breakpoints = self._classify(class_tol)
+        self.breakpoints = classify_breakpoints(self, class_tol)
         self._classes = [b.smoothness_class for b in self.breakpoints]
 
     # ------------------------------------------------------------ invariants
@@ -367,44 +387,51 @@ class RadialProfile:
         for p in self.pieces:
             a, b = p.interval
             grid = np.linspace(a, b, 35)[1:-1]
-            vals = np.array([p.expr.eval(t) for t in grid])
+            with np.errstate(all="ignore"):
+                vals = p.expr.eval_jet(grid, 0).value
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"piece on [{a}, {b}] is not finite on its interior")
             if self.require_positive and not np.all(vals > 0.0):
                 raise ValueError(f"piece on [{a}, {b}] is not strictly positive")
-        for t0 in self.breakpoint_locations:
-            left = self._piece_at(t0, "left").expr.eval(t0)
-            right = self._piece_at(t0, "right").expr.eval(t0)
+        for t0, p, q in zip(self.breakpoint_locations, self.pieces, self.pieces[1:]):
+            left = p.expr.eval(t0)
+            right = q.expr.eval(t0)
             scale = max(1.0, abs(left), abs(right))
             if abs(left - right) > 1e-9 * scale:
                 raise ValueError(
                     f"pieces disagree at t={t0}: {left} (left) vs {right} (right)"
                 )
 
-    def _classify(self, tol: float):
-        out = []
-        for t0 in self.breakpoint_locations:
-            out.append(_classify_joint(self, t0, tol))
-        return out
-
     # ------------------------------------------------------------ evaluation
 
-    def _piece_at(self, t: float, side: Optional[str]) -> Piece:
-        if side == "left":
-            for p in self.pieces:
-                if t <= p.interval[1] + _BP_MATCH_TOL and t > p.interval[0] + _BP_MATCH_TOL:
-                    return p
-            return self.pieces[0]
-        for p in self.pieces:
-            if t < p.interval[1] - _BP_MATCH_TOL and t >= p.interval[0] - _BP_MATCH_TOL:
-                return p
-        return self.pieces[-1]
+    def _jet(self, t, order: int, side: Optional[str] = None) -> Jet:
+        """Jet at t, a float or a 1-D array of points (one side for all)."""
+        classes = getattr(self, "_classes", None)
+        if isinstance(t, np.ndarray):
+            use = _array_side(t, 0.0, 1.0, self.breakpoint_locations, order, side, classes)
+            if use == "left":
+                index = np.searchsorted(self._left_of, t, side="left")
+            else:
+                index = np.searchsorted(self._right_of, t, side="right")
+            return self._pieces_jet(t, index, order)
+        use = _side_for(t, 0.0, 1.0, self.breakpoint_locations, order, side, classes)
+        if use == "left":
+            index = bisect.bisect_left(self._left_of, t)
+        else:
+            index = bisect.bisect_right(self._right_of, t)
+        return self.pieces[index].expr.eval_jet(float(t), order)
 
-    def _jet(self, t: float, order: int, side: Optional[str] = None) -> Jet:
-        use = _side_for(t, 0.0, 1.0, self.breakpoint_locations, order, side,
-                        classes=getattr(self, "_classes", None))
-        piece = self._piece_at(t, use if use is not None else "right")
-        return piece.expr.eval_jet(float(t), order)
+    def _pieces_jet(self, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
+        """Array jet with point k evaluated on piece ``index[k]``: one walk
+        of each piece's expression, over that piece's points only."""
+        out = np.empty((order + 1, t.size))
+        with np.errstate(all="ignore"):
+            for i in np.unique(index):
+                sel = index == i
+                jet = self.pieces[i].expr.eval_jet(t[sel], order)
+                for k, c in enumerate(jet.coeffs):
+                    out[k, sel] = c
+        return Jet(tuple(out))
 
     def eval_jet(self, t: float, order: int = 0, side: Optional[str] = None) -> tuple:
         """Value and derivatives (up to ``order``) of the governing piece."""
@@ -419,15 +446,16 @@ class RadialProfile:
         return self.eval_jet(t, 0, side)[0]
 
     def eval_array(self, t: np.ndarray) -> np.ndarray:
+        """Values at an array of points (a joint takes its left piece); nan
+        outside [0, 1]."""
         t = np.asarray(t, dtype=float)
-        conds = []
-        vals = []
-        with np.errstate(all="ignore"):
-            for p in self.pieces:
-                a, b = p.interval
-                conds.append((t >= a) & (t <= b))
-                vals.append(p.expr.eval_array(t))
-        return np.select(conds, vals, default=np.nan)
+        flat = t.ravel()
+        out = np.full(flat.shape, np.nan)
+        inside = (flat >= 0.0) & (flat <= 1.0)
+        pts = flat[inside]
+        index = np.searchsorted(self._left_of, pts, side="left")
+        out[inside] = self._pieces_jet(pts, index, 0).value
+        return out.reshape(t.shape)
 
     def max_value(self, scan_points: int = 10001) -> float:
         # Piece endpoints join the scan so kink maxima are hit exactly.
@@ -468,6 +496,8 @@ class DerivedProfile:
     profiles) are functions we can evaluate with derivatives but for which no
     expression tree exists.  This wrapper gives them the same evaluation and
     breakpoint-classification interface as :class:`RadialProfile`.
+    ``jet_source(t, order, side)`` receives a 1-D array of points and
+    returns their array jet.
     """
 
     def __init__(self, jet_source: Callable, breakpoints: Sequence[float],
@@ -482,15 +512,24 @@ class DerivedProfile:
         self.name = name
         self.class_tol = DEFAULT_CLASS_TOL
 
-    def _jet(self, t: float, order: int, side: Optional[str] = None) -> Jet:
+    def _jet(self, t, order: int, side: Optional[str] = None) -> Jet:
+        """Jet at t, a 1-D array of points (one side for all) or a float.
+
+        The source always receives an array: a float is evaluated as a
+        one-point array and its float jet returned, so a point gives the
+        same bits alone as inside any array.
+        """
         if order > self.max_order:
             raise SmoothnessError(
                 f"{self.name or 'derived profile'} provides derivatives up to "
                 f"order {self.max_order}, requested {order}"
             )
-        use = _side_for(t, self.domain[0], self.domain[1],
-                        self.breakpoint_locations, order, side)
-        return self.jet_source(float(t), order, use)
+        if not isinstance(t, np.ndarray):
+            return self._jet(np.array([float(t)]), order, side).item(0)
+        use = _array_side(t, self.domain[0], self.domain[1],
+                          self.breakpoint_locations, order, side)
+        with np.errstate(all="ignore"):
+            return self.jet_source(t, order, use)
 
     def eval_jet(self, t: float, order: int = 0, side: Optional[str] = None) -> tuple:
         jet = self._jet(t, order, side)
@@ -534,10 +573,23 @@ class BodyOfRevolution:
 
 # ----------------------------------------------------------- classification
 
-def _classify_joint(profile: ProfileLike, t0: float, tol: float) -> Breakpoint:
+def classify_breakpoints(profile: ProfileLike, tol: Optional[float] = None) -> list:
+    """Continuity class and derivative jumps of every interior joint, from
+    one left-sided and one right-sided evaluation of all of them."""
+    tol = profile.class_tol if tol is None else tol
+    locations = profile.breakpoint_locations
+    if not locations:
+        return []
+    locs = np.asarray(locations, dtype=float)
     order = min(2, getattr(profile, "max_order", 2))
-    left = profile._jet(t0, order, "left").derivs()
-    right = profile._jet(t0, order, "right").derivs()
+    left = profile._jet(locs, order, "left")
+    right = profile._jet(locs, order, "right")
+    return [_joint_class(t0, left.item(i).derivs(), right.item(i).derivs(), order, tol)
+            for i, t0 in enumerate(locations)]
+
+
+def _joint_class(t0: float, left: tuple, right: tuple, order: int,
+                 tol: float) -> Breakpoint:
     jump1 = right[1] - left[1] if order >= 1 else float("nan")
     jump2 = right[2] - left[2] if order >= 2 else float("nan")
     scale1 = max(1.0, abs(left[1]), abs(right[1])) if order >= 1 else 1.0
@@ -550,12 +602,6 @@ def _classify_joint(profile: ProfileLike, t0: float, tol: float) -> Breakpoint:
         else:
             cls = "C2+"
     return Breakpoint(t0, cls, float(jump1), float(jump2) if order >= 2 else 0.0)
-
-
-def classify_breakpoints(profile: ProfileLike, tol: Optional[float] = None):
-    """Continuity class and first-derivative jump of every interior joint."""
-    tol = profile.class_tol if tol is None else tol
-    return [_classify_joint(profile, t0, tol) for t0 in profile.breakpoint_locations]
 
 
 # ---------------------------------------------------------------- convexity
@@ -645,7 +691,7 @@ def converted_variable(profile: ProfileLike) -> DerivedProfile:
     target = SINE if profile.variable == COSINE else COSINE
     bps = sorted(np.sqrt(1.0 - np.array(profile.breakpoint_locations) ** 2))
 
-    def source(t: float, order: int, side: Optional[str]) -> Jet:
+    def source(t: np.ndarray, order: int, side: Optional[str]) -> Jet:
         inner = (1.0 - Jet.variable(t, order) * Jet.variable(t, order)).sqrt()
         u0 = inner.value
         # A side for t maps to the opposite side for u = sqrt(1 - t^2).

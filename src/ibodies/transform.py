@@ -27,11 +27,15 @@ from .calculus import QuadratureRequest, cumulative_integrate, integrate
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
 from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile, Piece,
-                      ProfileLike, RadialProfile, _classify_joint, add, div,
-                      mul, powr, sub, var_t)
+                      ProfileLike, RadialProfile, add, classify_breakpoints,
+                      div, mul, powr, sub, var_t)
 
 _EPS_AXIS = 1e-6  # lower evaluation cutoff: the pipeline formulas hold on (0, 1]
 _FACT = [1, 1, 2, 6, 24]
+# In dimension 6 the jet of x^3/h below this t divides by h(t) ~ t^5 and
+# amplifies the rounding of B and C past the field's own size there (e.g.
+# -5.9e-3 at t = 1e-6 where the field is ~36 t^2), so such rows certify nothing.
+_AXIS_NOISE_T = 1e-4
 
 
 def _require_even_dimension(n: int, minimum: int = 4):
@@ -45,9 +49,10 @@ class MomentTable:
     """Moments B(x) = int_0^x q and, for n = 6, C(x) = int_0^x t^2 q.
 
     Here q = profile^power.  Nodes queued with :meth:`prepare` are computed
-    together, in one :func:`cumulative_integrate` pass, the first time any
-    moment is asked for; a point outside the table gets the same routine on
-    [0, x] and is cached.  ``diagnostics`` sums the counters of every pass.
+    together, in one :func:`cumulative_integrate` pass, the first time a
+    point outside the table is asked for; such points join that pass (or
+    run one of their own on [0, max x]) and are kept.  ``diagnostics`` sums
+    the counters of every pass.
     """
 
     def __init__(self, profile: RadialProfile, power: int, n: int):
@@ -56,46 +61,59 @@ class MomentTable:
         self.profile = profile
         self.power = power
         self.n = n
-        self._values: dict = {}
+        self._nodes = np.empty(0)                         # sorted
+        self._values = np.empty((1 if n == 4 else 2, 0))  # B (and C) at _nodes
         self._pending: list = []
         self.diagnostics = {"panels": 0, "integrand_evals": 0, "max_depth": 0,
                             "worst_error_fraction": 0.0}
 
     def prepare(self, nodes: Sequence[float]) -> None:
         """Queue nodes for the next pass."""
-        self._pending.extend(float(x) for x in nodes)
+        self._pending.append(np.asarray(nodes, dtype=float).ravel())
 
     def _integrand(self, t: np.ndarray) -> np.ndarray:
         q = self.profile.eval_array(t) ** self.power
         return q if self.n == 4 else np.stack([q, t * t * q])
 
-    def at(self, x: float) -> tuple:
-        """(B(x), C(x)); C is None for n = 4."""
-        if x <= 0.0:
-            raise DomainError(f"upper limit must be positive, got {x}")
-        out = self._values.get(x)
-        if out is not None:
-            return out
-        nodes = self._pending + [x]
+    def _lookup(self, x: np.ndarray) -> tuple:
+        """(index into the table, whether the point is there)."""
+        if not self._nodes.size:
+            return np.zeros(x.shape, dtype=int), np.zeros(x.shape, dtype=bool)
+        index = np.minimum(np.searchsorted(self._nodes, x), self._nodes.size - 1)
+        return index, self._nodes[index] == x
+
+    def at(self, x: np.ndarray) -> tuple:
+        """(B(x), C(x)) at an array of points; C is None for n = 4."""
+        if (x <= 0.0).any():
+            raise DomainError(f"upper limit must be positive, got {x[x <= 0.0][0]}")
+        index, found = self._lookup(x)
+        if not found.all():
+            self._run(np.concatenate(self._pending + [x[~found]]))
+            index, _ = self._lookup(x)
+        return self._values[0, index], self._values[1, index] if self.n == 6 else None
+
+    def _run(self, nodes: np.ndarray) -> None:
         self._pending = []
         res = cumulative_integrate(self._integrand, nodes,
                                    self.profile.breakpoint_locations)
-        b_row = res.values[0].tolist()
-        c_row = res.values[1].tolist() if self.n == 6 else [None] * len(b_row)
-        self._values.update(zip(res.nodes.tolist(), zip(b_row, c_row)))
+        new = ~self._lookup(res.nodes)[1]
+        merged = np.concatenate([self._nodes, res.nodes[new]])
+        order = np.argsort(merged, kind="stable")
+        self._nodes = merged[order]
+        self._values = np.concatenate([self._values, res.values[:, new]], axis=1)[:, order]
         d = self.diagnostics
         d["panels"] += res.panels
         d["integrand_evals"] += res.evaluations
         d["max_depth"] = max(d["max_depth"], res.max_depth)
         d["worst_error_fraction"] = max(d["worst_error_fraction"],
                                         res.worst_error_fraction)
-        return self._values[x]
 
 
-def _kernel_integral_jet(b_val: float, c_val: Optional[float],
-                         q_jet: Callable[[float, int, Optional[str]], Jet],
-                         n: int, x: float, order: int, side: Optional[str]) -> Jet:
-    """Taylor jet at x of H(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt.
+def _kernel_integral_jet(b_val: np.ndarray, c_val: Optional[np.ndarray],
+                         q_jet: Callable[[np.ndarray, int, Optional[str]], Jet],
+                         n: int, x: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    """Taylor jet of H(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at the
+    points x, where the moments are b_val (and c_val).
 
     Only n = 4 and n = 6 are supported (the :class:`MomentTable` that
     supplies B and C checks n and x); for these, every derivative of H
@@ -132,9 +150,20 @@ def _kernel_integral_jet(b_val: float, c_val: Optional[float],
 
 
 def _power_jet(profile: ProfileLike, power: int):
-    def fn(x: float, order: int, side: Optional[str]) -> Jet:
+    def fn(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         return profile._jet(x, order, side) ** power
     return fn
+
+
+def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
+    bad = ~np.all(np.isfinite(np.broadcast_arrays(t, *jet.coeffs)[1:]), axis=0)
+    return float(t[bad][0])
+
+
+def _points(t) -> tuple:
+    """(1-D array of the points, whether t was a single float)."""
+    arr = np.asarray(t, dtype=float)
+    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
 # ------------------------------------------------------------------ h and IK
@@ -154,18 +183,21 @@ def h_fn(profile: RadialProfile, n: int, x: float) -> float:
     return integrate(QuadratureRequest(integrand, 0.0, x, bps))
 
 
-def h_jet(profile: RadialProfile, n: int, x: float, order: int = 4,
+def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
           side: Optional[str] = None, moments: Optional[MomentTable] = None) -> Jet:
     """Jet of h_n at x (derivatives exact via the localization identities).
 
-    B and C are read from ``moments``, the :class:`MomentTable` of
-    rho^(n-1); without one they are computed on [0, x].
+    x is a float (a float jet is returned) or an array of points (an array
+    jet).  B and C are read from ``moments``, the :class:`MomentTable` of
+    rho^(n-1); without one they are computed on [0, max x].
     """
+    xs, single = _points(x)
     if moments is None:
         moments = MomentTable(profile, n - 1, n)
-    b_val, c_val = moments.at(x)
-    return _kernel_integral_jet(b_val, c_val, _power_jet(profile, n - 1),
-                                n, x, order, side)
+    b_val, c_val = moments.at(xs)
+    jet = _kernel_integral_jet(b_val, c_val, _power_jet(profile, n - 1),
+                               n, xs, order, side)
+    return jet.item(0) if single else jet
 
 
 def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
@@ -181,7 +213,7 @@ def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
 
     moments = MomentTable(q, 1, n)
 
-    def source(x: float, order: int, side: Optional[str]) -> Jet:
+    def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         b_val, c_val = moments.at(x)
         jh = _kernel_integral_jet(b_val, c_val, q._jet, n, x, order, side)
         return jh / Jet.variable(x, order) ** (n - 3)
@@ -223,7 +255,7 @@ def intersection_radial(body: BodyOfRevolution) -> DerivedProfile:
     profile = body.profile
     moments = MomentTable(profile, n - 1, n)
 
-    def source(x: float, order: int, side: Optional[str]) -> Jet:
+    def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         jh = h_jet(profile, n, x, order, side, moments=moments)
         return jh / Jet.variable(x, order) ** (n - 3)
 
@@ -264,7 +296,7 @@ def reciprocal_intersection_profile(body: BodyOfRevolution,
     if moments is None:
         moments = MomentTable(profile, n - 1, n)
 
-    def source(x: float, order: int, side: Optional[str]) -> Jet:
+    def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         jh = h_jet(profile, n, x, order, side, moments=moments)
         return Jet.variable(x, order) ** (n - 3) / jh
 
@@ -294,11 +326,12 @@ def inverse_radon(f: ProfileLike, n: int) -> DerivedProfile:
         raise DomainError("inverse transform input must use the sine convention")
     extra = 1 if n == 4 else 2
 
-    def source(t: float, order: int, side: Optional[str]) -> Jet:
+    def source(t: np.ndarray, order: int, side: Optional[str]) -> Jet:
         jf = f._jet(t, order + extra, side)
         if not jf.is_finite():
             raise SmoothnessError(
-                f"input lacks the order-{order + extra} one-sided jet at t={t}"
+                f"input lacks the order-{order + extra} one-sided jet at "
+                f"t={_first_nonfinite(t, jf)}"
             )
         jt = Jet.variable(t, order + extra)
         if n == 4:
@@ -349,18 +382,24 @@ def inverse_radon_brute(f: ProfileLike, n: int, t: float,
 
 # --------------------------------------------------------------- box operator
 
-def box_operator(g: ProfileLike, n: int, t: float,
-                 side: Optional[str] = None) -> float:
-    """(1 - t^2) g''(t) - (n-1) t g'(t) + (n-1) g(t)."""
+def box_operator(g: ProfileLike, n: int, t, side: Optional[str] = None):
+    """(1 - t^2) g''(t) - (n-1) t g'(t) + (n-1) g(t).
+
+    t is a float (a float is returned) or an array of points, evaluated in
+    one walk with one side for all of them (an array is returned).
+    """
     if int(n) != n or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
     if g.variable != COSINE:
         raise DomainError("box operator acts on functions of the cosine variable")
-    jet = g._jet(t, 2, side)
+    ts, single = _points(t)
+    jet = g._jet(ts, 2, side)
     if not jet.is_finite():
-        raise SmoothnessError(f"no finite one-sided second derivative at t={t}")
+        raise SmoothnessError(
+            f"no finite one-sided second derivative at t={_first_nonfinite(ts, jet)}")
     g0, g1, g2 = jet.derivs()[:3]
-    return (1.0 - t * t) * g2 - (n - 1) * t * g1 + (n - 1) * g0
+    out = (1.0 - ts * ts) * g2 - (n - 1) * ts * g1 + (n - 1) * g0
+    return float(out[0]) if single else out
 
 
 # ------------------------------------------------------------------ the field
@@ -415,6 +454,9 @@ class ObstructionField:
     negativity_tol: float
     negative_jump_witness: bool = False
     breakpoint_classes: list = dc_field(default_factory=list)
+    # (t, reason) of rows kept in the output that take no part in the
+    # verdict, the jump witness, the minimum or the sign changes.
+    excluded: list = dc_field(default_factory=list)
     # Counters of the moment pass (panels, integrand_evals, max_depth,
     # worst_error_fraction); deterministic, and kept out of the CSV and the
     # summary line.
@@ -448,7 +490,8 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     grid (one-sided at kinks); atoms: (1 - t0^2) times the first-derivative
     jump of g at each kink where g is continuous but not C1.  Verdict is
     NotPolarZonoid iff the density falls below -negativity_scale * max|density|
-    or any atom is negative.
+    or any atom is negative.  In dimension 6 the rows with t < 1e-4 stay in
+    the output but are listed in ``excluded`` and decide nothing.
     """
     n = body.dimension
     if n not in (4, 6):
@@ -468,31 +511,38 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     # over those nodes serves every moment the field needs.
     moments.prepare(np.concatenate([grid_arr, g.breakpoint_locations]))
 
-    joints = [_classify_joint(g, t0, class_tol) for t0 in g.breakpoint_locations]
+    joints = classify_breakpoints(g, class_tol)
 
+    # All interior rows in one walk, then the joint rows, one walk per side.
     rows = []  # (t, value, is_left_limit, at_breakpoint)
-    for t in grid_arr:
-        if any(abs(t - j.location) <= 1e-12 for j in joints):
-            continue
-        rows.append((float(t), box_operator(g, n, float(t)), False, False))
+    on_joint = np.zeros(grid_arr.shape, dtype=bool)
     for j in joints:
-        if j.smoothness_class == "C2+":
-            rows.append((j.location, box_operator(g, n, j.location, side="left"),
-                         False, True))
-        else:
-            rows.append((j.location, box_operator(g, n, j.location, side="left"),
-                         True, True))
-            rows.append((j.location, box_operator(g, n, j.location, side="right"),
-                         False, True))
+        on_joint |= np.abs(grid_arr - j.location) <= 1e-12
+    inner = grid_arr[~on_joint]
+    if inner.size:
+        rows += [(t, v, False, False) for t, v in
+                 zip(inner.tolist(), box_operator(g, n, inner).tolist())]
+    for side in ("left", "right"):
+        at = [j for j in joints if side == "left" or j.smoothness_class != "C2+"]
+        if at:
+            locs = np.array([j.location for j in at])
+            rows += [(j.location, v, side == "left" and j.smoothness_class != "C2+", True)
+                     for j, v in zip(at, box_operator(g, n, locs, side=side).tolist())]
     rows.sort(key=lambda r: (r[0], not r[2]))
 
     atoms = [(j.location, (1.0 - j.location ** 2) * j.first_derivative_jump)
              for j in joints if j.smoothness_class == "C0"]
 
-    values = np.array([r[1] for r in rows])
-    max_abs = float(np.max(np.abs(values))) if values.size else 0.0
+    all_values = np.array([r[1] for r in rows])
+    max_abs = float(np.max(np.abs(all_values))) if all_values.size else 0.0
     tol = negativity_scale * max_abs
-    interior = np.array([not r[3] for r in rows])
+    # Rows this close to the axis stay in the output but decide nothing.
+    noise = [n == 6 and r[0] < _AXIS_NOISE_T for r in rows]
+    excluded = [(r[0], "dimension-6 axis row: the jet of x^3/h there is rounding noise")
+                for r, skip in zip(rows, noise) if skip]
+    rows_used = [r for r, skip in zip(rows, noise) if not skip]
+    values = np.array([r[1] for r in rows_used])
+    interior = np.array([not r[3] for r in rows_used], dtype=bool)
     negative_cont = bool(np.any(values < -tol))
     negative_interior = bool(np.any(values[interior] < -tol)) if interior.any() else False
     atom_scale = max([1.0] + [abs(w) for _, w in atoms])
@@ -505,7 +555,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     sign_changes = []
     last_sign = 0
     last_t = None
-    for (t, _, _, _), s in zip(rows, signs):
+    for (t, _, _, _), s in zip(rows_used, signs):
         if s != 0:
             if last_sign != 0 and s != last_sign:
                 sign_changes.append(0.5 * (last_t + t))
@@ -520,7 +570,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
         is_left_limit=[r[2] for r in rows],
         atoms=atoms,
         min_value=float(values[k]) if values.size else math.nan,
-        min_location=rows[k][0] if rows else math.nan,
+        min_location=rows_used[k][0] if rows_used else math.nan,
         max_abs=max_abs,
         sign_changes=sign_changes,
         verdict=verdict,
@@ -528,6 +578,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
         negative_jump_witness=jump_witness,
         breakpoint_classes=[(j.location, j.smoothness_class, j.first_derivative_jump)
                             for j in joints],
+        excluded=excluded,
         diagnostics=dict(moments.diagnostics),
         g=g,
     )

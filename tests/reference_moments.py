@@ -10,14 +10,17 @@ chain can run on either; :func:`reference_rows` restates the field's row
 logic (grid, one-sided rows at joints, atoms) on top of it.
 """
 
+import numpy as np
+
 from ibodies.calculus import QuadratureRequest, integrate
-from ibodies.profile import _classify_joint
+from ibodies.profile import classify_breakpoints
 from ibodies.transform import (_EPS_AXIS, box_operator, default_grid,
                                inverse_radon, reciprocal_intersection_profile)
 
 
 class ScalarMoments:
-    """B(x) and (n = 6) C(x) by one scalar quadrature each, at every call."""
+    """B(x) and (n = 6) C(x) by one scalar quadrature each, per point, at
+    every call; x is an array of points, as the table receives it."""
 
     def __init__(self, profile, power, n):
         self.profile, self.power, self.n = profile, power, n
@@ -25,7 +28,7 @@ class ScalarMoments:
     def prepare(self, nodes):
         pass
 
-    def at(self, x):
+    def _at(self, x):
         bps = [b for b in self.profile.breakpoint_locations if 0.0 < b < x]
 
         def q(t):
@@ -36,6 +39,10 @@ class ScalarMoments:
             return b_val, None
         c_val = integrate(QuadratureRequest(lambda t: t * t * q(t), 0.0, x, bps))
         return b_val, c_val
+
+    def at(self, xs):
+        b_vals, c_vals = zip(*(self._at(float(x)) for x in xs))
+        return np.array(b_vals), None if self.n == 4 else np.array(c_vals)
 
 
 def reference_g(body):
@@ -52,7 +59,7 @@ def reference_rows(g, grid=None, uniform_points=2000, class_tol=1e-9):
     piece).  Values are left out: the caller evaluates the rows it samples
     with ``box_operator(g, n, t, side)``.
     """
-    joints = [_classify_joint(g, t0, class_tol) for t0 in g.breakpoint_locations]
+    joints = classify_breakpoints(g, class_tol)
     if grid is None:
         grid = default_grid(g.breakpoint_locations, lo=max(_EPS_AXIS, g.domain[0]),
                             uniform_points=uniform_points)

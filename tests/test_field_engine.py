@@ -8,7 +8,12 @@ every joint row and the minimum row.
 
 The axis row t = 1e-6 is left out of the value comparison: in dimension 6
 its jet of x^3/h cancels catastrophically, so rounding-level differences in
-B and C move it by up to ~1.6e-4 max|field| under either engine.
+B and C move it by up to ~1.6e-4 max|field| under either engine (the field
+excludes such rows from its verdict).
+
+The field evaluates all its rows in a few array walks; the tests below also
+check each row against a single-point evaluation, bit for bit, and the
+moment pass's stopping rule.
 """
 
 import functools
@@ -18,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibodies.errors import SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, add, mul, sub, var_t
-from ibodies.transform import _EPS_AXIS, box_operator, obstruction_field
+from ibodies.transform import (_EPS_AXIS, MomentTable, box_operator, default_grid,
+                               obstruction_field)
 from reference_moments import reference_g, reference_rows, reference_value
 
 # Midpoints of the parameter ranges the benchmark catalogue draws from.
@@ -137,3 +144,63 @@ def test_random_piecewise_profiles_match_scalar_route(profile, dim):
     fld = obstruction_field(body, grid=grid)
     rows, atoms = reference_rows(reference_g(body), grid=grid)
     _compare_with_scalar_route(fld, body, rows, atoms, range(len(rows)))
+
+
+# ------------------------------------------------------- one walk per body
+
+@pytest.mark.parametrize("name,dim", BODIES)
+def test_every_row_equals_its_own_box_operator_call(name, dim):
+    # The field evaluates all interior rows in one array walk and the joint
+    # rows in one walk per side; a single point gives the same bits.
+    fld = _field(name, dim)
+    classes = {t: cls for t, cls, _ in fld.breakpoint_classes}
+    for t, v, left in zip(fld.grid, fld.continuous_values, fld.is_left_limit):
+        if t not in classes:
+            assert box_operator(fld.g, dim, t) == v, t
+        else:
+            side = "left" if left or classes[t] == "C2+" else "right"
+            assert box_operator(fld.g, dim, t, side=side) == v, (t, side)
+
+
+@pytest.mark.parametrize("name,dim", BODIES)
+def test_moment_pass_needs_no_bisection_on_builtins(name, dim):
+    # Every panel ends at a row or a joint and meets its share at once.
+    fld = _field(name, dim)
+    if name == "cylinder" and dim == 6:
+        return  # closed-form intersection profile: no moment pass
+    breaks = _body(name, dim).profile.breakpoint_locations
+    edges = np.unique(np.concatenate([[0.0], breaks, fld.grid]))
+    assert fld.diagnostics["max_depth"] == 0
+    assert fld.diagnostics["panels"] == edges.size - 1
+
+
+def test_moment_pass_stops_once_every_node_meets_its_tolerance():
+    # The double cone's diagonal piece has a square-root singularity in a
+    # derivative at t=1: its last panel never meets its share of the
+    # tolerance, but the accumulated error at every node does long before
+    # the depth cap.  The row at t=1 itself has no finite jet.
+    body = instantiate(FamilySpec("octagon_Kb", {"b": 0.0}, 6))
+    grid = default_grid(body.profile.breakpoint_locations, uniform_points=POINTS)
+    moments = MomentTable(body.profile, 5, 6)
+    moments.prepare(grid)
+    moments.at(grid)
+    assert 0 < moments.diagnostics["max_depth"] <= 20
+    assert moments.diagnostics["worst_error_fraction"] <= 1.0
+    with pytest.raises(SmoothnessError):
+        obstruction_field(body, uniform_points=POINTS)
+
+
+def test_near_axis_rows_in_dimension_6_decide_nothing():
+    # The field is about +36 t^2 there, but the jet of x^3/h divides by
+    # h ~ t^5 and the rows below t = 1e-4 read rounding noise (-5.9e-3 at
+    # t = 1e-6).  They stay in the output and decide nothing.
+    grid = [1e-6, 3e-6, 1e-5, 0.05, 0.1]
+    fld = obstruction_field(_body("lp_revolution", 6), grid=grid)
+    assert fld.grid == grid and len(fld.continuous_values) == len(grid)
+    assert fld.continuous_values[0] < -fld.negativity_tol
+    assert [t for t, _ in fld.excluded] == grid[:3]
+    assert fld.verdict == "Inconclusive"
+    assert fld.min_location == 0.05 and fld.min_value > 0.0
+    assert fld.sign_changes == [] and not fld.negative_jump_witness
+    # Dimension 4 has no such rows.
+    assert obstruction_field(_body("lp_revolution", 4), grid=grid).excluded == []

@@ -1,12 +1,18 @@
-"""Truncated Taylor-jet arithmetic against hand-differentiated closed forms."""
+"""Truncated Taylor-jet arithmetic against hand-differentiated closed forms,
+and array jets against float jets."""
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ibodies.errors import SmoothnessError
+from ibodies.errors import DomainError, SmoothnessError
 from ibodies.jets import Jet
+from ibodies.profile import add, const, div, exp_of, mul, powr, sqrt, sub, var_t
 
 
 def test_variable_and_constant_jets():
@@ -118,3 +124,102 @@ def test_truncation_and_alignment():
     c = a + b  # alignment truncates to the shorter jet
     assert c.order == 1
     assert a.truncated(1).derivs() == (0.7, 1.0)
+
+
+# ------------------------------------------------------------- array jets
+
+def test_array_jet_checks_act_elementwise():
+    t = np.array([0.25, 0.5, 0.75])
+    # One vanishing divisor refuses the whole array, as it refuses its point.
+    with pytest.raises(SmoothnessError):
+        1.0 / (Jet.variable(t, 2) - 0.5)
+    # A fractional power above the order vanishes where its base does,
+    # without dividing by it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = (Jet.variable(t, 2) - 0.25) ** Fraction(7, 2)
+    alone = (Jet.variable(t[1:], 2) - 0.25) ** Fraction(7, 2)
+    for k in range(3):
+        assert jet.coeffs[k][0] == 0.0
+        assert np.array_equal(jet.coeffs[k][1:], alone.coeffs[k])
+    with pytest.raises(SmoothnessError):
+        (Jet.variable(t, 2) - 0.25) ** Fraction(3, 2)
+    with pytest.raises(DomainError):
+        (Jet.variable(t, 2) - 0.3) ** Fraction(7, 2)
+    # libm raises on overflow where numpy returns inf; the array jet raises too.
+    with pytest.raises(OverflowError):
+        Jet.variable(800.0, 1).exp()
+    with pytest.raises(OverflowError):
+        Jet.variable(np.array([1.0, 800.0]), 1).exp()
+    assert not Jet((np.array([1.0, np.inf]), 0.0)).is_finite()
+    assert Jet((np.array([1.0, 2.0]), 0.0)).is_finite()
+
+
+_CONSTS = st.sampled_from([-2.0, -0.5, 0.5, 1.0, 1.5, 3.0])
+_EXPONENTS = st.sampled_from([Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2),
+                              Fraction(2), Fraction(-3), Fraction(9, 2)])
+_BINARY = st.sampled_from([add, sub, mul, div])
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), _BINARY, children, children),
+        st.builds(powr, children, _EXPONENTS),
+        children.map(sqrt),
+        children.map(exp_of),
+    )
+
+
+_TREES = st.recursive(st.one_of(_CONSTS.map(const), st.just(var_t())), _extend,
+                      max_leaves=8)
+# Points include the zeros of t - 0.5, t - 1 and t so that the refusing
+# branches are taken.
+_POINTS = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.05, 1.0)),
+                   min_size=1, max_size=6)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+def _coeffs(jet, size):
+    return [np.broadcast_to(c, (size,)) for c in jet.coeffs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tree=_TREES, points=_POINTS, order=st.integers(0, 4))
+def test_array_jet_matches_float_jets_point_by_point(tree, points, order):
+    arr = np.array(points)
+    with np.errstate(all="ignore"):
+        whole = _outcome(lambda: tree.eval_jet(arr, order))
+        single = [_outcome(lambda: tree.eval_jet(arr[i:i + 1], order))
+                  for i in range(arr.size)]
+    floats = [_outcome(lambda: tree.eval_jet(p, order)) for p in points]
+
+    # The float jet and the one-point array jet raise the same class or agree
+    # to rounding (libm and numpy differ in the last ulp).
+    for f, s in zip(floats, single):
+        if isinstance(f, type):
+            assert s is f
+            continue
+        assert isinstance(s, Jet) and s.order == f.order
+        for c_float, c_array in zip(f.coeffs, _coeffs(s, 1)):
+            want, got = c_float, c_array[0]
+            if not math.isfinite(want):
+                assert got == want or (math.isnan(want) and math.isnan(got))
+            else:
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+    # N points in one array give the bits of N one-point arrays, and raise
+    # when any of them does, with one of their classes.
+    failed = {s for s in single if isinstance(s, type)}
+    if failed:
+        assert whole in failed
+    else:
+        assert isinstance(whole, Jet)
+        for i, s in enumerate(single):
+            for c_all, c_one in zip(_coeffs(whole, arr.size), _coeffs(s, 1)):
+                assert np.array_equal(c_all[i:i + 1], c_one, equal_nan=True)
