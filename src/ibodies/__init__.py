@@ -21,11 +21,10 @@ from .oracle import (NegativityCertificate, SectionEstimate, field_sign_scan,
                      mc_section_volume, section_ratio_report)
 from .profile import (BodyOfRevolution, Breakpoint, ConvexityReport,
                       DerivedProfile, Piece, RadialProfile,
-                      classify_breakpoints, converted_variable, parse_prefix,
-                      profile_from_json, validate_convexity)
+                      classify_breakpoints, parse_prefix, profile_from_json,
+                      validate_convexity)
 from .transform import (ObstructionField, box_operator, h_fn, h_jet,
-                        intersection_radial, inverse_radon,
-                        inverse_radon_brute, obstruction_field,
+                        intersection_radial, inverse_radon, obstruction_field,
                         radon_transform, reciprocal_intersection_profile)
 
 __version__ = "0.1.0"
@@ -38,9 +37,8 @@ __all__ = [
     "ObstructionField", "Piece", "ProfileFormatError", "RadialProfile",
     "SectionEstimate", "SideRequired", "SmoothnessError", "SweepResult",
     "box_operator", "check_for_dimension", "classify_breakpoints",
-    "converted_variable", "cor6_check", "field_sign_scan", "flat_top_check",
-    "flatness_curvature", "h_fn", "h_jet", "instantiate",
-    "intersection_radial", "inverse_radon", "inverse_radon_brute",
+    "cor6_check", "field_sign_scan", "flat_top_check", "flatness_curvature",
+    "h_fn", "h_jet", "instantiate", "intersection_radial", "inverse_radon",
     "lp_threshold", "mc_section_volume", "obstruction_field",
     "octagon_margin", "parse_prefix", "profile_from_json", "prop1_check",
     "prop4_check", "radon_transform", "reciprocal_intersection_profile",

@@ -1,24 +1,23 @@
-"""Numerical workhorses: adaptive quadrature, one-sided limits, root finding.
+"""Numerical workhorses: adaptive quadrature and root finding.
 
 Everything downstream (the transform pipeline, criteria margins, parameter
 sweeps) funnels through this module so that tolerances and failure modes are
-decided in exactly one place.  Single definite integrals delegate to scipy's
-adaptive Gauss-Kronrod routine; running integrals up to many nodes at once
-use a vectorised Gauss-Kronrod pass over the sorted nodes.  The value of this
-layer is the bookkeeping around both: splitting at known breakpoints, honest
-error propagation, and hard failures instead of silently degraded answers.
+decided in exactly one place.  There is one quadrature routine, a vectorised
+adaptive Gauss-Kronrod pass that gives running integrals up to many nodes at
+once; a single definite integral is that pass with one node.  The value of
+this layer is the bookkeeping around it: splitting at known breakpoints,
+honest error propagation, and hard failures instead of silently degraded
+answers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _sp_integrate
 
-from .errors import Divergent, InvalidBracket, NoConvergence
+from .errors import InvalidBracket, NoConvergence
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
@@ -40,7 +39,9 @@ def set_default_tolerances(rel_tol: Optional[float] = None,
 
 @dataclass
 class QuadratureRequest:
-    """Definite integral of a scalar function with explicit interior splits.
+    """Definite integral of a function with explicit interior splits.
+
+    ``fn`` maps a 1-D array of points to an array of its values there.
 
     ``breakpoints`` lists interior locations where the integrand (or its
     derivatives) may jump; the interval is split there so the adaptive rule
@@ -48,7 +49,7 @@ class QuadratureRequest:
     at request-creation time (so they can be overridden process-wide).
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
     breakpoints: Sequence[float] = field(default_factory=tuple)
@@ -70,32 +71,14 @@ class QuadratureRequest:
 def integrate(request: QuadratureRequest) -> float:
     """Evaluate the integral, raising NoConvergence if the error target fails.
 
-    Subintervals are integrated left to right and summed in that fixed order,
-    so results are bit-reproducible for a given request.
+    One :func:`cumulative_integrate` pass over [lower, upper], split at the
+    request's breakpoints, with its tolerances; ``request.fn`` receives an
+    array of points.  Results are bit-reproducible for a given request.
     """
-    edges = [request.lower, *request.breakpoints, request.upper]
-    total = 0.0
-    err_budget = 0.0
-    for a, b in zip(edges, edges[1:]):
-        out = _sp_integrate.quad(request.fn, a, b, full_output=1,
-                                 epsabs=request.abs_tol, epsrel=request.rel_tol,
-                                 limit=200)
-        val, abserr = out[0], out[1]
-        if len(out) == 4:  # scipy attached a warning message
-            tol = 10.0 * max(request.abs_tol, request.rel_tol * abs(val))
-            if abserr > tol:
-                raise NoConvergence(
-                    f"quadrature on [{a}, {b}] did not converge: "
-                    f"estimate {val}, error {abserr}: {out[3].splitlines()[0]}"
-                )
-        total += val
-        err_budget += abserr
-    tol = 10.0 * max(request.abs_tol, request.rel_tol * abs(total))
-    if err_budget > tol:
-        raise NoConvergence(
-            f"accumulated quadrature error {err_budget} exceeds tolerance {tol}"
-        )
-    return total
+    res = cumulative_integrate(request.fn, [request.upper], request.breakpoints,
+                               start=request.lower, rel_tol=request.rel_tol,
+                               abs_tol=request.abs_tol)
+    return float(res.values[0, 0])
 
 
 # QUADPACK's qk15 rule on [-1, 1]: the 15 Kronrod nodes in increasing order,
@@ -125,8 +108,8 @@ MAX_PANELS = 100_000    # refinement stops before the panel count passes this
 class CumulativeIntegral:
     """Running integrals of one or more integrands, up to every node.
 
-    ``values[i, k]`` is the integral of integrand ``i`` from 0 to
-    ``nodes[k]``.  The counters describe the pass that produced them.
+    ``values[i, k]`` is the integral of integrand ``i`` from the pass's
+    start to ``nodes[k]``.  The counters describe the pass that produced them.
     """
 
     nodes: np.ndarray
@@ -166,7 +149,7 @@ def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
 
 def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tuple:
     """Running sums of the panel integrals and error estimates, read at every
-    node; the panels (given as lists of arrays) tile [0, max node]."""
+    node; the panels (given as lists of arrays) tile [start, max node]."""
     order = np.argsort(np.concatenate(a), kind="stable")
     right = np.concatenate(b)[order]
     at = np.searchsorted(right, nodes, side="right")
@@ -179,11 +162,13 @@ def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tupl
 
 def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
                          nodes: Sequence[float],
-                         breakpoints: Sequence[float] = ()) -> CumulativeIntegral:
-    """Integrals from 0 to every node, from one adaptive pass.
+                         breakpoints: Sequence[float] = (), start: float = 0.0,
+                         rel_tol: Optional[float] = None,
+                         abs_tol: Optional[float] = None) -> CumulativeIntegral:
+    """Integrals from ``start`` to every node, from one adaptive pass.
 
     ``fn`` maps a 1-D array of points to an array of shape (points,) or
-    (integrands, points).  [0, largest node] is split into panels at every
+    (integrands, points).  [start, largest node] is split into panels at every
     node and interior breakpoint, so no panel straddles a kink; each round
     evaluates all open panels with one call of ``fn`` (Gauss-Kronrod 7/15)
     and bisects those that miss their share of the tolerance, until every
@@ -192,18 +177,19 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
     max(abs_tol, rel_tol * |value|).  A running sum over the panels, in
     order, gives every node's value and accumulated error estimate.
 
-    Tolerances are the module-level settings at call time.  Raises
+    Omitted tolerances are the module-level settings at call time.  Raises
     NoConvergence when the integrand is not finite at an evaluation point or
     when the accumulated error at any node exceeds
-    10 * max(abs_tol, rel_tol * |value|), the bound :func:`integrate` uses.
+    10 * max(abs_tol, rel_tol * |value|).
     """
-    rel_tol, abs_tol = DEFAULT_REL_TOL, DEFAULT_ABS_TOL
+    rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
+    abs_tol = DEFAULT_ABS_TOL if abs_tol is None else abs_tol
     nodes = np.unique(np.asarray(nodes, dtype=float))
-    if nodes.size == 0 or nodes[0] < 0.0 or nodes[-1] <= 0.0:
-        raise ValueError(f"nodes must lie in [0, inf) with one positive, got {nodes}")
-    span = float(nodes[-1])
-    inner = [x for x in breakpoints if 0.0 < x < span]
-    edges = np.unique(np.concatenate([[0.0], inner, nodes]))
+    if nodes.size == 0 or nodes[0] < start or nodes[-1] <= start:
+        raise ValueError(f"nodes must lie in [{start}, inf) with one above it, got {nodes}")
+    end = float(nodes[-1])
+    inner = [x for x in breakpoints if start < x < end]
+    edges = np.unique(np.concatenate([[start], inner, nodes]))
     a, b = edges[:-1], edges[1:]
 
     done_a, done_b, done_val, done_err = [], [], [], []
@@ -216,7 +202,7 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
         # Half of each panel's share of rel_tol * int|f| + abs_tol, so that the
         # error summed up to any node stays within max(abs_tol, rel_tol |value|)
         # for an integrand of one sign.
-        allowed = 0.5 * (rel_tol * resabs + abs_tol * (b - a) / span)
+        allowed = 0.5 * (rel_tol * resabs + abs_tol * (b - a) / (end - start))
         ok = np.all(err <= allowed, axis=0)
         mid = 0.5 * (a + b)
         ok |= (mid <= a) | (mid >= b)  # panel too narrow to bisect
@@ -252,53 +238,6 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
     return CumulativeIntegral(nodes=nodes, values=values, panels=panels, evaluations=evaluations,
                               max_depth=max_depth,
                               worst_error_fraction=float(fraction[worst]))
-
-
-def one_sided_limit(fn: Callable[[float], float], t0: float, side: str,
-                    initial_h: float = 2.0 ** -8, levels: int = 17,
-                    rel_tol: float = 1e-11) -> float:
-    """Limit of fn(t0 +/- h) as h -> 0 by Richardson extrapolation in h.
-
-    Samples at geometrically shrinking offsets h = initial_h * 2^-i and
-    accelerates the sequence; raises Divergent if no stable value emerges.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    sign = -1.0 if side == "left" else 1.0
-    rows: list[list[float]] = []
-    best = None
-    best_delta = math.inf
-    for i in range(levels):
-        h = initial_h * 2.0 ** -i
-        try:
-            v = fn(t0 + sign * h)
-        except (ArithmeticError, ValueError) as e:
-            raise Divergent(f"function not evaluable at offset {h} from {t0}") from e
-        if not math.isfinite(v):
-            raise Divergent(f"function not finite at offset {h} from {t0}")
-        row = [v]
-        if rows:
-            prev = rows[-1]
-            for j in range(min(len(prev), 8)):
-                # Eliminate the O(h^(j+1)) term of the expansion in h.
-                fac = 2.0 ** (j + 1)
-                row.append((fac * row[j] - prev[j]) / (fac - 1.0))
-        rows.append(row)
-        if len(row) >= 2:
-            delta = abs(row[-1] - row[-2])
-            scale = max(1.0, abs(row[-1]))
-            if delta < best_delta:
-                best_delta = delta
-                best = row[-1]
-            if delta <= rel_tol * scale:
-                return row[-1]
-    scale = max(1.0, abs(best) if best is not None else 1.0)
-    if best is not None and best_delta <= 1e-7 * scale:
-        return best
-    raise Divergent(
-        f"one-sided limit at t={t0} ({side}) did not stabilize "
-        f"(best residual {best_delta:g})"
-    )
 
 
 @dataclass
@@ -341,38 +280,3 @@ def bisect(fn: Callable[[float], float], bracket: RootBracket,
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
-
-
-def fd_check(value_fn: Callable[[float], float], deriv_fn: Callable[[float], float],
-             t: float, order: int = 1, h0: float = 1e-2, levels: int = 8) -> tuple:
-    """Compare an analytic derivative against a Richardson-refined central
-    difference.  Returns (analytic, numeric, relative_error)."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-
-    def stencil(h: float) -> float:
-        if order == 1:
-            return (value_fn(t + h) - value_fn(t - h)) / (2.0 * h)
-        return (value_fn(t + h) - 2.0 * value_fn(t) + value_fn(t - h)) / (h * h)
-
-    rows: list[list[float]] = []
-    best = None
-    best_delta = math.inf
-    for i in range(levels):
-        h = h0 * 2.0 ** -i
-        row = [stencil(h)]
-        if rows:
-            prev = rows[-1]
-            for j in range(len(prev)):
-                fac = 4.0 ** (j + 1)  # central stencils improve in powers of h^2
-                row.append((fac * row[j] - prev[j]) / (fac - 1.0))
-        rows.append(row)
-        if len(row) >= 2:
-            delta = abs(row[-1] - row[-2])
-            if delta < best_delta:
-                best_delta = delta
-                best = row[-1]
-    numeric = best if best is not None else rows[-1][-1]
-    analytic = deriv_fn(t)
-    rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-    return analytic, numeric, rel

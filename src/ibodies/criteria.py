@@ -76,7 +76,7 @@ def _axis_jet(profile: RadialProfile) -> tuple:
 
 def _moment(profile: RadialProfile, weight) -> float:
     return integrate(QuadratureRequest(
-        lambda t: weight(t, profile.value(t)), 0.0, 1.0,
+        lambda t: weight(t, profile.eval_array(t)), 0.0, 1.0,
         profile.breakpoint_locations))
 
 

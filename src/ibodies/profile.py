@@ -676,31 +676,3 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
         pieces.append(Piece((float(a), float(b)), expr))
     return RadialProfile(pieces)
 
-
-# --------------------------------------------- variable-convention change
-
-def converted_variable(profile: ProfileLike) -> DerivedProfile:
-    """Reparameterize between the cosine and sine conventions.
-
-    If q(x) is the input, the output is q(sqrt(1 - t^2)) with derivatives via
-    jet composition; applying it twice returns to the original parameter.
-    Smoothness at the endpoints is generally reduced (the substitution has a
-    square-root singularity there), so jets are only available strictly
-    inside (0, 1).
-    """
-    target = SINE if profile.variable == COSINE else COSINE
-    bps = sorted(np.sqrt(1.0 - np.array(profile.breakpoint_locations) ** 2))
-
-    def source(t: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        inner = (1.0 - Jet.variable(t, order) * Jet.variable(t, order)).sqrt()
-        u0 = inner.value
-        # A side for t maps to the opposite side for u = sqrt(1 - t^2).
-        flip = {None: None, "left": "right", "right": "left"}[side]
-        outer = profile._jet(u0, order, flip)
-        return outer.compose(inner)
-
-    lo = max(np.sqrt(1.0 - profile.domain[1] ** 2), 1e-8)
-    hi = min(np.sqrt(1.0 - profile.domain[0] ** 2), 1.0)
-    return DerivedProfile(source, [float(b) for b in bps], domain=(float(lo), float(hi)),
-                          variable=target, max_order=getattr(profile, "max_order", 3),
-                          name=f"{getattr(profile, 'name', '')} reparam".strip())

@@ -175,8 +175,8 @@ def h_fn(profile: RadialProfile, n: int, x: float) -> float:
         raise DomainError(f"x must lie in (0, 1], got {x}")
     power = (n - 4) // 2
 
-    def integrand(t: float) -> float:
-        base = profile.value(t) ** (n - 1)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        base = profile.eval_array(t) ** (n - 1)
         return base if power == 0 else base * (x * x - t * t) ** power
 
     bps = [b for b in profile.breakpoint_locations if b < x]
@@ -223,6 +223,19 @@ def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
                           name=f"radon[{getattr(q, 'name', '') or 'q'}]")
 
 
+_CYLINDER_IK_NAME = "cylinder intersection profile"
+
+
+def _cylinder_ik_pieces() -> list:
+    t = var_t()
+    t2 = mul(t, t)
+    left = powr(sub(1, t2), -1 / 2)
+    right = div(add(sub(3, mul(16, t2)), mul(28, mul(t2, t2))),
+                mul(8, powr(t, 5)))
+    r = math.sqrt(0.5)
+    return [Piece((0.0, r), left), Piece((r, 1.0), right)]
+
+
 def cylinder_intersection_closed_form() -> RadialProfile:
     """Known piecewise closed form of the R^6 cylinder's intersection profile.
 
@@ -232,14 +245,13 @@ def cylinder_intersection_closed_form() -> RadialProfile:
     This carries a fixed positive normalization (3/2 times the bare moment
     ratio h_6(x)/x^3); downstream sign decisions are scale-free.
     """
-    t = var_t()
-    t2 = mul(t, t)
-    left = powr(sub(1, t2), -1 / 2)
-    right = div(add(sub(3, mul(16, t2)), mul(28, mul(t2, t2))),
-                mul(8, powr(t, 5)))
-    r = math.sqrt(0.5)
-    return RadialProfile([Piece((0.0, r), left), Piece((r, 1.0), right)],
-                         variable=SINE, name="cylinder intersection profile")
+    return RadialProfile(_cylinder_ik_pieces(), variable=SINE, name=_CYLINDER_IK_NAME)
+
+
+def _has_closed_form(body: BodyOfRevolution) -> bool:
+    """Whether the intersection profile of ``body`` has a known closed form;
+    only the R^6 cylinder's does."""
+    return body.family == "cylinder" and body.dimension == 6
 
 
 def intersection_radial(body: BodyOfRevolution) -> DerivedProfile:
@@ -262,17 +274,8 @@ def intersection_radial(body: BodyOfRevolution) -> DerivedProfile:
     out = DerivedProfile(source, profile.breakpoint_locations,
                          domain=(_EPS_AXIS, 1.0), variable=SINE, max_order=3,
                          name=f"intersection[{body.describe()}]")
-    out.closed_form = None
-    if body.family == "cylinder" and n == 6:
-        out.closed_form = cylinder_intersection_closed_form()
+    out.closed_form = cylinder_intersection_closed_form() if _has_closed_form(body) else None
     return out
-
-
-def reciprocal_closed_form(profile: RadialProfile) -> RadialProfile:
-    """Pointwise reciprocal of a positive closed-form profile."""
-    pieces = [Piece(p.interval, div(1, p.expr)) for p in profile.pieces]
-    return RadialProfile(pieces, variable=profile.variable,
-                         name=f"1/({profile.name})" if profile.name else "reciprocal")
 
 
 def reciprocal_intersection_profile(body: BodyOfRevolution,
@@ -280,8 +283,8 @@ def reciprocal_intersection_profile(body: BodyOfRevolution,
                                     ) -> ProfileLike:
     """The inverse-Radon input x -> x^(n-3)/h_n(x).
 
-    When the intersection profile has an attached closed form (R^6 cylinder),
-    its exact reciprocal is returned so that downstream results match the
+    When the intersection profile has a closed form (R^6 cylinder), its
+    exact reciprocal is returned so that downstream results match the
     known printed expressions digit for digit; otherwise a quadrature-backed
     function with jets of order up to 4 that reads B and C from ``moments``
     (a fresh :class:`MomentTable` when omitted).  The two differ by a fixed
@@ -289,9 +292,10 @@ def reciprocal_intersection_profile(body: BodyOfRevolution,
     """
     n = body.dimension
     _require_even_dimension(n)
-    ik = intersection_radial(body)
-    if getattr(ik, "closed_form", None) is not None:
-        return reciprocal_closed_form(ik.closed_form)
+    if _has_closed_form(body):
+        # Only the reciprocal is built (and validated), not the closed form.
+        pieces = [Piece(p.interval, div(1, p.expr)) for p in _cylinder_ik_pieces()]
+        return RadialProfile(pieces, variable=SINE, name=f"1/({_CYLINDER_IK_NAME})")
     profile = body.profile
     if moments is None:
         moments = MomentTable(profile, n - 1, n)
@@ -343,41 +347,6 @@ def inverse_radon(f: ProfileLike, n: int) -> DerivedProfile:
     return DerivedProfile(source, f.breakpoint_locations, domain=f.domain,
                           variable=COSINE, max_order=max_order,
                           name=f"invradon[{getattr(f, 'name', '') or 'f'}]")
-
-
-def inverse_radon_brute(f: ProfileLike, n: int, t: float,
-                        fd_step: float = 5e-4) -> float:
-    """Direct evaluation of the iterated-derivative inversion formula.
-
-    Computes t (1/t d/dt)^(n-2) of J(t) = int_0^t f(x) x^(n-2) (t^2-x^2)^((n-4)/2) dx
-    with nested central differences -- slow and noise-amplifying, kept as an
-    independent cross-check of :func:`inverse_radon`.
-    """
-    if n not in (4, 6):
-        raise DomainError(f"inverse Radon transform implemented for n in {{4, 6}}, got {n}")
-    if f.variable != SINE:
-        raise DomainError("inverse transform input must use the sine convention")
-    power = (n - 4) // 2
-    bps = list(f.breakpoint_locations)
-    lo = f.domain[0]
-
-    def j_fn(u: float) -> float:
-        def integrand(x: float) -> float:
-            base = f.value(x) * x ** (n - 2)
-            return base if power == 0 else base * (u * u - x * x) ** power
-
-        inner = [b for b in bps if lo < b < u]
-        return integrate(QuadratureRequest(integrand, lo, u, inner,
-                                           rel_tol=1e-12, abs_tol=1e-14))
-
-    level: Callable[[float], float] = j_fn
-    for _ in range(n - 2):
-        prev = level
-
-        def level(u: float, prev=prev) -> float:
-            return (prev(u + fd_step) - prev(u - fd_step)) / (2.0 * fd_step * u)
-
-    return t * level(t)
 
 
 # --------------------------------------------------------------- box operator
@@ -462,10 +431,6 @@ class ObstructionField:
     # summary line.
     diagnostics: dict = dc_field(default_factory=dict)
     g: Optional[ProfileLike] = dc_field(default=None, repr=False, compare=False)
-
-    def value_at(self, t: float) -> float:
-        idx = int(np.argmin(np.abs(np.asarray(self.grid) - t)))
-        return self.continuous_values[idx]
 
     def to_csv(self, fh) -> None:
         fh.write("t,continuous_value,is_left_limit,is_atom,atom_weight\n")

@@ -3,19 +3,21 @@
 The library computes the moments B(x) = int_0^x q and C(x) = int_0^x t^2 q
 (q = rho^(n-1)) of a whole field in one cumulative Gauss-Kronrod pass
 (``transform.MomentTable``).  The route it replaced integrates both from
-scratch at every row with ``calculus.integrate`` (scipy's adaptive
-quadrature) over [0, x].  :class:`ScalarMoments` is that route behind the
-table's interface, so the library's own reciprocal / inverse-Radon / box
-chain can run on either; :func:`reference_rows` restates the field's row
-logic (grid, one-sided rows at joints, atoms) on top of it.
+scratch at every row with scipy's adaptive quadrature over [0, x]
+(``reference_quadpack.integrate``).  :class:`ScalarMoments` is that route
+behind the table's interface, so the library's own reciprocal /
+inverse-Radon / box chain can run on either; :func:`reference_rows`
+restates the field's row logic (grid, one-sided rows at joints, atoms) on
+top of it.
 """
 
 import numpy as np
 
-from ibodies.calculus import QuadratureRequest, integrate
+from ibodies.calculus import QuadratureRequest
 from ibodies.profile import classify_breakpoints
 from ibodies.transform import (_EPS_AXIS, box_operator, default_grid,
                                inverse_radon, reciprocal_intersection_profile)
+from reference_quadpack import integrate
 
 
 class ScalarMoments:

@@ -1,0 +1,48 @@
+"""scipy's QUADPACK behind the library's quadrature interface: the tests'
+independent reference.
+
+The library integrates with one numpy adaptive Gauss-Kronrod routine
+(``calculus.cumulative_integrate``; ``calculus.integrate`` is one pass of
+it).  :func:`integrate` below is the route it replaced, kept verbatim: the
+same :class:`~ibodies.calculus.QuadratureRequest`, but split into
+subintervals at the breakpoints and handed to ``scipy.integrate.quad``,
+whose ``qagse`` has epsilon extrapolation.  ``request.fn`` receives one
+float at a time here.  Tests that stand for an independent quadrature
+compare the library with this, never with the library itself.
+"""
+
+from scipy import integrate as _sp_integrate
+
+from ibodies.calculus import QuadratureRequest
+from ibodies.errors import NoConvergence
+
+
+def integrate(request: QuadratureRequest) -> float:
+    """Evaluate the integral, raising NoConvergence if the error target fails.
+
+    Subintervals are integrated left to right and summed in that fixed order,
+    so results are bit-reproducible for a given request.
+    """
+    edges = [request.lower, *request.breakpoints, request.upper]
+    total = 0.0
+    err_budget = 0.0
+    for a, b in zip(edges, edges[1:]):
+        out = _sp_integrate.quad(request.fn, a, b, full_output=1,
+                                 epsabs=request.abs_tol, epsrel=request.rel_tol,
+                                 limit=200)
+        val, abserr = out[0], out[1]
+        if len(out) == 4:  # scipy attached a warning message
+            tol = 10.0 * max(request.abs_tol, request.rel_tol * abs(val))
+            if abserr > tol:
+                raise NoConvergence(
+                    f"quadrature on [{a}, {b}] did not converge: "
+                    f"estimate {val}, error {abserr}: {out[3].splitlines()[0]}"
+                )
+        total += val
+        err_budget += abserr
+    tol = 10.0 * max(request.abs_tol, request.rel_tol * abs(total))
+    if err_budget > tol:
+        raise NoConvergence(
+            f"accumulated quadrature error {err_budget} exceeds tolerance {tol}"
+        )
+    return total

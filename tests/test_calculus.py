@@ -1,16 +1,19 @@
 """Quadrature, one-sided limits, root finding, derivative cross-checks."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ibodies import calculus
 from ibodies.calculus import (QuadratureRequest, RootBracket, bisect,
-                              cumulative_integrate, fd_check, integrate,
-                              one_sided_limit)
+                              cumulative_integrate, integrate)
 from ibodies.errors import Divergent, InvalidBracket, NoConvergence
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
+from helpers import fd_check, one_sided_limit
+import reference_quadpack
 
 SQ2 = math.sqrt(0.5)
 
@@ -30,7 +33,7 @@ def test_polynomial_integral():
 def test_capped_cylinder_cubed_moment():
     # int_0^1 rho^3 dt = 5/16 for the radius-1/2 capped cylinder.
     rho = _rho("cyl_caps")
-    val = integrate(QuadratureRequest(lambda t: rho.value(t) ** 3, 0.0, 1.0,
+    val = integrate(QuadratureRequest(lambda t: rho.eval_array(t) ** 3, 0.0, 1.0,
                                       rho.breakpoint_locations))
     assert abs(val - 5.0 / 16.0) < 1e-10
 
@@ -43,9 +46,9 @@ def test_cylinder_fifth_moments():
     rho = _rho("cylinder")
     bps = rho.breakpoint_locations
     h1 = integrate(QuadratureRequest(
-        lambda t: rho.value(t) ** 5 * (1.0 - t * t), 0.0, 1.0, bps))
+        lambda t: rho.eval_array(t) ** 5 * (1.0 - t * t), 0.0, 1.0, bps))
     k1 = integrate(QuadratureRequest(
-        lambda t: rho.value(t) ** 5 * t * t, 0.0, 1.0, bps))
+        lambda t: rho.eval_array(t) ** 5 * t * t, 0.0, 1.0, bps))
     assert abs(h1 - 1.25) < 1e-10
     assert abs(k1 - 5.0 / 6.0) < 1e-10
 
@@ -58,7 +61,7 @@ def test_breakpoint_splitting_handles_kinks():
 
 
 def test_linearity_and_interval_additivity():
-    f = lambda t: math.exp(-t)
+    f = lambda t: np.exp(-t)
     g = lambda t: t ** 3
     lhs = integrate(QuadratureRequest(lambda t: 2.0 * f(t) - 0.5 * g(t), 0.0, 1.0))
     rhs = (2.0 * integrate(QuadratureRequest(f, 0.0, 1.0))
@@ -124,9 +127,9 @@ def test_cumulative_agrees_with_integrate_for_every_builtin(name):
 
         res = cumulative_integrate(lambda t: np.stack([q(t), t * t * q(t)]), nodes, bps)
         for k, x in enumerate(nodes):
-            want_b = integrate(QuadratureRequest(lambda t: rho.value(t) ** (n - 1),
-                                                 0.0, x, bps))
-            want_c = integrate(QuadratureRequest(
+            want_b = reference_quadpack.integrate(QuadratureRequest(
+                lambda t: rho.value(t) ** (n - 1), 0.0, x, bps))
+            want_c = reference_quadpack.integrate(QuadratureRequest(
                 lambda t: t * t * rho.value(t) ** (n - 1), 0.0, x, bps))
             assert abs(res.values[0, k] - want_b) <= 1e-12 * abs(want_b)
             assert abs(res.values[1, k] - want_c) <= 1e-12 * abs(want_c)
@@ -183,6 +186,45 @@ def test_cumulative_follows_default_tolerances():
     assert again.values[0, 0] == tight.values[0, 0]
     assert abs(tight.values[0, 0] - 2.0 / 3.0) < 1e-10
     assert abs(loose.values[0, 0] - 2.0 / 3.0) < 1e-4
+
+
+def test_cumulative_from_a_start_point():
+    nodes = [0.5, 0.75, 1.0]
+    res = cumulative_integrate(lambda t: t * t, nodes, breakpoints=[0.1, 0.6], start=0.25)
+    exact = [(x ** 3 - 0.25 ** 3) / 3.0 for x in nodes]
+    assert np.max(np.abs(res.values[0] - exact)) < 1e-15
+    assert res.panels == 4  # [0.25, 0.5, 0.6, 0.75, 1]: 0.1 lies before the start
+    with pytest.raises(ValueError):
+        cumulative_integrate(lambda t: t, [0.2, 1.0], start=0.25)
+    with pytest.raises(ValueError):
+        cumulative_integrate(lambda t: t, [0.25], start=0.25)
+
+
+def test_cumulative_explicit_tolerances_override_the_defaults():
+    fn = np.sqrt
+    tight = cumulative_integrate(fn, [1.0])
+    for loose_tol in ({"rel_tol": 1e-4}, {"abs_tol": 1e-4}):
+        loose = cumulative_integrate(fn, [1.0], **loose_tol)
+        assert loose.evaluations < tight.evaluations
+        assert abs(loose.values[0, 0] - 2.0 / 3.0) < 1e-4
+    assert (calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL) == (1e-10, 1e-12)
+
+
+def test_integrate_is_one_cumulative_pass():
+    rho = _rho("cylinder")
+    req = QuadratureRequest(lambda t: rho.eval_array(t) ** 5, 0.2, 0.9,
+                            rho.breakpoint_locations, rel_tol=1e-11, abs_tol=1e-13)
+    res = cumulative_integrate(req.fn, [0.9], rho.breakpoint_locations, start=0.2,
+                               rel_tol=1e-11, abs_tol=1e-13)
+    assert integrate(req) == res.values[0, 0]
+
+
+def test_import_loads_no_scipy():
+    # The library has one quadrature routine, in numpy; scipy is a test-only
+    # dependency (the QUADPACK reference).
+    code = "import sys, ibodies; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------- one-sided limits

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ibodies.criteria import (check_for_dimension, cor6_check, flat_top_check,
-                              flatness_curvature, prop1_check, prop4_check,
-                              vamos_numerator)
+from ibodies.calculus import QuadratureRequest
+from ibodies.criteria import (_moment, check_for_dimension, cor6_check,
+                              flat_top_check, flatness_curvature, prop1_check,
+                              prop4_check, vamos_numerator)
 from ibodies.errors import FlatTopRequired, SmoothnessError
-from ibodies.families import FamilySpec, instantiate
+from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import (Piece, RadialProfile, add, mul, powr, sub, var_t)
 from ibodies.transform import obstruction_field
+from helpers import value_at
+from reference_quadpack import integrate
 
 
 def _profile(name, **params):
@@ -195,10 +198,44 @@ def test_dim4_criterion_agrees_with_field_sign_at_equator():
     # t=1; check both directions on a firing and a non-firing body.
     fires = obstruction_field(instantiate(FamilySpec("cyl_caps", {}, 4)),
                               grid=[0.9, 0.95, 1.0])
-    assert fires.value_at(1.0) < 0.0
+    assert value_at(fires, 1.0) < 0.0
     clean = obstruction_field(instantiate(FamilySpec("ball", {}, 4)),
                               grid=[0.9, 0.95, 1.0])
-    assert clean.value_at(1.0) > 0.0
+    assert value_at(clean, 1.0) > 0.0
+
+
+# ------------------------------------------------- moments against QUADPACK
+
+_MOMENT_WEIGHTS = {
+    "int_rho3": lambda t, r: r ** 3,
+    "h(1)": lambda t, r: r ** 5 * (1.0 - t * t),
+    "k(1)": lambda t, r: r ** 5 * t * t,
+}
+_CATALOGUE_PARAMS = {"cyl_caps_KM": {"M": 2.25}, "octagon_Kb": {"b": 0.65},
+                     "lp_revolution": {"p": 4.5}}
+_MOMENT_BODIES = ([(name, _CATALOGUE_PARAMS.get(name, {})) for name in FAMILY_NAMES]
+                  + [("lp_revolution", {"p": p}) for p in (0.5, 1.5, 50.0)]
+                  + [("octagon_Kb", {"b": 0.0})])
+
+
+@pytest.mark.parametrize(
+    "name,params", _MOMENT_BODIES,
+    ids=[name + "".join(f"-{k}={v}" for k, v in params.items())
+         for name, params in _MOMENT_BODIES])
+def test_criterion_moments_match_quadpack(name, params):
+    # The criteria integrate with the library's numpy Gauss-Kronrod rule,
+    # which has no epsilon extrapolation: lp_revolution with p = 0.5 or 1.5
+    # has unbounded derivatives at both ends of [0, 1], p = 50 is steep, and
+    # octagon_Kb(b=0) has a square-root end on its diagonal piece.  The
+    # QUADPACK reference runs at 1e-13 relative, because at the library's
+    # 1e-10 its own error on k(1) for p = 0.5 is 1.0e-12 of the exact 1/252.
+    profile = _profile(name, **params)
+    for label, weight in _MOMENT_WEIGHTS.items():
+        got = _moment(profile, weight)
+        want = integrate(QuadratureRequest(
+            lambda t: weight(t, profile.value(t)), 0.0, 1.0,
+            profile.breakpoint_locations, rel_tol=1e-13, abs_tol=1e-15))
+        assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
 
 
 # ------------------------------------------------------------------ dispatch

@@ -10,10 +10,11 @@ from ibodies.errors import (DomainError, ProfileFormatError, SideRequired,
                             SmoothnessError)
 from ibodies.families import FamilySpec, instantiate
 from ibodies.profile import (BodyOfRevolution, Piece, RadialProfile, add,
-                             classify_breakpoints, const, converted_variable,
-                             div, mul, parse_prefix, powr, profile_from_json,
-                             sqrt, sub, validate_convexity, var_t)
+                             classify_breakpoints, const, div, mul, parse_prefix,
+                             powr, profile_from_json, sqrt, sub, validate_convexity,
+                             var_t)
 from ibodies.transform import cylinder_intersection_closed_form
+from helpers import converted_variable
 
 SQ2 = math.sqrt(0.5)
 
