@@ -12,6 +12,7 @@ answers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -21,19 +22,21 @@ from .errors import InvalidBracket, NoConvergence
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
+# Halvings calculus.bisect makes at most.
+_BISECT_MAX_ITER = 200
 
 
 def set_default_tolerances(rel_tol: Optional[float] = None,
                            abs_tol: Optional[float] = None) -> None:
-    """Override the process-wide quadrature tolerance defaults."""
+    """Override the process-wide quadrature tolerance defaults; a rejected
+    value changes neither."""
     global DEFAULT_REL_TOL, DEFAULT_ABS_TOL
+    for what, tol in (("relative", rel_tol), ("absolute", abs_tol)):
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"{what} tolerance must be positive and finite, got {tol}")
     if rel_tol is not None:
-        if rel_tol <= 0:
-            raise ValueError("relative tolerance must be positive")
         DEFAULT_REL_TOL = rel_tol
     if abs_tol is not None:
-        if abs_tol <= 0:
-            raise ValueError("absolute tolerance must be positive")
         DEFAULT_ABS_TOL = abs_tol
 
 
@@ -264,11 +267,11 @@ class RootBracket:
 
 
 def bisect(fn: Callable[[float], float], bracket: RootBracket,
-           x_tol: float = 1e-12, max_iter: int = 200) -> float:
+           x_tol: float = 1e-12) -> float:
     """Plain bisection to x_tol; robust against noisy sign evaluations."""
     lo, hi = bracket.lower, bracket.upper
     f_lo = bracket.f_lower
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= x_tol:
             return mid

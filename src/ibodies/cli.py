@@ -29,8 +29,7 @@ from .errors import (DomainError, Divergent, FlatTopRequired,
 from .families import (DEFAULT_DIMENSION, FAMILY_NAMES, FamilySpec,
                        instantiate, sweep)
 from .oracle import section_ratio_report
-from .profile import (BodyOfRevolution, classify_breakpoints,
-                      profile_from_json, validate_convexity)
+from .profile import BodyOfRevolution, profile_from_json, validate_convexity
 from .transform import obstruction_field
 
 _LIBRARY_ERRORS = (ProfileFormatError, DomainError, SideRequired,
@@ -229,7 +228,7 @@ def cmd_validate(args) -> int:
         raise InvalidParam("bare --param names are only valid with sweep")
     body = _resolve_body(args, fixed)
     profile = body.profile
-    joints = classify_breakpoints(profile)
+    joints = profile.breakpoints
     convexity = validate_convexity(profile, body.dimension)
     payload = {
         "body": body.describe(),
@@ -259,9 +258,9 @@ def cmd_validate(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol_rel", None) is not None or getattr(args, "tol_abs", None) is not None:
-        calculus.set_default_tolerances(rel_tol=args.tol_rel, abs_tol=args.tol_abs)
     try:
+        if args.tol_rel is not None or args.tol_abs is not None:
+            calculus.set_default_tolerances(rel_tol=args.tol_rel, abs_tol=args.tol_abs)
         return args.func(args)
     except _LIBRARY_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -58,8 +58,8 @@ class CriterionReport:
             "intermediates": dict(self.intermediates),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _axis_jet(profile: RadialProfile) -> tuple:
@@ -88,7 +88,7 @@ def _decide(margin: float, lhs: float, rhs: float) -> tuple:
     return INCONCLUSIVE, abs(margin) <= band
 
 
-def flat_top_check(profile: RadialProfile, tol: float = FLAT_TOP_TOL) -> tuple:
+def flat_top_check(profile: RadialProfile) -> tuple:
     """Value of rho(1) + rho'(1) and whether it vanishes within tolerance.
 
     A vanishing sum means the boundary graph has zero second derivative at
@@ -97,7 +97,7 @@ def flat_top_check(profile: RadialProfile, tol: float = FLAT_TOP_TOL) -> tuple:
     rho1, drho1 = _axis_jet(profile)
     value = rho1 + drho1
     scale = max(1.0, abs(rho1), abs(drho1))
-    return value, abs(value) <= tol * scale
+    return value, abs(value) <= FLAT_TOP_TOL * scale
 
 
 def flatness_curvature(profile: RadialProfile) -> float:

@@ -51,6 +51,11 @@ _REQUIRED_PARAMS = {
 
 _SQ2 = math.sqrt(0.5)  # 1/sqrt(2), the recurring breakpoint
 
+# A sweep shrinks each sign-change bracket by this many 3-way subdivisions,
+# then bisects it down to REFINE_TOL.
+_TRISECT_ROUNDS = 2
+REFINE_TOL = 1e-10
+
 
 @dataclass
 class FamilySpec:
@@ -287,9 +292,9 @@ def _report_fn(template: FamilySpec, param: str, criterion: str):
 
 
 def _trisect(fn: Callable[[float], float], lo: float, hi: float,
-             f_lo: float, f_hi: float, rounds: int = 2) -> RootBracket:
-    """Shrink a sign-change bracket by repeated 3-way subdivision."""
-    for _ in range(rounds):
+             f_lo: float, f_hi: float) -> RootBracket:
+    """Shrink a sign-change bracket by _TRISECT_ROUNDS 3-way subdivisions."""
+    for _ in range(_TRISECT_ROUNDS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         f1, f2 = fn(m1), fn(m2)
@@ -303,7 +308,7 @@ def _trisect(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def sweep(template: FamilySpec, param: str, grid: Sequence[float],
-          criterion: str = "auto", refine_tol: float = 1e-10) -> SweepResult:
+          criterion: str = "auto") -> SweepResult:
     """Evaluate a criterion margin across a parameter grid and refine roots.
 
     Grid points where the criterion does not apply (invalid parameter, no
@@ -341,7 +346,7 @@ def sweep(template: FamilySpec, param: str, grid: Sequence[float],
             continue
         tight = _trisect(fn, grid[i], grid[i + 1], m0, m1)
         brackets.append((tight.lower, tight.upper))
-        roots.append(bisect(fn, tight, x_tol=refine_tol))
+        roots.append(bisect(fn, tight, x_tol=REFINE_TOL))
     return SweepResult(family=template.name, parameter=param, criterion=crit_name,
                        grid=grid, margins=margins, verdicts=verdicts,
                        brackets=brackets, roots=roots)

@@ -27,6 +27,8 @@ from .transform import (_AXIS_NOISE_T, box_operator, intersection_radial,
                         obstruction_field)
 
 MIN_SAMPLES = 10 ** 4
+# mc_section_volume draws its samples in this many independently seeded batches.
+BATCHES = 8
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 4, math.pi / 6)
 
 
@@ -54,7 +56,7 @@ def _unit_ball_volume(d: int) -> float:
 
 
 def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
-                      seed: int = 12345, batches: int = 8) -> SectionEstimate:
+                      seed: int = 12345) -> SectionEstimate:
     """Estimate the (n-1)-volume of the central section perpendicular to a
     direction at angle phi from the axis of revolution.
 
@@ -75,10 +77,10 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     sin_phi = math.sin(phi)
     ball_volume = _unit_ball_volume(d) * radius ** d
 
-    children = np.random.SeedSequence(seed).spawn(batches)
-    base = samples // batches
-    sizes = [base] * batches
-    sizes[-1] += samples - base * batches
+    children = np.random.SeedSequence(seed).spawn(BATCHES)
+    base = samples // BATCHES
+    sizes = [base] * BATCHES
+    sizes[-1] += samples - base * BATCHES
     hits = 0
     for child, m in zip(children, sizes):
         if m == 0:

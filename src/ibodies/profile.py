@@ -14,7 +14,6 @@ the two parameterizations from being mixed up silently.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,8 +29,10 @@ SINE = "sin"    # profile argument is the sine of the vertical angle
 
 # Matching tolerance used to decide that an evaluation point *is* a breakpoint.
 _BP_MATCH_TOL = 1e-12
-# Default tolerance (scaled by local derivative magnitude) for continuity classes.
+# Tolerance (scaled by local derivative magnitude) for continuity classes.
 DEFAULT_CLASS_TOL = 1e-9
+# Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
+_MAX_SCAN_POINTS = 10001
 
 _OPS = ("const", "t", "add", "sub", "mul", "div", "pow", "sqrt", "exp", "neg")
 _ARITY = {"const": 0, "t": 0, "add": 2, "sub": 2, "mul": 2, "div": 2,
@@ -265,56 +266,24 @@ class Breakpoint:
     smoothness_class: str           # "C0" | "C1" | "C2+"
     first_derivative_jump: float    # right minus left
     second_derivative_jump: float = 0.0
+    # The one-sided jets (order min(2, max_order)) the class was read from.
+    left_jet: Optional[Jet] = field(default=None, init=False, repr=False, compare=False)
+    right_jet: Optional[Jet] = field(default=None, init=False, repr=False, compare=False)
 
 
 _SMOOTH_TO = {"C0": 0, "C1": 1, "C2+": 2}
 
 
-def _side_for(t: float, lo: float, hi: float, breakpoints: Sequence[float],
-              order: int, side: Optional[str], classes=None):
-    """Resolve which side of ``t`` an evaluation should use.
-
-    Returns "left", "right", or None (interior point).  Raises SideRequired
-    for a genuinely ambiguous request and DomainError outside [lo, hi].
-    """
-    if side not in (None, "left", "right"):
-        raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
-    if t < lo - _BP_MATCH_TOL or t > hi + _BP_MATCH_TOL:
-        raise DomainError(f"argument {t} outside [{lo}, {hi}]")
-    if abs(t - lo) <= _BP_MATCH_TOL:
-        if side == "left":
-            raise DomainError(f"no left neighborhood at the lower endpoint {lo}")
-        return "right"
-    if abs(t - hi) <= _BP_MATCH_TOL:
-        if side == "right":
-            raise DomainError(f"no right neighborhood at the upper endpoint {hi}")
-        return "left"
-    for i, b in enumerate(breakpoints):
-        if abs(t - b) <= _BP_MATCH_TOL:
-            if side is not None:
-                return side
-            if order == 0:
-                return "left"  # values agree across the joint (continuity invariant)
-            if classes is not None:
-                cls = classes[i]
-                smooth_to = _SMOOTH_TO[cls]
-                if order <= smooth_to:
-                    return "left"  # derivatives up to this order agree
-            raise SideRequired(
-                f"t={t} is a non-smooth joint; pass side='left' or side='right' "
-                f"for derivatives of order {order}"
-            )
-    return None
-
-
 def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float],
                 order: int, side: Optional[str], classes=None) -> Optional[str]:
-    """:func:`_side_for` for an array of points, with one side for all of them.
+    """Which side of its joints an evaluation at the points ``t`` uses, one
+    side for all of them (a single point is a one-point array).
 
-    Raises as :func:`_side_for` would for any single point: outside
-    [lo, hi], ``side`` pointing out of the domain at an endpoint, or a point
-    on a non-smooth joint without a side.  Returns ``side``, or "left" when
-    points sit on joints where the requested derivatives agree.
+    Returns "left", "right" or None (no point on a joint).  Raises
+    DomainError for a point outside [lo, hi] or a ``side`` pointing out of
+    the domain at an endpoint, and SideRequired for a point on a non-smooth
+    joint without a side.  Without a side, points on joints where the
+    requested derivatives agree take "left".
     """
     if side not in (None, "left", "right"):
         raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
@@ -351,8 +320,7 @@ class RadialProfile:
     """
 
     def __init__(self, pieces: Sequence[Piece], variable: str = COSINE,
-                 require_positive: bool = True, name: str = "",
-                 class_tol: float = DEFAULT_CLASS_TOL):
+                 require_positive: bool = True, name: str = ""):
         if variable not in (COSINE, SINE):
             raise ValueError(f"variable must be {COSINE!r} or {SINE!r}")
         pieces = tuple(pieces)
@@ -370,15 +338,14 @@ class RadialProfile:
         self.variable = variable
         self.require_positive = require_positive
         self.name = name
-        self.class_tol = class_tol
         self.domain = (0.0, 1.0)
         self.breakpoint_locations = [p.interval[1] for p in pieces[:-1]]
         # Piece i governs [b_i, b_(i+1)]; a point within _BP_MATCH_TOL of a
         # joint b belongs to the piece on the side asked for (right by default).
-        self._left_of = [b + _BP_MATCH_TOL for b in self.breakpoint_locations]
-        self._right_of = [b - _BP_MATCH_TOL for b in self.breakpoint_locations]
+        self._left_of = np.array(self.breakpoint_locations) + _BP_MATCH_TOL
+        self._right_of = np.array(self.breakpoint_locations) - _BP_MATCH_TOL
         self._validate_values()
-        self.breakpoints = classify_breakpoints(self, class_tol)
+        self.breakpoints = classify_breakpoints(self)
         self._classes = [b.smoothness_class for b in self.breakpoints]
 
     # ------------------------------------------------------------ invariants
@@ -405,21 +372,21 @@ class RadialProfile:
     # ------------------------------------------------------------ evaluation
 
     def _jet(self, t, order: int, side: Optional[str] = None) -> Jet:
-        """Jet at t, a float or a 1-D array of points (one side for all)."""
-        classes = getattr(self, "_classes", None)
-        if isinstance(t, np.ndarray):
-            use = _array_side(t, 0.0, 1.0, self.breakpoint_locations, order, side, classes)
-            if use == "left":
-                index = np.searchsorted(self._left_of, t, side="left")
-            else:
-                index = np.searchsorted(self._right_of, t, side="right")
-            return self._pieces_jet(t, index, order)
-        use = _side_for(t, 0.0, 1.0, self.breakpoint_locations, order, side, classes)
+        """Jet at t, a float or a 1-D array of points (one side for all).
+
+        A float resolves its piece and side as a one-point array; the chosen
+        piece is then walked on the float itself (libm, not numpy).
+        """
+        ts = t if isinstance(t, np.ndarray) else np.array([float(t)])
+        use = _array_side(ts, 0.0, 1.0, self.breakpoint_locations, order, side,
+                          getattr(self, "_classes", None))
         if use == "left":
-            index = bisect.bisect_left(self._left_of, t)
+            index = np.searchsorted(self._left_of, ts, side="left")
         else:
-            index = bisect.bisect_right(self._right_of, t)
-        return self.pieces[index].expr.eval_jet(float(t), order)
+            index = np.searchsorted(self._right_of, ts, side="right")
+        if ts is t:
+            return self._pieces_jet(t, index, order)
+        return self.pieces[index[0]].expr.eval_jet(float(t), order)
 
     def _pieces_jet(self, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
         """Array jet with point k evaluated on piece ``index[k]``: one walk
@@ -457,10 +424,10 @@ class RadialProfile:
         out[inside] = self._pieces_jet(pts, index, 0).value
         return out.reshape(t.shape)
 
-    def max_value(self, scan_points: int = 10001) -> float:
+    def max_value(self) -> float:
         # Piece endpoints join the scan so kink maxima are hit exactly.
         ends = [e for p in self.pieces for e in p.interval]
-        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, scan_points), ends]))
+        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, _MAX_SCAN_POINTS), ends]))
         return float(np.nanmax(self.eval_array(grid)))
 
     def scaled(self, lam: float) -> "RadialProfile":
@@ -471,8 +438,7 @@ class RadialProfile:
         suffix = f" * {lam:g}"
         return RadialProfile(pieces, variable=self.variable,
                              require_positive=self.require_positive,
-                             name=(self.name + suffix) if self.name else suffix.strip(" *"),
-                             class_tol=self.class_tol)
+                             name=(self.name + suffix) if self.name else suffix.strip(" *"))
 
     # ---------------------------------------------------------- serialization
 
@@ -510,7 +476,6 @@ class DerivedProfile:
         self.variable = variable
         self.max_order = max_order
         self.name = name
-        self.class_tol = DEFAULT_CLASS_TOL
 
     def _jet(self, t, order: int, side: Optional[str] = None) -> Jet:
         """Jet at t, a 1-D array of points (one side for all) or a float.
@@ -573,10 +538,10 @@ class BodyOfRevolution:
 
 # ----------------------------------------------------------- classification
 
-def classify_breakpoints(profile: ProfileLike, tol: Optional[float] = None) -> list:
+def classify_breakpoints(profile: ProfileLike) -> list:
     """Continuity class and derivative jumps of every interior joint, from
-    one left-sided and one right-sided evaluation of all of them."""
-    tol = profile.class_tol if tol is None else tol
+    one left-sided and one right-sided evaluation of all of them; each
+    :class:`Breakpoint` keeps its two one-sided jets."""
     locations = profile.breakpoint_locations
     if not locations:
         return []
@@ -584,24 +549,26 @@ def classify_breakpoints(profile: ProfileLike, tol: Optional[float] = None) -> l
     order = min(2, getattr(profile, "max_order", 2))
     left = profile._jet(locs, order, "left")
     right = profile._jet(locs, order, "right")
-    return [_joint_class(t0, left.item(i).derivs(), right.item(i).derivs(), order, tol)
+    return [_joint_class(t0, left.item(i), right.item(i), order)
             for i, t0 in enumerate(locations)]
 
 
-def _joint_class(t0: float, left: tuple, right: tuple, order: int,
-                 tol: float) -> Breakpoint:
+def _joint_class(t0: float, left_jet: Jet, right_jet: Jet, order: int) -> Breakpoint:
+    left, right = left_jet.derivs(), right_jet.derivs()
     jump1 = right[1] - left[1] if order >= 1 else float("nan")
     jump2 = right[2] - left[2] if order >= 2 else float("nan")
     scale1 = max(1.0, abs(left[1]), abs(right[1])) if order >= 1 else 1.0
-    if order >= 1 and abs(jump1) > tol * scale1:
+    if order >= 1 and abs(jump1) > DEFAULT_CLASS_TOL * scale1:
         cls = "C0"
     else:
         scale2 = max(1.0, abs(left[2]), abs(right[2])) if order >= 2 else 1.0
-        if order >= 2 and abs(jump2) > tol * scale2:
+        if order >= 2 and abs(jump2) > DEFAULT_CLASS_TOL * scale2:
             cls = "C1"
         else:
             cls = "C2+"
-    return Breakpoint(t0, cls, float(jump1), float(jump2) if order >= 2 else 0.0)
+    bp = Breakpoint(t0, cls, float(jump1), float(jump2) if order >= 2 else 0.0)
+    bp.left_jet, bp.right_jet = left_jet, right_jet
+    return bp
 
 
 # ---------------------------------------------------------------- convexity
@@ -662,16 +629,21 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
         raise ProfileFormatError("profile JSON must be an object")
     if "builtin" in obj:
         from . import families  # deferred: families builds on this module
-        spec = families.FamilySpec(obj["builtin"], dict(obj.get("params", {})))
-        return families.instantiate(spec).profile
+        params = obj.get("params", {})
+        if not (isinstance(params, dict)
+                and all(isinstance(v, (int, float)) for v in params.values())):
+            raise ProfileFormatError(f"'params' must be an object of numbers, got {params!r}")
+        return families.instantiate(families.FamilySpec(obj["builtin"], params)).profile
     if "pieces" not in obj:
         raise ProfileFormatError("profile JSON needs 'pieces' or 'builtin'")
+    if not isinstance(obj["pieces"], list):
+        raise ProfileFormatError(f"'pieces' must be a list, got {obj['pieces']!r}")
     pieces = []
     for entry in obj["pieces"]:
         try:
             a, b = entry["interval"]
             expr = parse_prefix(entry["expr"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise ProfileFormatError(f"bad piece entry {entry!r}") from e
         pieces.append(Piece((float(a), float(b)), expr))
     return RadialProfile(pieces)

@@ -36,6 +36,10 @@ _FACT = [1, 1, 2, 6, 24]
 # amplifies the rounding of B and C past the field's own size there (e.g.
 # -5.9e-3 at t = 1e-6 where the field is ~36 t^2), so such rows certify nothing.
 _AXIS_NOISE_T = 1e-4
+# Points on each side of a breakpoint in default_grid's geometric clusters.
+_CLUSTER_POINTS = 20
+# A density value certifies below -NEGATIVITY_SCALE * max|density|.
+NEGATIVITY_SCALE = 1e-7
 
 
 def _require_even_dimension(n: int, minimum: int = 4):
@@ -362,32 +366,36 @@ def box_operator(g: ProfileLike, n: int, t, side: Optional[str] = None):
     if g.variable != COSINE:
         raise DomainError("box operator acts on functions of the cosine variable")
     ts, single = _points(t)
-    jet = g._jet(ts, 2, side)
-    if not jet.is_finite():
-        raise SmoothnessError(
-            f"no finite one-sided second derivative at t={_first_nonfinite(ts, jet)}")
-    g0, g1, g2 = jet.derivs()[:3]
-    out = (1.0 - ts * ts) * g2 - (n - 1) * ts * g1 + (n - 1) * g0
+    out = _box(ts, g._jet(ts, 2, side), n)
     return float(out[0]) if single else out
+
+
+def _box(t, jet: Jet, n: int):
+    """The box operator from g's order-2 jet at t (a float or an array)."""
+    if not jet.is_finite():
+        raise SmoothnessError(f"no finite one-sided second derivative at "
+                              f"t={_first_nonfinite(np.atleast_1d(t), jet)}")
+    g0, g1, g2 = jet.derivs()[:3]
+    return (1.0 - t * t) * g2 - (n - 1) * t * g1 + (n - 1) * g0
 
 
 # ------------------------------------------------------------------ the field
 
 def default_grid(breakpoints: Sequence[float], lo: float = _EPS_AXIS,
-                 hi: float = 1.0, uniform_points: int = 2000,
-                 cluster_points: int = 20) -> np.ndarray:
-    """Uniform grid plus geometric clusters on each side of every breakpoint.
+                 uniform_points: int = 2000) -> np.ndarray:
+    """Uniform grid on [lo, 1] plus geometric clusters on each side of every
+    breakpoint.
 
     The field varies fastest just past kinks of g, so each breakpoint b gets
-    points b +/- 1e-3 * 2^-j, j = 0..cluster_points-1; exact breakpoints are
+    points b +/- 1e-3 * 2^-j, j = 0.._CLUSTER_POINTS-1; exact breakpoints are
     excluded (they are handled by one-sided rows).
     """
-    pts = list(np.linspace(lo, hi, uniform_points))
+    pts = list(np.linspace(lo, 1.0, uniform_points))
     for b in breakpoints:
-        for j in range(cluster_points):
+        for j in range(_CLUSTER_POINTS):
             off = 1e-3 * 2.0 ** -j
             for cand in (b - off, b + off):
-                if lo < cand <= hi:
+                if lo < cand <= 1.0:
                     pts.append(cand)
     arr = np.unique(np.asarray(pts, dtype=float))
     keep = np.ones(arr.shape, dtype=bool)
@@ -446,15 +454,13 @@ class ObstructionField:
 
 
 def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = None,
-                      negativity_scale: float = 1e-7,
-                      class_tol: float = 1e-9,
                       uniform_points: int = 2000) -> ObstructionField:
     """Evaluate the zonoid-obstruction measure for a body of revolution.
 
     Continuous part: box_operator(inverse_radon(x^(n-3)/h_n)) sampled over the
     grid (one-sided at kinks); atoms: (1 - t0^2) times the first-derivative
     jump of g at each kink where g is continuous but not C1.  Verdict is
-    NotPolarZonoid iff the density falls below -negativity_scale * max|density|
+    NotPolarZonoid iff the density falls below -NEGATIVITY_SCALE * max|density|
     or any atom is negative.  In dimension 6 the rows with t < 1e-4 stay in
     the output but are listed in ``excluded`` and decide nothing.
     """
@@ -476,9 +482,11 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     # over those nodes serves every moment the field needs.
     moments.prepare(np.concatenate([grid_arr, g.breakpoint_locations]))
 
-    joints = classify_breakpoints(g, class_tol)
+    joints = classify_breakpoints(g)
 
-    # All interior rows in one walk, then the joint rows, one walk per side.
+    # All interior rows in one walk; the joint rows from the one-sided jets
+    # the classification evaluated (left at every joint, right where g is
+    # not C2+).
     rows = []  # (t, value, is_left_limit, at_breakpoint)
     on_joint = np.zeros(grid_arr.shape, dtype=bool)
     for j in joints:
@@ -487,12 +495,10 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     if inner.size:
         rows += [(t, v, False, False) for t, v in
                  zip(inner.tolist(), box_operator(g, n, inner).tolist())]
-    for side in ("left", "right"):
-        at = [j for j in joints if side == "left" or j.smoothness_class != "C2+"]
-        if at:
-            locs = np.array([j.location for j in at])
-            rows += [(j.location, v, side == "left" and j.smoothness_class != "C2+", True)
-                     for j, v in zip(at, box_operator(g, n, locs, side=side).tolist())]
+    rows += [(j.location, _box(j.location, j.left_jet, n), j.smoothness_class != "C2+", True)
+             for j in joints]
+    rows += [(j.location, _box(j.location, j.right_jet, n), False, True)
+             for j in joints if j.smoothness_class != "C2+"]
     rows.sort(key=lambda r: (r[0], not r[2]))
 
     atoms = [(j.location, (1.0 - j.location ** 2) * j.first_derivative_jump)
@@ -500,7 +506,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
 
     all_values = np.array([r[1] for r in rows])
     max_abs = float(np.max(np.abs(all_values))) if all_values.size else 0.0
-    tol = negativity_scale * max_abs
+    tol = NEGATIVITY_SCALE * max_abs
     # Rows this close to the axis stay in the output but decide nothing.
     noise = [n == 6 and r[0] < _AXIS_NOISE_T for r in rows]
     excluded = [(r[0], "dimension-6 axis row: the jet of x^3/h there is rounding noise")

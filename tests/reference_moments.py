@@ -54,14 +54,14 @@ def reference_g(body):
     return inverse_radon(reciprocal_intersection_profile(body, moments=moments), n)
 
 
-def reference_rows(g, grid=None, uniform_points=2000, class_tol=1e-9):
+def reference_rows(g, grid=None, uniform_points=2000):
     """Rows (t, side, is_left_limit) and atoms of the field of ``g``.
 
     ``side`` is the one-sided evaluation a row stands for (None inside a
     piece).  Values are left out: the caller evaluates the rows it samples
     with ``box_operator(g, n, t, side)``.
     """
-    joints = classify_breakpoints(g, class_tol)
+    joints = classify_breakpoints(g)
     if grid is None:
         grid = default_grid(g.breakpoint_locations, lo=max(_EPS_AXIS, g.domain[0]),
                             uniform_points=uniform_points)

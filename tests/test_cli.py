@@ -275,3 +275,25 @@ def test_tolerance_flags_are_accepted():
               "--tol-rel", "1e-9", "--tol-abs", "1e-11")
     assert res.returncode == 0
     assert json.loads(res.stdout)["verdict"] == "NotPolarZonoid"
+
+
+def test_bad_tolerances_are_input_errors():
+    for flag, value in [("--tol-rel", "-1"), ("--tol-rel", "0"),
+                        ("--tol-abs", "nan"), ("--tol-rel", "inf")]:
+        res = run("check", "--builtin", "ball", flag, value)
+        assert res.returncode == 2, (flag, value, res.stderr)
+        assert res.stderr.startswith("error: ValueError"), (flag, value)
+        assert res.stdout == ""
+
+
+def test_misshapen_profile_json_is_an_input_error(tmp_path):
+    path = tmp_path / "p.json"
+    for obj in ({"builtin": "ball", "params": 5},
+                {"builtin": "ball", "params": {"scale": [1]}},
+                {"builtin": "ball", "params": None},
+                {"pieces": 5},
+                {"pieces": [{"interval": [0.0, 1.0], "expr": 5}]}):
+        path.write_text(json.dumps(obj))
+        res = run("validate", "--profile-json", str(path), "--dim", "4")
+        assert res.returncode == 2, (obj, res.stderr)
+        assert res.stderr.startswith("error: ProfileFormatError"), obj

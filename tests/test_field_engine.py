@@ -11,22 +11,25 @@ its jet of x^3/h cancels catastrophically, so rounding-level differences in
 B and C move it by up to ~1.6e-4 max|field| under either engine (the field
 excludes such rows from its verdict).
 
-The field evaluates all its rows in a few array walks; the tests below also
-check each row against a single-point evaluation, bit for bit, and the
-moment pass's stopping rule.
+The field evaluates its interior rows in one array walk and its joint rows
+from the classification jets; the tests below also check each row against a
+single-point evaluation, bit for bit, and the moment pass's stopping rule.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibodies import transform
 from ibodies.errors import SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
+from ibodies.jets import Jet
 from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, add, mul, sub, var_t
-from ibodies.transform import (_EPS_AXIS, MomentTable, box_operator, default_grid,
+from ibodies.transform import (_EPS_AXIS, MomentTable, _box, box_operator, default_grid,
                                obstruction_field)
 from reference_moments import reference_g, reference_rows, reference_value
 
@@ -150,8 +153,9 @@ def test_random_piecewise_profiles_match_scalar_route(profile, dim):
 
 @pytest.mark.parametrize("name,dim", BODIES)
 def test_every_row_equals_its_own_box_operator_call(name, dim):
-    # The field evaluates all interior rows in one array walk and the joint
-    # rows in one walk per side; a single point gives the same bits.
+    # The field evaluates all interior rows in one array walk and takes the
+    # joint rows from its classification jets; a single point gives the
+    # same bits.
     fld = _field(name, dim)
     classes = {t: cls for t, cls, _ in fld.breakpoint_classes}
     for t, v, left in zip(fld.grid, fld.continuous_values, fld.is_left_limit):
@@ -160,6 +164,31 @@ def test_every_row_equals_its_own_box_operator_call(name, dim):
         else:
             side = "left" if left or classes[t] == "C2+" else "right"
             assert box_operator(fld.g, dim, t, side=side) == v, (t, side)
+
+
+def test_joint_rows_come_from_the_classification_jets(monkeypatch):
+    # box_operator walks the interior rows only, once per field; the joint
+    # rows reuse the one-sided jets classify_breakpoints evaluated.
+    sides = []
+
+    def counted(g, n, t, side=None):
+        sides.append(side)
+        return box_operator(g, n, t, side)
+
+    monkeypatch.setattr(transform, "box_operator", counted)
+    for name, dim in BODIES:
+        sides.clear()
+        obstruction_field(_body(name, dim), uniform_points=POINTS)
+        assert sides == [None], (name, dim)
+
+
+def test_box_formula_refuses_non_finite_jets():
+    # The joint rows' float jets and box_operator's array jets raise alike.
+    with pytest.raises(SmoothnessError, match=r"derivative at t=0\.5$"):
+        _box(0.5, Jet((1.0, math.inf, 0.0)), 4)
+    jet = Jet((np.ones(3), np.array([0.0, np.nan, np.nan]), np.zeros(3)))
+    with pytest.raises(SmoothnessError, match=r"derivative at t=0\.5$"):
+        _box(np.array([0.25, 0.5, 0.75]), jet, 4)
 
 
 @pytest.mark.parametrize("name,dim", BODIES)

@@ -147,6 +147,38 @@ def test_eval_array_matches_scalar_evaluation():
         assert abs(vi - profile.value(float(ti))) < 1e-14
 
 
+def _split_constant():
+    return RadialProfile([Piece((0.0, 0.5), const(1)), Piece((0.5, 1.0), const(1))])
+
+
+# One profile per joint class: C0, C1 and C2+ (a constant split at 0.5).
+_RESOLVER_PROFILES = {"cylinder": (lambda: _builtin("cylinder"), SQ2),
+                      "cyl_caps": (lambda: _builtin("cyl_caps"), SQ2),
+                      "split_constant": (_split_constant, 0.5)}
+
+
+def _jet_or_error(fn):
+    try:
+        return [float(c).hex() for c in fn().coeffs]
+    except Exception as e:  # the class is what must agree
+        return type(e)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("side", [None, "left", "right", "up"])
+@pytest.mark.parametrize("where", ["zero", "joint", "one", "interior"])
+@pytest.mark.parametrize("name", sorted(_RESOLVER_PROFILES))
+def test_float_and_one_point_array_resolve_alike(name, where, side, order):
+    # A float and a one-point array resolve piece and side through the same
+    # code: same error class, or the same coefficients bit for bit.
+    make, joint = _RESOLVER_PROFILES[name]
+    profile = make()
+    t = {"zero": 0.0, "joint": joint, "one": 1.0, "interior": 0.3}[where]
+    scalar = _jet_or_error(lambda: profile._jet(t, order, side))
+    array = _jet_or_error(lambda: profile._jet(np.array([t]), order, side).item(0))
+    assert scalar == array
+
+
 def test_max_value():
     assert abs(_builtin("ball").max_value() - 1.0) < 1e-12
     # The cylinder peaks exactly at its rim joint, which the scan includes.
@@ -218,6 +250,13 @@ def test_profile_from_json_rejects_malformed_input():
         profile_from_json({"pieces": [{"interval": [0.0, 1.0]}]})
     with pytest.raises(ProfileFormatError):
         profile_from_json([1, 2, 3])
+    for params in (5, [1], {"scale": [1]}, {"scale": "2"}):
+        with pytest.raises(ProfileFormatError):
+            profile_from_json({"builtin": "ball", "params": params})
+    with pytest.raises(ProfileFormatError):
+        profile_from_json({"pieces": 5})
+    with pytest.raises(ProfileFormatError):
+        profile_from_json({"pieces": [{"interval": [0.0, 1.0], "expr": 5}]})
 
 
 # ------------------------------------------------------- variable conversion
