@@ -8,15 +8,14 @@ Closed-form boundary criteria, parametric families, Monte Carlo oracles, and
 a CLI sit on top.
 """
 
+from .calculus import DEFAULT_SETTINGS, Settings
 from .criteria import (CriterionReport, check_for_dimension, cor6_check,
-                       flat_top_check, flatness_curvature, prop1_check,
-                       prop4_check, vamos_numerator)
-from .errors import (DomainError, Divergent, FlatTopRequired,
-                     InsufficientSamples, InvalidBracket, InvalidParam,
-                     NoConvergence, ProfileFormatError, SideRequired,
-                     SmoothnessError)
+                       flat_top_check, prop1_check, prop4_check)
+from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
+                     InvalidBracket, InvalidParam, NoConvergence,
+                     ProfileFormatError, SideRequired, SmoothnessError)
 from .families import (FAMILY_NAMES, FamilySpec, SweepResult, instantiate,
-                       lp_threshold, octagon_margin, sweep, w_of_M)
+                       lp_threshold, sweep)
 from .oracle import (NegativityCertificate, SectionEstimate, field_sign_scan,
                      mc_section_volume, section_ratio_report)
 from .profile import (BodyOfRevolution, Breakpoint, ConvexityReport,
@@ -25,23 +24,22 @@ from .profile import (BodyOfRevolution, Breakpoint, ConvexityReport,
                       validate_convexity)
 from .transform import (ObstructionField, box_operator, h_fn, h_jet,
                         intersection_radial, inverse_radon, obstruction_field,
-                        radon_transform, reciprocal_intersection_profile)
+                        reciprocal_intersection_profile)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BodyOfRevolution", "Breakpoint", "ConvexityReport", "CriterionReport",
-    "DerivedProfile", "DomainError", "Divergent", "FAMILY_NAMES",
+    "DEFAULT_SETTINGS", "DerivedProfile", "DomainError", "FAMILY_NAMES",
     "FamilySpec", "FlatTopRequired", "InsufficientSamples", "InvalidBracket",
     "InvalidParam", "NegativityCertificate", "NoConvergence",
     "ObstructionField", "Piece", "ProfileFormatError", "RadialProfile",
-    "SectionEstimate", "SideRequired", "SmoothnessError", "SweepResult",
-    "box_operator", "check_for_dimension", "classify_breakpoints",
-    "cor6_check", "field_sign_scan", "flat_top_check", "flatness_curvature",
-    "h_fn", "h_jet", "instantiate", "intersection_radial", "inverse_radon",
-    "lp_threshold", "mc_section_volume", "obstruction_field",
-    "octagon_margin", "parse_prefix", "profile_from_json", "prop1_check",
-    "prop4_check", "radon_transform", "reciprocal_intersection_profile",
-    "section_ratio_report", "sweep", "validate_convexity", "vamos_numerator",
-    "w_of_M", "__version__",
+    "SectionEstimate", "Settings", "SideRequired", "SmoothnessError",
+    "SweepResult", "box_operator", "check_for_dimension",
+    "classify_breakpoints", "cor6_check", "field_sign_scan",
+    "flat_top_check", "h_fn", "h_jet", "instantiate", "intersection_radial",
+    "inverse_radon", "lp_threshold", "mc_section_volume",
+    "obstruction_field", "parse_prefix", "profile_from_json", "prop1_check",
+    "prop4_check", "reciprocal_intersection_profile", "section_ratio_report",
+    "sweep", "validate_convexity", "__version__",
 ]

@@ -1,8 +1,9 @@
 """Numerical workhorses: adaptive quadrature and root finding.
 
 Everything downstream (the transform pipeline, criteria margins, parameter
-sweeps) funnels through this module so that tolerances and failure modes are
-decided in exactly one place.  There is one quadrature routine, a vectorised
+sweeps) funnels through this module so that failure modes are decided in
+exactly one place; tolerances arrive as arguments, from a :class:`Settings`
+that the caller passes down.  There is one quadrature routine, a vectorised
 adaptive Gauss-Kronrod pass that gives running integrals up to many nodes at
 once; a single definite integral is that pass with one node.  The value of
 this layer is the bookkeeping around it: splitting at known breakpoints,
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,18 +27,20 @@ DEFAULT_ABS_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
 
-def set_default_tolerances(rel_tol: Optional[float] = None,
-                           abs_tol: Optional[float] = None) -> None:
-    """Override the process-wide quadrature tolerance defaults; a rejected
-    value changes neither."""
-    global DEFAULT_REL_TOL, DEFAULT_ABS_TOL
-    for what, tol in (("relative", rel_tol), ("absolute", abs_tol)):
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"{what} tolerance must be positive and finite, got {tol}")
-    if rel_tol is not None:
-        DEFAULT_REL_TOL = rel_tol
-    if abs_tol is not None:
-        DEFAULT_ABS_TOL = abs_tol
+@dataclass(frozen=True)
+class Settings:
+    """Quadrature tolerances, passed to every computation that integrates."""
+
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = DEFAULT_ABS_TOL
+
+    def __post_init__(self):
+        for what, tol in (("relative", self.rel_tol), ("absolute", self.abs_tol)):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{what} tolerance must be positive and finite, got {tol}")
+
+
+DEFAULT_SETTINGS = Settings()
 
 
 @dataclass
@@ -48,16 +51,15 @@ class QuadratureRequest:
 
     ``breakpoints`` lists interior locations where the integrand (or its
     derivatives) may jump; the interval is split there so the adaptive rule
-    never straddles a kink.  Tolerances default to the module-level settings
-    at request-creation time (so they can be overridden process-wide).
+    never straddles a kink.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
     breakpoints: Sequence[float] = field(default_factory=tuple)
-    rel_tol: Optional[float] = None
-    abs_tol: Optional[float] = None
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = DEFAULT_ABS_TOL
 
     def __post_init__(self):
         if not self.lower < self.upper:
@@ -65,10 +67,6 @@ class QuadratureRequest:
         inside = sorted(b for b in self.breakpoints
                         if self.lower < b < self.upper)
         self.breakpoints = tuple(inside)
-        if self.rel_tol is None:
-            self.rel_tol = DEFAULT_REL_TOL
-        if self.abs_tol is None:
-            self.abs_tol = DEFAULT_ABS_TOL
 
 
 def integrate(request: QuadratureRequest) -> float:
@@ -166,8 +164,8 @@ def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tupl
 def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
                          nodes: Sequence[float],
                          breakpoints: Sequence[float] = (), start: float = 0.0,
-                         rel_tol: Optional[float] = None,
-                         abs_tol: Optional[float] = None) -> CumulativeIntegral:
+                         rel_tol: float = DEFAULT_REL_TOL,
+                         abs_tol: float = DEFAULT_ABS_TOL) -> CumulativeIntegral:
     """Integrals from ``start`` to every node, from one adaptive pass.
 
     ``fn`` maps a 1-D array of points to an array of shape (points,) or
@@ -180,13 +178,10 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
     max(abs_tol, rel_tol * |value|).  A running sum over the panels, in
     order, gives every node's value and accumulated error estimate.
 
-    Omitted tolerances are the module-level settings at call time.  Raises
-    NoConvergence when the integrand is not finite at an evaluation point or
-    when the accumulated error at any node exceeds
+    Raises NoConvergence when the integrand is not finite at an evaluation
+    point or when the accumulated error at any node exceeds
     10 * max(abs_tol, rel_tol * |value|).
     """
-    rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    abs_tol = DEFAULT_ABS_TOL if abs_tol is None else abs_tol
     nodes = np.unique(np.asarray(nodes, dtype=float))
     if nodes.size == 0 or nodes[0] < start or nodes[-1] <= start:
         raise ValueError(f"nodes must lie in [{start}, inf) with one above it, got {nodes}")

@@ -20,20 +20,18 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import calculus
+from .calculus import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Settings
 from .criteria import check_for_dimension
-from .errors import (DomainError, Divergent, FlatTopRequired,
-                     InsufficientSamples, InvalidBracket, InvalidParam,
-                     NoConvergence, ProfileFormatError, SideRequired,
-                     SmoothnessError)
-from .families import (DEFAULT_DIMENSION, FAMILY_NAMES, FamilySpec,
-                       instantiate, sweep)
+from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
+                     InvalidBracket, InvalidParam, NoConvergence,
+                     ProfileFormatError, SideRequired, SmoothnessError)
+from .families import FAMILY_NAMES, FamilySpec, instantiate, step_grid, sweep
 from .oracle import section_ratio_report
 from .profile import BodyOfRevolution, profile_from_json, validate_convexity
 from .transform import obstruction_field
 
 _LIBRARY_ERRORS = (ProfileFormatError, DomainError, SideRequired,
-                   SmoothnessError, FlatTopRequired, NoConvergence, Divergent,
+                   SmoothnessError, FlatTopRequired, NoConvergence,
                    InvalidBracket, InvalidParam, InsufficientSamples,
                    ValueError, OSError, json.JSONDecodeError)
 
@@ -52,10 +50,10 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-rel", type=float, default=None,
-                   help=f"quadrature relative tolerance (default {calculus.DEFAULT_REL_TOL:g})")
-    p.add_argument("--tol-abs", type=float, default=None,
-                   help=f"quadrature absolute tolerance (default {calculus.DEFAULT_ABS_TOL:g})")
+    p.add_argument("--tol-rel", type=float, default=DEFAULT_REL_TOL,
+                   help=f"quadrature relative tolerance (default {DEFAULT_REL_TOL:g})")
+    p.add_argument("--tol-abs", type=float, default=DEFAULT_ABS_TOL,
+                   help=f"quadrature absolute tolerance (default {DEFAULT_ABS_TOL:g})")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the primary artifact here instead of stdout")
 
@@ -157,12 +155,13 @@ def _report_lines(report) -> list:
     return lines
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, settings: Settings) -> int:
     fixed, swept = _parse_params(args.param)
     if swept:
         raise InvalidParam("bare --param names are only valid with sweep")
     body = _resolve_body(args, fixed)
-    report = check_for_dimension(body.profile, body.dimension, args.criterion)
+    report = check_for_dimension(body.profile, body.dimension, args.criterion,
+                                 settings)
     payload = report.to_dict()
     payload["body"] = body.describe()
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -170,21 +169,22 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_field(args) -> int:
+def cmd_field(args, settings: Settings) -> int:
     fixed, swept = _parse_params(args.param)
     if swept:
         raise InvalidParam("bare --param names are only valid with sweep")
     if args.grid_points < 2:
         raise InvalidParam("--grid-points must be at least 2")
     body = _resolve_body(args, fixed)
-    fld = obstruction_field(body, uniform_points=args.grid_points)
+    fld = obstruction_field(body, uniform_points=args.grid_points,
+                            settings=settings)
     buf = io.StringIO()
     fld.to_csv(buf)
     _emit(args, buf.getvalue(), [fld.summary()])
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, settings: Settings) -> int:
     fixed, swept = _parse_params(args.param)
     if args.builtin is None:
         raise InvalidParam("sweep requires --builtin")
@@ -195,25 +195,22 @@ def cmd_sweep(args) -> int:
         raise InvalidParam("--range LO HI needs LO < HI")
     if args.step <= 0:
         raise InvalidParam("--step must be positive")
-    count = int(round((hi - lo) / args.step))
-    grid = [lo + i * args.step for i in range(count + 1)]
-    grid = [v for v in grid if v <= hi + 1e-12]
-    if grid[-1] < hi - 1e-12:
-        grid.append(hi)
-    result = sweep(FamilySpec(args.builtin, fixed, args.dim), swept[0], grid,
-                   criterion=args.criterion)
+    result = sweep(FamilySpec(args.builtin, fixed, args.dim), swept[0],
+                   step_grid(lo, hi, args.step), criterion=args.criterion,
+                   settings=settings)
     buf = io.StringIO()
     result.to_csv(buf)
     _emit(args, buf.getvalue(), [result.summary()])
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, settings: Settings) -> int:
     fixed, swept = _parse_params(args.param)
     if swept:
         raise InvalidParam("bare --param names are only valid with sweep")
     body = _resolve_body(args, fixed)
-    report = section_ratio_report(body, samples=args.samples, seed=args.seed)
+    report = section_ratio_report(body, samples=args.samples, seed=args.seed,
+                                  settings=settings)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     status = "ok" if report["all_within_3sigma"] else "MISMATCH"
     lines = [f"oracle {status}: {len(report['comparisons'])} ratio(s), "
@@ -222,7 +219,7 @@ def cmd_oracle(args) -> int:
     return 0 if report["all_within_3sigma"] else 1
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, settings: Settings) -> int:
     fixed, swept = _parse_params(args.param)
     if swept:
         raise InvalidParam("bare --param names are only valid with sweep")
@@ -259,9 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol_rel is not None or args.tol_abs is not None:
-            calculus.set_default_tolerances(rel_tol=args.tol_rel, abs_tol=args.tol_abs)
-        return args.func(args)
+        return args.func(args, Settings(args.tol_rel, args.tol_abs))
     except _LIBRARY_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

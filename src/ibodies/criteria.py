@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .calculus import QuadratureRequest, integrate
+from .calculus import DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate
 from .errors import FlatTopRequired, SmoothnessError
 from .profile import RadialProfile
 
@@ -74,10 +74,12 @@ def _axis_jet(profile: RadialProfile) -> tuple:
     return value, deriv
 
 
-def _moment(profile: RadialProfile, weight) -> float:
+def _moment(profile: RadialProfile, weight,
+            settings: Settings = DEFAULT_SETTINGS) -> float:
     return integrate(QuadratureRequest(
         lambda t: weight(t, profile.eval_array(t)), 0.0, 1.0,
-        profile.breakpoint_locations))
+        profile.breakpoint_locations, rel_tol=settings.rel_tol,
+        abs_tol=settings.abs_tol))
 
 
 def _decide(margin: float, lhs: float, rhs: float) -> tuple:
@@ -100,17 +102,12 @@ def flat_top_check(profile: RadialProfile) -> tuple:
     return value, abs(value) <= FLAT_TOP_TOL * scale
 
 
-def flatness_curvature(profile: RadialProfile) -> float:
-    """Second derivative of the boundary graph at the axis: -(rho(1)+rho'(1))/rho(1)^2."""
-    rho1, drho1 = _axis_jet(profile)
-    return -(rho1 + drho1) / rho1 ** 2
-
-
-def prop1_check(profile: RadialProfile) -> CriterionReport:
+def prop1_check(profile: RadialProfile,
+                settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dimension-4 criterion: 2 rho(1)^4 > 3 (int_0^1 rho^3 dt)(rho(1)+rho'(1))."""
     rho1, drho1 = _axis_jet(profile)
     flat = rho1 + drho1
-    int_rho3 = _moment(profile, lambda t, r: r ** 3)
+    int_rho3 = _moment(profile, lambda t, r: r ** 3, settings)
     lhs = 2.0 * rho1 ** 4
     rhs = 3.0 * int_rho3 * flat
     margin = lhs - rhs
@@ -124,18 +121,20 @@ def prop1_check(profile: RadialProfile) -> CriterionReport:
         })
 
 
-def _sixdim_moments(profile: RadialProfile) -> tuple:
-    h1 = _moment(profile, lambda t, r: r ** 5 * (1.0 - t * t))
-    k1 = _moment(profile, lambda t, r: r ** 5 * t * t)
+def _sixdim_moments(profile: RadialProfile,
+                    settings: Settings = DEFAULT_SETTINGS) -> tuple:
+    h1 = _moment(profile, lambda t, r: r ** 5 * (1.0 - t * t), settings)
+    k1 = _moment(profile, lambda t, r: r ** 5 * t * t, settings)
     return h1, k1
 
 
-def prop4_check(profile: RadialProfile) -> CriterionReport:
+def prop4_check(profile: RadialProfile,
+                settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dimension-6 criterion: h^2(5r + r') + 24 k^3 < 12 h k r at t=1."""
     rho1, drho1 = _axis_jet(profile)
     r1 = rho1 ** 5
     rp1 = 5.0 * rho1 ** 4 * drho1
-    h1, k1 = _sixdim_moments(profile)
+    h1, k1 = _sixdim_moments(profile, settings)
     lhs = h1 ** 2 * (5.0 * r1 + rp1) + 24.0 * k1 ** 3
     rhs = 12.0 * h1 * k1 * r1
     margin = rhs - lhs
@@ -151,7 +150,8 @@ def prop4_check(profile: RadialProfile) -> CriterionReport:
         })
 
 
-def cor6_check(profile: RadialProfile) -> CriterionReport:
+def cor6_check(profile: RadialProfile,
+               settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dimension-6 flat-top criterion: 2 k(1)^2 < h(1) r(1).
 
     Only meaningful when the flat-top condition rho(1)+rho'(1)=0 holds;
@@ -164,7 +164,7 @@ def cor6_check(profile: RadialProfile) -> CriterionReport:
         )
     rho1, _ = _axis_jet(profile)
     r1 = rho1 ** 5
-    h1, k1 = _sixdim_moments(profile)
+    h1, k1 = _sixdim_moments(profile, settings)
     lhs = 2.0 * k1 ** 2
     rhs = h1 * r1
     margin = rhs - lhs
@@ -178,33 +178,14 @@ def cor6_check(profile: RadialProfile) -> CriterionReport:
         })
 
 
-def vamos_numerator(profile: RadialProfile) -> float:
-    """Numerator of g'(1) - g(1) for the dimension-6 pipeline, in h-jet form:
-
-        48 h^3 - 6 h'^3 + 2 h h' (15 h' + 3 h'') - h^2 (57 h' + 15 h'' + h''')
-
-    evaluated at t=1 with the exact identities h' = 2 int_0^1 rho^5 dt,
-    h'' = h' + 2 r(1), h''' = 4 r(1) + 2 r'(1).  Its sign always matches the
-    dimension-6 criterion margin (it equals exactly twice that margin).
-    """
-    rho1, drho1 = _axis_jet(profile)
-    r1 = rho1 ** 5
-    rp1 = 5.0 * rho1 ** 4 * drho1
-    h1, k1 = _sixdim_moments(profile)
-    hp = 2.0 * (h1 + k1)
-    hpp = hp + 2.0 * r1
-    hppp = 4.0 * r1 + 2.0 * rp1
-    return (48.0 * h1 ** 3 - 6.0 * hp ** 3
-            + 2.0 * h1 * hp * (15.0 * hp + 3.0 * hpp)
-            - h1 ** 2 * (57.0 * hp + 15.0 * hpp + hppp))
-
-
 def check_for_dimension(profile: RadialProfile, dimension: int,
-                        criterion: Optional[str] = None) -> CriterionReport:
+                        criterion: Optional[str] = None,
+                        settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dispatch to the criterion appropriate for the dimension.
 
     ``criterion`` may be "prop1", "prop4", "cor6", or None/"auto" for the
-    dimension default (prop1 in dim 4, prop4 in dim 6).
+    dimension default (prop1 in dim 4, prop4 in dim 6).  Moments are
+    integrated at the tolerances of ``settings``.
     """
     name = criterion or "auto"
     if name == "auto":
@@ -212,13 +193,13 @@ def check_for_dimension(profile: RadialProfile, dimension: int,
     if name == "prop1":
         if dimension != 4:
             raise ValueError("prop1 applies to dimension 4")
-        return prop1_check(profile)
+        return prop1_check(profile, settings)
     if name == "prop4":
         if dimension != 6:
             raise ValueError("prop4 applies to dimension 6")
-        return prop4_check(profile)
+        return prop4_check(profile, settings)
     if name == "cor6":
         if dimension != 6:
             raise ValueError("cor6 applies to dimension 6")
-        return cor6_check(profile)
+        return cor6_check(profile, settings)
     raise ValueError(f"unknown criterion {name!r}")

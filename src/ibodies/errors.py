@@ -21,10 +21,6 @@ class NoConvergence(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class Divergent(RuntimeError):
-    """A limit extrapolation did not stabilize."""
-
-
 class InvalidBracket(ValueError):
     """A root bracket does not have opposite signs at its ends."""
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .calculus import RootBracket, bisect
-from .criteria import check_for_dimension, cor6_check, prop1_check
+from .calculus import DEFAULT_SETTINGS, RootBracket, Settings, bisect
+from .criteria import check_for_dimension
 from .errors import InvalidParam
 from .profile import (BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
                       const, div, exp_of, mul, neg, powr, sqrt, sub, var_t)
@@ -71,6 +71,9 @@ class FamilySpec:
                 f"unknown family {self.name!r}; choose from {', '.join(FAMILY_NAMES)}"
             )
         self.params = {k: float(v) for k, v in self.params.items()}
+        for k, v in self.params.items():
+            if not math.isfinite(v):
+                raise InvalidParam(f"parameter {k!r} must be finite, got {v}")
 
 
 def _one_minus_t2() -> ExprNode:
@@ -194,64 +197,6 @@ def instantiate(spec: FamilySpec) -> BodyOfRevolution:
                             family=spec.name, params=dict(spec.params))
 
 
-# --------------------------------------------------------- margin functions
-
-def w_of_M(M: float) -> float:
-    """Dimension-4 criterion margin for the capped cylinder, as a function of M.
-
-    w(M) = 2 rho(1)^4 - 3 (int_0^1 rho^3 dt)(rho(1) + rho'(1)), evaluated by
-    quadrature and jets.  Positive w certifies NotPolarZonoid.
-    """
-    if M < 1.0:
-        raise InvalidParam(f"cap radius M must be >= 1, got {M}")
-    body = instantiate(FamilySpec("cyl_caps_KM", {"M": M}, dimension=4))
-    return prop1_check(body.profile).margin
-
-
-def cyl_caps_int_rho3_closed(M: float) -> float:
-    """Closed form of int_0^1 rho_M^3 dt for the capped-cylinder family:
-
-        1 + M^3 + (3/4) M^2 (1 - s) - (1 + s)^3 / 4,   s = sqrt(M^2 - 1).
-    """
-    s = math.sqrt(M * M - 1.0)
-    return 1.0 + M ** 3 + 0.75 * M * M * (1.0 - s) - (1.0 + s) ** 3 / 4.0
-
-
-def w_of_M_closed(M: float) -> float:
-    """Closed form of w(M), used as a cross-check of the quadrature path."""
-    s = math.sqrt(M * M - 1.0)
-    a = 1.0 - s
-    rho1 = 1.0 + M - s
-    flat = (a + M) ** 2 / M
-    return 2.0 * rho1 ** 4 - 3.0 * cyl_caps_int_rho3_closed(M) * flat
-
-
-def octagon_h1_closed(b: float) -> float:
-    """Closed form of h(1) = int_0^1 rho_b^5 (1-t^2) dt: (1 + 5b - b^5)/4."""
-    return (1.0 + 5.0 * b - b ** 5) / 4.0
-
-
-def octagon_k1_closed(b: float) -> float:
-    """Closed form of k(1) = int_0^1 rho_b^5 t^2 dt: (1 + 5b + 10b^2 - 5b^4 - b^5)/12."""
-    return (1.0 + 5.0 * b + 10.0 * b * b - 5.0 * b ** 4 - b ** 5) / 12.0
-
-
-def octagon_margin(b: float) -> float:
-    """Flat-top dimension-6 margin h(1) r(1) - 2 k(1)^2 for the octagon family.
-
-    Defined for b in (0, 1]; at b=0 (the double cone) the profile has no
-    finite one-sided derivative at t=1 and the criterion does not apply.
-    """
-    if not 0.0 < b <= 1.0:
-        raise InvalidParam(f"octagon margin requires b in (0, 1], got {b}")
-    body = instantiate(FamilySpec("octagon_Kb", {"b": b}, dimension=6))
-    return cor6_check(body.profile).margin
-
-
-def octagon_margin_closed(b: float) -> float:
-    return octagon_h1_closed(b) - 2.0 * octagon_k1_closed(b) ** 2
-
-
 # ------------------------------------------------------------------- sweeps
 
 @dataclass
@@ -282,12 +227,13 @@ class SweepResult:
                 f"{ok} satisfied, roots: {roots}")
 
 
-def _report_fn(template: FamilySpec, param: str, criterion: str):
+def _report_fn(template: FamilySpec, param: str, criterion: str,
+               settings: Settings):
     def fn(value: float):
         params = dict(template.params)
         params[param] = value
         body = instantiate(FamilySpec(template.name, params, template.dimension))
-        return check_for_dimension(body.profile, body.dimension, criterion)
+        return check_for_dimension(body.profile, body.dimension, criterion, settings)
     return fn
 
 
@@ -307,13 +253,31 @@ def _trisect(fn: Callable[[float], float], lo: float, hi: float,
     return RootBracket(lo, hi, f_lo, f_hi)
 
 
+def step_grid(lo: float, hi: float, step: float) -> list:
+    """lo, lo + step, ... up to hi, with hi itself as the last point.
+
+    A point past hi by more than rounding is dropped, and hi is appended when
+    the last step falls short of it.
+    """
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InvalidParam(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
+    count = int(round((hi - lo) / step))
+    grid = [lo + i * step for i in range(count + 1)]
+    grid = [v for v in grid if v <= hi + 1e-12]
+    if grid[-1] < hi - 1e-12:
+        grid.append(hi)
+    return grid
+
+
 def sweep(template: FamilySpec, param: str, grid: Sequence[float],
-          criterion: str = "auto") -> SweepResult:
+          criterion: str = "auto",
+          settings: Settings = DEFAULT_SETTINGS) -> SweepResult:
     """Evaluate a criterion margin across a parameter grid and refine roots.
 
     Grid points where the criterion does not apply (invalid parameter, no
     flat top, insufficient smoothness) are recorded with a NaN margin and an
-    error verdict, and are skipped for sign-change detection.
+    error verdict, and are skipped for sign-change detection.  Moments are
+    integrated at the tolerances of ``settings``.
     """
     grid = [float(v) for v in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -323,7 +287,7 @@ def sweep(template: FamilySpec, param: str, grid: Sequence[float],
     crit_name = criterion if criterion != "auto" else (
         "prop1" if dimension == 4 else "prop4")
     rep_fn = _report_fn(FamilySpec(template.name, template.params, dimension),
-                        param, crit_name)
+                        param, crit_name, settings)
 
     def fn(value: float) -> float:
         return rep_fn(value).margin
@@ -362,9 +326,5 @@ def lp_threshold(p_lo: float, p_hi: float, step: float) -> SweepResult:
         raise InvalidParam("need 2 < p_lo < p_hi")
     if step <= 0.0:
         raise InvalidParam("step must be positive")
-    count = int(round((p_hi - p_lo) / step))
-    grid = [p_lo + i * step for i in range(count + 1)]
-    if grid[-1] < p_hi - 1e-12:
-        grid.append(p_hi)
     return sweep(FamilySpec("lp_revolution", {"p": p_lo}, dimension=6),
-                 "p", grid, criterion="cor6")
+                 "p", step_grid(p_lo, p_hi, step), criterion="cor6")

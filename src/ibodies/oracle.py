@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .calculus import DEFAULT_SETTINGS, Settings
 from .errors import DomainError, InsufficientSamples
 from .profile import BodyOfRevolution
 from .transform import (_AXIS_NOISE_T, box_operator, intersection_radial,
@@ -65,6 +66,8 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     Within the hyperplane's orthonormal frame, only the coordinate along the
     tilted basis vector contributes a vertical component, so the vertical
     cosine of a sample is |u1| sin(phi) for a uniformly random direction u.
+    Raises DomainError when the bounding ball's volume overflows or
+    underflows a float.
     """
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(
@@ -75,7 +78,13 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     d = body.dimension - 1
     radius = body.profile.max_value()
     sin_phi = math.sin(phi)
-    ball_volume = _unit_ball_volume(d) * radius ** d
+    try:
+        ball_volume = _unit_ball_volume(d) * radius ** d
+    except OverflowError:
+        ball_volume = math.inf
+    if not 0.0 < ball_volume < math.inf:
+        raise DomainError(f"the bounding ball of radius {radius:g} in dimension {d} "
+                          f"has no finite positive volume in floating point")
 
     children = np.random.SeedSequence(seed).spawn(BATCHES)
     base = samples // BATCHES
@@ -103,14 +112,16 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
 
 def section_ratio_report(body: BodyOfRevolution,
                          angles: Sequence[float] = DEFAULT_ANGLES,
-                         samples: int = 10 ** 5, seed: int = 12345) -> dict:
+                         samples: int = 10 ** 5, seed: int = 12345,
+                         settings: Settings = DEFAULT_SETTINGS) -> dict:
     """Compare Monte Carlo section-volume ratios against the computed
-    intersection profile, angle by angle versus the first (reference) angle.
+    intersection profile (integrated at the tolerances of ``settings``),
+    angle by angle versus the first (reference) angle.
     """
     angles = list(angles)
     if len(angles) < 2:
         raise ValueError("need at least two angles to form a ratio")
-    ik = intersection_radial(body)
+    ik = intersection_radial(body, settings)
     estimates = [mc_section_volume(body, phi, samples, seed=seed + 7919 * i)
                  for i, phi in enumerate(angles)]
     ref = estimates[0]

@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import QuadratureRequest, cumulative_integrate, integrate
+from .calculus import (DEFAULT_SETTINGS, QuadratureRequest, Settings,
+                       cumulative_integrate, integrate)
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
 from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile, Piece,
@@ -55,16 +56,19 @@ class MomentTable:
     Here q = profile^power.  Nodes queued with :meth:`prepare` are computed
     together, in one :func:`cumulative_integrate` pass, the first time a
     point outside the table is asked for; such points join that pass (or
-    run one of their own on [0, max x]) and are kept.  ``diagnostics`` sums
-    the counters of every pass.
+    run one of their own on [0, max x]) and are kept.  Every pass runs at the
+    tolerances of ``settings``.  ``diagnostics`` sums the counters of every
+    pass.
     """
 
-    def __init__(self, profile: RadialProfile, power: int, n: int):
+    def __init__(self, profile: RadialProfile, power: int, n: int,
+                 settings: Settings = DEFAULT_SETTINGS):
         if n not in (4, 6):
             raise DomainError(f"kernel-integral jets are implemented for n in {{4, 6}}, got {n}")
         self.profile = profile
         self.power = power
         self.n = n
+        self.settings = settings
         self._nodes = np.empty(0)                         # sorted
         self._values = np.empty((1 if n == 4 else 2, 0))  # B (and C) at _nodes
         self._pending: list = []
@@ -99,7 +103,9 @@ class MomentTable:
     def _run(self, nodes: np.ndarray) -> None:
         self._pending = []
         res = cumulative_integrate(self._integrand, nodes,
-                                   self.profile.breakpoint_locations)
+                                   self.profile.breakpoint_locations,
+                                   rel_tol=self.settings.rel_tol,
+                                   abs_tol=self.settings.abs_tol)
         new = ~self._lookup(res.nodes)[1]
         merged = np.concatenate([self._nodes, res.nodes[new]])
         order = np.argsort(merged, kind="stable")
@@ -204,29 +210,6 @@ def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
     return jet.item(0) if single else jet
 
 
-def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
-    """Forward spherical Radon transform of a rotationally symmetric function.
-
-    Input q is a function of t (cosine convention); output is the function
-    x -> x^(3-n) * integral_0^x q(t) (x^2-t^2)^((n-4)/2) dt of the sine of
-    the vertical angle, constants omitted.
-    """
-    _require_even_dimension(n)
-    if q.variable != COSINE:
-        raise DomainError("forward transform input must use the cosine convention")
-
-    moments = MomentTable(q, 1, n)
-
-    def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        b_val, c_val = moments.at(x)
-        jh = _kernel_integral_jet(b_val, c_val, q._jet, n, x, order, side)
-        return jh / Jet.variable(x, order) ** (n - 3)
-
-    return DerivedProfile(source, q.breakpoint_locations, domain=(_EPS_AXIS, 1.0),
-                          variable=SINE, max_order=4,
-                          name=f"radon[{getattr(q, 'name', '') or 'q'}]")
-
-
 _CYLINDER_IK_NAME = "cylinder intersection profile"
 
 
@@ -258,10 +241,12 @@ def _has_closed_form(body: BodyOfRevolution) -> bool:
     return body.family == "cylinder" and body.dimension == 6
 
 
-def intersection_radial(body: BodyOfRevolution) -> DerivedProfile:
+def intersection_radial(body: BodyOfRevolution,
+                        settings: Settings = DEFAULT_SETTINGS) -> DerivedProfile:
     """Radial profile of the intersection body, x -> h_n(x)/x^(n-3).
 
-    Quadrature-backed and evaluable (with derivatives) on [1e-6, 1].  For the
+    Quadrature-backed (at the tolerances of ``settings``) and evaluable (with
+    derivatives) on [1e-6, 1].  For the
     R^6 cylinder the known piecewise closed form is attached as
     ``.closed_form`` (note it carries a 3/2 normalization relative to the
     bare moment ratio computed here).
@@ -269,7 +254,7 @@ def intersection_radial(body: BodyOfRevolution) -> DerivedProfile:
     n = body.dimension
     _require_even_dimension(n)
     profile = body.profile
-    moments = MomentTable(profile, n - 1, n)
+    moments = MomentTable(profile, n - 1, n, settings)
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         jh = h_jet(profile, n, x, order, side, moments=moments)
@@ -454,7 +439,8 @@ class ObstructionField:
 
 
 def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = None,
-                      uniform_points: int = 2000) -> ObstructionField:
+                      uniform_points: int = 2000,
+                      settings: Settings = DEFAULT_SETTINGS) -> ObstructionField:
     """Evaluate the zonoid-obstruction measure for a body of revolution.
 
     Continuous part: box_operator(inverse_radon(x^(n-3)/h_n)) sampled over the
@@ -462,12 +448,13 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     jump of g at each kink where g is continuous but not C1.  Verdict is
     NotPolarZonoid iff the density falls below -NEGATIVITY_SCALE * max|density|
     or any atom is negative.  In dimension 6 the rows with t < 1e-4 stay in
-    the output but are listed in ``excluded`` and decide nothing.
+    the output but are listed in ``excluded`` and decide nothing.  The
+    moments are integrated at the tolerances of ``settings``.
     """
     n = body.dimension
     if n not in (4, 6):
         raise DomainError(f"obstruction field implemented for n in {{4, 6}}, got {n}")
-    moments = MomentTable(body.profile, n - 1, n)
+    moments = MomentTable(body.profile, n - 1, n, settings)
     g = inverse_radon(reciprocal_intersection_profile(body, moments=moments), n)
 
     if grid is None:

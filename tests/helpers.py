@@ -10,10 +10,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from ibodies.calculus import QuadratureRequest
-from ibodies.errors import Divergent, DomainError
+from ibodies.errors import DomainError
 from ibodies.jets import Jet
 from ibodies.profile import COSINE, SINE, DerivedProfile, ProfileLike
 from reference_quadpack import integrate
+
+
+class Divergent(RuntimeError):
+    """A limit extrapolation did not stabilize."""
 
 
 def one_sided_limit(fn: Callable[[float], float], t0: float, side: str,

@@ -12,14 +12,14 @@ import numpy as np
 
 from ibodies import (FamilySpec, box_operator, check_for_dimension,
                      cor6_check, instantiate, inverse_radon, obstruction_field,
-                     prop4_check, prop1_check, radon_transform,
-                     reciprocal_intersection_profile, section_ratio_report,
-                     vamos_numerator)
+                     prop4_check, prop1_check, reciprocal_intersection_profile,
+                     section_ratio_report)
 from ibodies.calculus import RootBracket, bisect
 from ibodies.criteria import flat_top_check
-from ibodies.families import (octagon_h1_closed, octagon_k1_closed,
-                              octagon_margin, w_of_M, w_of_M_closed)
 from ibodies.profile import Piece, RadialProfile, add, mul, powr, sub, var_t
+from reference_closed_forms import (octagon_h1_closed, octagon_k1_closed,
+                                    octagon_margin, radon_transform,
+                                    vamos_numerator, w_of_M, w_of_M_closed)
 
 KINK = math.sqrt(0.5)
 

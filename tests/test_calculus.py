@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from ibodies import calculus
-from ibodies.calculus import (QuadratureRequest, RootBracket, bisect,
-                              cumulative_integrate, integrate)
-from ibodies.errors import Divergent, InvalidBracket, NoConvergence
+from ibodies.calculus import (DEFAULT_SETTINGS, QuadratureRequest, RootBracket,
+                              Settings, bisect, cumulative_integrate, integrate)
+from ibodies.errors import InvalidBracket, NoConvergence
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
-from helpers import fd_check, one_sided_limit
+from helpers import Divergent, fd_check, one_sided_limit
 import reference_quadpack
 
 SQ2 = math.sqrt(0.5)
@@ -89,15 +89,19 @@ def test_exterior_breakpoints_are_dropped():
 
 
 def test_tolerance_overrides():
-    old_rel, old_abs = calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL
-    try:
-        calculus.set_default_tolerances(rel_tol=1e-6, abs_tol=1e-9)
-        req = QuadratureRequest(lambda t: t, 0.0, 1.0)
-        assert req.rel_tol == 1e-6 and req.abs_tol == 1e-9
-        with pytest.raises(ValueError):
-            calculus.set_default_tolerances(rel_tol=-1.0)
-    finally:
-        calculus.set_default_tolerances(rel_tol=old_rel, abs_tol=old_abs)
+    settings = Settings(rel_tol=1e-6, abs_tol=1e-9)
+    req = QuadratureRequest(lambda t: t, 0.0, 1.0, rel_tol=settings.rel_tol,
+                            abs_tol=settings.abs_tol)
+    assert req.rel_tol == 1e-6 and req.abs_tol == 1e-9
+    default = QuadratureRequest(lambda t: t, 0.0, 1.0)
+    assert (default.rel_tol, default.abs_tol) == (DEFAULT_SETTINGS.rel_tol,
+                                                  DEFAULT_SETTINGS.abs_tol)
+    for bad in ({"rel_tol": -1.0}, {"abs_tol": 0.0}, {"rel_tol": math.inf},
+                {"abs_tol": math.nan}):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            Settings(**bad)
+    with pytest.raises(AttributeError):
+        settings.rel_tol = 1e-3  # frozen
 
 
 # ------------------------------------------------------ cumulative quadrature
@@ -171,15 +175,11 @@ def test_cumulative_empty_interval_rejected():
 
 def test_cumulative_follows_default_tolerances():
     # sqrt has an endpoint singularity in its derivative: the work needed
-    # depends on the tolerance, which is read at call time.
+    # depends on the tolerance passed, and a loose call leaves no trace on
+    # the defaults.
     fn = np.sqrt
     tight = cumulative_integrate(fn, [1.0])
-    old_rel, old_abs = calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL
-    try:
-        calculus.set_default_tolerances(rel_tol=1e-4, abs_tol=1e-6)
-        loose = cumulative_integrate(fn, [1.0])
-    finally:
-        calculus.set_default_tolerances(rel_tol=old_rel, abs_tol=old_abs)
+    loose = cumulative_integrate(fn, [1.0], rel_tol=1e-4, abs_tol=1e-6)
     again = cumulative_integrate(fn, [1.0])
     assert loose.evaluations < tight.evaluations
     assert again.evaluations == tight.evaluations

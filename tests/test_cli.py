@@ -1,10 +1,16 @@
-"""End-to-end command-line runs in a subprocess."""
+"""End-to-end command-line runs: in a subprocess, and in this process where
+the question is what a run leaves behind in it."""
 
 import filecmp
 import json
 import math
 import subprocess
 import sys
+
+import pytest
+
+from ibodies import calculus, cli, transform
+from ibodies.families import FamilySpec, instantiate
 
 
 def run(*args, **kwargs):
@@ -88,6 +94,15 @@ def test_check_rejects_bad_params():
     res = run("check", "--builtin", "cyl_caps_KM", "--dim", "4", "--param", "M")
     assert res.returncode == 2
     assert "sweep" in res.stderr
+
+    for family, param in [("lp_revolution", "p=inf"), ("lp_revolution", "p=nan"),
+                          ("cyl_caps_KM", "M=inf"), ("ball", "scale=inf"),
+                          ("octagon_Kb", "b=-inf")]:
+        res = run("check", "--builtin", family, "--param", param)
+        assert res.returncode == 2, (param, res.stderr)
+        assert res.stderr.startswith("error: InvalidParam"), (param, res.stderr)
+        assert "must be finite" in res.stderr
+        assert res.stdout == ""
 
 
 def test_unknown_builtin_is_a_usage_error():
@@ -183,6 +198,11 @@ def test_sweep_validates_range_and_step():
     res = run("sweep", "--builtin", "cyl_caps_KM", "--dim", "4", "--param",
               "M", "--range", "1", "3", "--step", "-0.5")
     assert res.returncode == 2
+    for lo, hi, step in [("1", "inf", "0.1"), ("1", "2", "nan")]:
+        res = run("sweep", "--builtin", "cyl_caps_KM", "--dim", "4", "--param",
+                  "M", "--range", lo, hi, "--step", step)
+        assert res.returncode == 2, (lo, hi, step, res.stderr)
+        assert res.stderr.startswith("error: InvalidParam"), res.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +223,14 @@ def test_oracle_rejects_tiny_sample_counts():
     res = run("oracle", "--builtin", "ball", "--dim", "4", "--samples", "100")
     assert res.returncode == 2
     assert res.stderr.startswith("error: InsufficientSamples")
+
+
+def test_oracle_bounding_ball_overflow_is_an_input_error():
+    res = run("oracle", "--builtin", "ball", "--samples", "10000",
+              "--param", "scale=1e300")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: DomainError"), res.stderr
+    assert res.stdout == ""
 
 
 def test_oracle_reruns_are_byte_identical(tmp_path):
@@ -284,6 +312,48 @@ def test_bad_tolerances_are_input_errors():
         assert res.returncode == 2, (flag, value, res.stderr)
         assert res.stderr.startswith("error: ValueError"), (flag, value)
         assert res.stdout == ""
+
+
+def _cyl_caps_KM_diagnostics():
+    body = instantiate(FamilySpec("cyl_caps_KM", {"M": 1.2}, 4))
+    return transform.obstruction_field(body, uniform_points=250).diagnostics
+
+
+def test_tolerance_flags_leave_no_process_state(capsys):
+    before = _cyl_caps_KM_diagnostics()
+    assert cli.main(["check", "--builtin", "ball", "--tol-rel", "1e-3"]) == 0
+    capsys.readouterr()
+    assert _cyl_caps_KM_diagnostics() == before
+    assert (calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL) == (1e-10, 1e-12)
+
+
+_TOLERANCE_ARGV = {
+    "check": ["check", "--builtin", "cyl_caps_KM", "--param", "M=1.2"],
+    "field": ["field", "--builtin", "cyl_caps_KM", "--param", "M=1.2",
+              "--grid-points", "50"],
+    "sweep": ["sweep", "--builtin", "cyl_caps_KM", "--param", "M",
+              "--range", "1.1", "1.2", "--step", "0.05"],
+    "oracle": ["oracle", "--builtin", "cyl_caps", "--samples", "10000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TOLERANCE_ARGV))
+def test_tolerance_flags_reach_the_quadrature(command, monkeypatch, capsys):
+    # Every quadrature pass goes through calculus.cumulative_integrate, which
+    # transform imports by name; spy on both names.
+    seen = []
+    for module in (calculus, transform):
+        def spy(*args, _original=module.cumulative_integrate, **kwargs):
+            seen.append((kwargs["rel_tol"], kwargs["abs_tol"]))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "cumulative_integrate", spy)
+    argv = _TOLERANCE_ARGV[command]
+    assert cli.main(argv + ["--tol-rel", "1e-7", "--tol-abs", "1e-9"]) == 0
+    assert seen and set(seen) == {(1e-7, 1e-9)}
+    seen.clear()
+    assert cli.main(argv) == 0
+    assert seen and set(seen) == {(1e-10, 1e-12)}
+    capsys.readouterr()
 
 
 def test_misshapen_profile_json_is_an_input_error(tmp_path):

@@ -7,13 +7,13 @@ import pytest
 
 from ibodies.calculus import QuadratureRequest
 from ibodies.criteria import (_moment, check_for_dimension, cor6_check,
-                              flat_top_check, flatness_curvature, prop1_check,
-                              prop4_check, vamos_numerator)
+                              flat_top_check, prop1_check, prop4_check)
 from ibodies.errors import FlatTopRequired, SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import (Piece, RadialProfile, add, mul, powr, sub, var_t)
 from ibodies.transform import obstruction_field
 from helpers import value_at
+from reference_closed_forms import flatness_curvature, vamos_numerator
 from reference_quadpack import integrate
 
 

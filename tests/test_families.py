@@ -9,10 +9,10 @@ from ibodies.calculus import RootBracket, bisect
 from ibodies.criteria import _sixdim_moments, cor6_check
 from ibodies.errors import InvalidParam
 from ibodies.families import (DEFAULT_DIMENSION, FAMILY_NAMES, FamilySpec,
-                              instantiate, lp_threshold, octagon_h1_closed,
-                              octagon_k1_closed, octagon_margin,
-                              octagon_margin_closed, sweep, w_of_M,
-                              w_of_M_closed)
+                              instantiate, lp_threshold, step_grid, sweep)
+from reference_closed_forms import (octagon_h1_closed, octagon_k1_closed,
+                                    octagon_margin, octagon_margin_closed,
+                                    w_of_M, w_of_M_closed)
 
 SQ2 = math.sqrt(0.5)
 
@@ -158,6 +158,32 @@ def test_lp_threshold_root():
     assert abs(result.roots[0] - 9.525037783) < 1e-6
     # The grid endpoints straddle the sign change.
     assert result.margins[0] > 0.0 > result.margins[-1]
+
+
+def test_lp_threshold_grid_stops_at_p_hi():
+    # 4.0 + 6 * 0.2 = 5.2 lies past p_hi; the grid ends at 5.14 instead.
+    result = lp_threshold(4.0, 5.14, 0.2)
+    assert result.grid == [4.0 + i * 0.2 for i in range(6)] + [5.14]
+    assert len(result.margins) == 7
+
+
+def test_step_grid():
+    assert step_grid(9.0, 10.0, 0.1) == [9.0 + i * 0.1 for i in range(11)]
+    assert step_grid(1.0, 1.25, 0.1) == [1.0, 1.0 + 0.1, 1.0 + 2 * 0.1, 1.25]
+    assert step_grid(1.0, 1.28, 0.1) == [1.0, 1.0 + 0.1, 1.0 + 2 * 0.1, 1.28]
+    assert step_grid(0.0, 1.0, 2.0) == [0.0, 1.0]
+    for lo, hi, step in [(1.0, math.inf, 0.1), (math.nan, 2.0, 0.1),
+                         (1.0, 2.0, math.nan)]:
+        with pytest.raises(InvalidParam):
+            step_grid(lo, hi, step)
+
+
+def test_family_spec_rejects_non_finite_params():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParam, match="must be finite"):
+            FamilySpec("lp_revolution", {"p": value})
+        with pytest.raises(InvalidParam, match="must be finite"):
+            FamilySpec("ball", {"scale": value})
 
 
 def test_lp_threshold_validation():

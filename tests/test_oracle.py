@@ -69,6 +69,15 @@ def test_estimate_input_validation():
         mc_section_volume(body("ball", 4), math.pi / 2 + 0.1, 10 ** 4)
 
 
+def test_bounding_ball_volume_out_of_float_range_is_a_domain_error():
+    # radius ** 3 overflows at scale 1e300 and underflows to 0 at 1e-300.
+    for scale in (1e300, 1e-300):
+        with pytest.raises(DomainError, match="bounding ball"):
+            mc_section_volume(body("ball", 4, scale=scale), math.pi / 2, 10 ** 4)
+    with pytest.raises(DomainError, match="bounding ball"):
+        section_ratio_report(body("ball", 4, scale=1e300), samples=10 ** 4)
+
+
 def test_ratio_to_propagates_relative_errors():
     a = mc_section_volume(body("cylinder", 6), math.pi / 2, 5 * 10 ** 4, seed=7)
     b = mc_section_volume(body("cylinder", 6), math.pi / 4, 5 * 10 ** 4, seed=8)

@@ -17,9 +17,10 @@ from ibodies.families import FamilySpec, instantiate
 from ibodies.profile import Piece, RadialProfile, add, mul, var_t
 from ibodies.transform import (box_operator, cylinder_intersection_closed_form,
                                default_grid, h_fn, h_jet, intersection_radial,
-                               inverse_radon, obstruction_field, radon_transform,
+                               inverse_radon, obstruction_field,
                                reciprocal_intersection_profile)
 from helpers import fd_check, inverse_radon_brute, value_at
+from reference_closed_forms import radon_transform
 
 SQ2 = math.sqrt(0.5)
 
