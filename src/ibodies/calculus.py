@@ -256,10 +256,6 @@ class RootBracket:
                 f"f = {self.f_lower}, {self.f_upper}"
             )
 
-    @classmethod
-    def from_fn(cls, fn: Callable[[float], float], lower: float, upper: float):
-        return cls(lower, upper, fn(lower), fn(upper))
-
 
 def bisect(fn: Callable[[float], float], bracket: RootBracket,
            x_tol: float = 1e-12) -> float:

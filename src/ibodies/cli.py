@@ -49,11 +49,12 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
                         "the swept parameter (sweep only); repeatable")
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-rel", type=float, default=DEFAULT_REL_TOL,
-                   help=f"quadrature relative tolerance (default {DEFAULT_REL_TOL:g})")
-    p.add_argument("--tol-abs", type=float, default=DEFAULT_ABS_TOL,
-                   help=f"quadrature absolute tolerance (default {DEFAULT_ABS_TOL:g})")
+def _add_common_args(p: argparse.ArgumentParser, tolerances: bool = True) -> None:
+    if tolerances:
+        p.add_argument("--tol-rel", type=float, default=DEFAULT_REL_TOL,
+                       help=f"quadrature relative tolerance (default {DEFAULT_REL_TOL:g})")
+        p.add_argument("--tol-abs", type=float, default=DEFAULT_ABS_TOL,
+                       help=f"quadrature absolute tolerance (default {DEFAULT_ABS_TOL:g})")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the primary artifact here instead of stdout")
 
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="parse, classify and echo a profile")
     _add_source_args(p)
-    _add_common_args(p)
+    _add_common_args(p, tolerances=False)  # validate integrates nothing
     p.set_defaults(func=cmd_validate)
     return parser
 
@@ -219,7 +220,7 @@ def cmd_oracle(args, settings: Settings) -> int:
     return 0 if report["all_within_3sigma"] else 1
 
 
-def cmd_validate(args, settings: Settings) -> int:
+def cmd_validate(args) -> int:
     fixed, swept = _parse_params(args.param)
     if swept:
         raise InvalidParam("bare --param names are only valid with sweep")
@@ -256,6 +257,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.func is cmd_validate:
+            return cmd_validate(args)
         return args.func(args, Settings(args.tol_rel, args.tol_abs))
     except _LIBRARY_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -14,7 +14,6 @@ Dimension 6, flat top ("cor6"):  2 k^2 < h r, valid when rho(1)+rho'(1)=0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,9 +56,6 @@ class CriterionReport:
             "borderline": self.borderline,
             "intermediates": dict(self.intermediates),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _axis_jet(profile: RadialProfile) -> tuple:

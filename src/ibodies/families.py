@@ -55,6 +55,8 @@ _SQ2 = math.sqrt(0.5)  # 1/sqrt(2), the recurring breakpoint
 # then bisects it down to REFINE_TOL.
 _TRISECT_ROUNDS = 2
 REFINE_TOL = 1e-10
+# step_grid refuses to build a grid longer than this.
+MAX_GRID_POINTS = 10 ** 5
 
 
 @dataclass
@@ -257,11 +259,16 @@ def step_grid(lo: float, hi: float, step: float) -> list:
     """lo, lo + step, ... up to hi, with hi itself as the last point.
 
     A point past hi by more than rounding is dropped, and hi is appended when
-    the last step falls short of it.
+    the last step falls short of it.  A grid of more than MAX_GRID_POINTS
+    points is an InvalidParam, raised before any point is built.
     """
     if not all(map(math.isfinite, (lo, hi, step))):
         raise InvalidParam(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
-    count = int(round((hi - lo) / step))
+    span = (hi - lo) / step
+    if not span <= MAX_GRID_POINTS - 1:
+        raise InvalidParam(f"a step of {step} from {lo} to {hi} gives more than "
+                           f"{MAX_GRID_POINTS} grid points")
+    count = int(round(span))
     grid = [lo + i * step for i in range(count + 1)]
     grid = [v for v in grid if v <= hi + 1e-12]
     if grid[-1] < hi - 1e-12:

@@ -115,11 +115,6 @@ class Jet:
         return Jet(tuple(float(c[i]) if isinstance(c, np.ndarray) else float(c)
                          for c in self.coeffs))
 
-    def truncated(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        return Jet(self.coeffs[: order + 1])
-
     def derivative(self) -> "Jet":
         """Jet of f', one order lower."""
         if self.order == 0:
@@ -253,17 +248,3 @@ class Jet:
             acc = sum(j * c[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / k)
         return Jet(out)
-
-    # ---------------------------------------------------------- composition
-
-    def compose(self, inner: "Jet") -> "Jet":
-        """Jet of f(u(.)) where ``self`` is the jet of f at ``inner.value``.
-
-        Used for variable-convention changes such as t -> sqrt(1 - t^2).
-        """
-        n = min(self.order, inner.order)
-        delta = Jet((0.0,) + inner.coeffs[1 : n + 1])
-        acc = Jet.constant(self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * delta + self.coeffs[k]
-        return acc

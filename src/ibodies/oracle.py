@@ -24,8 +24,8 @@ import numpy as np
 from .calculus import DEFAULT_SETTINGS, Settings
 from .errors import DomainError, InsufficientSamples
 from .profile import BodyOfRevolution
-from .transform import (_AXIS_NOISE_T, box_operator, intersection_radial,
-                        obstruction_field)
+from .transform import (_axis_series, _noise_floor, box_operator,
+                        intersection_radial, obstruction_field)
 
 MIN_SAMPLES = 10 ** 4
 # mc_section_volume draws its samples in this many independently seeded batches.
@@ -205,9 +205,9 @@ def field_sign_scan(body: BodyOfRevolution, refinement_levels: int = 3,
 
     n = body.dimension
     g = fld.g
-    # Rows the field excludes (the dimension-6 axis rows) seed and refine
-    # nothing.
-    lo_bound = max(g.domain[0], 1e-6, _AXIS_NOISE_T if n == 6 else 0.0)
+    # Rows the field excludes (the dimension-6 axis rows of a body without
+    # an axis series) seed and refine nothing.
+    lo_bound = max(g.domain[0], 1e-6, _noise_floor(n, _axis_series(body.profile, n)))
     breakpoints = list(g.breakpoint_locations)
 
     # Seed the search from the best *interior* sample: one-sided limits at a

@@ -5,8 +5,10 @@ K in R^n (n = 4 or 6) with radial profile rho(t), t = cosine of the vertical
 angle:
 
   1. h_n(x) = integral_0^x rho(t)^(n-1) (x^2 - t^2)^((n-4)/2) dt;
-  2. the intersection-body radial function rho_IK(x) = h_n(x) / x^(n-3)
-     (multiplicative constants omitted throughout -- they only dilate);
+  2. the intersection-body radial function rho_IK(x) = c_n h_n(x) / x^(n-3),
+     with c_4 = 1 and c_6 = 3/2 (the factor that makes the unit ball's
+     profile 1); other multiplicative constants are omitted -- they only
+     dilate;
   3. the inverse spherical Radon transform g = R^{-1}(1/rho_IK);
   4. the box operator (1-t^2) g'' - (n-1) t g' + (n-1) g.
 
@@ -27,25 +29,29 @@ from .calculus import (DEFAULT_SETTINGS, QuadratureRequest, Settings,
                        cumulative_integrate, integrate)
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
-from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile, Piece,
-                      ProfileLike, RadialProfile, add, classify_breakpoints,
-                      div, mul, powr, sub, var_t)
+from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile,
+                      ProfileLike, RadialProfile, classify_breakpoints)
 
 _EPS_AXIS = 1e-6  # lower evaluation cutoff: the pipeline formulas hold on (0, 1]
-_FACT = [1, 1, 2, 6, 24]
+# c_n in rho_IK = c_n h_n(x) / x^(n-3), shared by the profile and its reciprocal.
+_IK_FACTOR = {4: 1.0, 6: 1.5}
 # In dimension 6 the jet of x^3/h below this t divides by h(t) ~ t^5 and
 # amplifies the rounding of B and C past the field's own size there (e.g.
-# -5.9e-3 at t = 1e-6 where the field is ~36 t^2), so such rows certify nothing.
+# -5.9e-3 at t = 1e-6 where the field is ~36 t^2).  Such rows take the Taylor
+# series of rho^5 at 0 instead (_axis_series); without one they certify
+# nothing.
 _AXIS_NOISE_T = 1e-4
+# Taylor order of rho^5 at 0 behind the dimension-6 axis rows.
+_AXIS_SERIES_ORDER = 6
 # Points on each side of a breakpoint in default_grid's geometric clusters.
 _CLUSTER_POINTS = 20
 # A density value certifies below -NEGATIVITY_SCALE * max|density|.
 NEGATIVITY_SCALE = 1e-7
 
 
-def _require_even_dimension(n: int, minimum: int = 4):
-    if int(n) != n or n < minimum or n % 2 != 0:
-        raise DomainError(f"dimension must be an even integer >= {minimum}, got {n}")
+def _require_dimension(n: int) -> None:
+    if n not in (4, 6):
+        raise DomainError(f"dimension must be 4 or 6, got {n}")
 
 
 # --------------------------------------------------------------- kernel jets
@@ -63,8 +69,7 @@ class MomentTable:
 
     def __init__(self, profile: RadialProfile, power: int, n: int,
                  settings: Settings = DEFAULT_SETTINGS):
-        if n not in (4, 6):
-            raise DomainError(f"kernel-integral jets are implemented for n in {{4, 6}}, got {n}")
+        _require_dimension(n)
         self.profile = profile
         self.power = power
         self.n = n
@@ -156,7 +161,7 @@ def _kernel_integral_jet(b_val: np.ndarray, c_val: Optional[np.ndarray],
             if order >= 4:
                 q2 = jq.deriv(2)
                 derivs.append(6.0 * q1 + 2.0 * x * q2)
-    return Jet([d / _FACT[k] for k, d in enumerate(derivs)])
+    return Jet([d / math.factorial(k) for k, d in enumerate(derivs)])
 
 
 def _power_jet(profile: ProfileLike, power: int):
@@ -180,7 +185,7 @@ def _points(t) -> tuple:
 
 def h_fn(profile: RadialProfile, n: int, x: float) -> float:
     """The moment integral h_n(x) = int_0^x rho^(n-1)(t) (x^2-t^2)^((n-4)/2) dt."""
-    _require_even_dimension(n)
+    _require_dimension(n)
     if not 0.0 < x <= 1.0:
         raise DomainError(f"x must lie in (0, 1], got {x}")
     power = (n - 4) // 2
@@ -210,88 +215,98 @@ def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
     return jet.item(0) if single else jet
 
 
-_CYLINDER_IK_NAME = "cylinder intersection profile"
-
-
-def _cylinder_ik_pieces() -> list:
-    t = var_t()
-    t2 = mul(t, t)
-    left = powr(sub(1, t2), -1 / 2)
-    right = div(add(sub(3, mul(16, t2)), mul(28, mul(t2, t2))),
-                mul(8, powr(t, 5)))
-    r = math.sqrt(0.5)
-    return [Piece((0.0, r), left), Piece((r, 1.0), right)]
-
-
-def cylinder_intersection_closed_form() -> RadialProfile:
-    """Known piecewise closed form of the R^6 cylinder's intersection profile.
-
-    Pieces (x = sine of the vertical angle):
-        1/sqrt(1-x^2)              on [0, 1/sqrt(2)]
-        (3 - 16x^2 + 28x^4)/(8x^5) on [1/sqrt(2), 1]
-    This carries a fixed positive normalization (3/2 times the bare moment
-    ratio h_6(x)/x^3); downstream sign decisions are scale-free.
-    """
-    return RadialProfile(_cylinder_ik_pieces(), variable=SINE, name=_CYLINDER_IK_NAME)
-
-
-def _has_closed_form(body: BodyOfRevolution) -> bool:
-    """Whether the intersection profile of ``body`` has a known closed form;
-    only the R^6 cylinder's does."""
-    return body.family == "cylinder" and body.dimension == 6
-
-
 def intersection_radial(body: BodyOfRevolution,
                         settings: Settings = DEFAULT_SETTINGS) -> DerivedProfile:
-    """Radial profile of the intersection body, x -> h_n(x)/x^(n-3).
+    """Radial profile of the intersection body, x -> c_n h_n(x)/x^(n-3).
 
     Quadrature-backed (at the tolerances of ``settings``) and evaluable (with
-    derivatives) on [1e-6, 1].  For the
-    R^6 cylinder the known piecewise closed form is attached as
-    ``.closed_form`` (note it carries a 3/2 normalization relative to the
-    bare moment ratio computed here).
+    derivatives) on [1e-6, 1].
     """
     n = body.dimension
-    _require_even_dimension(n)
+    _require_dimension(n)
     profile = body.profile
     moments = MomentTable(profile, n - 1, n, settings)
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         jh = h_jet(profile, n, x, order, side, moments=moments)
-        return jh / Jet.variable(x, order) ** (n - 3)
+        return _IK_FACTOR[n] * jh / Jet.variable(x, order) ** (n - 3)
 
-    out = DerivedProfile(source, profile.breakpoint_locations,
-                         domain=(_EPS_AXIS, 1.0), variable=SINE, max_order=3,
-                         name=f"intersection[{body.describe()}]")
-    out.closed_form = cylinder_intersection_closed_form() if _has_closed_form(body) else None
-    return out
+    return DerivedProfile(source, profile.breakpoint_locations,
+                          domain=(_EPS_AXIS, 1.0), variable=SINE, max_order=3,
+                          name=f"intersection[{body.describe()}]")
+
+
+def _axis_series(profile: RadialProfile, n: int) -> Optional[list]:
+    """Coefficients a_j of c_6 h_6(x)/x^3 = sum_j a_j x^j near the axis.
+
+    With rho^5 = sum_j q_j t^j on the first piece, h_6(x) = sum_j 2 q_j
+    x^(j+3) / ((j+1)(j+3)): a sum without the cancellation of x^2 B - C.
+    None in dimension 4, when the first piece ends below _AXIS_NOISE_T, or
+    when rho^5 has no finite jet of order _AXIS_SERIES_ORDER at 0 (a t^4.5
+    term, say).
+    """
+    first = profile.pieces[0]
+    if n != 6 or first.interval[1] < _AXIS_NOISE_T:
+        return None
+    try:
+        q = first.expr.eval_jet(0.0, _AXIS_SERIES_ORDER) ** (n - 1)
+    except (SmoothnessError, DomainError, ArithmeticError):
+        return None
+    return ([2.0 * _IK_FACTOR[n] * qj / ((j + 1) * (j + 3)) for j, qj in enumerate(q.coeffs)]
+            if q.is_finite() else None)
+
+
+def _noise_floor(n: int, series: Optional[list]) -> float:
+    """Field rows below this t decide nothing: the dimension-6 axis rows of a
+    body without an axis series."""
+    return _AXIS_NOISE_T if n == 6 and series is None else 0.0
+
+
+def _series_reciprocal_jet(series: list, x: float, order: int) -> Jet:
+    """Jet of 1 / sum_j a_j x^j at a float x; the sum's k-th Taylor
+    coefficient there is sum_j C(j, k) a_j x^(j-k)."""
+    return 1.0 / Jet([sum(math.comb(j, k) * a * x ** (j - k)
+                          for j, a in enumerate(series) if j >= k)
+                      for k in range(order + 1)])
 
 
 def reciprocal_intersection_profile(body: BodyOfRevolution,
                                     moments: Optional[MomentTable] = None
-                                    ) -> ProfileLike:
-    """The inverse-Radon input x -> x^(n-3)/h_n(x).
+                                    ) -> DerivedProfile:
+    """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)), with jets of order
+    up to 4.
 
-    When the intersection profile has a closed form (R^6 cylinder), its
-    exact reciprocal is returned so that downstream results match the
-    known printed expressions digit for digit; otherwise a quadrature-backed
-    function with jets of order up to 4 that reads B and C from ``moments``
-    (a fresh :class:`MomentTable` when omitted).  The two differ by a fixed
-    positive factor only, which no sign decision depends on.
+    B and C are read from ``moments`` (a fresh :class:`MomentTable` when
+    omitted).  In dimension 6 the points below _AXIS_NOISE_T take the axis
+    series of rho^5 instead, when the body has one (:func:`_axis_series`).
     """
     n = body.dimension
-    _require_even_dimension(n)
-    if _has_closed_form(body):
-        # Only the reciprocal is built (and validated), not the closed form.
-        pieces = [Piece(p.interval, div(1, p.expr)) for p in _cylinder_ik_pieces()]
-        return RadialProfile(pieces, variable=SINE, name=f"1/({_CYLINDER_IK_NAME})")
+    _require_dimension(n)
+    return _reciprocal(body, moments or MomentTable(body.profile, n - 1, n),
+                       _axis_series(body.profile, n))
+
+
+def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
+                series: Optional[list]) -> DerivedProfile:
+    n = body.dimension
     profile = body.profile
-    if moments is None:
-        moments = MomentTable(profile, n - 1, n)
+
+    def from_moments(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
+        jh = h_jet(profile, n, x, order, side, moments=moments)
+        return Jet.variable(x, order) ** (n - 3) / (jh * _IK_FACTOR[n])
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(profile, n, x, order, side, moments=moments)
-        return Jet.variable(x, order) ** (n - 3) / jh
+        near = x < (_AXIS_NOISE_T if series else 0.0)
+        if not near.any():
+            return from_moments(x, order, side)
+        # Usually one point (the grid's first row), so float jets.
+        out = np.empty((order + 1, x.size))
+        if not near.all():
+            for k, c in enumerate(from_moments(x[~near], order, side).coeffs):
+                out[k, ~near] = c
+        for i in np.flatnonzero(near):
+            out[:, i] = _series_reciprocal_jet(series, float(x[i]), order).coeffs
+        return Jet(tuple(out))
 
     return DerivedProfile(source, profile.breakpoint_locations,
                           domain=(_EPS_AXIS, 1.0), variable=SINE, max_order=4,
@@ -313,8 +328,7 @@ def inverse_radon(f: ProfileLike, n: int) -> DerivedProfile:
     t (1/t d/dt)^(n-2) integral_0^t f(x) x^(n-2) (t^2-x^2)^((n-4)/2) dx,
     valid for any f smooth enough on the relevant piece.
     """
-    if n not in (4, 6):
-        raise DomainError(f"inverse Radon transform implemented for n in {{4, 6}}, got {n}")
+    _require_dimension(n)
     if f.variable != SINE:
         raise DomainError("inverse transform input must use the sine convention")
     extra = 1 if n == 4 else 2
@@ -346,8 +360,7 @@ def box_operator(g: ProfileLike, n: int, t, side: Optional[str] = None):
     t is a float (a float is returned) or an array of points, evaluated in
     one walk with one side for all of them (an array is returned).
     """
-    if int(n) != n or n < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {n}")
+    _require_dimension(n)
     if g.variable != COSINE:
         raise DomainError("box operator acts on functions of the cosine variable")
     ts, single = _points(t)
@@ -443,19 +456,21 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
                       settings: Settings = DEFAULT_SETTINGS) -> ObstructionField:
     """Evaluate the zonoid-obstruction measure for a body of revolution.
 
-    Continuous part: box_operator(inverse_radon(x^(n-3)/h_n)) sampled over the
-    grid (one-sided at kinks); atoms: (1 - t0^2) times the first-derivative
-    jump of g at each kink where g is continuous but not C1.  Verdict is
-    NotPolarZonoid iff the density falls below -NEGATIVITY_SCALE * max|density|
-    or any atom is negative.  In dimension 6 the rows with t < 1e-4 stay in
-    the output but are listed in ``excluded`` and decide nothing.  The
-    moments are integrated at the tolerances of ``settings``.
+    Continuous part: box_operator(inverse_radon(x^(n-3)/(c_n h_n))) sampled
+    over the grid (one-sided at kinks); atoms: (1 - t0^2) times the
+    first-derivative jump of g at each kink where g is continuous but not
+    C1.  Verdict is NotPolarZonoid iff the density falls below
+    -NEGATIVITY_SCALE * max|density| or any atom is negative.  In dimension 6
+    the rows with t < 1e-4 of a body without an axis series (see
+    :func:`_axis_series`) stay in the output but are listed in ``excluded``
+    and decide nothing.  The moments are integrated at the tolerances of
+    ``settings``.
     """
     n = body.dimension
-    if n not in (4, 6):
-        raise DomainError(f"obstruction field implemented for n in {{4, 6}}, got {n}")
+    _require_dimension(n)
     moments = MomentTable(body.profile, n - 1, n, settings)
-    g = inverse_radon(reciprocal_intersection_profile(body, moments=moments), n)
+    series = _axis_series(body.profile, n)
+    g = inverse_radon(_reciprocal(body, moments, series), n)
 
     if grid is None:
         grid_arr = default_grid(g.breakpoint_locations,
@@ -495,7 +510,8 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     max_abs = float(np.max(np.abs(all_values))) if all_values.size else 0.0
     tol = NEGATIVITY_SCALE * max_abs
     # Rows this close to the axis stay in the output but decide nothing.
-    noise = [n == 6 and r[0] < _AXIS_NOISE_T for r in rows]
+    floor = _noise_floor(n, series)
+    noise = [r[0] < floor for r in rows]
     excluded = [(r[0], "dimension-6 axis row: the jet of x^3/h there is rounding noise")
                 for r, skip in zip(rows, noise) if skip]
     rows_used = [r for r, skip in zip(rows, noise) if not skip]

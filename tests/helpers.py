@@ -1,15 +1,17 @@
-"""Helpers that only the tests call: numerical cross-checks and an accessor.
+"""Helpers that only the tests call: numerical cross-checks, accessors and
+small conveniences on library types.
 
 ``inverse_radon_brute`` integrates with the QUADPACK reference
 (``reference_quadpack``), so it is independent of the library's quadrature.
 """
 
+import json
 import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from ibodies.calculus import QuadratureRequest
+from ibodies.calculus import QuadratureRequest, RootBracket
 from ibodies.errors import DomainError
 from ibodies.jets import Jet
 from ibodies.profile import COSINE, SINE, DerivedProfile, ProfileLike
@@ -18,6 +20,33 @@ from reference_quadpack import integrate
 
 class Divergent(RuntimeError):
     """A limit extrapolation did not stabilize."""
+
+
+def bracket(fn: Callable[[float], float], lower: float, upper: float) -> RootBracket:
+    """The root bracket of fn on [lower, upper]."""
+    return RootBracket(lower, upper, fn(lower), fn(upper))
+
+
+def report_json(report) -> str:
+    """A criterion report as indented JSON with sorted keys."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def truncated(jet: Jet, order: int) -> Jet:
+    """The jet cut down to ``order``."""
+    if order >= jet.order:
+        return jet
+    return Jet(jet.coeffs[: order + 1])
+
+
+def compose(outer: Jet, inner: Jet) -> Jet:
+    """Jet of f(u(.)), where ``outer`` is the jet of f at ``inner.value``."""
+    n = min(outer.order, inner.order)
+    delta = Jet((0.0,) + inner.coeffs[1 : n + 1])
+    acc = Jet.constant(outer.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * delta + outer.coeffs[k]
+    return acc
 
 
 def one_sided_limit(fn: Callable[[float], float], t0: float, side: str,
@@ -120,7 +149,7 @@ def converted_variable(profile: ProfileLike) -> DerivedProfile:
         # A side for t maps to the opposite side for u = sqrt(1 - t^2).
         flip = {None: None, "left": "right", "right": "left"}[side]
         outer = profile._jet(u0, order, flip)
-        return outer.compose(inner)
+        return compose(outer, inner)
 
     lo = max(np.sqrt(1.0 - profile.domain[1] ** 2), 1e-8)
     hi = min(np.sqrt(1.0 - profile.domain[0] ** 2), 1.0)

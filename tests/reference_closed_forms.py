@@ -15,9 +15,10 @@ from ibodies.criteria import _axis_jet, _sixdim_moments, cor6_check, prop1_check
 from ibodies.errors import DomainError, InvalidParam
 from ibodies.families import FamilySpec, instantiate
 from ibodies.jets import Jet
-from ibodies.profile import COSINE, SINE, DerivedProfile, ProfileLike, RadialProfile
+from ibodies.profile import (COSINE, SINE, DerivedProfile, Piece, ProfileLike,
+                             RadialProfile, add, div, mul, powr, sub, var_t)
 from ibodies.transform import (_EPS_AXIS, MomentTable, _kernel_integral_jet,
-                               _require_even_dimension)
+                               _require_dimension)
 
 
 # ------------------------------------------------------------------ criteria
@@ -58,7 +59,7 @@ def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
     x -> x^(3-n) * integral_0^x q(t) (x^2-t^2)^((n-4)/2) dt of the sine of
     the vertical angle, constants omitted.
     """
-    _require_even_dimension(n)
+    _require_dimension(n)
     if q.variable != COSINE:
         raise DomainError("forward transform input must use the cosine convention")
 
@@ -72,6 +73,23 @@ def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
     return DerivedProfile(source, q.breakpoint_locations, domain=(_EPS_AXIS, 1.0),
                           variable=SINE, max_order=4,
                           name=f"radon[{getattr(q, 'name', '') or 'q'}]")
+
+
+def cylinder_intersection_closed_form() -> RadialProfile:
+    """Piecewise closed form of the R^6 cylinder's intersection profile, in
+    the library's normalization (3/2) h_6(x)/x^3 (x = sine of the vertical
+    angle):
+
+        1/sqrt(1-x^2)              on [0, 1/sqrt(2)]
+        (3 - 16x^2 + 28x^4)/(8x^5) on [1/sqrt(2), 1]
+    """
+    t = var_t()
+    t2 = mul(t, t)
+    left = powr(sub(1, t2), -1 / 2)
+    right = div(add(sub(3, mul(16, t2)), mul(28, mul(t2, t2))), mul(8, powr(t, 5)))
+    r = math.sqrt(0.5)
+    return RadialProfile([Piece((0.0, r), left), Piece((r, 1.0), right)],
+                         variable=SINE, name="cylinder intersection profile")
 
 
 # ------------------------------------------------------ capped-cylinder family

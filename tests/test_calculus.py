@@ -12,7 +12,7 @@ from ibodies.calculus import (DEFAULT_SETTINGS, QuadratureRequest, RootBracket,
                               Settings, bisect, cumulative_integrate, integrate)
 from ibodies.errors import InvalidBracket, NoConvergence
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
-from helpers import Divergent, fd_check, one_sided_limit
+from helpers import Divergent, bracket, fd_check, one_sided_limit
 import reference_quadpack
 
 SQ2 = math.sqrt(0.5)
@@ -253,8 +253,7 @@ def test_one_sided_limit_rejects_bad_side():
 # ------------------------------------------------------------- root finding
 
 def test_bisect_finds_cosine_root():
-    bracket = RootBracket.from_fn(math.cos, 1.0, 2.0)
-    root = bisect(math.cos, bracket)
+    root = bisect(math.cos, bracket(math.cos, 1.0, 2.0))
     assert abs(root - math.pi / 2.0) < 1e-11
 
 

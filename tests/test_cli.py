@@ -205,6 +205,14 @@ def test_sweep_validates_range_and_step():
         assert res.stderr.startswith("error: InvalidParam"), res.stderr
 
 
+def test_sweep_refuses_an_oversized_grid():
+    res = run("sweep", "--builtin", "cyl_caps_KM", "--param", "M",
+              "--range", "1", "2", "--step", "1e-12")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: InvalidParam"), res.stderr
+    assert res.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -270,6 +278,14 @@ def test_validate_profile_json_round_trip(tmp_path):
     payload = json.loads(res.stdout)
     assert payload["breakpoints"] == []
     assert payload["profile"]["pieces"][0]["interval"] == [0.0, 1.0]
+
+
+def test_validate_takes_no_tolerances():
+    # validate integrates nothing, so a tolerance flag is a usage error.
+    for flag in ("--tol-rel", "--tol-abs"):
+        res = run("validate", "--builtin", "ball", flag, "1e-3")
+        assert res.returncode == 2, (flag, res.stderr)
+        assert "unrecognized arguments" in res.stderr
 
 
 def test_validate_reports_malformed_json(tmp_path):

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ibodies.calculus import RootBracket, bisect
+from ibodies.calculus import bisect
 from ibodies.criteria import _sixdim_moments, cor6_check
 from ibodies.errors import InvalidParam
-from ibodies.families import (DEFAULT_DIMENSION, FAMILY_NAMES, FamilySpec,
-                              instantiate, lp_threshold, step_grid, sweep)
+from ibodies.families import (DEFAULT_DIMENSION, FAMILY_NAMES, MAX_GRID_POINTS,
+                              FamilySpec, instantiate, lp_threshold, step_grid,
+                              sweep)
+from helpers import bracket
 from reference_closed_forms import (octagon_h1_closed, octagon_k1_closed,
                                     octagon_margin, octagon_margin_closed,
                                     w_of_M, w_of_M_closed)
@@ -129,7 +131,7 @@ def test_octagon_margin_matches_closed_form():
 
 def test_octagon_threshold_parameter():
     root = bisect(octagon_margin_closed,
-                  RootBracket.from_fn(octagon_margin_closed, 0.7, 0.9),
+                  bracket(octagon_margin_closed, 0.7, 0.9),
                   x_tol=1e-12)
     assert abs(root - 0.826279) < 1e-5
     assert octagon_margin(0.5) > 0.0          # satisfied below the threshold
@@ -176,6 +178,13 @@ def test_step_grid():
                          (1.0, 2.0, math.nan)]:
         with pytest.raises(InvalidParam):
             step_grid(lo, hi, step)
+
+
+def test_step_grid_refuses_oversized_grids():
+    # 10^12 points would exhaust memory; the check runs before any is built.
+    with pytest.raises(InvalidParam, match="more than 100000 grid points"):
+        step_grid(0.0, 1.0, 1e-12)
+    assert len(step_grid(0.0, 1.0, 1.0 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
 
 
 def test_family_spec_rejects_non_finite_params():

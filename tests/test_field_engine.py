@@ -6,10 +6,12 @@ flags, atoms and verdict as the library's own chain driven by per-row scalar
 quadrature (``reference_moments``), and the same values on every 10th row,
 every joint row and the minimum row.
 
-The axis row t = 1e-6 is left out of the value comparison: in dimension 6
-its jet of x^3/h cancels catastrophically, so rounding-level differences in
-B and C move it by up to ~1.6e-4 max|field| under either engine (the field
-excludes such rows from its verdict).
+The axis row t = 1e-6 is left out of the value comparison: in dimension 6,
+for a body without an axis series (lp_revolution at p = 4.5), its jet of
+x^3/h cancels catastrophically, so rounding-level differences in B and C
+move it by up to ~1.6e-4 max|field| under either engine (the field
+excludes such rows from its verdict).  Every other body takes that row
+from the series under both engines.
 
 The field evaluates its interior rows in one array walk and its joint rows
 from the classification jets; the tests below also check each row against a
@@ -94,13 +96,9 @@ def test_moment_diagnostics_repeat_and_meet_tolerance(name, dim):
     assert set(first.diagnostics) == DIAGNOSTIC_KEYS
     assert first.diagnostics == again.diagnostics
     assert 0.0 <= first.diagnostics["worst_error_fraction"] <= 1.0
-    if name == "cylinder" and dim == 6:
-        # The closed-form intersection profile needs no moments.
-        assert first.diagnostics["panels"] == 0
-    else:
-        # Every row's abscissa ends a panel; each panel costs 15 evaluations.
-        assert first.diagnostics["panels"] >= len(set(first.grid))
-        assert first.diagnostics["integrand_evals"] >= 15 * first.diagnostics["panels"]
+    # Every row's abscissa ends a panel; each panel costs 15 evaluations.
+    assert first.diagnostics["panels"] >= len(set(first.grid))
+    assert first.diagnostics["integrand_evals"] >= 15 * first.diagnostics["panels"]
 
 
 def test_field_keeps_the_g_it_evaluated():
@@ -195,8 +193,6 @@ def test_box_formula_refuses_non_finite_jets():
 def test_moment_pass_needs_no_bisection_on_builtins(name, dim):
     # Every panel ends at a row or a joint and meets its share at once.
     fld = _field(name, dim)
-    if name == "cylinder" and dim == 6:
-        return  # closed-form intersection profile: no moment pass
     breaks = _body(name, dim).profile.breakpoint_locations
     edges = np.unique(np.concatenate([[0.0], breaks, fld.grid]))
     assert fld.diagnostics["max_depth"] == 0

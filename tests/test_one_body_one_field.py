@@ -1,0 +1,103 @@
+"""One body, one field: the obstruction field depends on the body, never on
+the family name or the description it was built from; and the dimension-6
+axis rows come from the Taylor series of rho^5 at 0 where it exists.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
+from ibodies.profile import BodyOfRevolution, profile_from_json
+from ibodies.transform import NEGATIVITY_SCALE, box_operator, obstruction_field
+
+# Midpoints of the parameter ranges the benchmark catalogue draws from.
+CATALOGUE_PARAMS = {"lp_revolution": {"p": 4.5}, "octagon_Kb": {"b": 0.65},
+                    "cyl_caps_KM": {"M": 2.25}}
+BODIES = [(name, dim) for name in FAMILY_NAMES for dim in (4, 6)]
+# Builtins whose rho^5 has a Taylor series at 0 (lp_revolution at p = 4.5
+# has a t^4.5 term; test_field_engine checks that its axis rows stay
+# excluded).
+ANALYTIC = [name for name in FAMILY_NAMES if name != "lp_revolution"]
+
+
+def _body(name, dim, **params):
+    return instantiate(FamilySpec(name, params or CATALOGUE_PARAMS.get(name, {}), dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _field(name, dim):
+    return obstruction_field(_body(name, dim))
+
+
+def _same_field(a, b):
+    assert a.grid == b.grid
+    assert a.continuous_values == b.continuous_values
+    assert a.is_left_limit == b.is_left_limit
+    assert a.atoms == b.atoms
+    assert a.breakpoint_classes == b.breakpoint_classes
+    assert a.excluded == b.excluded
+    assert (a.verdict, a.min_value, a.min_location, a.sign_changes) == \
+        (b.verdict, b.min_value, b.min_location, b.sign_changes)
+
+
+# ------------------------------------------------------ two descriptions
+
+def test_octagon_at_b_one_is_the_cylinder():
+    # The octagon's diagonal degenerates at b = 1: the same body as the
+    # cylinder, with its joint one ulp away.
+    octagon = obstruction_field(_body("octagon_Kb", 6, b=1.0))
+    cylinder = _field("cylinder", 6)
+    assert len(octagon.grid) == len(cylinder.grid)
+    assert np.allclose(octagon.grid, cylinder.grid, rtol=0.0, atol=1e-15)
+    diff = np.abs(np.subtract(octagon.continuous_values, cylinder.continuous_values))
+    assert diff.max() <= 1e-14 * cylinder.max_abs
+    assert [w for _, w in octagon.atoms] == pytest.approx(
+        [w for _, w in cylinder.atoms], rel=1e-14)
+    assert octagon.verdict == cylinder.verdict == "NotPolarZonoid"
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_lp_at_p_two_is_the_ball_bit_for_bit(dim):
+    _same_field(obstruction_field(_body("lp_revolution", dim, p=2.0)), _field("ball", dim))
+
+
+@pytest.mark.parametrize("name,dim", BODIES)
+def test_json_dump_gives_the_same_field(name, dim):
+    body = _body(name, dim)
+    again = BodyOfRevolution(dim, profile_from_json(body.profile.to_json_dict()))
+    _same_field(obstruction_field(again), _field(name, dim))
+
+
+@pytest.mark.parametrize("name,dim", BODIES)
+def test_family_name_changes_nothing(name, dim):
+    bare = BodyOfRevolution(dim, _body(name, dim).profile)
+    assert bare.family is None
+    _same_field(obstruction_field(bare), _field(name, dim))
+
+
+# ------------------------------------------------------------ axis rows
+
+def test_ball_axis_row_is_its_constant():
+    fld = _field("ball", 6)
+    assert fld.grid[0] == 1e-6
+    assert abs(fld.continuous_values[0] - 30.0) <= 1e-12 * 30.0
+
+
+def test_cylinder_axis_row_vanishes():
+    fld = _field("cylinder", 6)
+    assert fld.grid[0] == 1e-6
+    assert abs(fld.continuous_values[0]) < 1e-12
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_analytic_bodies_exclude_no_row(name):
+    assert _field(name, 6).excluded == []
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_series_meets_quadrature_at_the_switch(name):
+    fld = _field(name, 6)
+    below, above = box_operator(fld.g, 6, np.array([0.99999e-4, 1.00001e-4]))
+    assert abs(below - above) <= NEGATIVITY_SCALE * fld.max_abs

@@ -152,7 +152,7 @@ def test_scan_finds_cylinder_negative_witness_inside_outer_piece():
 
 
 def test_scan_reports_no_witness_for_balls():
-    # Unit-ball fields are the positive constants 3 (dim 4) and 45 (dim 6).
+    # Unit-ball fields are the positive constants 3 (dim 4) and 30 (dim 6).
     cert4 = field_sign_scan(body("ball", 4))
     assert not cert4.found and cert4.witness is None and cert4.value is None
     assert cert4.kind == ""
@@ -161,7 +161,7 @@ def test_scan_reports_no_witness_for_balls():
 
     cert6 = field_sign_scan(body("ball", 6))
     assert not cert6.found
-    assert abs(cert6.min_value - 45.0) < 1e-2
+    assert abs(cert6.min_value - 30.0) < 1e-2
     assert cert6.verdict == "Inconclusive"
 
 

@@ -13,8 +13,8 @@ from ibodies.profile import (BodyOfRevolution, Piece, RadialProfile, add,
                              classify_breakpoints, const, div, mul, parse_prefix,
                              powr, profile_from_json, sqrt, sub, validate_convexity,
                              var_t)
-from ibodies.transform import cylinder_intersection_closed_form
 from helpers import converted_variable
+from reference_closed_forms import cylinder_intersection_closed_form
 
 SQ2 = math.sqrt(0.5)
 

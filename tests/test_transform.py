@@ -15,12 +15,11 @@ import pytest
 from ibodies.errors import DomainError
 from ibodies.families import FamilySpec, instantiate
 from ibodies.profile import Piece, RadialProfile, add, mul, var_t
-from ibodies.transform import (box_operator, cylinder_intersection_closed_form,
-                               default_grid, h_fn, h_jet, intersection_radial,
-                               inverse_radon, obstruction_field,
-                               reciprocal_intersection_profile)
+from ibodies.transform import (MomentTable, box_operator, default_grid, h_fn, h_jet,
+                               intersection_radial, inverse_radon,
+                               obstruction_field, reciprocal_intersection_profile)
 from helpers import fd_check, inverse_radon_brute, value_at
-from reference_closed_forms import radon_transform
+from reference_closed_forms import cylinder_intersection_closed_form, radon_transform
 
 SQ2 = math.sqrt(0.5)
 
@@ -103,6 +102,20 @@ def test_h_rejects_bad_arguments():
         h_fn(ball, 4, 1.5)
 
 
+def test_dimension_outside_four_and_six_is_rejected_alike():
+    ball = _body("ball")
+    body8 = instantiate(FamilySpec("ball", {}, 8))
+    calls = [lambda: h_fn(ball.profile, 8, 0.5),
+             lambda: MomentTable(ball.profile, 7, 8),
+             lambda: inverse_radon(intersection_radial(_body("ball", 4)), 8),
+             lambda: intersection_radial(body8),
+             lambda: reciprocal_intersection_profile(body8),
+             lambda: obstruction_field(body8)]
+    for call in calls:
+        with pytest.raises(DomainError, match="^dimension must be 4 or 6, got 8$"):
+            call()
+
+
 def test_h_jet_matches_finite_differences():
     # The jet route uses localization identities; the check re-derives h'
     # from values of h alone.
@@ -123,7 +136,7 @@ def test_intersection_profile_of_balls_is_constant():
     ir6 = intersection_radial(_body("ball", 6))
     for x in (0.1, 0.5, 0.99):
         assert abs(ir4.value(x) - 1.0) < 1e-12
-        assert abs(ir6.value(x) - 2.0 / 3.0) < 1e-12
+        assert abs(ir6.value(x) - 1.0) < 1e-12
 
 
 def test_cylinder_intersection_closed_form_values():
@@ -137,12 +150,12 @@ def test_cylinder_intersection_closed_form_values():
 
 
 def test_cylinder_quadrature_route_is_proportional_to_closed_form():
-    # The closed form carries a fixed 3/2 normalization over the bare moment
-    # ratio h(x)/x^3; both routes must agree up to exactly that constant.
+    # The closed form and the quadrature route share the normalization
+    # (3/2) h(x)/x^3, so their ratio is 1.
     ir = intersection_radial(_body("cylinder"))
-    assert ir.closed_form is not None
+    closed_form = cylinder_intersection_closed_form()
     for x in (0.3, SQ2, 0.85, 1.0):
-        assert abs(ir.closed_form.value(x) / ir.value(x) - 1.5) < 1e-9
+        assert abs(closed_form.value(x) / ir.value(x) - 1.0) < 1e-9
 
 
 def test_radon_round_trip_constants():
