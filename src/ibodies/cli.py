@@ -192,10 +192,6 @@ def cmd_sweep(args, settings: Settings) -> int:
     if len(swept) != 1:
         raise InvalidParam("sweep needs exactly one bare --param NAME to vary")
     lo, hi = args.sweep_range
-    if not lo < hi:
-        raise InvalidParam("--range LO HI needs LO < HI")
-    if args.step <= 0:
-        raise InvalidParam("--step must be positive")
     result = sweep(FamilySpec(args.builtin, fixed, args.dim), swept[0],
                    step_grid(lo, hi, args.step), criterion=args.criterion,
                    settings=settings)

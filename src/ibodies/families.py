@@ -259,11 +259,17 @@ def step_grid(lo: float, hi: float, step: float) -> list:
     """lo, lo + step, ... up to hi, with hi itself as the last point.
 
     A point past hi by more than rounding is dropped, and hi is appended when
-    the last step falls short of it.  A grid of more than MAX_GRID_POINTS
-    points is an InvalidParam, raised before any point is built.
+    the last step falls short of it.  Bounds or a step that are not finite,
+    bounds out of order, a step that is not positive and a grid of more than
+    MAX_GRID_POINTS points are an InvalidParam, raised before any point is
+    built.
     """
     if not all(map(math.isfinite, (lo, hi, step))):
         raise InvalidParam(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
+    if not lo < hi:
+        raise InvalidParam(f"a grid needs lo < hi, got {lo}, {hi}")
+    if not step > 0.0:
+        raise InvalidParam(f"a grid step must be positive, got {step}")
     span = (hi - lo) / step
     if not span <= MAX_GRID_POINTS - 1:
         raise InvalidParam(f"a step of {step} from {lo} to {hi} gives more than "
@@ -329,9 +335,7 @@ def lp_threshold(p_lo: float, p_hi: float, step: float) -> SweepResult:
     Locates where the criterion stops holding as p grows (the margin's sign
     change); the refined root is reported without further interpretation.
     """
-    if not 2.0 < p_lo < p_hi:
-        raise InvalidParam("need 2 < p_lo < p_hi")
-    if step <= 0.0:
-        raise InvalidParam("step must be positive")
+    if not 2.0 < p_lo:
+        raise InvalidParam(f"need 2 < p_lo, got {p_lo}")
     return sweep(FamilySpec("lp_revolution", {"p": p_lo}, dimension=6),
                  "p", step_grid(p_lo, p_hi, step), criterion="cor6")

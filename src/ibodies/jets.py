@@ -157,8 +157,11 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(tuple(c * other for c in self.coeffs))
         a, b, n = self._align(other)
-        return Jet(tuple(sum(a[j] * b[k - j] for j in range(k + 1))
-                         for k in range(n + 1)))
+        # The value is one product; sum() would add it to 0, an array pass
+        # per node at order 0.  The higher sums keep their start 0, which
+        # turns a sum of -0.0 terms into +0.0.
+        return Jet((a[0] * b[0],) + tuple(sum(a[j] * b[k - j] for j in range(k + 1))
+                                          for k in range(1, n + 1)))
 
     __rmul__ = __mul__
 

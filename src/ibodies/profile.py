@@ -388,12 +388,28 @@ class RadialProfile:
             return self._pieces_jet(t, index, order)
         return self.pieces[index[0]].expr.eval_jet(float(t), order)
 
-    def _pieces_jet(self, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
-        """Array jet with point k evaluated on piece ``index[k]``: one walk
-        of each piece's expression, over that piece's points only."""
-        out = np.empty((order + 1, t.size))
+    def _pieces_jet(self, t: np.ndarray, index, order: int) -> Jet:
+        """Array jet with point k evaluated on piece ``index[k]``, or on piece
+        ``index`` for every point when it is an int.
+
+        Each occupied piece's expression is walked once, over its own points;
+        when they all lie on one piece it is walked on t itself, with no
+        masks and no scatter.  Every coefficient is a fresh float array of
+        t's shape.
+        """
+        if isinstance(index, np.ndarray):
+            occupied = np.flatnonzero(np.bincount(index, minlength=len(self.pieces)))
+            if occupied.size == 1:
+                index = int(occupied[0])
         with np.errstate(all="ignore"):
-            for i in np.unique(index):
+            if not isinstance(index, np.ndarray):
+                jet = self.pieces[index].expr.eval_jet(t, order)
+                # A constant coefficient is a scalar, and the jet of "t" holds t.
+                return Jet(tuple(c if isinstance(c, np.ndarray) and c is not t
+                                 else np.broadcast_to(c, t.shape).copy()
+                                 for c in jet.coeffs))
+            out = np.empty((order + 1, t.size))
+            for i in occupied:
                 sel = index == i
                 jet = self.pieces[i].expr.eval_jet(t[sel], order)
                 for k, c in enumerate(jet.coeffs):
@@ -414,9 +430,20 @@ class RadialProfile:
 
     def eval_array(self, t: np.ndarray) -> np.ndarray:
         """Values at an array of points (a joint takes its left piece); nan
-        outside [0, 1]."""
+        outside [0, 1].
+
+        Returns a fresh float array of t's shape.  When every point lies in
+        [0, 1] there is no NaN fill and no scatter, and when the least and
+        the greatest point lie on one piece no point is located at all.
+        """
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
+        lo, hi = (flat.min(), flat.max()) if flat.size else (np.nan, np.nan)
+        if 0.0 <= lo and hi <= 1.0:
+            first, last = np.searchsorted(self._left_of, (lo, hi), side="left")
+            index = (int(first) if first == last
+                     else np.searchsorted(self._left_of, flat, side="left"))
+            return self._pieces_jet(flat, index, 0).value.reshape(t.shape)
         out = np.full(flat.shape, np.nan)
         inside = (flat >= 0.0) & (flat <= 1.0)
         pts = flat[inside]

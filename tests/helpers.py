@@ -197,3 +197,30 @@ def value_at(fld, t: float) -> float:
     """The continuous value of the field row nearest to t."""
     idx = int(np.argmin(np.abs(np.asarray(fld.grid) - t)))
     return fld.continuous_values[idx]
+
+
+def masked_pieces_jet(profile, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
+    """``RadialProfile._pieces_jet`` as it was before it grouped points with
+    ``np.bincount``: each piece's points gathered through a mask, in
+    ``np.unique`` order, and scattered back into one array."""
+    out = np.empty((order + 1, t.size))
+    with np.errstate(all="ignore"):
+        for i in np.unique(index):
+            sel = index == i
+            jet = profile.pieces[i].expr.eval_jet(t[sel], order)
+            for k, c in enumerate(jet.coeffs):
+                out[k, sel] = c
+    return Jet(tuple(out))
+
+
+def masked_eval_array(profile, t) -> np.ndarray:
+    """``RadialProfile.eval_array`` as it was before its unmasked routes:
+    a NaN-filled array with the points in [0, 1] scattered into it."""
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    out = np.full(flat.shape, np.nan)
+    inside = (flat >= 0.0) & (flat <= 1.0)
+    pts = flat[inside]
+    index = np.searchsorted(profile._left_of, pts, side="left")
+    out[inside] = masked_pieces_jet(profile, pts, index, 0).value
+    return out.reshape(t.shape)

@@ -383,3 +383,12 @@ def test_misshapen_profile_json_is_an_input_error(tmp_path):
         res = run("validate", "--profile-json", str(path), "--dim", "4")
         assert res.returncode == 2, (obj, res.stderr)
         assert res.stderr.startswith("error: ProfileFormatError"), obj
+
+
+def test_sweep_refuses_a_zero_step_and_a_reversed_range():
+    for rng, step in [(("1", "3"), "0"), (("3", "1"), "0.5")]:
+        res = run("sweep", "--builtin", "cyl_caps_KM", "--dim", "4", "--param",
+                  "M", "--range", *rng, "--step", step)
+        assert res.returncode == 2, (rng, step, res.stderr)
+        assert res.stderr.startswith("error: InvalidParam"), res.stderr
+        assert res.stdout == ""

@@ -249,3 +249,17 @@ def test_sweep_csv_layout():
     assert lines[1].split(",")[1] == ""    # NaN margin serializes empty
     assert lines[-1].endswith(",root,1")
     assert "roots:" in result.summary()
+
+
+def test_step_grid_refuses_a_bad_step_or_range():
+    for lo, hi, step, match in [(0.0, 1.0, -0.1, "step must be positive"),
+                                (0.0, 1.0, 0.0, "step must be positive"),
+                                (1.0, 0.0, 0.1, "lo < hi"),
+                                (1.0, 1.0, 0.1, "lo < hi")]:
+        with pytest.raises(InvalidParam, match=match):
+            step_grid(lo, hi, step)
+    # lp_threshold keeps only its own bound on p and leaves the grid to step_grid.
+    with pytest.raises(InvalidParam, match="lo < hi"):
+        lp_threshold(10.0, 9.0, 0.1)
+    with pytest.raises(InvalidParam, match="step must be positive"):
+        lp_threshold(9.0, 10.0, 0.0)

@@ -1,6 +1,7 @@
 """Monte Carlo section-volume oracle and the field sign scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from ibodies import (DomainError, FamilySpec, InsufficientSamples,
                      field_sign_scan, instantiate, mc_section_volume,
                      section_ratio_report)
+from ibodies.oracle import CHUNK
+from reference_oracle import mc_section_volume_whole_batch
 
 KINK = 1.0 / math.sqrt(2.0)
 
@@ -192,3 +195,49 @@ def test_scan_accepts_custom_grid():
     grid = np.linspace(1e-3, 1.0, 301)
     cert = field_sign_scan(body("cylinder", 6), grid=grid)
     assert cert.found and cert.value < -1000.0
+
+
+# ---------------------------------------------------------------------------
+# The chunked estimator against the whole-batch reference
+
+
+# Batches shorter than a chunk, batches of whole chunks plus a short tail of
+# two or three rows (8 * CHUNK + 17), of exactly one row (8 * (CHUNK + 1)),
+# and 10^5 samples (batches of 12,500).
+CHUNKED_SAMPLES = (10 ** 4 + 3, 8 * CHUNK + 17, 8 * (CHUNK + 1), 10 ** 5)
+
+
+@pytest.mark.parametrize("name,dim", [("ball", 4), ("cyl_caps", 4),
+                                      ("cylinder", 6), ("three_bodies_L", 6)])
+@pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
+def test_chunked_estimate_is_the_whole_batch_estimate(name, dim, phi):
+    b = body(name, dim)
+    for samples in CHUNKED_SAMPLES:
+        got = mc_section_volume(b, phi, samples, seed=4321)
+        want = mc_section_volume_whole_batch(b, phi, samples, seed=4321)
+        assert (got.hits, got.volume, got.std_error) == \
+            (want.hits, want.volume, want.std_error), (samples, got, want)
+
+
+def test_section_ratio_report_hits_at_a_million_samples():
+    # The hits of the whole-batch estimator, which the chunks must reproduce.
+    golden = {("ball", 4): [1000000, 1000000, 1000000],
+              ("cyl_caps", 4): [312052, 177219, 144744],
+              ("three_bodies_L", 6): [738366, 877176, 948317]}
+    for (name, dim), hits in golden.items():
+        rep = section_ratio_report(body(name, dim), samples=10 ** 6)
+        assert [e["hits"] for e in rep["estimates"]] == hits, name
+
+
+def test_estimator_memory_is_about_one_batch_of_cosines():
+    # tracemalloc counts numpy's allocations, not RSS, so the peak repeats
+    # exactly.  The whole-batch estimator peaks at about 19 MB; the chunked
+    # one keeps one batch of cosines (1 MB) and one chunk of draws.
+    b = body("three_bodies_L", 6)
+    tracemalloc.start()
+    try:
+        mc_section_volume(b, math.pi / 4, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak

@@ -2,18 +2,21 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibodies.errors import (DomainError, ProfileFormatError, SideRequired,
                             SmoothnessError)
 from ibodies.families import FamilySpec, instantiate
 from ibodies.profile import (BodyOfRevolution, Piece, RadialProfile, add,
-                             classify_breakpoints, const, div, mul, parse_prefix,
-                             powr, profile_from_json, sqrt, sub, validate_convexity,
-                             var_t)
-from helpers import converted_variable
+                             classify_breakpoints, const, div, exp_of, mul, neg,
+                             parse_prefix, powr, profile_from_json, sqrt, sub,
+                             validate_convexity, var_t)
+from helpers import converted_variable, masked_eval_array, masked_pieces_jet
 from reference_closed_forms import cylinder_intersection_closed_form
 
 SQ2 = math.sqrt(0.5)
@@ -290,3 +293,123 @@ def test_body_of_revolution_validation():
         BodyOfRevolution(dimension=2, profile=profile)
     body = BodyOfRevolution(dimension=4, profile=profile)
     assert "R^4" in body.describe()
+
+
+# ------------------------------------------------- array evaluation routes
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _two_piece():
+    # A kink at 1/2: 1 on [0, 1/2], 1.5 - t on [1/2, 1].
+    t = var_t()
+    return RadialProfile([Piece((0.0, 0.5), const(1.0)),
+                          Piece((0.5, 1.0), sub(1.5, t))])
+
+
+@pytest.mark.parametrize("profile, points", [
+    (_builtin("ball"), np.empty(0)),
+    (_two_piece(), np.empty((3, 0))),
+    (_builtin("ball"), np.linspace(0.0, 1.0, 7)),
+    (_builtin("lp_revolution", p=4), np.linspace(0.0, 1.0, 33)),
+    (_two_piece(), np.linspace(0.0, 0.4, 9)),
+    (_two_piece(), np.linspace(0.6, 1.0, 9)),
+    (_two_piece(), np.array([0.5, 0.5, 0.25, 0.75, 0.5 + 1e-13, 0.5 - 1e-13])),
+    (_two_piece(), np.array([-0.1, 0.0, 0.5, 1.0, 1.1, np.nan, np.inf])),
+    (_builtin("cyl_caps"), np.array([-1e-300, 0.3, SQ2, 0.9, 1.0 + 1e-15])),
+    (_builtin("three_bodies_L"), np.linspace(0.0, 1.0, 12).reshape(3, 4)),
+    (_builtin("cyl_caps"), np.linspace(-0.5, 1.5, 30).reshape(2, 5, 3)),
+])
+def test_eval_array_matches_the_masked_scatter_bit_for_bit(profile, points):
+    got = profile.eval_array(points)
+    want = masked_eval_array(profile, points)
+    assert got.shape == points.shape and got.dtype == np.float64
+    assert _bits(got) == _bits(want)
+
+
+def test_eval_array_takes_the_left_piece_on_a_joint():
+    assert _two_piece().eval_array(np.array([0.5, 0.5])).tolist() == [1.0, 1.0]
+    # A kink of cyl_caps: the left piece's value there is 1/sqrt(2) to rounding.
+    left = _builtin("cyl_caps").pieces[0].expr.eval(SQ2)
+    assert _builtin("cyl_caps").eval_array(np.array([SQ2]))[0] == left
+
+
+@pytest.mark.parametrize("expr", [const(2.0), var_t(), add(var_t(), 1.0)])
+def test_eval_array_returns_a_fresh_writable_array(expr):
+    # A constant piece yields a scalar and the piece "t" yields the points
+    # themselves; neither may reach the caller.
+    profile = RadialProfile([Piece((0.0, 1.0), expr)])
+    points = np.linspace(0.1, 1.0, 5)
+    before = points.copy()
+    a = profile.eval_array(points)
+    b = profile.eval_array(points)
+    assert a.flags.writeable and not np.shares_memory(a, b)
+    assert not np.shares_memory(a, points)
+    a[:] = -1.0
+    assert _bits(points) == _bits(before)
+    assert _bits(b) == _bits(masked_eval_array(profile, points))
+
+
+def test_pieces_jet_matches_the_masked_scatter_at_every_order():
+    profile = _builtin("three_bodies_L")
+    points = np.concatenate([np.linspace(0.05, 0.7, 9), np.linspace(0.72, 0.99, 9)])
+    for pts in (points, points[:9], points[9:]):
+        index = np.searchsorted(profile._right_of, pts, side="right")
+        for order in range(4):
+            got = profile._pieces_jet(pts, index, order)
+            want = masked_pieces_jet(profile, pts, index, order)
+            assert len(got.coeffs) == order + 1
+            for c_got, c_want in zip(got.coeffs, want.coeffs):
+                assert c_got.shape == pts.shape and _bits(c_got) == _bits(c_want)
+
+
+_ROUND_TRIP_CONSTS = st.floats(-1e6, 1e6, allow_nan=False).filter(
+    lambda x: math.copysign(1.0, x) > 0.0 or x != 0.0)
+_ROUND_TRIP_EXPONENTS = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2), Fraction(2),
+                     Fraction(-3), Fraction(7, 1000003)]),
+    st.floats(-4.0, 4.0).map(Fraction))
+
+
+def _round_trip_extend(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([add, sub, mul, div]),
+                  children, children),
+        st.builds(powr, children, _ROUND_TRIP_EXPONENTS),
+        children.map(sqrt), children.map(exp_of), children.map(neg),
+    )
+
+
+_ROUND_TRIP_TREES = st.recursive(
+    st.one_of(_ROUND_TRIP_CONSTS.map(const), st.just(var_t())),
+    _round_trip_extend, max_leaves=10)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tree=_ROUND_TRIP_TREES)
+def test_prefix_round_trip_keeps_every_bit_of_eval_array(tree):
+    # Constants carry no -0.0: a prefix string cannot spell a signed zero.
+    text = tree.to_prefix()
+    back = parse_prefix(text)
+    assert back.to_prefix() == text
+    grid = np.linspace(-0.25, 1.25, 61)
+    with np.errstate(all="ignore"):
+        profiles = [_outcome(lambda e=e: RadialProfile([Piece((0.0, 1.0), e)],
+                                                       require_positive=False))
+                    for e in (tree, back)]
+        if isinstance(profiles[0], type):
+            assert profiles[1] is profiles[0]
+            return
+        want, got = (_outcome(lambda p=p: p.eval_array(grid)) for p in profiles)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert _bits(got) == _bits(want)
