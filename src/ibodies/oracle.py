@@ -16,6 +16,8 @@ Two oracles:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,9 +31,12 @@ from .transform import (_axis_series, _noise_floor, box_operator,
 
 MIN_SAMPLES = 10 ** 4
 # mc_section_volume draws its samples in this many independently seeded batches,
-# and walks each batch in chunks of at most CHUNK rows.
+# walks each batch in chunks of at most CHUNK rows, and runs the batches on
+# WORKERS threads.  Each batch in flight holds 8 bytes of cosines per sample,
+# so WORKERS stays small on purpose.
 BATCHES = 8
-CHUNK = 1 << 15
+CHUNK = 1 << 13
+WORKERS = min(2, os.cpu_count() or 1)
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 4, math.pi / 6)
 
 
@@ -58,6 +63,36 @@ def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def _batch_hits(profile, seed_sequence, m: int, d: int, radius: float,
+                sin_phi: float) -> int:
+    """Hits among the m samples of one seeded batch: all Gaussian directions
+    first, then all uniform radii, each in chunks of CHUNK rows."""
+    rng = np.random.Generator(np.random.PCG64(seed_sequence))
+    chunks = [slice(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
+    cos_vertical = np.empty(m)
+    for rows in chunks:
+        sq = rng.standard_normal((rows.stop - rows.start, d))
+        sq *= sq
+        # The Euclidean norm, with the squares added column by column; on
+        # the numpy this was written against it equals np.linalg.norm's
+        # row reduction bit for bit (a test checks), and sqrt(x*x) == |x|
+        # exactly in binary64.
+        total = sq[:, 0].copy()
+        for j in range(1, d):
+            total += sq[:, j]
+        norms = np.sqrt(total)
+        norms[norms == 0.0] = 1.0
+        np.divide(np.sqrt(sq[:, 0]), norms, out=cos_vertical[rows])
+    cos_vertical *= sin_phi
+    np.clip(cos_vertical, 0.0, 1.0, out=cos_vertical)
+    hits = 0
+    for rows in chunks:
+        radii = radius * rng.random(rows.stop - rows.start) ** (1.0 / d)
+        rho_bound = profile.eval_array(cos_vertical[rows])
+        hits += int(np.count_nonzero(radii <= rho_bound))
+    return hits
+
+
 def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
                       seed: int = 12345) -> SectionEstimate:
     """Estimate the (n-1)-volume of the central section perpendicular to a
@@ -75,7 +110,13 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     all its Gaussian directions, then all its uniform radii, each in chunks
     of CHUNK rows; consecutive draws of k rows give the same numbers as one
     draw of all of them, so the chunking changes no sample and no hit.  Only
-    the vertical cosines (8 bytes per sample of one batch) outlive a chunk.
+    the vertical cosines (8 bytes per sample of a batch) outlive a chunk.
+    The batches run on WORKERS threads: the calling thread takes batches 0,
+    WORKERS, 2*WORKERS, ..., and each extra thread w takes w, w+WORKERS, ....
+    A batch's hits depend only on its seed, and their integer sum on no
+    order, so the estimate does not depend on the thread count.  An
+    exception in any batch is raised in the calling thread after every
+    thread has ended.
     """
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(
@@ -98,27 +139,28 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     base = samples // BATCHES
     sizes = [base] * BATCHES
     sizes[-1] += samples - base * BATCHES
-    hits = 0
-    for child, m in zip(children, sizes):
-        if m == 0:
-            continue
-        rng = np.random.Generator(np.random.PCG64(child))
-        chunks = [slice(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
-        cos_vertical = np.empty(m)
-        for rows in chunks:
-            sq = rng.standard_normal((rows.stop - rows.start, d))
-            sq *= sq
-            # The Euclidean norm as np.linalg.norm takes it, and
-            # sqrt(x*x) == |x| exactly in binary64.
-            norms = np.sqrt(np.add.reduce(sq, axis=1))
-            norms[norms == 0.0] = 1.0
-            np.divide(np.sqrt(sq[:, 0]), norms, out=cos_vertical[rows])
-        cos_vertical *= sin_phi
-        np.clip(cos_vertical, 0.0, 1.0, out=cos_vertical)
-        for rows in chunks:
-            radii = radius * rng.random(rows.stop - rows.start) ** (1.0 / d)
-            rho_bound = body.profile.eval_array(cos_vertical[rows])
-            hits += int(np.count_nonzero(radii <= rho_bound))
+    counts = [0] * BATCHES
+    errors = []
+
+    def run(first: int):
+        try:
+            for k in range(first, BATCHES, WORKERS):
+                counts[k] = _batch_hits(body.profile, children[k], sizes[k], d,
+                                        radius, sin_phi)
+        except Exception as exc:   # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, WORKERS)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    hits = sum(counts)
 
     p_hat = hits / samples
     volume = ball_volume * p_hat

@@ -15,6 +15,7 @@ the two parameterizations from being mixed up silently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -109,7 +110,8 @@ class ExprNode:
 
 
 def _format_number(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    # -0.0 takes repr, so the sign of a zero survives parse_prefix.
+    if x == int(x) and abs(x) < 1e15 and math.copysign(1.0, x) > 0.0:
         return str(int(x))
     return repr(x)
 
@@ -225,7 +227,7 @@ def parse_prefix(text: str) -> ExprNode:
             raise ProfileFormatError("unexpected ')'")
         if tok == "t":
             return ExprNode("t")
-        return const(float(_parse_fraction(tok)))
+        return const(_parse_number(tok))
 
     node = parse()
     if pos != len(tokens):
@@ -239,8 +241,22 @@ def _parse_fraction(tok: str) -> Fraction:
             num, den = tok.split("/")
             return Fraction(int(num), int(den))
         return Fraction(float(tok))
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ProfileFormatError(f"bad number {tok!r}") from e
+
+
+def _parse_number(tok: str) -> float:
+    """A constant: a fraction a/b, or a finite float read as float() reads
+    it (so -0.0 keeps its sign)."""
+    if "/" in tok:
+        return float(_parse_fraction(tok))
+    try:
+        x = float(tok)
+    except ValueError as e:
+        raise ProfileFormatError(f"bad number {tok!r}") from e
+    if not math.isfinite(x):
+        raise ProfileFormatError(f"bad number {tok!r}")
+    return x
 
 
 # ------------------------------------------------------------------- pieces

@@ -227,6 +227,16 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_worker_pool_module():
+    # The oracle's worker threads use threading, which numpy already loads;
+    # concurrent.futures (which pulls in logging) and multiprocessing would
+    # add to the import time every CLI process pays.
+    code = ("import sys, ibodies; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------- one-sided limits
 
 def test_one_sided_limit_of_removable_singularity():

@@ -1,15 +1,18 @@
 """One body, one field: the obstruction field depends on the body, never on
-the family name or the description it was built from; and the dimension-6
-axis rows come from the Taylor series of rho^5 at 0 where it exists.
+the family name or the description it was built from, nor on joints where
+nothing changes; and the dimension-6 axis rows come from the Taylor series
+of rho^5 at 0 where it exists.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
-from ibodies.profile import BodyOfRevolution, profile_from_json
+from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, profile_from_json
 from ibodies.transform import NEGATIVITY_SCALE, box_operator, obstruction_field
 
 # Midpoints of the parameter ranges the benchmark catalogue draws from.
@@ -75,6 +78,53 @@ def test_family_name_changes_nothing(name, dim):
     bare = BodyOfRevolution(dim, _body(name, dim).profile)
     assert bare.family is None
     _same_field(obstruction_field(bare), _field(name, dim))
+
+
+# ------------------------------------------------------ fake breakpoints
+
+FAKE_JOINT_POINTS = 250
+
+
+@functools.lru_cache(maxsize=None)
+def _coarse_field(name, dim):
+    return obstruction_field(_body(name, dim), uniform_points=FAKE_JOINT_POINTS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(BODIES), data=st.data())
+def test_a_smooth_fake_breakpoint_changes_no_field(case, data):
+    # Each piece splits at a drawn fraction of its interval into two pieces
+    # with the same expression: a C-infinity joint, which must classify C2+
+    # in the profile and in g and leave the field as it was.
+    name, dim = case
+    body = _body(name, dim)
+    pieces, fakes = [], []
+    for piece in body.profile.pieces:
+        a, b = piece.interval
+        mid = a + data.draw(st.floats(0.05, 0.95), label="fraction") * (b - a)
+        pieces += [Piece((a, mid), piece.expr), Piece((mid, b), piece.expr)]
+        fakes.append(mid)
+    split = BodyOfRevolution(dim, RadialProfile(pieces, variable=body.profile.variable))
+    assert {(bp.location, bp.smoothness_class) for bp in split.profile.breakpoints} >= \
+        {(t, "C2+") for t in fakes}
+
+    old = _coarse_field(name, dim)
+    new = obstruction_field(split, uniform_points=FAKE_JOINT_POINTS)
+    classes = {t: c for t, c, _ in new.breakpoint_classes}
+    assert all(classes[t] == "C2+" for t in fakes)
+    assert all(classes[t] == c for t, c, _ in old.breakpoint_classes)
+    assert new.verdict == old.verdict
+    assert [t for t, _ in new.atoms] == [t for t, _ in old.atoms]
+    assert [w for _, w in new.atoms] == pytest.approx([w for _, w in old.atoms],
+                                                      rel=1e-12)
+    old_rows = {(t, left): v for t, left, v in
+                zip(old.grid, old.is_left_limit, old.continuous_values)}
+    new_rows = {(t, left): v for t, left, v in
+                zip(new.grid, new.is_left_limit, new.continuous_values)}
+    common = old_rows.keys() & new_rows.keys()
+    assert len(common) >= len(old_rows) - len(fakes)
+    worst = max(abs(new_rows[k] - old_rows[k]) for k in common)
+    assert worst <= 1e-12 * old.max_abs
 
 
 # ------------------------------------------------------------ axis rows

@@ -1,6 +1,7 @@
 """Monte Carlo section-volume oracle and the field sign scan."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from ibodies import (DomainError, FamilySpec, InsufficientSamples,
                      field_sign_scan, instantiate, mc_section_volume,
                      section_ratio_report)
-from ibodies.oracle import CHUNK
+from ibodies import oracle
+from ibodies.oracle import BATCHES, CHUNK
 from reference_oracle import mc_section_volume_whole_batch
 
 KINK = 1.0 / math.sqrt(2.0)
@@ -241,3 +243,67 @@ def test_estimator_memory_is_about_one_batch_of_cosines():
     finally:
         tracemalloc.stop()
     assert peak < 6e6, peak
+
+
+# ---------------------------------------------------------------------------
+# Worker threads and the column-by-column sum of squares
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_column_sum_of_squares_is_the_row_reduction_bit_for_bit(d):
+    # The estimator adds the d squared columns left to right where
+    # np.linalg.norm reduces each row; numpy does not promise that the two
+    # agree, so check them on the chunks of normals the oracle draws at
+    # 10^6 samples for the seeds of the tests above.
+    m = 10 ** 6 // BATCHES
+    for seed in (4321, 12345, 12345 + 7919, 12345 + 2 * 7919):
+        for child in np.random.SeedSequence(seed).spawn(BATCHES):
+            rng = np.random.Generator(np.random.PCG64(child))
+            for lo in range(0, m, CHUNK):
+                sq = rng.standard_normal((min(CHUNK, m - lo), d))
+                sq *= sq
+                total = sq[:, 0].copy()
+                for j in range(1, d):
+                    total += sq[:, j]
+                assert np.array_equal(total.view(np.int64),
+                                      np.add.reduce(sq, axis=1).view(np.int64))
+
+
+@pytest.mark.parametrize("name,dim", [("ball", 4), ("cyl_caps", 4),
+                                      ("cylinder", 6), ("three_bodies_L", 6)])
+def test_hits_do_not_depend_on_the_worker_count(name, dim, monkeypatch):
+    b = body(name, dim)
+    for samples in (10 ** 4 + 3, 8 * CHUNK + 17, 10 ** 5):
+        want = mc_section_volume_whole_batch(b, math.pi / 4, samples, seed=4321)
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(oracle, "WORKERS", workers)
+            got = mc_section_volume(b, math.pi / 4, samples, seed=4321)
+            assert (got.hits, got.volume, got.std_error) == \
+                (want.hits, want.volume, want.std_error), (samples, workers)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_a_batch_exception_reaches_the_caller_after_every_thread_ends(in_worker, monkeypatch):
+    # The profile fails on its second batch call in the calling thread (its
+    # first call there is max_value's) or in the worker thread.
+    monkeypatch.setattr(oracle, "WORKERS", 2)
+    b = body("cyl_caps", 4)
+    original = b.profile.eval_array
+    calls = [0]
+
+    def failing(t):
+        if (threading.current_thread() is not threading.main_thread()) == in_worker:
+            calls[0] += 1
+            if calls[0] == (2 if in_worker else 3):
+                raise _Boom
+        return original(t)
+
+    monkeypatch.setattr(b.profile, "eval_array", failing)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        mc_section_volume(b, math.pi / 4, 10 ** 5)
+    assert threading.active_count() == before
