@@ -16,8 +16,7 @@ from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
                      ProfileFormatError, SideRequired, SmoothnessError)
 from .families import (FAMILY_NAMES, FamilySpec, SweepResult, instantiate,
                        lp_threshold, sweep)
-from .oracle import (NegativityCertificate, SectionEstimate, field_sign_scan,
-                     mc_section_volume, section_ratio_report)
+from .oracle import SectionEstimate, mc_section_volume, section_ratio_report
 from .profile import (BodyOfRevolution, Breakpoint, ConvexityReport,
                       DerivedProfile, Piece, RadialProfile,
                       classify_breakpoints, parse_prefix, profile_from_json,
@@ -32,11 +31,11 @@ __all__ = [
     "BodyOfRevolution", "Breakpoint", "ConvexityReport", "CriterionReport",
     "DEFAULT_SETTINGS", "DerivedProfile", "DomainError", "FAMILY_NAMES",
     "FamilySpec", "FlatTopRequired", "InsufficientSamples", "InvalidBracket",
-    "InvalidParam", "NegativityCertificate", "NoConvergence",
+    "InvalidParam", "NoConvergence",
     "ObstructionField", "Piece", "ProfileFormatError", "RadialProfile",
     "SectionEstimate", "Settings", "SideRequired", "SmoothnessError",
     "SweepResult", "box_operator", "check_for_dimension",
-    "classify_breakpoints", "cor6_check", "field_sign_scan",
+    "classify_breakpoints", "cor6_check",
     "flat_top_check", "h_fn", "h_jet", "instantiate", "intersection_radial",
     "inverse_radon", "lp_threshold", "mc_section_volume",
     "obstruction_field", "parse_prefix", "profile_from_json", "prop1_check",

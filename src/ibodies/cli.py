@@ -33,7 +33,7 @@ from .transform import obstruction_field
 _LIBRARY_ERRORS = (ProfileFormatError, DomainError, SideRequired,
                    SmoothnessError, FlatTopRequired, NoConvergence,
                    InvalidBracket, InvalidParam, InsufficientSamples,
-                   ValueError, OSError, json.JSONDecodeError)
+                   ValueError, OverflowError, OSError, json.JSONDecodeError)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:

@@ -1,16 +1,11 @@
-"""Brute-force cross-checks independent of the transform pipeline.
+"""A brute-force cross-check independent of the transform pipeline.
 
-Two oracles:
-
-  * Monte Carlo estimation of central hyperplane-section volumes.  The
-    intersection-body radial function is, up to a fixed constant, the
-    (n-1)-volume of the section perpendicular to the direction; since the
-    pipeline omits constants, validation compares *ratios* of section
-    volumes across directions against ratios of the computed profile.
-
-  * A sign scan of the obstruction field that searches for a concrete
-    negative witness, refining the grid near minima.  Finding one certifies
-    the verdict; not finding one proves nothing.
+Monte Carlo estimation of central hyperplane-section volumes.  The
+intersection-body radial function is, up to a fixed constant, the
+(n-1)-volume of the section perpendicular to the direction; since the
+pipeline omits constants, validation compares *ratios* of section volumes
+across directions against ratios of the computed profile.  The obstruction
+field names its own negative witness (``ObstructionField.witness``).
 """
 
 from __future__ import annotations
@@ -19,15 +14,14 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .calculus import DEFAULT_SETTINGS, Settings
 from .errors import DomainError, InsufficientSamples
 from .profile import BodyOfRevolution
-from .transform import (_axis_series, _noise_floor, box_operator,
-                        intersection_radial, obstruction_field)
+from .transform import intersection_radial
 
 MIN_SAMPLES = 10 ** 4
 # mc_section_volume draws its samples in this many independently seeded batches,
@@ -217,98 +211,3 @@ def section_ratio_report(body: BodyOfRevolution,
         "comparisons": comparisons,
         "all_within_3sigma": all_ok,
     }
-
-
-@dataclass
-class NegativityCertificate:
-    """Outcome of the field sign scan.
-
-    When ``found``, (witness, value) pins a concrete negative point or atom;
-    otherwise min_value/min_location summarize the exhaustive scan (which is
-    evidence, not a proof of nonnegativity).
-    """
-
-    found: bool
-    kind: str                 # "continuous" | "atom" | ""
-    witness: Optional[float]
-    value: Optional[float]
-    refinement_levels: int
-    min_value: float
-    min_location: float
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found, "kind": self.kind, "witness": self.witness,
-            "value": self.value, "refinement_levels": self.refinement_levels,
-            "min_value": self.min_value, "min_location": self.min_location,
-            "verdict": self.verdict,
-        }
-
-
-def field_sign_scan(body: BodyOfRevolution, refinement_levels: int = 3,
-                    grid: Optional[Sequence[float]] = None) -> NegativityCertificate:
-    """Search the obstruction field for a negative witness.
-
-    Starts from a full field evaluation, then zooms into the continuous-part
-    minimum with successively finer local grids.  Negative atoms are
-    immediate witnesses.
-    """
-    fld = obstruction_field(body, grid=grid)
-    for t0, w in fld.atoms:
-        if w < 0.0:
-            return NegativityCertificate(
-                found=True, kind="atom", witness=t0, value=w,
-                refinement_levels=0, min_value=fld.min_value,
-                min_location=fld.min_location, verdict=fld.verdict)
-
-    n = body.dimension
-    g = fld.g
-    # Rows the field excludes (the dimension-6 axis rows of a body without
-    # an axis series) seed and refine nothing.
-    lo_bound = max(g.domain[0], 1e-6, _noise_floor(n, _axis_series(body.profile, n)))
-    breakpoints = list(g.breakpoint_locations)
-
-    # Seed the search from the best *interior* sample: one-sided limits at a
-    # kink belong to the boundary of a piece, and a certificate should name a
-    # point where the density itself is negative.
-    ts = np.asarray(fld.grid, dtype=float)
-    vs = np.asarray(fld.continuous_values, dtype=float)
-    interior = ~np.isin(ts, [t for t, _ in fld.excluded])
-    for b in breakpoints:
-        interior &= np.abs(ts - b) > 1e-12
-    if interior.any():
-        k = int(np.argmin(np.where(interior, vs, np.inf)))
-        best_t, best_v = float(ts[k]), float(vs[k])
-    else:
-        best_t, best_v = fld.min_location, fld.min_value
-    grid_vals = ts
-    spacing = float(np.median(np.diff(np.unique(grid_vals)))) if grid_vals.size > 1 else 1e-3
-    window = 10.0 * spacing
-    levels_used = 0
-    for _ in range(refinement_levels):
-        lo = max(lo_bound, best_t - window)
-        hi = min(1.0, best_t + window)
-        if hi <= lo:
-            break
-        local = np.linspace(lo, hi, 101)
-        keep = np.ones_like(local, dtype=bool)
-        for b in breakpoints:
-            keep &= np.abs(local - b) > 1e-12
-        local = local[keep]
-        values = box_operator(g, n, local)
-        k = int(np.argmin(values))
-        if values[k] < best_v:
-            best_t, best_v = float(local[k]), float(values[k])
-        window /= 10.0
-        levels_used += 1
-
-    if best_v < -fld.negativity_tol:
-        return NegativityCertificate(
-            found=True, kind="continuous", witness=best_t, value=best_v,
-            refinement_levels=levels_used, min_value=best_v,
-            min_location=best_t, verdict=fld.verdict)
-    return NegativityCertificate(
-        found=False, kind="", witness=None, value=None,
-        refinement_levels=levels_used, min_value=best_v, min_location=best_t,
-        verdict=fld.verdict)

@@ -687,7 +687,7 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
             a, b = entry["interval"]
             expr = parse_prefix(entry["expr"])
         except (KeyError, TypeError, ValueError, AttributeError) as e:
-            raise ProfileFormatError(f"bad piece entry {entry!r}") from e
+            raise ProfileFormatError(f"bad piece entry {entry!r}: {e}") from e
         pieces.append(Piece((float(a), float(b)), expr))
     return RadialProfile(pieces)
 

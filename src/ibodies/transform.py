@@ -256,12 +256,6 @@ def _axis_series(profile: RadialProfile, n: int) -> Optional[list]:
             if q.is_finite() else None)
 
 
-def _noise_floor(n: int, series: Optional[list]) -> float:
-    """Field rows below this t decide nothing: the dimension-6 axis rows of a
-    body without an axis series."""
-    return _AXIS_NOISE_T if n == 6 and series is None else 0.0
-
-
 def _series_reciprocal_jet(series: list, x: float, order: int) -> Jet:
     """Jet of 1 / sum_j a_j x^j at a float x; the sum's k-th Taylor
     coefficient there is sum_j C(j, k) a_j x^(j-k)."""
@@ -427,10 +421,12 @@ class ObstructionField:
     sign_changes: list
     verdict: str
     negativity_tol: float
-    negative_jump_witness: bool = False
+    # (t, value, kind) of the negative point that certifies NotPolarZonoid,
+    # kind "interior", "one-sided" or "atom"; None when Inconclusive.
+    witness: Optional[tuple] = None
     breakpoint_classes: list = dc_field(default_factory=list)
     # (t, reason) of rows kept in the output that take no part in the
-    # verdict, the jump witness, the minimum or the sign changes.
+    # verdict, the witness, the minimum or the sign changes.
     excluded: list = dc_field(default_factory=list)
     # Counters of the moment pass (panels, integrand_evals, max_depth,
     # worst_error_fraction); deterministic, and kept out of the CSV and the
@@ -460,11 +456,12 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     over the grid (one-sided at kinks); atoms: (1 - t0^2) times the
     first-derivative jump of g at each kink where g is continuous but not
     C1.  Verdict is NotPolarZonoid iff the density falls below
-    -NEGATIVITY_SCALE * max|density| or any atom is negative.  In dimension 6
-    the rows with t < 1e-4 of a body without an axis series (see
-    :func:`_axis_series`) stay in the output but are listed in ``excluded``
-    and decide nothing.  The moments are integrated at the tolerances of
-    ``settings``.
+    -NEGATIVITY_SCALE * max|density| or any atom is below -1e-9 times the
+    largest atom weight (at least 1); ``witness`` names the most negative
+    such row or atom.  In dimension 6 the rows with t < 1e-4 of a body
+    without an axis series (see :func:`_axis_series`) stay in the output but
+    are listed in ``excluded`` and decide nothing.  The moments are
+    integrated at the tolerances of ``settings``.
     """
     n = body.dimension
     _require_dimension(n)
@@ -509,21 +506,32 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     all_values = np.array([r[1] for r in rows])
     max_abs = float(np.max(np.abs(all_values))) if all_values.size else 0.0
     tol = NEGATIVITY_SCALE * max_abs
-    # Rows this close to the axis stay in the output but decide nothing.
-    floor = _noise_floor(n, series)
+    # Rows this close to the axis stay in the output but decide nothing: the
+    # dimension-6 axis rows of a body without an axis series.
+    floor = _AXIS_NOISE_T if n == 6 and series is None else 0.0
     noise = [r[0] < floor for r in rows]
     excluded = [(r[0], "dimension-6 axis row: the jet of x^3/h there is rounding noise")
                 for r, skip in zip(rows, noise) if skip]
     rows_used = [r for r, skip in zip(rows, noise) if not skip]
     values = np.array([r[1] for r in rows_used])
     interior = np.array([not r[3] for r in rows_used], dtype=bool)
-    negative_cont = bool(np.any(values < -tol))
-    negative_interior = bool(np.any(values[interior] < -tol)) if interior.any() else False
-    atom_scale = max([1.0] + [abs(w) for _, w in atoms])
-    negative_atom = any(w < -1e-9 * atom_scale for _, w in atoms)
 
-    verdict = "NotPolarZonoid" if (negative_cont or negative_atom) else "Inconclusive"
-    jump_witness = negative_cont and not negative_interior
+    # Interior rows name the witness before joint rows, and joint rows before
+    # atoms; the verdict certifies exactly when one is found.
+    witness = None
+    for kind, of_kind in (("interior", interior), ("one-sided", ~interior)):
+        pick = of_kind & (values < -tol)
+        if pick.any():
+            k = int(np.argmin(np.where(pick, values, np.inf)))
+            witness = (float(rows_used[k][0]), float(values[k]), kind)
+            break
+    if witness is None:
+        atom_floor = -1e-9 * max([1.0] + [abs(w) for _, w in atoms])
+        negative_atoms = [a for a in atoms if a[1] < atom_floor]
+        if negative_atoms:
+            t0, w = min(negative_atoms, key=lambda a: a[1])
+            witness = (float(t0), float(w), "atom")
+    verdict = "Inconclusive" if witness is None else "NotPolarZonoid"
 
     signs = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
     sign_changes = []
@@ -549,7 +557,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
         sign_changes=sign_changes,
         verdict=verdict,
         negativity_tol=tol,
-        negative_jump_witness=jump_witness,
+        witness=witness,
         breakpoint_classes=[(j.location, j.smoothness_class, j.first_derivative_jump)
                             for j in joints],
         excluded=excluded,

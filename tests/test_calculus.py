@@ -1,12 +1,15 @@
 """Quadrature, one-sided limits, root finding, derivative cross-checks."""
 
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ibodies
 from ibodies import calculus
 from ibodies.calculus import (DEFAULT_SETTINGS, QuadratureRequest, RootBracket,
                               Settings, bisect, cumulative_integrate, integrate)
@@ -235,6 +238,22 @@ def test_import_loads_no_worker_pool_module():
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A name with a leading underscore belongs to its module; another module
+    # that needs it should get a public one.
+    offences = []
+    for path in sorted(Path(ibodies.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "ibodies":
+                continue
+            offences += [f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                         for alias in node.names
+                         if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert offences == []
 
 
 # ---------------------------------------------------------- one-sided limits

@@ -385,6 +385,25 @@ def test_misshapen_profile_json_is_an_input_error(tmp_path):
         assert res.stderr.startswith("error: ProfileFormatError"), obj
 
 
+def test_profile_json_errors_name_the_bad_token(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"pieces": [{"interval": [0.0, 1.0],
+                                            "expr": "(add 1 (mul 1e400 t))"}]}))
+    res = run("check", "--profile-json", str(path), "--dim", "4")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ProfileFormatError: bad piece entry")
+    assert res.stderr.rstrip().endswith(": bad number '1e400'"), res.stderr
+    assert res.stdout == ""
+
+
+def test_a_criterion_that_overflows_is_an_input_error():
+    # rho(1)^4 overflows a float at scale 1e80; exit code 1 is the oracle's.
+    res = run("check", "--builtin", "cyl_caps", "--dim", "4", "--param", "scale=1e80")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: OverflowError"), res.stderr
+    assert res.stdout == ""
+
+
 def test_sweep_refuses_a_zero_step_and_a_reversed_range():
     for rng, step in [(("1", "3"), "0"), (("3", "1"), "0.5")]:
         res = run("sweep", "--builtin", "cyl_caps_KM", "--dim", "4", "--param",

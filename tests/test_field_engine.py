@@ -226,6 +226,6 @@ def test_near_axis_rows_in_dimension_6_decide_nothing():
     assert [t for t, _ in fld.excluded] == grid[:3]
     assert fld.verdict == "Inconclusive"
     assert fld.min_location == 0.05 and fld.min_value > 0.0
-    assert fld.sign_changes == [] and not fld.negative_jump_witness
+    assert fld.sign_changes == [] and fld.witness is None
     # Dimension 4 has no such rows.
     assert obstruction_field(_body("lp_revolution", 4), grid=grid).excluded == []

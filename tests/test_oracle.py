@@ -1,4 +1,4 @@
-"""Monte Carlo section-volume oracle and the field sign scan."""
+"""Monte Carlo section-volume oracle."""
 
 import math
 import threading
@@ -7,14 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ibodies import (DomainError, FamilySpec, InsufficientSamples,
-                     field_sign_scan, instantiate, mc_section_volume,
-                     section_ratio_report)
+from ibodies import (DomainError, FamilySpec, InsufficientSamples, instantiate,
+                     mc_section_volume, section_ratio_report)
 from ibodies import oracle
 from ibodies.oracle import BATCHES, CHUNK
 from reference_oracle import mc_section_volume_whole_batch
-
-KINK = 1.0 / math.sqrt(2.0)
 
 
 def body(name, dim, **params):
@@ -140,63 +137,6 @@ def test_report_needs_two_angles():
     with pytest.raises(ValueError):
         section_ratio_report(body("ball", 4), angles=(math.pi / 2,),
                              samples=2 * 10 ** 4)
-
-
-# ---------------------------------------------------------------------------
-# field_sign_scan
-
-
-def test_scan_finds_cylinder_negative_witness_inside_outer_piece():
-    cert = field_sign_scan(body("cylinder", 6))
-    assert cert.found and cert.kind == "continuous"
-    # The witness is a strictly interior point of the outer piece, not the
-    # one-sided limit at the kink itself.
-    assert KINK < cert.witness < 1.0
-    assert cert.value < -2000.0
-    assert cert.verdict == "NotPolarZonoid"
-
-
-def test_scan_reports_no_witness_for_balls():
-    # Unit-ball fields are the positive constants 3 (dim 4) and 30 (dim 6).
-    cert4 = field_sign_scan(body("ball", 4))
-    assert not cert4.found and cert4.witness is None and cert4.value is None
-    assert cert4.kind == ""
-    assert abs(cert4.min_value - 3.0) < 1e-6
-    assert cert4.verdict == "Inconclusive"
-
-    cert6 = field_sign_scan(body("ball", 6))
-    assert not cert6.found
-    assert abs(cert6.min_value - 30.0) < 1e-2
-    assert cert6.verdict == "Inconclusive"
-
-
-def test_scan_finds_exponential_witness_near_axis():
-    cert = field_sign_scan(body("exp_decay", 6))
-    assert cert.found and cert.kind == "continuous"
-    assert cert.witness > 0.99
-    assert cert.value < -0.4
-    assert cert.verdict == "NotPolarZonoid"
-
-
-def test_scan_refinement_does_not_lose_the_minimum():
-    shallow = field_sign_scan(body("cylinder", 6), refinement_levels=0)
-    deep = field_sign_scan(body("cylinder", 6), refinement_levels=3)
-    assert deep.refinement_levels == 3
-    assert deep.value <= shallow.value
-
-
-def test_certificate_serializes_to_plain_dict():
-    cert = field_sign_scan(body("cylinder", 6))
-    d = cert.to_dict()
-    assert set(d) == {"found", "kind", "witness", "value", "refinement_levels",
-                      "min_value", "min_location", "verdict"}
-    assert d["found"] is True and d["witness"] == cert.witness
-
-
-def test_scan_accepts_custom_grid():
-    grid = np.linspace(1e-3, 1.0, 301)
-    cert = field_sign_scan(body("cylinder", 6), grid=grid)
-    assert cert.found and cert.value < -1000.0
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def test_cylinder_field_full_golden_values():
     for t, v in zip(fld.grid, fld.continuous_values):
         if 0.75 <= t <= 0.95:
             assert abs(v - _field_right(t)) < 1e-8 * max(1.0, abs(_field_right(t)))
-    assert not fld.negative_jump_witness  # interior grid points go negative too
+    assert fld.witness[2] == "interior"  # interior grid points go negative too
 
 
 def test_flat_top_field_is_negative_at_the_equator():
