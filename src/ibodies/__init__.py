@@ -22,8 +22,7 @@ from .profile import (BodyOfRevolution, Breakpoint, ConvexityReport,
                       classify_breakpoints, parse_prefix, profile_from_json,
                       validate_convexity)
 from .transform import (ObstructionField, box_operator, h_fn, h_jet,
-                        intersection_radial, inverse_radon, obstruction_field,
-                        reciprocal_intersection_profile)
+                        intersection_radial, inverse_radon, obstruction_field)
 
 __version__ = "0.1.0"
 
@@ -39,6 +38,6 @@ __all__ = [
     "flat_top_check", "h_fn", "h_jet", "instantiate", "intersection_radial",
     "inverse_radon", "lp_threshold", "mc_section_volume",
     "obstruction_field", "parse_prefix", "profile_from_json", "prop1_check",
-    "prop4_check", "reciprocal_intersection_profile", "section_ratio_report",
+    "prop4_check", "section_ratio_report",
     "sweep", "validate_convexity", "__version__",
 ]

@@ -21,7 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from .calculus import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Settings
-from .criteria import check_for_dimension
+from .criteria import CRITERION_CHOICES, check_for_dimension
 from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
                      InvalidBracket, InvalidParam, NoConvergence,
                      ProfileFormatError, SideRequired, SmoothnessError)
@@ -68,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="run an obstruction criterion")
     _add_source_args(p)
-    p.add_argument("--criterion", default="auto",
-                   choices=("auto", "prop1", "prop4", "cor6"),
+    p.add_argument("--criterion", default="auto", choices=CRITERION_CHOICES,
                    help="criterion to apply (auto picks by dimension)")
     _add_common_args(p)
     p.set_defaults(func=cmd_check)
@@ -83,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="criterion margin across a family parameter")
     _add_source_args(p)
-    p.add_argument("--criterion", default="auto",
-                   choices=("auto", "prop1", "prop4", "cor6"))
+    p.add_argument("--criterion", default="auto", choices=CRITERION_CHOICES)
     p.add_argument("--range", dest="sweep_range", nargs=2, type=float,
                    metavar=("LO", "HI"), required=True)
     p.add_argument("--step", type=float, required=True)

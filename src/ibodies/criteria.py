@@ -92,7 +92,10 @@ def flat_top_check(profile: RadialProfile) -> tuple:
     A vanishing sum means the boundary graph has zero second derivative at
     the axis of revolution (a "flat top").
     """
-    rho1, drho1 = _axis_jet(profile)
+    return _flat_top(*_axis_jet(profile))
+
+
+def _flat_top(rho1: float, drho1: float) -> tuple:
     value = rho1 + drho1
     scale = max(1.0, abs(rho1), abs(drho1))
     return value, abs(value) <= FLAT_TOP_TOL * scale
@@ -153,12 +156,12 @@ def cor6_check(profile: RadialProfile,
     Only meaningful when the flat-top condition rho(1)+rho'(1)=0 holds;
     raises FlatTopRequired otherwise.
     """
-    flat_value, is_flat = flat_top_check(profile)
+    rho1, drho1 = _axis_jet(profile)
+    flat_value, is_flat = _flat_top(rho1, drho1)
     if not is_flat:
         raise FlatTopRequired(
             f"flat-top condition fails: rho(1) + rho'(1) = {flat_value:.6g}"
         )
-    rho1, _ = _axis_jet(profile)
     r1 = rho1 ** 5
     h1, k1 = _sixdim_moments(profile, settings)
     lhs = 2.0 * k1 ** 2
@@ -174,28 +177,32 @@ def cor6_check(profile: RadialProfile,
         })
 
 
+# Criterion name -> (the dimension it applies to, its check).  A caller may
+# also ask for "auto": prop1 in dimension 4, prop4 otherwise.
+CRITERIA = {"prop1": (4, prop1_check), "prop4": (6, prop4_check), "cor6": (6, cor6_check)}
+CRITERION_CHOICES = ("auto",) + tuple(CRITERIA)
+
+
+def criterion_name(criterion: Optional[str], dimension: int) -> str:
+    """The criterion that ``criterion`` names, None and "auto" included."""
+    if (criterion or "auto") != "auto":
+        return criterion
+    return "prop1" if dimension == 4 else "prop4"
+
+
 def check_for_dimension(profile: RadialProfile, dimension: int,
                         criterion: Optional[str] = None,
                         settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dispatch to the criterion appropriate for the dimension.
 
-    ``criterion`` may be "prop1", "prop4", "cor6", or None/"auto" for the
-    dimension default (prop1 in dim 4, prop4 in dim 6).  Moments are
-    integrated at the tolerances of ``settings``.
+    ``criterion`` is a name in :data:`CRITERIA` or None/"auto" (see
+    :func:`criterion_name`).  Moments are integrated at the tolerances of
+    ``settings``.
     """
-    name = criterion or "auto"
-    if name == "auto":
-        name = "prop1" if dimension == 4 else "prop4"
-    if name == "prop1":
-        if dimension != 4:
-            raise ValueError("prop1 applies to dimension 4")
-        return prop1_check(profile, settings)
-    if name == "prop4":
-        if dimension != 6:
-            raise ValueError("prop4 applies to dimension 6")
-        return prop4_check(profile, settings)
-    if name == "cor6":
-        if dimension != 6:
-            raise ValueError("cor6 applies to dimension 6")
-        return cor6_check(profile, settings)
-    raise ValueError(f"unknown criterion {name!r}")
+    name = criterion_name(criterion, dimension)
+    if name not in CRITERIA:
+        raise ValueError(f"unknown criterion {name!r}")
+    applies_to, check = CRITERIA[name]
+    if dimension != applies_to:
+        raise ValueError(f"{name} applies to dimension {applies_to}")
+    return check(profile, settings)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .calculus import DEFAULT_SETTINGS, RootBracket, Settings, bisect
-from .criteria import check_for_dimension
+from .criteria import NOT_POLAR_ZONOID, check_for_dimension, criterion_name
 from .errors import InvalidParam
 from .profile import (BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
                       const, div, exp_of, mul, neg, powr, sqrt, sub, var_t)
@@ -223,7 +223,7 @@ class SweepResult:
             fh.write(f"{r:.17g},,root,1\n")
 
     def summary(self) -> str:
-        ok = sum(1 for v in self.verdicts if v == "NotPolarZonoid")
+        ok = sum(1 for v in self.verdicts if v == NOT_POLAR_ZONOID)
         roots = ", ".join(f"{r:.9f}" for r in self.roots) or "none"
         return (f"{self.family}.{self.parameter}: {len(self.grid)} points, "
                 f"{ok} satisfied, roots: {roots}")
@@ -297,8 +297,7 @@ def sweep(template: FamilySpec, param: str, grid: Sequence[float],
         raise ValueError("grid must be strictly increasing")
     dimension = (template.dimension if template.dimension is not None
                  else DEFAULT_DIMENSION[template.name])
-    crit_name = criterion if criterion != "auto" else (
-        "prop1" if dimension == 4 else "prop4")
+    crit_name = criterion_name(criterion, dimension)
     rep_fn = _report_fn(FamilySpec(template.name, template.params, dimension),
                         param, crit_name, settings)
 

@@ -93,9 +93,6 @@ class ExprNode:
             return -self.children[0].eval_jet(t, order)
         raise AssertionError(self.op)
 
-    def eval(self, t: float) -> float:
-        return self.eval_jet(t, 0).value
-
     # ---------------------------------------------------------- serialization
 
     def to_prefix(self) -> str:
@@ -362,6 +359,7 @@ class RadialProfile:
         self._right_of = np.array(self.breakpoint_locations) - _BP_MATCH_TOL
         self._validate_values()
         self.breakpoints = classify_breakpoints(self)
+        self._check_continuity()
         self._classes = [b.smoothness_class for b in self.breakpoints]
 
     # ------------------------------------------------------------ invariants
@@ -376,13 +374,15 @@ class RadialProfile:
                 raise ValueError(f"piece on [{a}, {b}] is not finite on its interior")
             if self.require_positive and not np.all(vals > 0.0):
                 raise ValueError(f"piece on [{a}, {b}] is not strictly positive")
-        for t0, p, q in zip(self.breakpoint_locations, self.pieces, self.pieces[1:]):
-            left = p.expr.eval(t0)
-            right = q.expr.eval(t0)
+
+    def _check_continuity(self):
+        # Each joint's one-sided values, read from its classification jets.
+        for bp in self.breakpoints:
+            left, right = bp.left_jet.value, bp.right_jet.value
             scale = max(1.0, abs(left), abs(right))
             if abs(left - right) > 1e-9 * scale:
                 raise ValueError(
-                    f"pieces disagree at t={t0}: {left} (left) vs {right} (right)"
+                    f"pieces disagree at t={bp.location}: {left} (left) vs {right} (right)"
                 )
 
     # ------------------------------------------------------------ evaluation

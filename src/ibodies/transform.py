@@ -25,8 +25,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (DEFAULT_SETTINGS, QuadratureRequest, Settings,
-                       cumulative_integrate, integrate)
+from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, QuadratureRequest,
+                       Settings, cumulative_integrate, integrate)
+from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
 from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile,
@@ -59,69 +60,48 @@ def _require_dimension(n: int) -> None:
 class MomentTable:
     """Moments B(x) = int_0^x q and, for n = 6, C(x) = int_0^x t^2 q.
 
-    Here q = profile^power.  Nodes queued with :meth:`prepare` are computed
-    together, in one :func:`cumulative_integrate` pass, the first time a
-    point outside the table is asked for; such points join that pass (or
-    run one of their own on [0, max x]) and are kept.  Every pass runs at the
-    tolerances of ``settings``.  ``diagnostics`` sums the counters of every
-    pass.
+    Here q = profile^power.  The table is one :func:`cumulative_integrate`
+    pass over ``nodes`` at the tolerances of ``settings``, run at
+    construction; it never changes.  :meth:`at` reads the points in the table
+    and integrates the others in one pass of their own that is not kept, so a
+    point's moments do not depend on earlier queries.  ``diagnostics`` holds
+    the counters of the table's pass (all zero without nodes).
     """
 
     def __init__(self, profile: RadialProfile, power: int, n: int,
-                 settings: Settings = DEFAULT_SETTINGS):
+                 nodes: Sequence[float] = (), settings: Settings = DEFAULT_SETTINGS):
         _require_dimension(n)
-        self.profile = profile
-        self.power = power
-        self.n = n
-        self.settings = settings
-        self._nodes = np.empty(0)                         # sorted
-        self._values = np.empty((1 if n == 4 else 2, 0))  # B (and C) at _nodes
-        self._pending: list = []
-        self.diagnostics = {"panels": 0, "integrand_evals": 0, "max_depth": 0,
-                            "worst_error_fraction": 0.0}
-
-    def prepare(self, nodes: Sequence[float]) -> None:
-        """Queue nodes for the next pass."""
-        self._pending.append(np.asarray(nodes, dtype=float).ravel())
+        self.profile, self.power, self.n, self.settings = profile, power, n, settings
+        nodes = np.asarray(nodes, dtype=float).ravel()
+        self._nodes, self._values = nodes, np.empty((1 if n == 4 else 2, 0))
+        counters = (0, 0, 0, 0.0)
+        if nodes.size:
+            res = self._run(nodes)
+            self._nodes, self._values = res.nodes, res.values  # sorted, unique
+            counters = (res.panels, res.evaluations, res.max_depth, res.worst_error_fraction)
+        self.diagnostics = dict(zip(("panels", "integrand_evals", "max_depth",
+                                     "worst_error_fraction"), counters))
 
     def _integrand(self, t: np.ndarray) -> np.ndarray:
         q = self.profile.eval_array(t) ** self.power
         return q if self.n == 4 else np.stack([q, t * t * q])
 
-    def _lookup(self, x: np.ndarray) -> tuple:
-        """(index into the table, whether the point is there)."""
-        if not self._nodes.size:
-            return np.zeros(x.shape, dtype=int), np.zeros(x.shape, dtype=bool)
-        index = np.minimum(np.searchsorted(self._nodes, x), self._nodes.size - 1)
-        return index, self._nodes[index] == x
+    def _run(self, x: np.ndarray) -> CumulativeIntegral:
+        if (x <= 0.0).any():
+            raise DomainError(f"upper limit must be positive, got {x[x <= 0.0][0]}")
+        return cumulative_integrate(self._integrand, x, self.profile.breakpoint_locations,
+                                    rel_tol=self.settings.rel_tol,
+                                    abs_tol=self.settings.abs_tol)
 
     def at(self, x: np.ndarray) -> tuple:
         """(B(x), C(x)) at an array of points; C is None for n = 4."""
-        if (x <= 0.0).any():
-            raise DomainError(f"upper limit must be positive, got {x[x <= 0.0][0]}")
-        index, found = self._lookup(x)
+        found = np.isin(x, self._nodes)
+        out = np.empty((self._values.shape[0], x.size))
+        out[:, found] = self._values[:, np.searchsorted(self._nodes, x[found])]
         if not found.all():
-            self._run(np.concatenate(self._pending + [x[~found]]))
-            index, _ = self._lookup(x)
-        return self._values[0, index], self._values[1, index] if self.n == 6 else None
-
-    def _run(self, nodes: np.ndarray) -> None:
-        self._pending = []
-        res = cumulative_integrate(self._integrand, nodes,
-                                   self.profile.breakpoint_locations,
-                                   rel_tol=self.settings.rel_tol,
-                                   abs_tol=self.settings.abs_tol)
-        new = ~self._lookup(res.nodes)[1]
-        merged = np.concatenate([self._nodes, res.nodes[new]])
-        order = np.argsort(merged, kind="stable")
-        self._nodes = merged[order]
-        self._values = np.concatenate([self._values, res.values[:, new]], axis=1)[:, order]
-        d = self.diagnostics
-        d["panels"] += res.panels
-        d["integrand_evals"] += res.evaluations
-        d["max_depth"] = max(d["max_depth"], res.max_depth)
-        d["worst_error_fraction"] = max(d["worst_error_fraction"],
-                                        res.worst_error_fraction)
+            res = self._run(x[~found])
+            out[:, ~found] = res.values[:, np.searchsorted(res.nodes, x[~found])]
+        return out[0], out[1] if self.n == 6 else None
 
 
 def _kernel_integral_jet(b_val: np.ndarray, c_val: Optional[np.ndarray],
@@ -203,13 +183,11 @@ def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
     """Jet of h_n at x (derivatives exact via the localization identities).
 
     x is a float (a float jet is returned) or an array of points (an array
-    jet).  B and C are read from ``moments``, the :class:`MomentTable` of
-    rho^(n-1); without one they are computed on [0, max x].
+    jet).  B and C come from ``moments``, the :class:`MomentTable` of
+    rho^(n-1); without one, from one pass over the points x.
     """
     xs, single = _points(x)
-    if moments is None:
-        moments = MomentTable(profile, n - 1, n)
-    b_val, c_val = moments.at(xs)
+    b_val, c_val = (moments or MomentTable(profile, n - 1, n)).at(xs)
     jet = _kernel_integral_jet(b_val, c_val, _power_jet(profile, n - 1),
                                n, xs, order, side)
     return jet.item(0) if single else jet
@@ -225,7 +203,7 @@ def intersection_radial(body: BodyOfRevolution,
     n = body.dimension
     _require_dimension(n)
     profile = body.profile
-    moments = MomentTable(profile, n - 1, n, settings)
+    moments = MomentTable(profile, n - 1, n, settings=settings)
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         jh = h_jet(profile, n, x, order, side, moments=moments)
@@ -264,24 +242,11 @@ def _series_reciprocal_jet(series: list, x: float, order: int) -> Jet:
                       for k in range(order + 1)])
 
 
-def reciprocal_intersection_profile(body: BodyOfRevolution,
-                                    moments: Optional[MomentTable] = None
-                                    ) -> DerivedProfile:
-    """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)), with jets of order
-    up to 4.
-
-    B and C are read from ``moments`` (a fresh :class:`MomentTable` when
-    omitted).  In dimension 6 the points below _AXIS_NOISE_T take the axis
-    series of rho^5 instead, when the body has one (:func:`_axis_series`).
-    """
-    n = body.dimension
-    _require_dimension(n)
-    return _reciprocal(body, moments or MomentTable(body.profile, n - 1, n),
-                       _axis_series(body.profile, n))
-
-
 def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
                 series: Optional[list]) -> DerivedProfile:
+    """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)), jets up to order 4,
+    from ``moments``; in dimension 6, points below _AXIS_NOISE_T take the axis
+    ``series`` of rho^5 instead when there is one (:func:`_axis_series`)."""
     n = body.dimension
     profile = body.profile
 
@@ -373,21 +338,21 @@ def _box(t, jet: Jet, n: int):
 
 # ------------------------------------------------------------------ the field
 
-def default_grid(breakpoints: Sequence[float], lo: float = _EPS_AXIS,
+def default_grid(breakpoints: Sequence[float],
                  uniform_points: int = 2000) -> np.ndarray:
-    """Uniform grid on [lo, 1] plus geometric clusters on each side of every
-    breakpoint.
+    """Uniform grid on [_EPS_AXIS, 1] plus geometric clusters on each side of
+    every breakpoint.
 
     The field varies fastest just past kinks of g, so each breakpoint b gets
     points b +/- 1e-3 * 2^-j, j = 0.._CLUSTER_POINTS-1; exact breakpoints are
     excluded (they are handled by one-sided rows).
     """
-    pts = list(np.linspace(lo, 1.0, uniform_points))
+    pts = list(np.linspace(_EPS_AXIS, 1.0, uniform_points))
     for b in breakpoints:
         for j in range(_CLUSTER_POINTS):
             off = 1e-3 * 2.0 ** -j
             for cand in (b - off, b + off):
-                if lo < cand <= 1.0:
+                if _EPS_AXIS < cand <= 1.0:
                     pts.append(cand)
     arr = np.unique(np.asarray(pts, dtype=float))
     keep = np.ones(arr.shape, dtype=bool)
@@ -406,7 +371,8 @@ class ObstructionField:
     weight) point masses; a negative density value (below tolerance) or a
     negative atom certifies the NotPolarZonoid verdict.  ``g`` is the
     inverse-Radon profile the rows were evaluated from, so the field can be
-    refined at further points without rebuilding it.
+    refined at further points without rebuilding it.  Such a query changes
+    nothing in the field (see :class:`MomentTable`), whatever came before it.
     """
 
     dimension: int
@@ -428,9 +394,9 @@ class ObstructionField:
     # (t, reason) of rows kept in the output that take no part in the
     # verdict, the witness, the minimum or the sign changes.
     excluded: list = dc_field(default_factory=list)
-    # Counters of the moment pass (panels, integrand_evals, max_depth,
-    # worst_error_fraction); deterministic, and kept out of the CSV and the
-    # summary line.
+    # Counters of the field's one moment pass (panels, integrand_evals,
+    # max_depth, worst_error_fraction); deterministic, and kept out of the
+    # CSV and the summary line.
     diagnostics: dict = dc_field(default_factory=dict)
     g: Optional[ProfileLike] = dc_field(default=None, repr=False, compare=False)
 
@@ -465,21 +431,20 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     """
     n = body.dimension
     _require_dimension(n)
-    moments = MomentTable(body.profile, n - 1, n, settings)
     series = _axis_series(body.profile, n)
-    g = inverse_radon(_reciprocal(body, moments, series), n)
-
+    # g's joints: the profile's breakpoints inside its domain (_EPS_AXIS, 1).
+    breaks = [b for b in body.profile.breakpoint_locations if b > _EPS_AXIS]
     if grid is None:
-        grid_arr = default_grid(g.breakpoint_locations,
-                                lo=max(_EPS_AXIS, g.domain[0]),
-                                uniform_points=uniform_points)
+        grid_arr = default_grid(breaks, uniform_points=uniform_points)
     else:
         grid_arr = np.asarray(sorted(grid), dtype=float)
         if grid_arr.size and (grid_arr[0] <= 0.0 or grid_arr[-1] > 1.0):
             raise DomainError("grid points must lie in (0, 1]")
     # Rows evaluate g at grid points and joints only, so one cumulative pass
     # over those nodes serves every moment the field needs.
-    moments.prepare(np.concatenate([grid_arr, g.breakpoint_locations]))
+    moments = MomentTable(body.profile, n - 1, n, np.concatenate([grid_arr, breaks]),
+                          settings)
+    g = inverse_radon(_reciprocal(body, moments, series), n)
 
     joints = classify_breakpoints(g)
 
@@ -531,7 +496,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
         if negative_atoms:
             t0, w = min(negative_atoms, key=lambda a: a[1])
             witness = (float(t0), float(w), "atom")
-    verdict = "Inconclusive" if witness is None else "NotPolarZonoid"
+    verdict = INCONCLUSIVE if witness is None else NOT_POLAR_ZONOID
 
     signs = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
     sign_changes = []

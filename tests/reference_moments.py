@@ -6,17 +6,18 @@ The library computes the moments B(x) = int_0^x q and C(x) = int_0^x t^2 q
 scratch at every row with scipy's adaptive quadrature over [0, x]
 (``reference_quadpack.integrate``).  :class:`ScalarMoments` is that route
 behind the table's interface, so the library's own reciprocal /
-inverse-Radon / box chain can run on either; :func:`reference_rows`
-restates the field's row logic (grid, one-sided rows at joints, atoms) on
-top of it.
+inverse-Radon / box chain can run on either
+(:func:`reciprocal_intersection_profile`); :func:`reference_rows` restates
+the field's row logic (grid, one-sided rows at joints, atoms) on top of it.
 """
 
 import numpy as np
 
 from ibodies.calculus import QuadratureRequest
 from ibodies.profile import classify_breakpoints
-from ibodies.transform import (_EPS_AXIS, box_operator, default_grid,
-                               inverse_radon, reciprocal_intersection_profile)
+from ibodies.transform import (MomentTable, _axis_series, _reciprocal,
+                               _require_dimension, box_operator, default_grid,
+                               inverse_radon)
 from reference_quadpack import integrate
 
 
@@ -26,9 +27,6 @@ class ScalarMoments:
 
     def __init__(self, profile, power, n):
         self.profile, self.power, self.n = profile, power, n
-
-    def prepare(self, nodes):
-        pass
 
     def _at(self, x):
         bps = [b for b in self.profile.breakpoint_locations if 0.0 < b < x]
@@ -47,6 +45,16 @@ class ScalarMoments:
         return np.array(b_vals), None if self.n == 4 else np.array(c_vals)
 
 
+def reciprocal_intersection_profile(body, moments=None):
+    """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)) that the field
+    builds, on ``moments`` (a :class:`MomentTable` without nodes when
+    omitted: one pass per query)."""
+    n = body.dimension
+    _require_dimension(n)
+    return _reciprocal(body, moments or MomentTable(body.profile, n - 1, n),
+                       _axis_series(body.profile, n))
+
+
 def reference_g(body):
     """g = inverse_radon(x^(n-3)/h_n) with moments from :class:`ScalarMoments`."""
     n = body.dimension
@@ -63,8 +71,7 @@ def reference_rows(g, grid=None, uniform_points=2000):
     """
     joints = classify_breakpoints(g)
     if grid is None:
-        grid = default_grid(g.breakpoint_locations, lo=max(_EPS_AXIS, g.domain[0]),
-                            uniform_points=uniform_points)
+        grid = default_grid(g.breakpoint_locations, uniform_points=uniform_points)
     rows = [(float(t), None, False) for t in sorted(grid)
             if all(abs(t - j.location) > 1e-12 for j in joints)]
     for j in joints:

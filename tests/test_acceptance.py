@@ -12,12 +12,12 @@ import numpy as np
 
 from ibodies import (FamilySpec, box_operator, check_for_dimension,
                      cor6_check, instantiate, inverse_radon, obstruction_field,
-                     prop4_check, prop1_check, reciprocal_intersection_profile,
-                     section_ratio_report)
+                     prop4_check, prop1_check, section_ratio_report)
 from ibodies.calculus import bisect
 from ibodies.criteria import flat_top_check
 from ibodies.profile import Piece, RadialProfile, add, mul, powr, sub, var_t
 from helpers import bracket
+from reference_moments import reciprocal_intersection_profile
 from reference_closed_forms import (octagon_h1_closed, octagon_k1_closed,
                                     octagon_margin, radon_transform,
                                     vamos_numerator, w_of_M, w_of_M_closed)

@@ -15,7 +15,8 @@ from the series under both engines.
 
 The field evaluates its interior rows in one array walk and its joint rows
 from the classification jets; the tests below also check each row against a
-single-point evaluation, bit for bit, and the moment pass's stopping rule.
+single-point evaluation, bit for bit, the moment pass's stopping rule,
+and that queries of g off the grid leave the field's moment table as built.
 """
 
 import functools
@@ -206,13 +207,54 @@ def test_moment_pass_stops_once_every_node_meets_its_tolerance():
     # the depth cap.  The row at t=1 itself has no finite jet.
     body = instantiate(FamilySpec("octagon_Kb", {"b": 0.0}, 6))
     grid = default_grid(body.profile.breakpoint_locations, uniform_points=POINTS)
-    moments = MomentTable(body.profile, 5, 6)
-    moments.prepare(grid)
-    moments.at(grid)
+    moments = MomentTable(body.profile, 5, 6, grid)
     assert 0 < moments.diagnostics["max_depth"] <= 20
     assert moments.diagnostics["worst_error_fraction"] <= 1.0
     with pytest.raises(SmoothnessError):
         obstruction_field(body, uniform_points=POINTS)
+
+
+def test_off_grid_queries_leave_the_field_as_built(monkeypatch):
+    # A query of g off the grid integrates its points in a pass of its own
+    # and keeps nothing: the table, the diagnostics and the bits of a later
+    # query are those of a field nobody asked before.  (A table that kept
+    # such passes gave the cylinder in R^6 a second value 5.1e-13 off.)
+    tables = []
+
+    class Recorded(MomentTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(transform, "MomentTable", Recorded)
+    body = _body("cylinder", 6)
+    fresh = obstruction_field(body, uniform_points=POINTS)
+    used = obstruction_field(body, uniform_points=POINTS)
+    table = tables[-1]
+    nodes, values = table._nodes.copy(), table._values.copy()
+    diagnostics = dict(table.diagnostics)
+    points = np.array([0.3337, 0.81234])
+    assert not np.isin(points, used.grid).any()
+    used.g.value(0.3337)
+    assert (box_operator(used.g, 6, points).tolist()
+            == box_operator(fresh.g, 6, points).tolist())
+    assert np.array_equal(table._nodes, nodes) and np.array_equal(table._values, values)
+    assert table.diagnostics == diagnostics == used.diagnostics == fresh.diagnostics
+
+
+@pytest.mark.parametrize("name,dim", BODIES)
+def test_mixed_batch_returns_each_grid_row_bit_for_bit(name, dim):
+    fld = _field(name, dim)
+    joints = [t for t, _, _ in fld.breakpoint_classes]
+    rows = {t: v for t, v in zip(fld.grid, fld.continuous_values) if t not in joints}
+    ts = sorted(rows)
+    on_grid = ts[1::7]
+    off_grid = [0.5 * (a + b) for a, b in zip(ts[1::7], ts[2::7])
+                if not any(a < j < b for j in joints)]
+    batch = np.array(sorted(on_grid + off_grid))
+    got = dict(zip(batch.tolist(), box_operator(fld.g, dim, batch).tolist()))
+    assert len(got) == len(on_grid) + len(off_grid)
+    assert [got[t] for t in on_grid] == [rows[t] for t in on_grid]
 
 
 def test_near_axis_rows_in_dimension_6_decide_nothing():

@@ -38,12 +38,12 @@ def test_prefix_round_trip_preserves_values():
     for expr in exprs:
         back = parse_prefix(expr.to_prefix())
         for x in (0.1, 0.35, 0.77, 0.99):
-            assert abs(back.eval(x) - expr.eval(x)) < 1e-15
+            assert abs(back.eval_jet(x, 0).value - expr.eval_jet(x, 0).value) < 1e-15
 
 
 def test_prefix_literal_with_fractional_exponent():
     expr = parse_prefix("(div 1 (pow (sub 1 (mul t t)) 1/2))")
-    assert abs(expr.eval(0.6) - 1.25) < 1e-15
+    assert abs(expr.eval_jet(0.6, 0).value - 1.25) < 1e-15
 
 
 def test_prefix_parse_errors():
@@ -56,7 +56,7 @@ def test_signed_zero_constant_survives_the_prefix_round_trip():
     expr = mul(const(-0.0), var_t())
     assert expr.to_prefix() == "(mul -0.0 t)"
     back = parse_prefix(expr.to_prefix())
-    assert math.copysign(1.0, back.eval(0.5)) == -1.0
+    assert math.copysign(1.0, back.eval_jet(0.5, 0).value) == -1.0
     assert math.copysign(1.0, parse_prefix("-0").value) == -1.0
     assert parse_prefix("0").to_prefix() == "0"
 
@@ -69,9 +69,9 @@ def test_non_finite_constants_and_exponents_are_format_errors():
 
 def test_prefix_nary_add_and_mul_fold():
     expr = parse_prefix("(add 1 t t)")
-    assert abs(expr.eval(0.3) - 1.6) < 1e-15
+    assert abs(expr.eval_jet(0.3, 0).value - 1.6) < 1e-15
     expr = parse_prefix("(mul 2 t t)")
-    assert abs(expr.eval(0.3) - 0.18) < 1e-15
+    assert abs(expr.eval_jet(0.3, 0).value - 0.18) < 1e-15
 
 
 # --------------------------------------------------------------- validation
@@ -346,7 +346,7 @@ def test_eval_array_matches_the_masked_scatter_bit_for_bit(profile, points):
 def test_eval_array_takes_the_left_piece_on_a_joint():
     assert _two_piece().eval_array(np.array([0.5, 0.5])).tolist() == [1.0, 1.0]
     # A kink of cyl_caps: the left piece's value there is 1/sqrt(2) to rounding.
-    left = _builtin("cyl_caps").pieces[0].expr.eval(SQ2)
+    left = _builtin("cyl_caps").pieces[0].expr.eval_jet(SQ2, 0).value
     assert _builtin("cyl_caps").eval_array(np.array([SQ2]))[0] == left
 
 

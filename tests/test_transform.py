@@ -17,9 +17,10 @@ from ibodies.families import FamilySpec, instantiate
 from ibodies.profile import Piece, RadialProfile, add, mul, var_t
 from ibodies.transform import (MomentTable, box_operator, default_grid, h_fn, h_jet,
                                intersection_radial, inverse_radon,
-                               obstruction_field, reciprocal_intersection_profile)
+                               obstruction_field)
 from helpers import fd_check, inverse_radon_brute, value_at
 from reference_closed_forms import cylinder_intersection_closed_form, radon_transform
+from reference_moments import reciprocal_intersection_profile
 
 SQ2 = math.sqrt(0.5)
 
