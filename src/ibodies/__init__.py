@@ -21,7 +21,7 @@ from .profile import (BodyOfRevolution, Breakpoint, ConvexityReport,
                       DerivedProfile, Piece, RadialProfile,
                       classify_breakpoints, parse_prefix, profile_from_json,
                       validate_convexity)
-from .transform import (ObstructionField, box_operator, h_fn, h_jet,
+from .transform import (ObstructionField, box_operator, h_jet,
                         intersection_radial, inverse_radon, obstruction_field)
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "SectionEstimate", "Settings", "SideRequired", "SmoothnessError",
     "SweepResult", "box_operator", "check_for_dimension",
     "classify_breakpoints", "cor6_check",
-    "flat_top_check", "h_fn", "h_jet", "instantiate", "intersection_radial",
+    "flat_top_check", "h_jet", "instantiate", "intersection_radial",
     "inverse_radon", "lp_threshold", "mc_section_volume",
     "obstruction_field", "parse_prefix", "profile_from_json", "prop1_check",
     "prop4_check", "section_ratio_report",

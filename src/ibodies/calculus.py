@@ -58,8 +58,7 @@ class QuadratureRequest:
     lower: float
     upper: float
     breakpoints: Sequence[float] = field(default_factory=tuple)
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
+    settings: Settings = DEFAULT_SETTINGS
 
     def __post_init__(self):
         if not self.lower < self.upper:
@@ -73,12 +72,12 @@ def integrate(request: QuadratureRequest) -> float:
     """Evaluate the integral, raising NoConvergence if the error target fails.
 
     One :func:`cumulative_integrate` pass over [lower, upper], split at the
-    request's breakpoints, with its tolerances; ``request.fn`` receives an
-    array of points.  Results are bit-reproducible for a given request.
+    request's breakpoints, at the tolerances of its settings; ``request.fn``
+    receives an array of points.  Results are bit-reproducible for a given
+    request.
     """
     res = cumulative_integrate(request.fn, [request.upper], request.breakpoints,
-                               start=request.lower, rel_tol=request.rel_tol,
-                               abs_tol=request.abs_tol)
+                               start=request.lower, settings=request.settings)
     return float(res.values[0, 0])
 
 
@@ -164,8 +163,7 @@ def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tupl
 def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
                          nodes: Sequence[float],
                          breakpoints: Sequence[float] = (), start: float = 0.0,
-                         rel_tol: float = DEFAULT_REL_TOL,
-                         abs_tol: float = DEFAULT_ABS_TOL) -> CumulativeIntegral:
+                         settings: Settings = DEFAULT_SETTINGS) -> CumulativeIntegral:
     """Integrals from ``start`` to every node, from one adaptive pass.
 
     ``fn`` maps a 1-D array of points to an array of shape (points,) or
@@ -180,8 +178,10 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
 
     Raises NoConvergence when the integrand is not finite at an evaluation
     point or when the accumulated error at any node exceeds
-    10 * max(abs_tol, rel_tol * |value|).
+    10 * max(abs_tol, rel_tol * |value|).  The tolerances are those of
+    ``settings``.
     """
+    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
     nodes = np.unique(np.asarray(nodes, dtype=float))
     if nodes.size == 0 or nodes[0] < start or nodes[-1] <= start:
         raise ValueError(f"nodes must lie in [{start}, inf) with one above it, got {nodes}")

@@ -25,7 +25,8 @@ from .criteria import CRITERION_CHOICES, check_for_dimension
 from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
                      InvalidBracket, InvalidParam, NoConvergence,
                      ProfileFormatError, SideRequired, SmoothnessError)
-from .families import FAMILY_NAMES, FamilySpec, instantiate, step_grid, sweep
+from .families import (FAMILY_NAMES, MAX_GRID_POINTS, FamilySpec, instantiate,
+                       step_grid, sweep)
 from .oracle import section_ratio_report
 from .profile import BodyOfRevolution, profile_from_json, validate_convexity
 from .transform import obstruction_field
@@ -118,7 +119,11 @@ def _parse_params(items: Sequence[str]) -> tuple:
     return fixed, swept
 
 
-def _resolve_body(args, fixed: dict) -> BodyOfRevolution:
+def _resolve_body(args) -> BodyOfRevolution:
+    """The body that --builtin or --profile-json names, with its --param values."""
+    fixed, swept = _parse_params(args.param)
+    if swept:
+        raise InvalidParam("bare --param names are only valid with sweep")
     if args.builtin:
         return instantiate(FamilySpec(args.builtin, fixed, args.dim))
     if fixed:
@@ -155,10 +160,7 @@ def _report_lines(report) -> list:
 
 
 def cmd_check(args, settings: Settings) -> int:
-    fixed, swept = _parse_params(args.param)
-    if swept:
-        raise InvalidParam("bare --param names are only valid with sweep")
-    body = _resolve_body(args, fixed)
+    body = _resolve_body(args)
     report = check_for_dimension(body.profile, body.dimension, args.criterion,
                                  settings)
     payload = report.to_dict()
@@ -169,12 +171,11 @@ def cmd_check(args, settings: Settings) -> int:
 
 
 def cmd_field(args, settings: Settings) -> int:
-    fixed, swept = _parse_params(args.param)
-    if swept:
-        raise InvalidParam("bare --param names are only valid with sweep")
     if args.grid_points < 2:
         raise InvalidParam("--grid-points must be at least 2")
-    body = _resolve_body(args, fixed)
+    if args.grid_points > MAX_GRID_POINTS:
+        raise InvalidParam(f"--grid-points must be at most {MAX_GRID_POINTS}")
+    body = _resolve_body(args)
     fld = obstruction_field(body, uniform_points=args.grid_points,
                             settings=settings)
     buf = io.StringIO()
@@ -200,10 +201,7 @@ def cmd_sweep(args, settings: Settings) -> int:
 
 
 def cmd_oracle(args, settings: Settings) -> int:
-    fixed, swept = _parse_params(args.param)
-    if swept:
-        raise InvalidParam("bare --param names are only valid with sweep")
-    body = _resolve_body(args, fixed)
+    body = _resolve_body(args)
     report = section_ratio_report(body, samples=args.samples, seed=args.seed,
                                   settings=settings)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -215,13 +213,10 @@ def cmd_oracle(args, settings: Settings) -> int:
 
 
 def cmd_validate(args) -> int:
-    fixed, swept = _parse_params(args.param)
-    if swept:
-        raise InvalidParam("bare --param names are only valid with sweep")
-    body = _resolve_body(args, fixed)
+    body = _resolve_body(args)
     profile = body.profile
     joints = profile.breakpoints
-    convexity = validate_convexity(profile, body.dimension)
+    convexity = validate_convexity(profile)
     payload = {
         "body": body.describe(),
         "dimension": body.dimension,

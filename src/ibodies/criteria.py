@@ -14,12 +14,11 @@ Dimension 6, flat top ("cor6"):  2 k^2 < h r, valid when rho(1)+rho'(1)=0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .calculus import DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate
-from .errors import FlatTopRequired, SmoothnessError
+from .errors import FlatTopRequired
 from .profile import RadialProfile
 
 # A strict inequality is only trusted when the margin clears this relative band.
@@ -58,24 +57,11 @@ class CriterionReport:
         }
 
 
-def _axis_jet(profile: RadialProfile) -> tuple:
-    """Left value and first derivative of rho at t=1.
-
-    Raises SmoothnessError when the one-sided jet does not exist finitely
-    (e.g. a profile with a corner of infinite slope at the axis).
-    """
-    value, deriv = profile.eval_jet(1.0, order=1, side="left")
-    if not (math.isfinite(value) and math.isfinite(deriv)):
-        raise SmoothnessError("profile lacks a finite one-sided derivative at t=1")
-    return value, deriv
-
-
 def _moment(profile: RadialProfile, weight,
             settings: Settings = DEFAULT_SETTINGS) -> float:
     return integrate(QuadratureRequest(
         lambda t: weight(t, profile.eval_array(t)), 0.0, 1.0,
-        profile.breakpoint_locations, rel_tol=settings.rel_tol,
-        abs_tol=settings.abs_tol))
+        profile.breakpoint_locations, settings=settings))
 
 
 def _decide(margin: float, lhs: float, rhs: float) -> tuple:
@@ -92,7 +78,7 @@ def flat_top_check(profile: RadialProfile) -> tuple:
     A vanishing sum means the boundary graph has zero second derivative at
     the axis of revolution (a "flat top").
     """
-    return _flat_top(*_axis_jet(profile))
+    return _flat_top(*profile.eval_jet(1.0, 1, "left"))
 
 
 def _flat_top(rho1: float, drho1: float) -> tuple:
@@ -104,7 +90,7 @@ def _flat_top(rho1: float, drho1: float) -> tuple:
 def prop1_check(profile: RadialProfile,
                 settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dimension-4 criterion: 2 rho(1)^4 > 3 (int_0^1 rho^3 dt)(rho(1)+rho'(1))."""
-    rho1, drho1 = _axis_jet(profile)
+    rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     flat = rho1 + drho1
     int_rho3 = _moment(profile, lambda t, r: r ** 3, settings)
     lhs = 2.0 * rho1 ** 4
@@ -130,7 +116,7 @@ def _sixdim_moments(profile: RadialProfile,
 def prop4_check(profile: RadialProfile,
                 settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dimension-6 criterion: h^2(5r + r') + 24 k^3 < 12 h k r at t=1."""
-    rho1, drho1 = _axis_jet(profile)
+    rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     r1 = rho1 ** 5
     rp1 = 5.0 * rho1 ** 4 * drho1
     h1, k1 = _sixdim_moments(profile, settings)
@@ -156,7 +142,7 @@ def cor6_check(profile: RadialProfile,
     Only meaningful when the flat-top condition rho(1)+rho'(1)=0 holds;
     raises FlatTopRequired otherwise.
     """
-    rho1, drho1 = _axis_jet(profile)
+    rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     flat_value, is_flat = _flat_top(rho1, drho1)
     if not is_flat:
         raise FlatTopRequired(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .calculus import DEFAULT_SETTINGS, RootBracket, Settings, bisect
 from .criteria import NOT_POLAR_ZONOID, check_for_dimension, criterion_name
@@ -239,22 +239,6 @@ def _report_fn(template: FamilySpec, param: str, criterion: str,
     return fn
 
 
-def _trisect(fn: Callable[[float], float], lo: float, hi: float,
-             f_lo: float, f_hi: float) -> RootBracket:
-    """Shrink a sign-change bracket by _TRISECT_ROUNDS 3-way subdivisions."""
-    for _ in range(_TRISECT_ROUNDS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = fn(m1), fn(m2)
-        if f_lo * f1 < 0.0:
-            hi, f_hi = m1, f1
-        elif f1 * f2 < 0.0:
-            lo, f_lo, hi, f_hi = m1, f1, m2, f2
-        else:
-            lo, f_lo = m2, f2
-    return RootBracket(lo, hi, f_lo, f_hi)
-
-
 def step_grid(lo: float, hi: float, step: float) -> list:
     """lo, lo + step, ... up to hi, with hi itself as the last point.
 
@@ -320,9 +304,8 @@ def sweep(template: FamilySpec, param: str, grid: Sequence[float],
         m0, m1 = margins[i], margins[i + 1]
         if math.isnan(m0) or math.isnan(m1) or m0 * m1 >= 0.0:
             continue
-        tight = _trisect(fn, grid[i], grid[i + 1], m0, m1)
-        brackets.append((tight.lower, tight.upper))
-        roots.append(bisect(fn, tight, x_tol=REFINE_TOL))
+        brackets.append((grid[i], grid[i + 1]))
+        roots.append(bisect(fn, RootBracket(grid[i], grid[i + 1], m0, m1), x_tol=REFINE_TOL))
     return SweepResult(family=template.name, parameter=param, criterion=crit_name,
                        grid=grid, margins=margins, verdicts=verdicts,
                        brackets=brackets, roots=roots)

@@ -8,11 +8,10 @@ no step-size noise, no symbolic blowup.
 
 A coefficient is either a float (a jet about one point) or a numpy array (a
 jet about every point of an array at once, evaluated elementwise).  Both run
-through the same recurrences, summed in the same fixed order; only the
-elementary functions differ (libm for floats, numpy for arrays), so the two
-agree to the last ulp or so.  The checks that refuse a jet (a vanishing
-divisor, a fractional power of a vanishing or negative base) raise when any
-element fails.
+through the same recurrences, summed in the same fixed order, with numpy's
+elementary functions, so a float jet has the bits of the one-point array
+jet.  The checks that refuse a jet (a vanishing divisor, a fractional power
+of a vanishing or negative base) raise when any element fails.
 
 The default truncation order used by the profile layer is 3; transform-level
 compositions internally run at order 4 (a second derivative of a function
@@ -44,28 +43,14 @@ def _finite(c: Coefficient) -> bool:
     return bool(np.isfinite(c).all()) if isinstance(c, np.ndarray) else math.isfinite(c)
 
 
-def _overflow_check(arg: np.ndarray, out: np.ndarray, what: str) -> None:
-    # libm raises OverflowError where numpy returns inf; raise the same.
-    if (np.isinf(out) & np.isfinite(arg)).any():
-        raise OverflowError(f"{what} out of range")
-
-
-def _exp(c: Coefficient) -> Coefficient:
-    if isinstance(c, np.ndarray):
-        with np.errstate(over="ignore"):
-            out = np.exp(c)
-        _overflow_check(c, out, "exp")
-        return out
-    return math.exp(c)
-
-
-def _pow(c: Coefficient, q: float) -> Coefficient:
-    if isinstance(c, np.ndarray):
-        with np.errstate(over="ignore"):
-            out = np.power(c, q)
-        _overflow_check(c, out, "power")
-        return out
-    return c ** q
+def _elementary(fn, c: Coefficient, *args) -> Coefficient:
+    """numpy's ``fn`` at c, a float for a float c; OverflowError where a
+    finite argument overflows to inf (numpy would return inf)."""
+    with np.errstate(over="ignore"):
+        out = fn(c, *args)
+    if (np.isinf(out) & np.isfinite(c)).any():
+        raise OverflowError(f"{fn.__name__} out of range")
+    return out if isinstance(c, np.ndarray) else float(out)
 
 
 class Jet:
@@ -223,7 +208,7 @@ class Jet:
         if _any(a0 < 0.0):
             raise DomainError(f"fractional power {q} of a negative quantity")
         c = self.coeffs
-        out = [_pow(a0, q)]
+        out = [_elementary(np.power, a0, q)]
         for k in range(1, n + 1):
             acc = sum((j * (q + 1.0) - k) * c[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / (k * a0))
@@ -246,7 +231,7 @@ class Jet:
 
     def exp(self) -> "Jet":
         c = self.coeffs
-        out = [_exp(c[0])]
+        out = [_elementary(np.exp, c[0])]
         for k in range(1, self.order + 1):
             acc = sum(j * c[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / k)

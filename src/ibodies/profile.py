@@ -391,7 +391,8 @@ class RadialProfile:
         """Jet at t, a float or a 1-D array of points (one side for all).
 
         A float resolves its piece and side as a one-point array; the chosen
-        piece is then walked on the float itself (libm, not numpy).
+        piece is then walked on the float itself, for a float jet with the
+        bits of the one-point array jet.
         """
         ts = t if isinstance(t, np.ndarray) else np.array([float(t)])
         use = _array_side(ts, 0.0, 1.0, self.breakpoint_locations, order, side,
@@ -625,7 +626,7 @@ class ConvexityReport:
     note: str = ""
 
 
-def validate_convexity(profile: RadialProfile, n: int, samples: int = 720) -> ConvexityReport:
+def validate_convexity(profile: RadialProfile, samples: int = 720) -> ConvexityReport:
     """Diagnostic check that the profile bounds a convex body of revolution.
 
     Samples the meridian curve (rho*sqrt(1-t^2), rho*t), closes it up by the

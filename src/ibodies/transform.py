@@ -25,8 +25,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, QuadratureRequest,
-                       Settings, cumulative_integrate, integrate)
+# integrate is not called here; perfbench's tracer wraps it on this module.
+from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, Settings,
+                       cumulative_integrate, integrate)
 from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
@@ -87,11 +88,11 @@ class MomentTable:
         return q if self.n == 4 else np.stack([q, t * t * q])
 
     def _run(self, x: np.ndarray) -> CumulativeIntegral:
-        if (x <= 0.0).any():
-            raise DomainError(f"upper limit must be positive, got {x[x <= 0.0][0]}")
+        outside = (x <= 0.0) | (x > 1.0)
+        if outside.any():
+            raise DomainError(f"upper limit must lie in (0, 1], got {x[outside][0]}")
         return cumulative_integrate(self._integrand, x, self.profile.breakpoint_locations,
-                                    rel_tol=self.settings.rel_tol,
-                                    abs_tol=self.settings.abs_tol)
+                                    settings=self.settings)
 
     def at(self, x: np.ndarray) -> tuple:
         """(B(x), C(x)) at an array of points; C is None for n = 4."""
@@ -163,21 +164,6 @@ def _points(t) -> tuple:
 
 # ------------------------------------------------------------------ h and IK
 
-def h_fn(profile: RadialProfile, n: int, x: float) -> float:
-    """The moment integral h_n(x) = int_0^x rho^(n-1)(t) (x^2-t^2)^((n-4)/2) dt."""
-    _require_dimension(n)
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"x must lie in (0, 1], got {x}")
-    power = (n - 4) // 2
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        base = profile.eval_array(t) ** (n - 1)
-        return base if power == 0 else base * (x * x - t * t) ** power
-
-    bps = [b for b in profile.breakpoint_locations if b < x]
-    return integrate(QuadratureRequest(integrand, 0.0, x, bps))
-
-
 def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
           side: Optional[str] = None, moments: Optional[MomentTable] = None) -> Jet:
     """Jet of h_n at x (derivatives exact via the localization identities).
@@ -234,8 +220,8 @@ def _axis_series(profile: RadialProfile, n: int) -> Optional[list]:
             if q.is_finite() else None)
 
 
-def _series_reciprocal_jet(series: list, x: float, order: int) -> Jet:
-    """Jet of 1 / sum_j a_j x^j at a float x; the sum's k-th Taylor
+def _series_reciprocal_jet(series: list, x: np.ndarray, order: int) -> Jet:
+    """Jet of 1 / sum_j a_j x^j at the points x; the sum's k-th Taylor
     coefficient there is sum_j C(j, k) a_j x^(j-k)."""
     return 1.0 / Jet([sum(math.comb(j, k) * a * x ** (j - k)
                           for j, a in enumerate(series) if j >= k)
@@ -258,13 +244,13 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
         near = x < (_AXIS_NOISE_T if series else 0.0)
         if not near.any():
             return from_moments(x, order, side)
-        # Usually one point (the grid's first row), so float jets.
-        out = np.empty((order + 1, x.size))
+        parts = [(near, _series_reciprocal_jet(series, x[near], order))]
         if not near.all():
-            for k, c in enumerate(from_moments(x[~near], order, side).coeffs):
-                out[k, ~near] = c
-        for i in np.flatnonzero(near):
-            out[:, i] = _series_reciprocal_jet(series, float(x[i]), order).coeffs
+            parts.append((~near, from_moments(x[~near], order, side)))
+        out = np.empty((order + 1, x.size))
+        for rows, jet in parts:
+            for k, c in enumerate(jet.coeffs):
+                out[k, rows] = c
         return Jet(tuple(out))
 
     return DerivedProfile(source, profile.breakpoint_locations,

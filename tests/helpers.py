@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ibodies.calculus import QuadratureRequest, RootBracket
+from ibodies.calculus import QuadratureRequest, RootBracket, Settings
 from ibodies.errors import DomainError
 from ibodies.jets import Jet
 from ibodies.profile import COSINE, SINE, DerivedProfile, ProfileLike
@@ -181,7 +181,7 @@ def inverse_radon_brute(f: ProfileLike, n: int, t: float,
 
         inner = [b for b in bps if lo < b < u]
         return integrate(QuadratureRequest(integrand, lo, u, inner,
-                                           rel_tol=1e-12, abs_tol=1e-14))
+                                           Settings(rel_tol=1e-12, abs_tol=1e-14)))
 
     level: Callable[[float], float] = j_fn
     for _ in range(n - 2):

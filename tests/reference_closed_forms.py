@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from ibodies.criteria import _axis_jet, _sixdim_moments, cor6_check, prop1_check
+from ibodies.criteria import _sixdim_moments, cor6_check, prop1_check
 from ibodies.errors import DomainError, InvalidParam
 from ibodies.families import FamilySpec, instantiate
 from ibodies.jets import Jet
@@ -25,7 +25,7 @@ from ibodies.transform import (_EPS_AXIS, MomentTable, _kernel_integral_jet,
 
 def flatness_curvature(profile: RadialProfile) -> float:
     """Second derivative of the boundary graph at the axis: -(rho(1)+rho'(1))/rho(1)^2."""
-    rho1, drho1 = _axis_jet(profile)
+    rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     return -(rho1 + drho1) / rho1 ** 2
 
 
@@ -38,7 +38,7 @@ def vamos_numerator(profile: RadialProfile) -> float:
     h'' = h' + 2 r(1), h''' = 4 r(1) + 2 r'(1).  Its sign always matches the
     dimension-6 criterion margin (it equals exactly twice that margin).
     """
-    rho1, drho1 = _axis_jet(profile)
+    rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     r1 = rho1 ** 5
     rp1 = 5.0 * rho1 ** 4 * drho1
     h1, k1 = _sixdim_moments(profile)

@@ -24,15 +24,16 @@ def integrate(request: QuadratureRequest) -> float:
     so results are bit-reproducible for a given request.
     """
     edges = [request.lower, *request.breakpoints, request.upper]
+    rel_tol, abs_tol = request.settings.rel_tol, request.settings.abs_tol
     total = 0.0
     err_budget = 0.0
     for a, b in zip(edges, edges[1:]):
         out = _sp_integrate.quad(request.fn, a, b, full_output=1,
-                                 epsabs=request.abs_tol, epsrel=request.rel_tol,
+                                 epsabs=abs_tol, epsrel=rel_tol,
                                  limit=200)
         val, abserr = out[0], out[1]
         if len(out) == 4:  # scipy attached a warning message
-            tol = 10.0 * max(request.abs_tol, request.rel_tol * abs(val))
+            tol = 10.0 * max(abs_tol, rel_tol * abs(val))
             if abserr > tol:
                 raise NoConvergence(
                     f"quadrature on [{a}, {b}] did not converge: "
@@ -40,7 +41,7 @@ def integrate(request: QuadratureRequest) -> float:
                 )
         total += val
         err_budget += abserr
-    tol = 10.0 * max(request.abs_tol, request.rel_tol * abs(total))
+    tol = 10.0 * max(abs_tol, rel_tol * abs(total))
     if err_budget > tol:
         raise NoConvergence(
             f"accumulated quadrature error {err_budget} exceeds tolerance {tol}"

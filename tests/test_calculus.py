@@ -93,12 +93,9 @@ def test_exterior_breakpoints_are_dropped():
 
 def test_tolerance_overrides():
     settings = Settings(rel_tol=1e-6, abs_tol=1e-9)
-    req = QuadratureRequest(lambda t: t, 0.0, 1.0, rel_tol=settings.rel_tol,
-                            abs_tol=settings.abs_tol)
-    assert req.rel_tol == 1e-6 and req.abs_tol == 1e-9
-    default = QuadratureRequest(lambda t: t, 0.0, 1.0)
-    assert (default.rel_tol, default.abs_tol) == (DEFAULT_SETTINGS.rel_tol,
-                                                  DEFAULT_SETTINGS.abs_tol)
+    req = QuadratureRequest(lambda t: t, 0.0, 1.0, settings=settings)
+    assert req.settings is settings
+    assert QuadratureRequest(lambda t: t, 0.0, 1.0).settings is DEFAULT_SETTINGS
     for bad in ({"rel_tol": -1.0}, {"abs_tol": 0.0}, {"rel_tol": math.inf},
                 {"abs_tol": math.nan}):
         with pytest.raises(ValueError, match="must be positive and finite"):
@@ -182,7 +179,7 @@ def test_cumulative_follows_default_tolerances():
     # the defaults.
     fn = np.sqrt
     tight = cumulative_integrate(fn, [1.0])
-    loose = cumulative_integrate(fn, [1.0], rel_tol=1e-4, abs_tol=1e-6)
+    loose = cumulative_integrate(fn, [1.0], settings=Settings(1e-4, 1e-6))
     again = cumulative_integrate(fn, [1.0])
     assert loose.evaluations < tight.evaluations
     assert again.evaluations == tight.evaluations
@@ -207,7 +204,7 @@ def test_cumulative_explicit_tolerances_override_the_defaults():
     fn = np.sqrt
     tight = cumulative_integrate(fn, [1.0])
     for loose_tol in ({"rel_tol": 1e-4}, {"abs_tol": 1e-4}):
-        loose = cumulative_integrate(fn, [1.0], **loose_tol)
+        loose = cumulative_integrate(fn, [1.0], settings=Settings(**loose_tol))
         assert loose.evaluations < tight.evaluations
         assert abs(loose.values[0, 0] - 2.0 / 3.0) < 1e-4
     assert (calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL) == (1e-10, 1e-12)
@@ -215,10 +212,11 @@ def test_cumulative_explicit_tolerances_override_the_defaults():
 
 def test_integrate_is_one_cumulative_pass():
     rho = _rho("cylinder")
+    settings = Settings(rel_tol=1e-11, abs_tol=1e-13)
     req = QuadratureRequest(lambda t: rho.eval_array(t) ** 5, 0.2, 0.9,
-                            rho.breakpoint_locations, rel_tol=1e-11, abs_tol=1e-13)
+                            rho.breakpoint_locations, settings)
     res = cumulative_integrate(req.fn, [0.9], rho.breakpoint_locations, start=0.2,
-                               rel_tol=1e-11, abs_tol=1e-13)
+                               settings=settings)
     assert integrate(req) == res.values[0, 0]
 
 

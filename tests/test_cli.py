@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from ibodies import calculus, cli, transform
-from ibodies.families import FamilySpec, instantiate
+from ibodies.families import MAX_GRID_POINTS, FamilySpec, instantiate
 
 
 def run(*args, **kwargs):
@@ -153,6 +153,25 @@ def test_field_rejects_degenerate_grid():
     res = run("field", "--builtin", "ball", "--dim", "4", "--grid-points", "1")
     assert res.returncode == 2
     assert res.stderr.startswith("error: InvalidParam")
+
+
+def test_field_refuses_a_grid_past_the_sweep_cap(capsys):
+    # Refused before any grid is built: a larger value would fill memory.
+    argv = ["field", "--builtin", "ball", "--dim", "4",
+            "--grid-points", str(MAX_GRID_POINTS + 1)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: InvalidParam: --grid-points must be at most {MAX_GRID_POINTS}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "field", "oracle", "validate"])
+def test_bare_param_names_are_refused_outside_sweep(command, capsys):
+    argv = [command, "--builtin", "cyl_caps_KM", "--dim", "4", "--param", "M"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: InvalidParam: bare --param names are only valid with sweep\n"
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +379,7 @@ def test_tolerance_flags_reach_the_quadrature(command, monkeypatch, capsys):
     seen = []
     for module in (calculus, transform):
         def spy(*args, _original=module.cumulative_integrate, **kwargs):
-            seen.append((kwargs["rel_tol"], kwargs["abs_tol"]))
+            seen.append((kwargs["settings"].rel_tol, kwargs["settings"].abs_tol))
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, "cumulative_integrate", spy)
     argv = _TOLERANCE_ARGV[command]

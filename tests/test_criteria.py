@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ibodies.calculus import QuadratureRequest
+from ibodies.calculus import QuadratureRequest, Settings
 from ibodies.criteria import (_moment, check_for_dimension, cor6_check,
                               flat_top_check, prop1_check, prop4_check)
 from ibodies.errors import FlatTopRequired, SmoothnessError
@@ -234,7 +234,7 @@ def test_criterion_moments_match_quadpack(name, params):
         got = _moment(profile, weight)
         want = integrate(QuadratureRequest(
             lambda t: weight(t, profile.value(t)), 0.0, 1.0,
-            profile.breakpoint_locations, rel_tol=1e-13, abs_tol=1e-15))
+            profile.breakpoint_locations, Settings(rel_tol=1e-13, abs_tol=1e-15)))
         assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
 
 

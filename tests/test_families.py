@@ -9,8 +9,8 @@ from ibodies.calculus import bisect
 from ibodies.criteria import _sixdim_moments, cor6_check
 from ibodies.errors import InvalidParam
 from ibodies.families import (DEFAULT_DIMENSION, FAMILY_NAMES, MAX_GRID_POINTS,
-                              FamilySpec, instantiate, lp_threshold, step_grid,
-                              sweep)
+                              REFINE_TOL, FamilySpec, instantiate, lp_threshold,
+                              step_grid, sweep)
 from helpers import bracket
 from reference_closed_forms import (octagon_h1_closed, octagon_k1_closed,
                                     octagon_margin, octagon_margin_closed,
@@ -213,6 +213,32 @@ def test_sweep_refines_the_octagon_root():
     assert abs(result.roots[0] - 0.8262789284) < 1e-7
     lo, hi = result.brackets[0]
     assert lo <= result.roots[0] <= hi
+
+
+# Golden roots, to 17 digits, of the three sweeps perfbench runs; a root
+# bisected to REFINE_TOL lies within REFINE_TOL of them.
+_GOLDEN_SWEEPS = [
+    (lambda: sweep(FamilySpec("cyl_caps_KM", {"M": 1.0}, 4), "M",
+                   [round(1.0 + 0.1 * i, 10) for i in range(21)]),
+     [1.0194201959090097, 1.3129092019051312]),
+    (lambda: sweep(FamilySpec("octagon_Kb", {"b": 0.5}, 6), "b",
+                   [round(0.05 + 0.05 * i, 10) for i in range(20)], criterion="cor6"),
+     [0.8262789283775619]),
+    (lambda: lp_threshold(9.0, 10.0, 0.1), [9.525037782763441]),
+]
+
+
+@pytest.mark.parametrize("run, golden", _GOLDEN_SWEEPS, ids=["cyl_caps_KM", "octagon_Kb", "lp"])
+def test_sweep_roots_stay_within_refine_tol_of_the_goldens(run, golden):
+    result = run()
+    assert len(result.roots) == len(golden)
+    for root, want in zip(result.roots, golden):
+        assert abs(root - want) < REFINE_TOL, (root, want)
+    # Each bracket is the grid cell whose end margins change sign.
+    for (lo, hi), root in zip(result.brackets, result.roots):
+        i = result.grid.index(lo)
+        assert result.grid[i + 1] == hi and lo <= root <= hi
+        assert result.margins[i] * result.margins[i + 1] < 0.0
 
 
 def test_sweep_records_errors_without_aborting():

@@ -197,6 +197,23 @@ def test_float_and_one_point_array_resolve_alike(name, where, side, order):
     assert scalar == array
 
 
+_BUILTINS = [("ball", {}), ("cylinder", {}), ("cyl_caps", {}), ("cyl_caps_KM", {"M": 1.2}),
+             ("octagon_Kb", {"b": 0.5}), ("lp_revolution", {"p": 3}), ("exp_decay", {}),
+             ("three_bodies_L", {})]
+
+
+@pytest.mark.parametrize("name, params", _BUILTINS, ids=[b[0] for b in _BUILTINS])
+def test_float_jet_has_the_bits_of_the_one_point_array_jet(name, params):
+    # Floats and arrays run through numpy's elementary functions alike.
+    profile = _builtin(name, **params)
+    for t in np.linspace(0.01, 0.99, 99).tolist():
+        for order in range(4):
+            for side in ("left", "right"):
+                want = profile._jet(np.array([t]), order, side).item(0).derivs()
+                got = profile.eval_jet(t, order, side)
+                assert [c.hex() for c in got] == [c.hex() for c in want], (t, order, side)
+
+
 def test_max_value():
     assert abs(_builtin("ball").max_value() - 1.0) < 1e-12
     # The cylinder peaks exactly at its rim joint, which the scan includes.
@@ -219,7 +236,7 @@ def test_builtin_bodies_are_convex():
                          ("cyl_caps_KM", {"M": 2}), ("octagon_Kb", {"b": 0.5}),
                          ("lp_revolution", {"p": 3}), ("three_bodies_L", {})]:
         profile = _builtin(name, **params)
-        report = validate_convexity(profile, 4)
+        report = validate_convexity(profile)
         assert report.convex, f"{name} should report convex"
         assert report.violations == 0
 
@@ -230,7 +247,7 @@ def test_convexity_detects_a_waist():
     t = var_t()
     waist = sub(1, mul(2.8, mul(mul(t, t), sub(1, mul(t, t)))))
     profile = RadialProfile([Piece((0.0, 1.0), waist)])
-    report = validate_convexity(profile, 4)
+    report = validate_convexity(profile)
     assert not report.convex
     assert report.violations > 0
     assert report.worst_turn > 0.0

@@ -15,7 +15,7 @@ import pytest
 from ibodies.errors import DomainError
 from ibodies.families import FamilySpec, instantiate
 from ibodies.profile import Piece, RadialProfile, add, mul, var_t
-from ibodies.transform import (MomentTable, box_operator, default_grid, h_fn, h_jet,
+from ibodies.transform import (MomentTable, box_operator, default_grid, h_jet,
                                intersection_radial, inverse_radon,
                                obstruction_field)
 from helpers import fd_check, inverse_radon_brute, value_at
@@ -73,8 +73,8 @@ def test_h_for_the_ball_is_monomial():
     ball = _body("ball").profile
     # n=4: h(x) = x; n=6: h(x) = 2x^3/3.
     for x in (0.2, 0.7, 1.0):
-        assert abs(h_fn(ball, 4, x) - x) < 1e-12
-        assert abs(h_fn(ball, 6, x) - 2.0 * x ** 3 / 3.0) < 1e-12
+        assert abs(h_jet(ball, 4, x).value - x) < 1e-12
+        assert abs(h_jet(ball, 6, x).value - 2.0 * x ** 3 / 3.0) < 1e-12
 
 
 def test_h_for_the_cylinder():
@@ -82,31 +82,37 @@ def test_h_for_the_cylinder():
     # Below the rim the integral is elementary: h(x) = 2x^3/(3 sqrt(1-x^2)).
     for x in (0.25, 0.5, 0.7):
         want = 2.0 * x ** 3 / (3.0 * math.sqrt(1.0 - x * x))
-        assert abs(h_fn(cyl, 6, x) - want) < 1e-11 * max(1.0, want)
+        assert abs(h_jet(cyl, 6, x).value - want) < 1e-11 * max(1.0, want)
     # At the equator the full fifth-power moment evaluates to 5/4.
-    assert abs(h_fn(cyl, 6, 1.0) - 1.25) < 1e-10
+    assert abs(h_jet(cyl, 6, 1.0).value - 1.25) < 1e-10
 
 
 def test_h_for_comparison_body_L():
     ell = _body("three_bodies_L").profile
     want = 44239925.0 / 3879876.0
-    assert abs(h_fn(ell, 6, 1.0) - want) < 1e-8 * want
+    assert abs(h_jet(ell, 6, 1.0).value - want) < 1e-8 * want
 
 
 def test_h_rejects_bad_arguments():
     ball = _body("ball").profile
     with pytest.raises(DomainError):
-        h_fn(ball, 5, 0.5)
-    with pytest.raises(DomainError):
-        h_fn(ball, 4, 0.0)
-    with pytest.raises(DomainError):
-        h_fn(ball, 4, 1.5)
+        h_jet(ball, 5, 0.5)
+    with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got 0.0$"):
+        h_jet(ball, 4, 0.0)
+    # The profile lives on [0, 1], so h has no value past x = 1.
+    for n in (4, 6):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got 1.5$"):
+            h_jet(ball, n, 1.5)
+        with pytest.raises(DomainError):
+            h_jet(ball, n, np.array([0.5, 1.0 + 1e-12]))
+        with pytest.raises(DomainError):
+            MomentTable(ball, n - 1, n, [0.5, 1.5])
 
 
 def test_dimension_outside_four_and_six_is_rejected_alike():
     ball = _body("ball")
     body8 = instantiate(FamilySpec("ball", {}, 8))
-    calls = [lambda: h_fn(ball.profile, 8, 0.5),
+    calls = [lambda: h_jet(ball.profile, 8, 0.5),
              lambda: MomentTable(ball.profile, 7, 8),
              lambda: inverse_radon(intersection_radial(_body("ball", 4)), 8),
              lambda: intersection_radial(body8),
@@ -124,7 +130,7 @@ def test_h_jet_matches_finite_differences():
              (_body("cylinder").profile, 6, 0.5),
              (_body("cylinder").profile, 6, 0.9)]
     for prof, n, x in cases:
-        _, _, rel = fd_check(lambda u: h_fn(prof, n, u),
+        _, _, rel = fd_check(lambda u: h_jet(prof, n, u).value,
                              lambda u: h_jet(prof, n, u, order=1).deriv(1),
                              x, order=1, h0=1e-3)
         assert rel < 1e-8
