@@ -14,7 +14,7 @@ Dimension 6, flat top ("cor6"):  2 k^2 < h r, valid when rho(1)+rho'(1)=0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .calculus import DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate
@@ -44,17 +44,7 @@ class CriterionReport:
     intermediates: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "dimension": self.dimension,
-            "profile": self.profile,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "borderline": self.borderline,
-            "intermediates": dict(self.intermediates),
-        }
+        return asdict(self)
 
 
 def _moment(profile: RadialProfile, weight,
@@ -64,12 +54,17 @@ def _moment(profile: RadialProfile, weight,
         profile.breakpoint_locations, settings=settings))
 
 
-def _decide(margin: float, lhs: float, rhs: float) -> tuple:
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    band = STRICTNESS * scale
-    if margin > band:
-        return NOT_POLAR_ZONOID, False
-    return INCONCLUSIVE, abs(margin) <= band
+def _report(name: str, profile: RadialProfile, lhs: float, rhs: float,
+            margin: float, intermediates: dict) -> CriterionReport:
+    """The report of criterion ``name``: satisfied when the margin clears
+    STRICTNESS times the larger side, borderline when it lies within that
+    band."""
+    band = STRICTNESS * max(abs(lhs), abs(rhs), 1e-300)
+    return CriterionReport(
+        criterion=name, dimension=CRITERIA[name][0], profile=profile.name or "custom",
+        lhs=lhs, rhs=rhs, margin=margin,
+        verdict=NOT_POLAR_ZONOID if margin > band else INCONCLUSIVE,
+        borderline=abs(margin) <= band, intermediates=intermediates)
 
 
 def flat_top_check(profile: RadialProfile) -> tuple:
@@ -95,15 +90,10 @@ def prop1_check(profile: RadialProfile,
     int_rho3 = _moment(profile, lambda t, r: r ** 3, settings)
     lhs = 2.0 * rho1 ** 4
     rhs = 3.0 * int_rho3 * flat
-    margin = lhs - rhs
-    verdict, borderline = _decide(margin, lhs, rhs)
-    return CriterionReport(
-        criterion="prop1", dimension=4, profile=profile.name or "custom",
-        lhs=lhs, rhs=rhs, margin=margin, verdict=verdict, borderline=borderline,
-        intermediates={
-            "rho(1)": rho1, "rho'(1)": drho1, "flat_top_value": flat,
-            "int_rho3": int_rho3,
-        })
+    return _report("prop1", profile, lhs, rhs, lhs - rhs, {
+        "rho(1)": rho1, "rho'(1)": drho1, "flat_top_value": flat,
+        "int_rho3": int_rho3,
+    })
 
 
 def _sixdim_moments(profile: RadialProfile,
@@ -122,17 +112,12 @@ def prop4_check(profile: RadialProfile,
     h1, k1 = _sixdim_moments(profile, settings)
     lhs = h1 ** 2 * (5.0 * r1 + rp1) + 24.0 * k1 ** 3
     rhs = 12.0 * h1 * k1 * r1
-    margin = rhs - lhs
-    verdict, borderline = _decide(margin, lhs, rhs)
-    return CriterionReport(
-        criterion="prop4", dimension=6, profile=profile.name or "custom",
-        lhs=lhs, rhs=rhs, margin=margin, verdict=verdict, borderline=borderline,
-        intermediates={
-            "rho(1)": rho1, "rho'(1)": drho1, "r(1)": r1, "r'(1)": rp1,
-            "h(1)": h1, "k(1)": k1,
-            "h'(1)": 2.0 * (h1 + k1), "h''(1)": 2.0 * (h1 + k1) + 2.0 * r1,
-            "h'''(1)": 4.0 * r1 + 2.0 * rp1,
-        })
+    return _report("prop4", profile, lhs, rhs, rhs - lhs, {
+        "rho(1)": rho1, "rho'(1)": drho1, "r(1)": r1, "r'(1)": rp1,
+        "h(1)": h1, "k(1)": k1,
+        "h'(1)": 2.0 * (h1 + k1), "h''(1)": 2.0 * (h1 + k1) + 2.0 * r1,
+        "h'''(1)": 4.0 * r1 + 2.0 * rp1,
+    })
 
 
 def cor6_check(profile: RadialProfile,
@@ -152,15 +137,10 @@ def cor6_check(profile: RadialProfile,
     h1, k1 = _sixdim_moments(profile, settings)
     lhs = 2.0 * k1 ** 2
     rhs = h1 * r1
-    margin = rhs - lhs
-    verdict, borderline = _decide(margin, lhs, rhs)
-    return CriterionReport(
-        criterion="cor6", dimension=6, profile=profile.name or "custom",
-        lhs=lhs, rhs=rhs, margin=margin, verdict=verdict, borderline=borderline,
-        intermediates={
-            "rho(1)": rho1, "r(1)": r1, "h(1)": h1, "k(1)": k1,
-            "flat_top_value": flat_value,
-        })
+    return _report("cor6", profile, lhs, rhs, rhs - lhs, {
+        "rho(1)": rho1, "r(1)": r1, "h(1)": h1, "k(1)": k1,
+        "flat_top_value": flat_value,
+    })
 
 
 # Criterion name -> (the dimension it applies to, its check).  A caller may
@@ -170,25 +150,23 @@ CRITERION_CHOICES = ("auto",) + tuple(CRITERIA)
 
 
 def criterion_name(criterion: Optional[str], dimension: int) -> str:
-    """The criterion that ``criterion`` names, None and "auto" included."""
-    if (criterion or "auto") != "auto":
-        return criterion
-    return "prop1" if dimension == 4 else "prop4"
+    """The criterion that ``criterion`` names in ``dimension``: None and
+    "auto" pick prop1 in dimension 4 and prop4 otherwise.  A ValueError for
+    an unknown name or a criterion that does not apply to the dimension."""
+    name = criterion or "auto"
+    if name == "auto":
+        name = "prop1" if dimension == 4 else "prop4"
+    if name not in CRITERIA:
+        raise ValueError(f"unknown criterion {name!r}")
+    applies_to = CRITERIA[name][0]
+    if dimension != applies_to:
+        raise ValueError(f"{name} applies to dimension {applies_to}")
+    return name
 
 
 def check_for_dimension(profile: RadialProfile, dimension: int,
                         criterion: Optional[str] = None,
                         settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
-    """Dispatch to the criterion appropriate for the dimension.
-
-    ``criterion`` is a name in :data:`CRITERIA` or None/"auto" (see
-    :func:`criterion_name`).  Moments are integrated at the tolerances of
-    ``settings``.
-    """
-    name = criterion_name(criterion, dimension)
-    if name not in CRITERIA:
-        raise ValueError(f"unknown criterion {name!r}")
-    applies_to, check = CRITERIA[name]
-    if dimension != applies_to:
-        raise ValueError(f"{name} applies to dimension {applies_to}")
-    return check(profile, settings)
+    """Run the criterion that :func:`criterion_name` resolves, with moments
+    integrated at the tolerances of ``settings``."""
+    return CRITERIA[criterion_name(criterion, dimension)][1](profile, settings)

@@ -29,31 +29,10 @@ from .errors import InvalidParam
 from .profile import (BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
                       const, div, exp_of, mul, neg, powr, sqrt, sub, var_t)
 
-FAMILY_NAMES = ("ball", "cylinder", "cyl_caps", "cyl_caps_KM", "octagon_Kb",
-                "lp_revolution", "exp_decay", "three_bodies_L")
-
-DEFAULT_DIMENSION = {
-    "ball": 4,
-    "cylinder": 6,
-    "cyl_caps": 4,
-    "cyl_caps_KM": 4,
-    "octagon_Kb": 6,
-    "lp_revolution": 6,
-    "exp_decay": 4,
-    "three_bodies_L": 6,
-}
-
-_REQUIRED_PARAMS = {
-    "cyl_caps_KM": ("M",),
-    "octagon_Kb": ("b",),
-    "lp_revolution": ("p",),
-}
-
 _SQ2 = math.sqrt(0.5)  # 1/sqrt(2), the recurring breakpoint
 
-# A sweep shrinks each sign-change bracket by this many 3-way subdivisions,
-# then bisects it down to REFINE_TOL.
-_TRISECT_ROUNDS = 2
+# A sweep bisects each grid cell whose end margins change sign down to this
+# width.
 REFINE_TOL = 1e-10
 # step_grid refuses to build a grid longer than this.
 MAX_GRID_POINTS = 10 ** 5
@@ -160,16 +139,20 @@ def _three_bodies_L_profile() -> RadialProfile:
                          name="three_bodies_L")
 
 
-_BUILDERS: dict = {
-    "ball": lambda params: _ball_profile(),
-    "cylinder": lambda params: _cylinder_profile(),
-    "cyl_caps": lambda params: _cyl_caps_profile(),
-    "cyl_caps_KM": lambda params: _cyl_caps_KM_profile(params["M"]),
-    "octagon_Kb": lambda params: _octagon_profile(params["b"]),
-    "lp_revolution": lambda params: _lp_profile(params["p"]),
-    "exp_decay": lambda params: _exp_profile(),
-    "three_bodies_L": lambda params: _three_bodies_L_profile(),
+# name -> (default dimension, required parameters, profile builder taking
+# the required parameters' values in order).
+_FAMILIES = {
+    "ball": (4, (), _ball_profile),
+    "cylinder": (6, (), _cylinder_profile),
+    "cyl_caps": (4, (), _cyl_caps_profile),
+    "cyl_caps_KM": (4, ("M",), _cyl_caps_KM_profile),
+    "octagon_Kb": (6, ("b",), _octagon_profile),
+    "lp_revolution": (6, ("p",), _lp_profile),
+    "exp_decay": (4, (), _exp_profile),
+    "three_bodies_L": (6, (), _three_bodies_L_profile),
 }
+FAMILY_NAMES = tuple(_FAMILIES)
+DEFAULT_DIMENSION = {name: dim for name, (dim, _, _) in _FAMILIES.items()}
 
 
 def instantiate(spec: FamilySpec) -> BodyOfRevolution:
@@ -178,7 +161,7 @@ def instantiate(spec: FamilySpec) -> BodyOfRevolution:
     Every family accepts an optional "scale" parameter dilating the profile;
     family-specific parameters beyond those listed are rejected.
     """
-    required = _REQUIRED_PARAMS.get(spec.name, ())
+    default_dimension, required, builder = _FAMILIES[spec.name]
     allowed = set(required) | {"scale"}
     unknown = set(spec.params) - allowed
     if unknown:
@@ -188,13 +171,13 @@ def instantiate(spec: FamilySpec) -> BodyOfRevolution:
     missing = [p for p in required if p not in spec.params]
     if missing:
         raise InvalidParam(f"family {spec.name!r} requires parameter(s) {missing}")
-    profile = _BUILDERS[spec.name](spec.params)
+    profile = builder(*(spec.params[p] for p in required))
     scale = spec.params.get("scale")
     if scale is not None:
         if scale <= 0:
             raise InvalidParam(f"scale must be positive, got {scale}")
         profile = profile.scaled(scale)
-    dimension = spec.dimension if spec.dimension is not None else DEFAULT_DIMENSION[spec.name]
+    dimension = spec.dimension if spec.dimension is not None else default_dimension
     return BodyOfRevolution(dimension=dimension, profile=profile,
                             family=spec.name, params=dict(spec.params))
 

@@ -28,8 +28,9 @@ from .jets import Jet
 COSINE = "cos"  # profile argument is the cosine of the vertical angle
 SINE = "sin"    # profile argument is the sine of the vertical angle
 
-# Matching tolerance used to decide that an evaluation point *is* a breakpoint.
-_BP_MATCH_TOL = 1e-12
+# A point within JOINT_TOL of a breakpoint is on it.  The field's default
+# grid and its interior rows must agree, so transform reads this constant.
+JOINT_TOL = 1e-12
 # Tolerance (scaled by local derivative magnitude) for continuity classes.
 DEFAULT_CLASS_TOL = 1e-9
 # Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
@@ -302,16 +303,17 @@ def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float
         raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
     if not t.size:
         return side
-    outside = (t < lo - _BP_MATCH_TOL) | (t > hi + _BP_MATCH_TOL)
+    # Written as "not inside", so that NaN is outside too.
+    outside = ~((t >= lo - JOINT_TOL) & (t <= hi + JOINT_TOL))
     if outside.any():
         raise DomainError(f"argument {t[outside][0]} outside [{lo}, {hi}]")
-    if side == "left" and (np.abs(t - lo) <= _BP_MATCH_TOL).any():
+    if side == "left" and (np.abs(t - lo) <= JOINT_TOL).any():
         raise DomainError(f"no left neighborhood at the lower endpoint {lo}")
-    if side == "right" and (np.abs(t - hi) <= _BP_MATCH_TOL).any():
+    if side == "right" and (np.abs(t - hi) <= JOINT_TOL).any():
         raise DomainError(f"no right neighborhood at the upper endpoint {hi}")
     if side is not None or not len(breakpoints):
         return side
-    on = np.abs(t[:, None] - np.asarray(breakpoints)[None, :]) <= _BP_MATCH_TOL
+    on = np.abs(t[:, None] - np.asarray(breakpoints)[None, :]) <= JOINT_TOL
     hit = np.flatnonzero(on.any(axis=0))
     if not hit.size:
         return None
@@ -339,11 +341,11 @@ class RadialProfile:
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("profile needs at least one piece")
-        if abs(pieces[0].interval[0] - 0.0) > _BP_MATCH_TOL or \
-           abs(pieces[-1].interval[1] - 1.0) > _BP_MATCH_TOL:
+        if abs(pieces[0].interval[0] - 0.0) > JOINT_TOL or \
+           abs(pieces[-1].interval[1] - 1.0) > JOINT_TOL:
             raise ValueError("pieces must cover [0, 1]")
         for p, q in zip(pieces, pieces[1:]):
-            if abs(p.interval[1] - q.interval[0]) > _BP_MATCH_TOL:
+            if abs(p.interval[1] - q.interval[0]) > JOINT_TOL:
                 raise ValueError(
                     f"pieces must tile [0, 1]: gap between {p.interval} and {q.interval}"
                 )
@@ -353,10 +355,10 @@ class RadialProfile:
         self.name = name
         self.domain = (0.0, 1.0)
         self.breakpoint_locations = [p.interval[1] for p in pieces[:-1]]
-        # Piece i governs [b_i, b_(i+1)]; a point within _BP_MATCH_TOL of a
+        # Piece i governs [b_i, b_(i+1)]; a point within JOINT_TOL of a
         # joint b belongs to the piece on the side asked for (right by default).
-        self._left_of = np.array(self.breakpoint_locations) + _BP_MATCH_TOL
-        self._right_of = np.array(self.breakpoint_locations) - _BP_MATCH_TOL
+        self._left_of = np.array(self.breakpoint_locations) + JOINT_TOL
+        self._right_of = np.array(self.breakpoint_locations) - JOINT_TOL
         self._validate_values()
         self.breakpoints = classify_breakpoints(self)
         self._check_continuity()

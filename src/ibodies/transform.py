@@ -31,11 +31,11 @@ from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, Settings,
 from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
-from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile,
+from .profile import (COSINE, JOINT_TOL, SINE, BodyOfRevolution, DerivedProfile,
                       ProfileLike, RadialProfile, classify_breakpoints)
 
 _EPS_AXIS = 1e-6  # lower evaluation cutoff: the pipeline formulas hold on (0, 1]
-# c_n in rho_IK = c_n h_n(x) / x^(n-3), shared by the profile and its reciprocal.
+# c_n in rho_IK = c_n h_n(x) / x^(n-3).
 _IK_FACTOR = {4: 1.0, 6: 1.5}
 # In dimension 6 the jet of x^3/h below this t divides by h(t) ~ t^5 and
 # amplifies the rounding of B and C past the field's own size there (e.g.
@@ -88,7 +88,7 @@ class MomentTable:
         return q if self.n == 4 else np.stack([q, t * t * q])
 
     def _run(self, x: np.ndarray) -> CumulativeIntegral:
-        outside = (x <= 0.0) | (x > 1.0)
+        outside = ~((x > 0.0) & (x <= 1.0))  # NaN is outside too
         if outside.any():
             raise DomainError(f"upper limit must lie in (0, 1], got {x[outside][0]}")
         return cumulative_integrate(self._integrand, x, self.profile.breakpoint_locations,
@@ -183,17 +183,17 @@ def intersection_radial(body: BodyOfRevolution,
                         settings: Settings = DEFAULT_SETTINGS) -> DerivedProfile:
     """Radial profile of the intersection body, x -> c_n h_n(x)/x^(n-3).
 
-    Quadrature-backed (at the tolerances of ``settings``) and evaluable (with
-    derivatives) on [1e-6, 1].
+    The field's inverse-Radon input (:func:`_reciprocal`, with its axis
+    series in dimension 6) turned over; quadrature-backed (at the tolerances
+    of ``settings``) and evaluable (with derivatives) on [1e-6, 1].
     """
     n = body.dimension
-    _require_dimension(n)
     profile = body.profile
-    moments = MomentTable(profile, n - 1, n, settings=settings)
+    reciprocal = _reciprocal(body, MomentTable(profile, n - 1, n, settings=settings),
+                             _axis_series(profile, n))
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(profile, n, x, order, side, moments=moments)
-        return _IK_FACTOR[n] * jh / Jet.variable(x, order) ** (n - 3)
+        return 1.0 / reciprocal.jet_source(x, order, side)
 
     return DerivedProfile(source, profile.breakpoint_locations,
                           domain=(_EPS_AXIS, 1.0), variable=SINE, max_order=3,
@@ -343,7 +343,7 @@ def default_grid(breakpoints: Sequence[float],
     arr = np.unique(np.asarray(pts, dtype=float))
     keep = np.ones(arr.shape, dtype=bool)
     for b in breakpoints:
-        keep &= np.abs(arr - b) > 1e-12
+        keep &= np.abs(arr - b) > JOINT_TOL
     return arr[keep]
 
 
@@ -424,7 +424,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
         grid_arr = default_grid(breaks, uniform_points=uniform_points)
     else:
         grid_arr = np.asarray(sorted(grid), dtype=float)
-        if grid_arr.size and (grid_arr[0] <= 0.0 or grid_arr[-1] > 1.0):
+        if not np.all((grid_arr > 0.0) & (grid_arr <= 1.0)):  # NaN is outside too
             raise DomainError("grid points must lie in (0, 1]")
     # Rows evaluate g at grid points and joints only, so one cumulative pass
     # over those nodes serves every moment the field needs.
@@ -440,7 +440,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     rows = []  # (t, value, is_left_limit, at_breakpoint)
     on_joint = np.zeros(grid_arr.shape, dtype=bool)
     for j in joints:
-        on_joint |= np.abs(grid_arr - j.location) <= 1e-12
+        on_joint |= np.abs(grid_arr - j.location) <= JOINT_TOL
     inner = grid_arr[~on_joint]
     if inner.size:
         rows += [(t, v, False, False) for t, v in

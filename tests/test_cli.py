@@ -224,6 +224,17 @@ def test_sweep_validates_range_and_step():
         assert res.stderr.startswith("error: InvalidParam"), res.stderr
 
 
+@pytest.mark.parametrize("criterion, dim", [("cor6", "4"), ("prop4", None)])
+def test_sweep_refuses_a_criterion_of_another_dimension(criterion, dim, capsys):
+    # As check does, before the first point: no CSV rows of errors.
+    argv = ["sweep", "--builtin", "cyl_caps_KM", "--param", "M", "--range", "1.0",
+            "1.2", "--step", "0.1", "--criterion", criterion] + (["--dim", dim] if dim else [])
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ValueError: {criterion} applies to dimension 6\n"
+
+
 def test_sweep_refuses_an_oversized_grid():
     res = run("sweep", "--builtin", "cyl_caps_KM", "--param", "M",
               "--range", "1", "2", "--step", "1e-12")

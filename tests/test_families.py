@@ -258,6 +258,13 @@ def test_sweep_verdicts_constant_under_scale():
     assert result.roots == []
 
 
+def test_sweep_refuses_a_criterion_of_another_dimension():
+    for dim, criterion, applies_to in ((4, "cor6", 6), (None, "prop4", 6), (6, "prop1", 4)):
+        with pytest.raises(ValueError, match=f"^{criterion} applies to dimension {applies_to}$"):
+            sweep(FamilySpec("cyl_caps_KM", {"M": 1.0}, dim), "M", [1.0, 1.1, 1.2],
+                  criterion=criterion)
+
+
 def test_sweep_grid_must_increase():
     with pytest.raises(ValueError):
         sweep(FamilySpec("ball", {}, 4), "scale", [1.0, 0.5, 2.0])

@@ -144,6 +144,8 @@ def test_domain_error_outside_unit_interval():
         profile.value(1.5)
     with pytest.raises(DomainError):
         profile.eval_jet(-0.2)
+    with pytest.raises(DomainError, match="^argument nan outside"):
+        profile.value(math.nan)
 
 
 def test_infinite_slope_raises_smoothness_error():

@@ -99,6 +99,8 @@ def test_h_rejects_bad_arguments():
         h_jet(ball, 5, 0.5)
     with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got 0.0$"):
         h_jet(ball, 4, 0.0)
+    with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got nan$"):
+        h_jet(ball, 4, math.nan)
     # The profile lives on [0, 1], so h has no value past x = 1.
     for n in (4, 6):
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got 1.5$"):
@@ -144,6 +146,20 @@ def test_intersection_profile_of_balls_is_constant():
     for x in (0.1, 0.5, 0.99):
         assert abs(ir4.value(x) - 1.0) < 1e-12
         assert abs(ir6.value(x) - 1.0) < 1e-12
+
+
+def test_intersection_profile_near_the_axis_takes_the_axis_series():
+    # Below x = 1e-4 in dimension 6 the jet comes from the axis series of
+    # rho^5, as the field's does; from the moments, x^2 B - C, its order-3
+    # jet was off by up to 3.3e4 (cylinder) and 0.15 (ball) there.
+    cylinder = intersection_radial(_body("cylinder", 6))
+    ball = intersection_radial(_body("ball", 6))
+    closed_form = cylinder_intersection_closed_form()
+    for x in (1e-6, 1e-5, 5e-5, 9e-5):
+        for got, want in zip(cylinder.eval_jet(x, 3), closed_form.eval_jet(x, 3)):
+            assert abs(got - want) < 1e-12, x
+        for got, want in zip(ball.eval_jet(x, 3), (1.0, 0.0, 0.0, 0.0)):
+            assert abs(got - want) < 1e-12, x
 
 
 def test_cylinder_intersection_closed_form_values():
@@ -310,6 +326,8 @@ def test_field_grid_validation():
         obstruction_field(body, grid=[0.0, 0.5])
     with pytest.raises(DomainError):
         obstruction_field(body, grid=[0.5, 1.2])
+    with pytest.raises(DomainError, match=r"^grid points must lie in \(0, 1\]$"):
+        obstruction_field(body, grid=[0.5, math.nan])
     with pytest.raises(DomainError):
         obstruction_field(_body("ball", 5))
 
