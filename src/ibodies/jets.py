@@ -77,6 +77,17 @@ class Jet:
             return cls((value,))
         return cls((value, 1.0) + (0.0,) * (order - 1))
 
+    @classmethod
+    def from_parts(cls, parts, size: int, order: int) -> "Jet":
+        """Array jet about ``size`` points, assembled from ``(rows, jet)``
+        parts: each jet holds the points that ``rows`` (a mask) selects, and
+        the parts' rows are disjoint and cover every point."""
+        out = np.empty((order + 1, size))
+        for rows, jet in parts:
+            for k, c in enumerate(jet.coeffs):
+                out[k, rows] = c
+        return cls(tuple(out))
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

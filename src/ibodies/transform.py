@@ -32,7 +32,7 @@ from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
 from .profile import (COSINE, JOINT_TOL, SINE, BodyOfRevolution, DerivedProfile,
-                      ProfileLike, RadialProfile, classify_breakpoints)
+                      RadialProfile, classify_breakpoints)
 
 _EPS_AXIS = 1e-6  # lower evaluation cutoff: the pipeline formulas hold on (0, 1]
 # c_n in rho_IK = c_n h_n(x) / x^(n-3).
@@ -145,7 +145,7 @@ def _kernel_integral_jet(b_val: np.ndarray, c_val: Optional[np.ndarray],
     return Jet([d / math.factorial(k) for k, d in enumerate(derivs)])
 
 
-def _power_jet(profile: ProfileLike, power: int):
+def _power_jet(profile: DerivedProfile, power: int):
     def fn(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
         return profile._jet(x, order, side) ** power
     return fn
@@ -154,12 +154,6 @@ def _power_jet(profile: ProfileLike, power: int):
 def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
     bad = ~np.all(np.isfinite(np.broadcast_arrays(t, *jet.coeffs)[1:]), axis=0)
     return float(t[bad][0])
-
-
-def _points(t) -> tuple:
-    """(1-D array of the points, whether t was a single float)."""
-    arr = np.asarray(t, dtype=float)
-    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
 # ------------------------------------------------------------------ h and IK
@@ -172,11 +166,11 @@ def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
     jet).  B and C come from ``moments``, the :class:`MomentTable` of
     rho^(n-1); without one, from one pass over the points x.
     """
-    xs, single = _points(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     b_val, c_val = (moments or MomentTable(profile, n - 1, n)).at(xs)
     jet = _kernel_integral_jet(b_val, c_val, _power_jet(profile, n - 1),
                                n, xs, order, side)
-    return jet.item(0) if single else jet
+    return jet.item(0) if np.ndim(x) == 0 else jet
 
 
 def intersection_radial(body: BodyOfRevolution,
@@ -247,11 +241,7 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
         parts = [(near, _series_reciprocal_jet(series, x[near], order))]
         if not near.all():
             parts.append((~near, from_moments(x[~near], order, side)))
-        out = np.empty((order + 1, x.size))
-        for rows, jet in parts:
-            for k, c in enumerate(jet.coeffs):
-                out[k, rows] = c
-        return Jet(tuple(out))
+        return Jet.from_parts(parts, x.size, order)
 
     return DerivedProfile(source, profile.breakpoint_locations,
                           domain=(_EPS_AXIS, 1.0), variable=SINE, max_order=4,
@@ -260,7 +250,7 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
 
 # ------------------------------------------------------------- inverse Radon
 
-def inverse_radon(f: ProfileLike, n: int) -> DerivedProfile:
+def inverse_radon(f: DerivedProfile, n: int) -> DerivedProfile:
     """Inverse spherical Radon transform for rotationally symmetric functions.
 
     Input f is a function of x (sine convention); the output g is a function
@@ -291,15 +281,14 @@ def inverse_radon(f: ProfileLike, n: int) -> DerivedProfile:
         d1 = jf.derivative()
         return 6 * jf + 10 * jt * d1 + 2 * jt * jt * d1.derivative()
 
-    max_order = min(2, getattr(f, "max_order", 4) - extra)
     return DerivedProfile(source, f.breakpoint_locations, domain=f.domain,
-                          variable=COSINE, max_order=max_order,
-                          name=f"invradon[{getattr(f, 'name', '') or 'f'}]")
+                          variable=COSINE, max_order=min(2, f.max_order - extra),
+                          name=f"invradon[{f.name or 'f'}]")
 
 
 # --------------------------------------------------------------- box operator
 
-def box_operator(g: ProfileLike, n: int, t, side: Optional[str] = None):
+def box_operator(g: DerivedProfile, n: int, t, side: Optional[str] = None):
     """(1 - t^2) g''(t) - (n-1) t g'(t) + (n-1) g(t).
 
     t is a float (a float is returned) or an array of points, evaluated in
@@ -308,9 +297,7 @@ def box_operator(g: ProfileLike, n: int, t, side: Optional[str] = None):
     _require_dimension(n)
     if g.variable != COSINE:
         raise DomainError("box operator acts on functions of the cosine variable")
-    ts, single = _points(t)
-    out = _box(ts, g._jet(ts, 2, side), n)
-    return float(out[0]) if single else out
+    return _box(t, g._jet(t, 2, side), n)
 
 
 def _box(t, jet: Jet, n: int):
@@ -384,7 +371,7 @@ class ObstructionField:
     # max_depth, worst_error_fraction); deterministic, and kept out of the
     # CSV and the summary line.
     diagnostics: dict = dc_field(default_factory=dict)
-    g: Optional[ProfileLike] = dc_field(default=None, repr=False, compare=False)
+    g: Optional[DerivedProfile] = dc_field(default=None, repr=False, compare=False)
 
     def to_csv(self, fh) -> None:
         fh.write("t,continuous_value,is_left_limit,is_atom,atom_weight\n")

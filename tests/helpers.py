@@ -14,7 +14,7 @@ import numpy as np
 from ibodies.calculus import QuadratureRequest, RootBracket, Settings
 from ibodies.errors import DomainError
 from ibodies.jets import Jet
-from ibodies.profile import COSINE, SINE, DerivedProfile, ProfileLike
+from ibodies.profile import COSINE, SINE, DerivedProfile
 from reference_quadpack import integrate
 
 
@@ -131,7 +131,7 @@ def fd_check(value_fn: Callable[[float], float], deriv_fn: Callable[[float], flo
     return analytic, numeric, rel
 
 
-def converted_variable(profile: ProfileLike) -> DerivedProfile:
+def converted_variable(profile: DerivedProfile) -> DerivedProfile:
     """Reparameterize between the cosine and sine conventions.
 
     If q(x) is the input, the output is q(sqrt(1 - t^2)) with derivatives via
@@ -154,11 +154,11 @@ def converted_variable(profile: ProfileLike) -> DerivedProfile:
     lo = max(np.sqrt(1.0 - profile.domain[1] ** 2), 1e-8)
     hi = min(np.sqrt(1.0 - profile.domain[0] ** 2), 1.0)
     return DerivedProfile(source, [float(b) for b in bps], domain=(float(lo), float(hi)),
-                          variable=target, max_order=getattr(profile, "max_order", 3),
-                          name=f"{getattr(profile, 'name', '')} reparam".strip())
+                          variable=target, max_order=profile.max_order,
+                          name=f"{profile.name} reparam".strip())
 
 
-def inverse_radon_brute(f: ProfileLike, n: int, t: float,
+def inverse_radon_brute(f: DerivedProfile, n: int, t: float,
                         fd_step: float = 5e-4) -> float:
     """Direct evaluation of the iterated-derivative inversion formula.
 

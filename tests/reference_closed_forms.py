@@ -15,8 +15,8 @@ from ibodies.criteria import _sixdim_moments, cor6_check, prop1_check
 from ibodies.errors import DomainError, InvalidParam
 from ibodies.families import FamilySpec, instantiate
 from ibodies.jets import Jet
-from ibodies.profile import (COSINE, SINE, DerivedProfile, Piece, ProfileLike,
-                             RadialProfile, add, div, mul, powr, sub, var_t)
+from ibodies.profile import (COSINE, SINE, DerivedProfile, Piece, RadialProfile,
+                             add, div, mul, powr, sub, var_t)
 from ibodies.transform import (_EPS_AXIS, MomentTable, _kernel_integral_jet,
                                _require_dimension)
 
@@ -52,7 +52,7 @@ def vamos_numerator(profile: RadialProfile) -> float:
 
 # ----------------------------------------------------------------- transform
 
-def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
+def radon_transform(q: DerivedProfile, n: int) -> DerivedProfile:
     """Forward spherical Radon transform of a rotationally symmetric function.
 
     Input q is a function of t (cosine convention); output is the function
@@ -72,7 +72,7 @@ def radon_transform(q: ProfileLike, n: int) -> DerivedProfile:
 
     return DerivedProfile(source, q.breakpoint_locations, domain=(_EPS_AXIS, 1.0),
                           variable=SINE, max_order=4,
-                          name=f"radon[{getattr(q, 'name', '') or 'q'}]")
+                          name=f"radon[{q.name or 'q'}]")
 
 
 def cylinder_intersection_closed_form() -> RadialProfile:

@@ -408,11 +408,28 @@ def test_misshapen_profile_json_is_an_input_error(tmp_path):
                 {"builtin": "ball", "params": {"scale": [1]}},
                 {"builtin": "ball", "params": None},
                 {"pieces": 5},
-                {"pieces": [{"interval": [0.0, 1.0], "expr": 5}]}):
+                {"pieces": [{"interval": [0.0, 1.0], "expr": 5}]},
+                {"pieces": [{"interval": [None, 1.0], "expr": "1"}]},
+                {"pieces": [{"interval": ["a", 1.0], "expr": "1"}]}):
         path.write_text(json.dumps(obj))
         res = run("validate", "--profile-json", str(path), "--dim", "4")
         assert res.returncode == 2, (obj, res.stderr)
         assert res.stderr.startswith("error: ProfileFormatError"), obj
+        if "pieces" in obj and isinstance(obj["pieces"], list):
+            assert f"bad piece entry {obj['pieces'][0]!r}" in res.stderr, res.stderr
+
+
+def test_an_octagon_piece_narrower_than_the_joint_tolerance_is_refused():
+    # Near b = 1 the diagonal piece, and near b = 0 the side piece, shrinks
+    # below JOINT_TOL: its two ends would be one joint, counted twice.
+    for command, b, interval in (("field", "0.9999999999999",
+                                  "[0.7071067811865122, 0.7071067811865829]"),
+                                 ("validate", "1e-13", "[0.0, 1e-13]")):
+        res = run(command, "--builtin", "octagon_Kb", "--param", f"b={b}")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == (f"error: ValueError: piece interval {interval} must "
+                              "lie inside [0, 1] and be wider than 1e-12\n"), res.stderr
+        assert res.stdout == ""
 
 
 def test_profile_json_errors_name_the_bad_token(tmp_path):

@@ -83,6 +83,10 @@ def test_piece_interval_must_be_nondegenerate():
         Piece((0.3, 0.2), const(1))
     with pytest.raises(ValueError):
         Piece((-0.1, 0.5), const(1))
+    # A piece no wider than JOINT_TOL would have both ends on one joint.
+    with pytest.raises(ValueError, match=r"^piece interval \[0\.5, 0\.5000000000005\] "):
+        Piece((0.5, 0.5 + 5e-13), const(1))
+    Piece((0.5, 0.5 + 2e-12), const(1))
 
 
 def test_pieces_must_tile_unit_interval():

@@ -148,6 +148,18 @@ def test_intersection_profile_of_balls_is_constant():
         assert abs(ir6.value(x) - 1.0) < 1e-12
 
 
+def test_every_profile_refuses_an_order_above_its_own_with_value_error():
+    # One front checks the order for closed-form and derived profiles alike;
+    # the intersection profile has jets up to order 3.
+    ir4 = intersection_radial(_body("ball", 4))
+    assert ir4.max_order == 3
+    for profile in (ir4, _body("ball", 4).profile):
+        with pytest.raises(ValueError, match="^order must be between 0 and 3$"):
+            profile.eval_jet(0.5, 4)
+        with pytest.raises(ValueError, match="^order must be between 0 and 3$"):
+            profile.eval_jet(0.5, -1)
+
+
 def test_intersection_profile_near_the_axis_takes_the_axis_series():
     # Below x = 1e-4 in dimension 6 the jet comes from the axis series of
     # rho^5, as the field's does; from the moments, x^2 B - C, its order-3
