@@ -3,18 +3,19 @@
 Everything downstream (the transform pipeline, criteria margins, parameter
 sweeps) funnels through this module so that failure modes are decided in
 exactly one place; tolerances arrive as arguments, from a :class:`Settings`
-that the caller passes down.  There is one quadrature routine, a vectorised
-adaptive Gauss-Kronrod pass that gives running integrals up to many nodes at
-once; a single definite integral is that pass with one node.  The value of
-this layer is the bookkeeping around it: splitting at known breakpoints,
-honest error propagation, and hard failures instead of silently degraded
-answers.
+that the caller passes down.  There is one quadrature routine,
+:func:`integrate`: a vectorised adaptive Gauss-Kronrod pass that gives the
+running integrals from 0 up to every node of a :class:`QuadratureRequest`
+at once; a single definite integral over [0, x] is that pass with one node.
+The value of this layer is the bookkeeping around it: splitting at known
+breakpoints, honest error propagation, and hard failures instead of silently
+degraded answers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,44 +42,6 @@ class Settings:
 
 
 DEFAULT_SETTINGS = Settings()
-
-
-@dataclass
-class QuadratureRequest:
-    """Definite integral of a function with explicit interior splits.
-
-    ``fn`` maps a 1-D array of points to an array of its values there.
-
-    ``breakpoints`` lists interior locations where the integrand (or its
-    derivatives) may jump; the interval is split there so the adaptive rule
-    never straddles a kink.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    lower: float
-    upper: float
-    breakpoints: Sequence[float] = field(default_factory=tuple)
-    settings: Settings = DEFAULT_SETTINGS
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
-        inside = sorted(b for b in self.breakpoints
-                        if self.lower < b < self.upper)
-        self.breakpoints = tuple(inside)
-
-
-def integrate(request: QuadratureRequest) -> float:
-    """Evaluate the integral, raising NoConvergence if the error target fails.
-
-    One :func:`cumulative_integrate` pass over [lower, upper], split at the
-    request's breakpoints, at the tolerances of its settings; ``request.fn``
-    receives an array of points.  Results are bit-reproducible for a given
-    request.
-    """
-    res = cumulative_integrate(request.fn, [request.upper], request.breakpoints,
-                               start=request.lower, settings=request.settings)
-    return float(res.values[0, 0])
 
 
 # QUADPACK's qk15 rule on [-1, 1]: the 15 Kronrod nodes in increasing order,
@@ -108,8 +71,8 @@ MAX_PANELS = 100_000    # refinement stops before the panel count passes this
 class CumulativeIntegral:
     """Running integrals of one or more integrands, up to every node.
 
-    ``values[i, k]`` is the integral of integrand ``i`` from the pass's
-    start to ``nodes[k]``.  The counters describe the pass that produced them.
+    ``values[i, k]`` is the integral of integrand ``i`` from 0 to
+    ``nodes[k]``.  The counters describe the pass that produced them.
     """
 
     nodes: np.ndarray
@@ -149,7 +112,7 @@ def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
 
 def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tuple:
     """Running sums of the panel integrals and error estimates, read at every
-    node; the panels (given as lists of arrays) tile [start, max node]."""
+    node; the panels (given as lists of arrays) tile [0, max node]."""
     order = np.argsort(np.concatenate(a), kind="stable")
     right = np.concatenate(b)[order]
     at = np.searchsorted(right, nodes, side="right")
@@ -160,34 +123,49 @@ def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tupl
     return tuple(out)
 
 
-def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
-                         nodes: Sequence[float],
-                         breakpoints: Sequence[float] = (), start: float = 0.0,
-                         settings: Settings = DEFAULT_SETTINGS) -> CumulativeIntegral:
-    """Integrals from ``start`` to every node, from one adaptive pass.
+@dataclass
+class QuadratureRequest:
+    """Running integrals of ``fn`` from 0 to every node.
 
     ``fn`` maps a 1-D array of points to an array of shape (points,) or
-    (integrands, points).  [start, largest node] is split into panels at every
-    node and interior breakpoint, so no panel straddles a kink; each round
-    evaluates all open panels with one call of ``fn`` (Gauss-Kronrod 7/15)
-    and bisects those that miss their share of the tolerance, until every
-    panel meets its share or every node's accumulated error estimate (open
-    panels counted at their current estimates) is within
-    max(abs_tol, rel_tol * |value|).  A running sum over the panels, in
-    order, gives every node's value and accumulated error estimate.
-
-    Raises NoConvergence when the integrand is not finite at an evaluation
-    point or when the accumulated error at any node exceeds
-    10 * max(abs_tol, rel_tol * |value|).  The tolerances are those of
-    ``settings``.
+    (integrands, points).  ``breakpoints`` lists locations where the
+    integrand (or its derivatives) may jump; panels are split there so the
+    adaptive rule never straddles a kink, and those outside the interval are
+    ignored.
     """
-    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
-    nodes = np.unique(np.asarray(nodes, dtype=float))
-    if nodes.size == 0 or nodes[0] < start or nodes[-1] <= start:
-        raise ValueError(f"nodes must lie in [{start}, inf) with one above it, got {nodes}")
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    nodes: Sequence[float]
+    breakpoints: Sequence[float] = ()
+    settings: Settings = DEFAULT_SETTINGS
+
+
+def integrate(request: QuadratureRequest) -> CumulativeIntegral:
+    """Integrals from 0 to every node of ``request``, from one adaptive pass.
+
+    [0, largest node] is split into panels at every node and interior
+    breakpoint, so no panel straddles a kink; each round evaluates all open
+    panels with one call of ``request.fn`` (Gauss-Kronrod 7/15) and bisects
+    those that miss their share of the tolerance, until every panel meets
+    its share or every node's accumulated error estimate (open panels
+    counted at their current estimates) is within
+    max(abs_tol, rel_tol * |value|).  A running sum over the panels, in
+    order, gives every node's value and accumulated error estimate.  Results
+    are bit-reproducible for a given request.
+
+    Raises ValueError for a negative node or when no node lies above 0, and
+    NoConvergence when the integrand is not finite at an evaluation point or
+    when the accumulated error at any node exceeds
+    10 * max(abs_tol, rel_tol * |value|).  The tolerances are those of
+    ``request.settings``.
+    """
+    rel_tol, abs_tol = request.settings.rel_tol, request.settings.abs_tol
+    nodes = np.unique(np.asarray(request.nodes, dtype=float))
+    if nodes.size == 0 or nodes[0] < 0.0 or nodes[-1] <= 0.0:
+        raise ValueError(f"nodes must lie in [0, inf) with one above it, got {nodes}")
     end = float(nodes[-1])
-    inner = [x for x in breakpoints if start < x < end]
-    edges = np.unique(np.concatenate([[start], inner, nodes]))
+    inner = [x for x in request.breakpoints if 0.0 < x < end]
+    edges = np.unique(np.concatenate([[0.0], inner, nodes]))
     a, b = edges[:-1], edges[1:]
 
     done_a, done_b, done_val, done_err = [], [], [], []
@@ -195,12 +173,12 @@ def cumulative_integrate(fn: Callable[[np.ndarray], np.ndarray],
     for depth in range(MAX_BISECTIONS + 1):
         if a.size == 0:
             break
-        val, err, resabs = _gk15_panels(fn, a, b)
+        val, err, resabs = _gk15_panels(request.fn, a, b)
         evaluations += a.size * _GK_X.size
         # Half of each panel's share of rel_tol * int|f| + abs_tol, so that the
         # error summed up to any node stays within max(abs_tol, rel_tol |value|)
         # for an integrand of one sign.
-        allowed = 0.5 * (rel_tol * resabs + abs_tol * (b - a) / (end - start))
+        allowed = 0.5 * (rel_tol * resabs + abs_tol * (b - a) / end)
         ok = np.all(err <= allowed, axis=0)
         mid = 0.5 * (a + b)
         ok |= (mid <= a) | (mid >= b)  # panel too narrow to bisect

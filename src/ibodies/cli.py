@@ -206,7 +206,9 @@ def cmd_oracle(args, settings: Settings) -> int:
                                   settings=settings)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     status = "ok" if report["all_within_3sigma"] else "MISMATCH"
-    lines = [f"oracle {status}: {len(report['comparisons'])} ratio(s), "
+    comparisons = report["comparisons"]
+    outside = sum(not c["within_3sigma"] for c in comparisons)
+    lines = [f"oracle {status}: {outside} of {len(comparisons)} ratio(s) outside 3 sigma, "
              f"{args.samples} samples, seed {args.seed}"]
     _emit(args, text, lines)
     return 0 if report["all_within_3sigma"] else 1

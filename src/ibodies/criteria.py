@@ -49,9 +49,9 @@ class CriterionReport:
 
 def _moment(profile: RadialProfile, weight,
             settings: Settings = DEFAULT_SETTINGS) -> float:
-    return integrate(QuadratureRequest(
-        lambda t: weight(t, profile.eval_array(t)), 0.0, 1.0,
-        profile.breakpoint_locations, settings=settings))
+    return float(integrate(QuadratureRequest(
+        lambda t: weight(t, profile.eval_array(t)), [1.0],
+        profile.breakpoint_locations, settings)).values[0, 0])
 
 
 def _report(name: str, profile: RadialProfile, lhs: float, rhs: float,

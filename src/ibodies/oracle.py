@@ -24,6 +24,12 @@ from .profile import BodyOfRevolution
 from .transform import intersection_radial
 
 MIN_SAMPLES = 10 ** 4
+# Larger sample counts are refused before anything is allocated: at this
+# bound two batches in flight hold 200 MB of cosines.
+MAX_SAMPLES = 10 ** 8
+# With zero variance a Monte Carlo ratio agrees when it lies within this many
+# ulps of the quadrature ratio (see _z_score).
+ZERO_VARIANCE_ULPS = 4
 # mc_section_volume draws its samples in this many independently seeded batches,
 # walks each batch in chunks of at most CHUNK rows, and runs the batches on
 # WORKERS threads.  Each batch in flight holds 8 bytes of cosines per sample,
@@ -97,7 +103,8 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     Within the hyperplane's orthonormal frame, only the coordinate along the
     tilted basis vector contributes a vertical component, so the vertical
     cosine of a sample is |u1| sin(phi) for a uniformly random direction u.
-    Raises DomainError when the bounding ball's volume overflows or
+    Raises InsufficientSamples below MIN_SAMPLES samples, and DomainError
+    above MAX_SAMPLES or when the bounding ball's volume overflows or
     underflows a float.
 
     The samples come in BATCHES independently seeded batches.  A batch draws
@@ -116,6 +123,8 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
         raise InsufficientSamples(
             f"need at least {MIN_SAMPLES} samples for a meaningful estimate, got {samples}"
         )
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"at most {MAX_SAMPLES} samples are drawn, got {samples}")
     if not 0.0 <= phi <= math.pi / 2 + 1e-12:
         raise DomainError(f"phi must lie in [0, pi/2], got {phi}")
     d = body.dimension - 1
@@ -163,6 +172,15 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
                            std_error=std_error, seed=seed, hits=hits)
 
 
+def _z_score(diff: float, sigma: float, quad_ratio: float) -> float:
+    """diff / sigma.  sigma is exactly 0 when every sample of both sections
+    hits; then a diff within ZERO_VARIANCE_ULPS ulps of the quadrature ratio
+    scores 0 (a match up to rounding) and any other scores inf."""
+    if sigma > 0:
+        return diff / sigma
+    return 0.0 if abs(diff) <= ZERO_VARIANCE_ULPS * math.ulp(quad_ratio) else math.inf
+
+
 def section_ratio_report(body: BodyOfRevolution,
                          angles: Sequence[float] = DEFAULT_ANGLES,
                          samples: int = 10 ** 5, seed: int = 12345,
@@ -184,10 +202,7 @@ def section_ratio_report(body: BodyOfRevolution,
     for est in estimates[1:]:
         mc_ratio, sigma = est.ratio_to(ref)
         quad_ratio = ik.value(math.sin(est.phi)) / ref_value
-        diff = mc_ratio - quad_ratio
-        # sigma can be exactly 0 when the section fills its bounding ball;
-        # then only an exact ratio match counts as agreement.
-        z = diff / sigma if sigma > 0 else (0.0 if diff == 0.0 else math.inf)
+        z = _z_score(mc_ratio - quad_ratio, sigma, quad_ratio)
         ok = abs(z) <= 3.0
         all_ok = all_ok and ok
         comparisons.append({

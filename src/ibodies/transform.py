@@ -25,9 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# integrate is not called here; perfbench's tracer wraps it on this module.
-from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, Settings,
-                       cumulative_integrate, integrate)
+from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, QuadratureRequest,
+                       Settings, integrate)
 from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
@@ -61,7 +60,7 @@ def _require_dimension(n: int) -> None:
 class MomentTable:
     """Moments B(x) = int_0^x q and, for n = 6, C(x) = int_0^x t^2 q.
 
-    Here q = profile^power.  The table is one :func:`cumulative_integrate`
+    Here q = profile^power.  The table is one :func:`integrate`
     pass over ``nodes`` at the tolerances of ``settings``, run at
     construction; it never changes.  :meth:`at` reads the points in the table
     and integrates the others in one pass of their own that is not kept, so a
@@ -91,8 +90,8 @@ class MomentTable:
         outside = ~((x > 0.0) & (x <= 1.0))  # NaN is outside too
         if outside.any():
             raise DomainError(f"upper limit must lie in (0, 1], got {x[outside][0]}")
-        return cumulative_integrate(self._integrand, x, self.profile.breakpoint_locations,
-                                    settings=self.settings)
+        return integrate(QuadratureRequest(self._integrand, x,
+                                           self.profile.breakpoint_locations, self.settings))
 
     def at(self, x: np.ndarray) -> tuple:
         """(B(x), C(x)) at an array of points; C is None for n = 4."""

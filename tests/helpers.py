@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ibodies.calculus import QuadratureRequest, RootBracket, Settings
+from ibodies.calculus import RootBracket, Settings
 from ibodies.errors import DomainError
 from ibodies.jets import Jet
 from ibodies.profile import COSINE, SINE, DerivedProfile
@@ -180,8 +180,7 @@ def inverse_radon_brute(f: DerivedProfile, n: int, t: float,
             return base if power == 0 else base * (u * u - x * x) ** power
 
         inner = [b for b in bps if lo < b < u]
-        return integrate(QuadratureRequest(integrand, lo, u, inner,
-                                           Settings(rel_tol=1e-12, abs_tol=1e-14)))
+        return integrate(integrand, lo, u, inner, Settings(rel_tol=1e-12, abs_tol=1e-14))
 
     level: Callable[[float], float] = j_fn
     for _ in range(n - 2):

@@ -13,7 +13,6 @@ the field's row logic (grid, one-sided rows at joints, atoms) on top of it.
 
 import numpy as np
 
-from ibodies.calculus import QuadratureRequest
 from ibodies.profile import classify_breakpoints
 from ibodies.transform import (MomentTable, _axis_series, _reciprocal,
                                _require_dimension, box_operator, default_grid,
@@ -34,10 +33,10 @@ class ScalarMoments:
         def q(t):
             return self.profile.value(t) ** self.power
 
-        b_val = integrate(QuadratureRequest(q, 0.0, x, bps))
+        b_val = integrate(q, 0.0, x, bps)
         if self.n == 4:
             return b_val, None
-        c_val = integrate(QuadratureRequest(lambda t: t * t * q(t), 0.0, x, bps))
+        c_val = integrate(lambda t: t * t * q(t), 0.0, x, bps)
         return b_val, c_val
 
     def at(self, xs):

@@ -2,33 +2,36 @@
 independent reference.
 
 The library integrates with one numpy adaptive Gauss-Kronrod routine
-(``calculus.cumulative_integrate``; ``calculus.integrate`` is one pass of
-it).  :func:`integrate` below is the route it replaced, kept verbatim: the
-same :class:`~ibodies.calculus.QuadratureRequest`, but split into
-subintervals at the breakpoints and handed to ``scipy.integrate.quad``,
-whose ``qagse`` has epsilon extrapolation.  ``request.fn`` receives one
-float at a time here.  Tests that stand for an independent quadrature
-compare the library with this, never with the library itself.
+(``calculus.integrate``: running integrals from 0 to many nodes in one
+pass).  :func:`integrate` below is the route it replaced, kept verbatim: one
+definite integral over [lower, upper] at the tolerances of ``settings``,
+split into subintervals at the breakpoints and handed to
+``scipy.integrate.quad``, whose ``qagse`` has epsilon extrapolation.
+``fn`` receives one float at a time here.  Tests that stand for an
+independent quadrature compare the library with this, never with the
+library itself.
 """
 
 from scipy import integrate as _sp_integrate
 
-from ibodies.calculus import QuadratureRequest
+from ibodies.calculus import DEFAULT_SETTINGS, Settings
 from ibodies.errors import NoConvergence
 
 
-def integrate(request: QuadratureRequest) -> float:
+def integrate(fn, lower: float, upper: float, breakpoints=(),
+              settings: Settings = DEFAULT_SETTINGS) -> float:
     """Evaluate the integral, raising NoConvergence if the error target fails.
 
-    Subintervals are integrated left to right and summed in that fixed order,
-    so results are bit-reproducible for a given request.
+    Breakpoints outside (lower, upper) are ignored.  Subintervals are
+    integrated left to right and summed in that fixed order, so results are
+    bit-reproducible for given arguments.
     """
-    edges = [request.lower, *request.breakpoints, request.upper]
-    rel_tol, abs_tol = request.settings.rel_tol, request.settings.abs_tol
+    edges = [lower, *sorted(b for b in breakpoints if lower < b < upper), upper]
+    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
     total = 0.0
     err_budget = 0.0
     for a, b in zip(edges, edges[1:]):
-        out = _sp_integrate.quad(request.fn, a, b, full_output=1,
+        out = _sp_integrate.quad(fn, a, b, full_output=1,
                                  epsabs=abs_tol, epsrel=rel_tol,
                                  limit=200)
         val, abserr = out[0], out[1]

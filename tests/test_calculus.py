@@ -12,7 +12,7 @@ import pytest
 import ibodies
 from ibodies import calculus
 from ibodies.calculus import (DEFAULT_SETTINGS, QuadratureRequest, RootBracket,
-                              Settings, bisect, cumulative_integrate, integrate)
+                              Settings, bisect, integrate)
 from ibodies.errors import InvalidBracket, NoConvergence
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from helpers import Divergent, bracket, fd_check, one_sided_limit
@@ -26,18 +26,22 @@ def _rho(name, **params):
     return profile
 
 
+def _integral(fn, x=1.0, breakpoints=()):
+    """int_0^x fn: one pass with the single node x."""
+    return integrate(QuadratureRequest(fn, [x], breakpoints)).values[0, 0]
+
+
 # --------------------------------------------------------------- quadrature
 
 def test_polynomial_integral():
-    val = integrate(QuadratureRequest(lambda t: t * t, 0.0, 1.0))
+    val = _integral(lambda t: t * t)
     assert abs(val - 1.0 / 3.0) < 1e-14
 
 
 def test_capped_cylinder_cubed_moment():
     # int_0^1 rho^3 dt = 5/16 for the radius-1/2 capped cylinder.
     rho = _rho("cyl_caps")
-    val = integrate(QuadratureRequest(lambda t: rho.eval_array(t) ** 3, 0.0, 1.0,
-                                      rho.breakpoint_locations))
+    val = _integral(lambda t: rho.eval_array(t) ** 3, 1.0, rho.breakpoint_locations)
     assert abs(val - 5.0 / 16.0) < 1e-10
 
 
@@ -48,10 +52,8 @@ def test_cylinder_fifth_moments():
     #   right: (1-t^2)/t^5 and 1/t^3 on [1/sqrt(2), 1].
     rho = _rho("cylinder")
     bps = rho.breakpoint_locations
-    h1 = integrate(QuadratureRequest(
-        lambda t: rho.eval_array(t) ** 5 * (1.0 - t * t), 0.0, 1.0, bps))
-    k1 = integrate(QuadratureRequest(
-        lambda t: rho.eval_array(t) ** 5 * t * t, 0.0, 1.0, bps))
+    h1 = _integral(lambda t: rho.eval_array(t) ** 5 * (1.0 - t * t), 1.0, bps)
+    k1 = _integral(lambda t: rho.eval_array(t) ** 5 * t * t, 1.0, bps)
     assert abs(h1 - 1.25) < 1e-10
     assert abs(k1 - 5.0 / 6.0) < 1e-10
 
@@ -59,43 +61,44 @@ def test_cylinder_fifth_moments():
 def test_breakpoint_splitting_handles_kinks():
     fn = lambda t: abs(t - SQ2)
     exact = (SQ2 ** 2 + (1.0 - SQ2) ** 2) / 2.0
-    val = integrate(QuadratureRequest(fn, 0.0, 1.0, [SQ2]))
+    val = _integral(fn, 1.0, [SQ2])
     assert abs(val - exact) < 1e-13
 
 
 def test_linearity_and_interval_additivity():
     f = lambda t: np.exp(-t)
     g = lambda t: t ** 3
-    lhs = integrate(QuadratureRequest(lambda t: 2.0 * f(t) - 0.5 * g(t), 0.0, 1.0))
-    rhs = (2.0 * integrate(QuadratureRequest(f, 0.0, 1.0))
-           - 0.5 * integrate(QuadratureRequest(g, 0.0, 1.0)))
+    lhs = _integral(lambda t: 2.0 * f(t) - 0.5 * g(t))
+    rhs = 2.0 * _integral(f) - 0.5 * _integral(g)
     assert abs(lhs - rhs) < 1e-12
-    whole = integrate(QuadratureRequest(f, 0.0, 1.0))
-    split = (integrate(QuadratureRequest(f, 0.0, 0.37))
-             + integrate(QuadratureRequest(f, 0.37, 1.0)))
+    whole = _integral(f)
+    # int_0.37^1 f as int_0^0.63 of f shifted by 0.37.
+    split = _integral(f, 0.37) + _integral(lambda t: f(t + 0.37), 0.63)
     assert abs(whole - split) < 1e-13
 
 
 def test_divergent_integral_raises():
     with pytest.raises(NoConvergence):
-        integrate(QuadratureRequest(lambda t: 1.0 / t, 0.0, 1.0))
+        _integral(lambda t: 1.0 / t)
 
 
 def test_empty_interval_rejected():
-    with pytest.raises(ValueError):
-        QuadratureRequest(lambda t: t, 1.0, 1.0)
+    for nodes in ([], [0.0, 0.0]):
+        with pytest.raises(ValueError):
+            integrate(QuadratureRequest(lambda t: t, nodes))
 
 
 def test_exterior_breakpoints_are_dropped():
-    req = QuadratureRequest(lambda t: t, 0.25, 0.75, [0.1, 0.5, 0.9])
-    assert req.breakpoints == (0.5,)
+    res = integrate(QuadratureRequest(lambda t: t, [0.25, 0.75], [-0.1, 0.5, 0.9]))
+    assert res.panels == 3  # [0, 0.25, 0.5, 0.75]: only 0.5 splits a panel
+    assert np.max(np.abs(res.values[0] - [0.25 ** 2 / 2, 0.75 ** 2 / 2])) < 1e-15
 
 
 def test_tolerance_overrides():
     settings = Settings(rel_tol=1e-6, abs_tol=1e-9)
-    req = QuadratureRequest(lambda t: t, 0.0, 1.0, settings=settings)
+    req = QuadratureRequest(lambda t: t, [1.0], settings=settings)
     assert req.settings is settings
-    assert QuadratureRequest(lambda t: t, 0.0, 1.0).settings is DEFAULT_SETTINGS
+    assert QuadratureRequest(lambda t: t, [1.0]).settings is DEFAULT_SETTINGS
     for bad in ({"rel_tol": -1.0}, {"abs_tol": 0.0}, {"rel_tol": math.inf},
                 {"abs_tol": math.nan}):
         with pytest.raises(ValueError, match="must be positive and finite"):
@@ -110,7 +113,7 @@ def test_cumulative_is_exact_on_low_degree_polynomials():
     # Gauss-Kronrod 7/15 integrates degree <= 22 exactly on every panel.
     nodes = np.linspace(0.05, 1.0, 20)
     degrees = (0, 1, 5, 13, 22)
-    res = cumulative_integrate(lambda t: np.stack([t ** d for d in degrees]), nodes)
+    res = integrate(QuadratureRequest(lambda t: np.stack([t ** d for d in degrees]), nodes))
     for row, d in zip(res.values, degrees):
         assert np.max(np.abs(row - nodes ** (d + 1) / (d + 1))) < 1e-15
     assert res.max_depth == 0
@@ -129,12 +132,12 @@ def test_cumulative_agrees_with_integrate_for_every_builtin(name):
         def q(t):
             return rho.eval_array(t) ** (n - 1)
 
-        res = cumulative_integrate(lambda t: np.stack([q(t), t * t * q(t)]), nodes, bps)
+        res = integrate(QuadratureRequest(lambda t: np.stack([q(t), t * t * q(t)]), nodes, bps))
         for k, x in enumerate(nodes):
-            want_b = reference_quadpack.integrate(QuadratureRequest(
-                lambda t: rho.value(t) ** (n - 1), 0.0, x, bps))
-            want_c = reference_quadpack.integrate(QuadratureRequest(
-                lambda t: t * t * rho.value(t) ** (n - 1), 0.0, x, bps))
+            want_b = reference_quadpack.integrate(
+                lambda t: rho.value(t) ** (n - 1), 0.0, x, bps)
+            want_c = reference_quadpack.integrate(
+                lambda t: t * t * rho.value(t) ** (n - 1), 0.0, x, bps)
             assert abs(res.values[0, k] - want_b) <= 1e-12 * abs(want_b)
             assert abs(res.values[1, k] - want_c) <= 1e-12 * abs(want_c)
 
@@ -146,31 +149,31 @@ def test_cumulative_step_integrand_split_at_its_breakpoint():
         return np.where(t < 0.3, 1.0, 2.0)
 
     nodes = [0.1, 0.2, 0.5, 1.0]
-    res = cumulative_integrate(step, nodes, breakpoints=[0.3])
+    res = integrate(QuadratureRequest(step, nodes, breakpoints=[0.3]))
     exact = [0.1, 0.2, 0.3 + 2.0 * 0.2, 0.3 + 2.0 * 0.7]
     assert np.max(np.abs(res.values[0] - exact)) < 1e-15
     assert res.panels == 5 and res.max_depth == 0
-    unsplit = cumulative_integrate(step, nodes)
+    unsplit = integrate(QuadratureRequest(step, nodes))
     assert unsplit.max_depth > 0
 
 
 def test_cumulative_rejects_non_finite_integrands():
     with pytest.raises(NoConvergence):
-        cumulative_integrate(lambda t: np.where(t > 0.5, np.nan, 1.0), [1.0])
+        integrate(QuadratureRequest(lambda t: np.where(t > 0.5, np.nan, 1.0), [1.0]))
     with pytest.raises(NoConvergence):
-        cumulative_integrate(lambda t: np.where(t > 0.5, np.inf, 1.0), [0.25, 1.0])
+        integrate(QuadratureRequest(lambda t: np.where(t > 0.5, np.inf, 1.0), [0.25, 1.0]))
 
 
 def test_cumulative_divergent_integral_raises():
     with pytest.raises(NoConvergence):
-        cumulative_integrate(lambda t: 1.0 / t, [1.0])
+        integrate(QuadratureRequest(lambda t: 1.0 / t, [1.0]))
 
 
 def test_cumulative_empty_interval_rejected():
     with pytest.raises(ValueError):
-        cumulative_integrate(lambda t: t, [0.0])
+        integrate(QuadratureRequest(lambda t: t, [0.0]))
     with pytest.raises(ValueError):
-        cumulative_integrate(lambda t: t, [-0.5, 0.5])
+        integrate(QuadratureRequest(lambda t: t, [-0.5, 0.5]))
 
 
 def test_cumulative_follows_default_tolerances():
@@ -178,9 +181,9 @@ def test_cumulative_follows_default_tolerances():
     # depends on the tolerance passed, and a loose call leaves no trace on
     # the defaults.
     fn = np.sqrt
-    tight = cumulative_integrate(fn, [1.0])
-    loose = cumulative_integrate(fn, [1.0], settings=Settings(1e-4, 1e-6))
-    again = cumulative_integrate(fn, [1.0])
+    tight = integrate(QuadratureRequest(fn, [1.0]))
+    loose = integrate(QuadratureRequest(fn, [1.0], settings=Settings(1e-4, 1e-6)))
+    again = integrate(QuadratureRequest(fn, [1.0]))
     assert loose.evaluations < tight.evaluations
     assert again.evaluations == tight.evaluations
     assert again.values[0, 0] == tight.values[0, 0]
@@ -188,36 +191,14 @@ def test_cumulative_follows_default_tolerances():
     assert abs(loose.values[0, 0] - 2.0 / 3.0) < 1e-4
 
 
-def test_cumulative_from_a_start_point():
-    nodes = [0.5, 0.75, 1.0]
-    res = cumulative_integrate(lambda t: t * t, nodes, breakpoints=[0.1, 0.6], start=0.25)
-    exact = [(x ** 3 - 0.25 ** 3) / 3.0 for x in nodes]
-    assert np.max(np.abs(res.values[0] - exact)) < 1e-15
-    assert res.panels == 4  # [0.25, 0.5, 0.6, 0.75, 1]: 0.1 lies before the start
-    with pytest.raises(ValueError):
-        cumulative_integrate(lambda t: t, [0.2, 1.0], start=0.25)
-    with pytest.raises(ValueError):
-        cumulative_integrate(lambda t: t, [0.25], start=0.25)
-
-
 def test_cumulative_explicit_tolerances_override_the_defaults():
     fn = np.sqrt
-    tight = cumulative_integrate(fn, [1.0])
+    tight = integrate(QuadratureRequest(fn, [1.0]))
     for loose_tol in ({"rel_tol": 1e-4}, {"abs_tol": 1e-4}):
-        loose = cumulative_integrate(fn, [1.0], settings=Settings(**loose_tol))
+        loose = integrate(QuadratureRequest(fn, [1.0], settings=Settings(**loose_tol)))
         assert loose.evaluations < tight.evaluations
         assert abs(loose.values[0, 0] - 2.0 / 3.0) < 1e-4
     assert (calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL) == (1e-10, 1e-12)
-
-
-def test_integrate_is_one_cumulative_pass():
-    rho = _rho("cylinder")
-    settings = Settings(rel_tol=1e-11, abs_tol=1e-13)
-    req = QuadratureRequest(lambda t: rho.eval_array(t) ** 5, 0.2, 0.9,
-                            rho.breakpoint_locations, settings)
-    res = cumulative_integrate(req.fn, [0.9], rho.breakpoint_locations, start=0.2,
-                               settings=settings)
-    assert integrate(req) == res.values[0, 0]
 
 
 def test_import_loads_no_scipy():

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ibodies import calculus, cli, transform
+from ibodies import calculus, cli, criteria, oracle, transform
 from ibodies.families import MAX_GRID_POINTS, FamilySpec, instantiate
 
 
@@ -257,6 +257,35 @@ def test_oracle_ball_agrees_and_exits_zero():
     assert "oracle ok" in res.stderr
 
 
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("name", ["ball", "cylinder", "cyl_caps", "exp_decay",
+                                  "three_bodies_L"])
+def test_oracle_agrees_for_the_builtins(name, dim, capsys):
+    assert cli.main(["oracle", "--builtin", name, "--dim", str(dim),
+                     "--samples", "20000"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("oracle ok: 0 of 2 ratio(s) outside 3 sigma, 20000 samples"), err
+
+
+def test_oracle_summary_counts_the_mismatches(monkeypatch, capsys):
+    def report(body, samples, seed, settings):
+        return {"comparisons": [{"within_3sigma": ok} for ok in (True, False, False)],
+                "all_within_3sigma": False}
+
+    monkeypatch.setattr(cli, "section_ratio_report", report)
+    assert cli.main(["oracle", "--builtin", "ball", "--samples", "20000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("oracle MISMATCH: 2 of 3 ratio(s) outside 3 sigma"), err
+
+
+def test_oracle_refuses_sample_counts_above_the_maximum():
+    res = run("oracle", "--builtin", "ball", "--dim", "4",
+              "--samples", str(oracle.MAX_SAMPLES + 1))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: DomainError"), res.stderr
+    assert res.stdout == ""
+
+
 def test_oracle_rejects_tiny_sample_counts():
     res = run("oracle", "--builtin", "ball", "--dim", "4", "--samples", "100")
     assert res.returncode == 2
@@ -385,14 +414,14 @@ _TOLERANCE_ARGV = {
 
 @pytest.mark.parametrize("command", sorted(_TOLERANCE_ARGV))
 def test_tolerance_flags_reach_the_quadrature(command, monkeypatch, capsys):
-    # Every quadrature pass goes through calculus.cumulative_integrate, which
-    # transform imports by name; spy on both names.
+    # Every quadrature pass goes through calculus.integrate, which criteria
+    # and transform import by name; spy on both names.
     seen = []
-    for module in (calculus, transform):
-        def spy(*args, _original=module.cumulative_integrate, **kwargs):
-            seen.append((kwargs["settings"].rel_tol, kwargs["settings"].abs_tol))
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(module, "cumulative_integrate", spy)
+    for module in (criteria, transform):
+        def spy(request, _original=module.integrate):
+            seen.append((request.settings.rel_tol, request.settings.abs_tol))
+            return _original(request)
+        monkeypatch.setattr(module, "integrate", spy)
     argv = _TOLERANCE_ARGV[command]
     assert cli.main(argv + ["--tol-rel", "1e-7", "--tol-abs", "1e-9"]) == 0
     assert seen and set(seen) == {(1e-7, 1e-9)}

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ibodies.calculus import QuadratureRequest, Settings
+from ibodies import criteria
+from ibodies.calculus import Settings
 from ibodies.criteria import (_moment, check_for_dimension, cor6_check,
                               flat_top_check, prop1_check, prop4_check)
 from ibodies.errors import FlatTopRequired, SmoothnessError
@@ -232,10 +233,28 @@ def test_criterion_moments_match_quadpack(name, params):
     profile = _profile(name, **params)
     for label, weight in _MOMENT_WEIGHTS.items():
         got = _moment(profile, weight)
-        want = integrate(QuadratureRequest(
-            lambda t: weight(t, profile.value(t)), 0.0, 1.0,
-            profile.breakpoint_locations, Settings(rel_tol=1e-13, abs_tol=1e-15)))
+        want = integrate(lambda t: weight(t, profile.value(t)), 0.0, 1.0,
+                         profile.breakpoint_locations, Settings(rel_tol=1e-13, abs_tol=1e-15))
         assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
+
+
+@pytest.mark.parametrize("name,dim,criterion,passes", [
+    ("cyl_caps", 4, "prop1", 1), ("cylinder", 6, "prop4", 2), ("cylinder", 6, "cor6", 2)])
+def test_each_moment_is_one_pass_through_integrate(name, dim, criterion, passes,
+                                                    monkeypatch):
+    # The criteria integrate through the integrate that criteria imports:
+    # one single-node pass per moment, int rho^3 for prop1, h(1) and k(1)
+    # for prop4 and cor6.
+    requests = []
+
+    def spy(request, _original=criteria.integrate):
+        requests.append(request)
+        return _original(request)
+
+    monkeypatch.setattr(criteria, "integrate", spy)
+    check_for_dimension(_profile(name), dim, criterion)
+    assert len(requests) == passes
+    assert all(list(r.nodes) == [1.0] for r in requests)
 
 
 # ------------------------------------------------------------------ dispatch

@@ -65,10 +65,25 @@ def test_sample_doubling_consistency_and_error_scaling():
 def test_estimate_input_validation():
     with pytest.raises(InsufficientSamples):
         mc_section_volume(body("ball", 4), math.pi / 2, 9_999)
+    with pytest.raises(DomainError, match="at most"):
+        mc_section_volume(body("ball", 4), math.pi / 2, oracle.MAX_SAMPLES + 1)
     with pytest.raises(DomainError):
         mc_section_volume(body("ball", 4), -0.1, 10 ** 4)
     with pytest.raises(DomainError):
         mc_section_volume(body("ball", 4), math.pi / 2 + 0.1, 10 ** 4)
+
+
+def test_zero_variance_accepts_only_rounding():
+    # With sigma 0 a ratio within ZERO_VARIANCE_ULPS ulps of the quadrature
+    # ratio agrees; anything further off, however close, does not.
+    one_ulp = math.ulp(1.0)
+    assert oracle._z_score(-one_ulp, 0.0, 1.0 + one_ulp) == 0.0
+    assert oracle._z_score(0.0, 0.0, 1.0) == 0.0
+    limit = oracle.ZERO_VARIANCE_ULPS * one_ulp
+    assert oracle._z_score(limit, 0.0, 1.0) == 0.0
+    assert oracle._z_score(2.0 * limit, 0.0, 1.0) == math.inf
+    assert oracle._z_score(-1e-12, 0.0, 1.0) == math.inf
+    assert oracle._z_score(0.3, 0.1, 1.0) == pytest.approx(3.0)
 
 
 def test_bounding_ball_volume_out_of_float_range_is_a_domain_error():
@@ -96,11 +111,13 @@ def test_ratio_to_propagates_relative_errors():
 
 def test_ball_ratios_match_quadrature_exactly():
     # All sections equal, all hit rates exactly 1: every z-score is zero.
-    rep = section_ratio_report(body("ball", 4), samples=2 * 10 ** 4)
-    assert rep["all_within_3sigma"]
-    for comp in rep["comparisons"]:
-        assert comp["mc_ratio"] == 1.0
-        assert comp["z"] == 0.0
+    # In R^6 sigma is 0 and the quadrature ratio is one ulp above 1.
+    for dim in (4, 6):
+        rep = section_ratio_report(body("ball", dim), samples=2 * 10 ** 4)
+        assert rep["all_within_3sigma"]
+        for comp in rep["comparisons"]:
+            assert comp["mc_ratio"] == 1.0 and comp["sigma"] == 0.0
+            assert comp["z"] == 0.0
 
 
 def test_cylinder_ratio_matches_closed_form():

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from ibodies import transform
+from ibodies.calculus import Settings
 from ibodies.errors import DomainError
 from ibodies.families import FamilySpec, instantiate
 from ibodies.profile import Piece, RadialProfile, add, mul, var_t
@@ -287,6 +289,30 @@ def test_default_grid_clusters_and_excludes_breakpoints():
     # Geometric cluster points hug the breakpoint from both sides.
     assert np.any((grid > 0.5) & (grid < 0.5 + 2e-9))
     assert np.any((grid < 0.5) & (grid > 0.5 - 2e-9))
+
+
+# ------------------------------------------------------- field: one quadrature
+
+@pytest.mark.parametrize("name,dim,params", [
+    ("ball", 4, {}), ("cylinder", 6, {}), ("cyl_caps_KM", 4, {"M": 1.2}),
+    ("octagon_Kb", 6, {"b": 0.5}), ("three_bodies_L", 6, {})])
+def test_field_runs_one_moment_pass_through_integrate(name, dim, params, monkeypatch):
+    # Every moment of the field comes from one call of the integrate that
+    # transform imports, with nodes at every grid point and joint.
+    requests = []
+
+    def spy(request, _original=transform.integrate):
+        requests.append(request)
+        return _original(request)
+
+    monkeypatch.setattr(transform, "integrate", spy)
+    settings = Settings(rel_tol=1e-9, abs_tol=1e-11)
+    fld = obstruction_field(_body(name, dim, **params), uniform_points=200,
+                            settings=settings)
+    assert len(requests) == 1
+    assert requests[0].settings is settings
+    assert set(fld.grid) <= set(np.asarray(requests[0].nodes).tolist())
+    assert fld.diagnostics["panels"] > 0
 
 
 # ----------------------------------------------------------- field: verdicts
