@@ -93,11 +93,13 @@ def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     t = (centre[:, None] + half[:, None] * _GK_X).ravel()
-    f = np.asarray(fn(t), dtype=float).reshape(-1, a.size, _GK_X.size)
+    # An overflow or invalid value in fn is refused just below.
+    with np.errstate(all="ignore"):
+        f = np.asarray(fn(t), dtype=float).reshape(-1, a.size, _GK_X.size)
     finite = np.isfinite(f)
     if not finite.all():
         bad = t[~finite.all(axis=0).ravel()]
-        raise NoConvergence(f"integrand is not finite at t={bad[0]!r}")
+        raise NoConvergence(f"integrand is not finite at t={float(bad[0])}")
     kronrod = (f * _GK_WK).sum(axis=-1)
     gauss = (f * _GK_WG).sum(axis=-1)
     resabs = (np.abs(f) * _GK_WK).sum(axis=-1)
@@ -153,14 +155,17 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
     order, gives every node's value and accumulated error estimate.  Results
     are bit-reproducible for a given request.
 
-    Raises ValueError for a negative node or when no node lies above 0, and
-    NoConvergence when the integrand is not finite at an evaluation point or
-    when the accumulated error at any node exceeds
+    Raises ValueError for a node that is negative or not finite, or when no
+    node lies above 0, and NoConvergence when the integrand is not finite at
+    an evaluation point or when the accumulated error at any node exceeds
     10 * max(abs_tol, rel_tol * |value|).  The tolerances are those of
     ``request.settings``.
     """
     rel_tol, abs_tol = request.settings.rel_tol, request.settings.abs_tol
-    nodes = np.unique(np.asarray(request.nodes, dtype=float))
+    nodes = np.asarray(request.nodes, dtype=float)
+    if not np.isfinite(nodes).all():
+        raise ValueError(f"nodes must be finite, got {float(nodes[~np.isfinite(nodes)][0])}")
+    nodes = np.unique(nodes)
     if nodes.size == 0 or nodes[0] < 0.0 or nodes[-1] <= 0.0:
         raise ValueError(f"nodes must lie in [0, inf) with one above it, got {nodes}")
     end = float(nodes[-1])

@@ -7,15 +7,17 @@ represents such profiles as ordered lists of closed-form pieces (expression
 trees over t), evaluates them together with exact derivatives via truncated
 Taylor jets, and classifies the smoothness of the joints between pieces.
 
-The same container is reused for functions of the sine of the vertical angle
-(radial functions of intersection bodies); a variable-convention flag keeps
-the two parameterizations from being mixed up silently.
+Transform outputs, such as the radial function of an intersection body (a
+function of the sine of the vertical angle), are :class:`DerivedProfile`
+objects backed by a jet source instead of pieces; a variable-convention flag
+keeps the two parameterizations from being mixed up silently.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -28,16 +30,19 @@ from .jets import Jet
 COSINE = "cos"  # profile argument is the cosine of the vertical angle
 SINE = "sin"    # profile argument is the sine of the vertical angle
 
-# A point within JOINT_TOL of a breakpoint is on it.  The field's default
-# grid and its interior rows must agree, so transform reads this constant.
+# A point within JOINT_TOL of a breakpoint is on it (see near_joint).
 JOINT_TOL = 1e-12
 # Tolerance (scaled by local derivative magnitude) for continuity classes.
 DEFAULT_CLASS_TOL = 1e-9
 # Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
 _MAX_SCAN_POINTS = 10001
 
-_ARITY = {"const": 0, "t": 0, "add": 2, "sub": 2, "mul": 2, "div": 2,
-          "pow": 1, "sqrt": 1, "exp": 1, "neg": 1}
+# Every operator with its arity and its jet rule.  "const", "t" and "pow"
+# carry a payload (a value, the variable, an exponent) and have no rule.
+_OPERATORS = {"const": (0, None), "t": (0, None), "pow": (1, None),
+              "add": (2, operator.add), "sub": (2, operator.sub),
+              "mul": (2, operator.mul), "div": (2, operator.truediv),
+              "sqrt": (1, Jet.sqrt), "exp": (1, Jet.exp), "neg": (1, operator.neg)}
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,12 @@ class ExprNode:
     exponent: Optional[Fraction] = None  # payload for "pow"
 
     def __post_init__(self):
-        if self.op not in _ARITY:
+        if self.op not in _OPERATORS:
             raise ProfileFormatError(f"unknown operator {self.op!r}")
-        if len(self.children) != _ARITY[self.op]:
+        arity = _OPERATORS[self.op][0]
+        if len(self.children) != arity:
             raise ProfileFormatError(
-                f"operator {self.op!r} takes {_ARITY[self.op]} children, "
-                f"got {len(self.children)}"
+                f"operator {self.op!r} takes {arity} children, got {len(self.children)}"
             )
         if self.op == "const" and self.value is None:
             raise ProfileFormatError("const node needs a value")
@@ -75,23 +80,15 @@ class ExprNode:
             return Jet.constant(self.value, order)
         if self.op == "t":
             return Jet.variable(t, order)
-        if self.op == "add":
-            return self.children[0].eval_jet(t, order) + self.children[1].eval_jet(t, order)
-        if self.op == "sub":
-            return self.children[0].eval_jet(t, order) - self.children[1].eval_jet(t, order)
-        if self.op == "mul":
-            return self.children[0].eval_jet(t, order) * self.children[1].eval_jet(t, order)
-        if self.op == "div":
-            return self.children[0].eval_jet(t, order) / self.children[1].eval_jet(t, order)
+        # One or two children, walked without building an argument list:
+        # a list per node made this walk about 10% slower.
+        a = self.children[0].eval_jet(t, order)
         if self.op == "pow":
-            return self.children[0].eval_jet(t, order) ** self.exponent
-        if self.op == "sqrt":
-            return self.children[0].eval_jet(t, order).sqrt()
-        if self.op == "exp":
-            return self.children[0].eval_jet(t, order).exp()
-        if self.op == "neg":
-            return -self.children[0].eval_jet(t, order)
-        raise AssertionError(self.op)
+            return a ** self.exponent
+        rule = _OPERATORS[self.op][1]
+        if len(self.children) == 1:
+            return rule(a)
+        return rule(a, self.children[1].eval_jet(t, order))
 
     # ---------------------------------------------------------- serialization
 
@@ -208,14 +205,11 @@ def parse_prefix(text: str) -> ExprNode:
                 node = args[0]
                 for a in args[1:]:
                     node = ExprNode(op, (node, a))
-            elif op in ("sub", "div"):
-                a = parse()
-                b = parse()
-                node = ExprNode(op, (a, b))
-            elif op in ("sqrt", "exp", "neg"):
-                node = ExprNode(op, (parse(),))
             else:
-                raise ProfileFormatError(f"unknown operator {op!r}")
+                arity, rule = _OPERATORS.get(op, (0, None))
+                if rule is None:
+                    raise ProfileFormatError(f"unknown operator {op!r}")
+                node = ExprNode(op, tuple(parse() for _ in range(arity)))
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ProfileFormatError(f"missing ')' after {op}")
             pos += 1
@@ -289,6 +283,12 @@ class Breakpoint:
 _SMOOTH_TO = {"C0": 0, "C1": 1, "C2+": 2}
 
 
+def near_joint(t: np.ndarray, joints: Sequence[float]) -> np.ndarray:
+    """The (points x joints) mask of the points of t within JOINT_TOL of
+    each joint: the one test of "this point is on that joint"."""
+    return np.abs(t[:, None] - np.asarray(joints, dtype=float)[None, :]) <= JOINT_TOL
+
+
 def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float],
                 order: int, side: Optional[str], classes=None) -> Optional[str]:
     """Which side of its joints an evaluation at the points ``t`` uses, one
@@ -314,8 +314,7 @@ def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float
         raise DomainError(f"no right neighborhood at the upper endpoint {hi}")
     if side is not None or not len(breakpoints):
         return side
-    on = np.abs(t[:, None] - np.asarray(breakpoints)[None, :]) <= JOINT_TOL
-    hit = np.flatnonzero(on.any(axis=0))
+    hit = np.flatnonzero(near_joint(t, breakpoints).any(axis=0))
     if not hit.size:
         return None
     if order == 0 or (classes is not None

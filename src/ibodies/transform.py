@@ -30,8 +30,8 @@ from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, QuadratureRequest,
 from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
-from .profile import (COSINE, JOINT_TOL, SINE, BodyOfRevolution, DerivedProfile,
-                      RadialProfile, classify_breakpoints)
+from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile, RadialProfile,
+                      classify_breakpoints, near_joint)
 
 _EPS_AXIS = 1e-6  # lower evaluation cutoff: the pipeline formulas hold on (0, 1]
 # c_n in rho_IK = c_n h_n(x) / x^(n-3).
@@ -327,10 +327,7 @@ def default_grid(breakpoints: Sequence[float],
                 if _EPS_AXIS < cand <= 1.0:
                     pts.append(cand)
     arr = np.unique(np.asarray(pts, dtype=float))
-    keep = np.ones(arr.shape, dtype=bool)
-    for b in breakpoints:
-        keep &= np.abs(arr - b) > JOINT_TOL
-    return arr[keep]
+    return arr[~near_joint(arr, breakpoints).any(axis=1)]
 
 
 @dataclass
@@ -419,48 +416,44 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     g = inverse_radon(_reciprocal(body, moments, series), n)
 
     joints = classify_breakpoints(g)
+    locs = np.array([j.location for j in joints])
+    kinked = np.array([j.smoothness_class != "C2+" for j in joints], dtype=bool)
 
-    # All interior rows in one walk; the joint rows from the one-sided jets
-    # the classification evaluated (left at every joint, right where g is
-    # not C2+).
-    rows = []  # (t, value, is_left_limit, at_breakpoint)
-    on_joint = np.zeros(grid_arr.shape, dtype=bool)
-    for j in joints:
-        on_joint |= np.abs(grid_arr - j.location) <= JOINT_TOL
-    inner = grid_arr[~on_joint]
-    if inner.size:
-        rows += [(t, v, False, False) for t, v in
-                 zip(inner.tolist(), box_operator(g, n, inner).tolist())]
-    rows += [(j.location, _box(j.location, j.left_jet, n), j.smoothness_class != "C2+", True)
-             for j in joints]
-    rows += [(j.location, _box(j.location, j.right_jet, n), False, True)
-             for j in joints if j.smoothness_class != "C2+"]
-    rows.sort(key=lambda r: (r[0], not r[2]))
+    # One table of rows: all interior rows from one walk, then the joint rows
+    # from the one-sided jets the classification evaluated (left at every
+    # joint, right where g is not C2+), sorted by t with a joint's left limit
+    # first.
+    inner = grid_arr[~near_joint(grid_arr, locs).any(axis=1)]
+    t = np.concatenate([inner, locs, locs[kinked]])
+    value = np.concatenate([box_operator(g, n, inner) if inner.size else inner,
+                            [_box(j.location, j.left_jet, n) for j in joints],
+                            [_box(j.location, j.right_jet, n)
+                             for j, kink in zip(joints, kinked) if kink]])
+    left = np.concatenate([np.zeros(inner.size, dtype=bool), kinked,
+                           np.zeros(kinked.sum(), dtype=bool)])
+    joint = np.arange(t.size) >= inner.size
+    order = np.lexsort((~left, t))
+    t, value, left, joint = t[order], value[order], left[order], joint[order]
 
     atoms = [(j.location, (1.0 - j.location ** 2) * j.first_derivative_jump)
              for j in joints if j.smoothness_class == "C0"]
 
-    all_values = np.array([r[1] for r in rows])
-    max_abs = float(np.max(np.abs(all_values))) if all_values.size else 0.0
+    max_abs = float(np.max(np.abs(value))) if value.size else 0.0
     tol = NEGATIVITY_SCALE * max_abs
     # Rows this close to the axis stay in the output but decide nothing: the
     # dimension-6 axis rows of a body without an axis series.
-    floor = _AXIS_NOISE_T if n == 6 and series is None else 0.0
-    noise = [r[0] < floor for r in rows]
-    excluded = [(r[0], "dimension-6 axis row: the jet of x^3/h there is rounding noise")
-                for r, skip in zip(rows, noise) if skip]
-    rows_used = [r for r, skip in zip(rows, noise) if not skip]
-    values = np.array([r[1] for r in rows_used])
-    interior = np.array([not r[3] for r in rows_used], dtype=bool)
+    used = t >= (_AXIS_NOISE_T if n == 6 and series is None else 0.0)
+    excluded = [(x, "dimension-6 axis row: the jet of x^3/h there is rounding noise")
+                for x in t[~used].tolist()]
 
     # Interior rows name the witness before joint rows, and joint rows before
     # atoms; the verdict certifies exactly when one is found.
     witness = None
-    for kind, of_kind in (("interior", interior), ("one-sided", ~interior)):
-        pick = of_kind & (values < -tol)
+    for kind, of_kind in (("interior", ~joint), ("one-sided", joint)):
+        pick = used & of_kind & (value < -tol)
         if pick.any():
-            k = int(np.argmin(np.where(pick, values, np.inf)))
-            witness = (float(rows_used[k][0]), float(values[k]), kind)
+            k = int(np.argmin(np.where(pick, value, np.inf)))
+            witness = (float(t[k]), float(value[k]), kind)
             break
     if witness is None:
         atom_floor = -1e-9 * max([1.0] + [abs(w) for _, w in atoms])
@@ -470,26 +463,23 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
             witness = (float(t0), float(w), "atom")
     verdict = INCONCLUSIVE if witness is None else NOT_POLAR_ZONOID
 
-    signs = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
-    sign_changes = []
-    last_sign = 0
-    last_t = None
-    for (t, _, _, _), s in zip(rows_used, signs):
-        if s != 0:
-            if last_sign != 0 and s != last_sign:
-                sign_changes.append(0.5 * (last_t + t))
-            last_sign, last_t = s, t
+    # A sign change lies halfway between consecutive used rows of opposite
+    # sign, skipping the rows within the tolerance of 0.
+    sign = np.where(value > tol, 1, np.where(value < -tol, -1, 0))
+    signed = used & (sign != 0)
+    ts, ss = t[signed], sign[signed]
+    sign_changes = (0.5 * (ts[:-1] + ts[1:]))[ss[:-1] != ss[1:]].tolist()
 
-    k = int(np.argmin(values)) if values.size else 0
+    k = int(np.argmin(np.where(used, value, np.inf))) if used.any() else -1
     return ObstructionField(
         dimension=n,
         body=body.describe(),
-        grid=[r[0] for r in rows],
-        continuous_values=[r[1] for r in rows],
-        is_left_limit=[r[2] for r in rows],
+        grid=t.tolist(),
+        continuous_values=value.tolist(),
+        is_left_limit=left.tolist(),
         atoms=atoms,
-        min_value=float(values[k]) if values.size else math.nan,
-        min_location=rows_used[k][0] if rows_used else math.nan,
+        min_value=float(value[k]) if k >= 0 else math.nan,
+        min_location=float(t[k]) if k >= 0 else math.nan,
         max_abs=max_abs,
         sign_changes=sign_changes,
         verdict=verdict,

@@ -176,6 +176,13 @@ def test_cumulative_empty_interval_rejected():
         integrate(QuadratureRequest(lambda t: t, [-0.5, 0.5]))
 
 
+@pytest.mark.parametrize("nodes", [[math.nan], [math.inf], [0.5, math.nan]])
+def test_non_finite_nodes_are_refused_by_name(nodes):
+    bad = next(x for x in nodes if not math.isfinite(x))
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        integrate(QuadratureRequest(lambda t: t, nodes))
+
+
 def test_cumulative_follows_default_tolerances():
     # sqrt has an endpoint singularity in its derivative: the work needed
     # depends on the tolerance passed, and a loose call leaves no trace on

@@ -480,6 +480,21 @@ def test_a_criterion_that_overflows_is_an_input_error():
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["check", "field"])
+def test_an_integrand_that_overflows_is_one_error_line(command, tmp_path, capsys):
+    # rho >= 1e300, so rho^3 overflows in both moment passes: no numpy
+    # warning and no numpy repr reach the user, only the library's refusal.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"pieces": [
+        {"interval": [0, 1], "expr": "(div 1e300 (pow (sub t 1/4) 2))"}]}))
+    assert cli.main([command, "--profile-json", str(path), "--dim", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    head, _, t = err.rstrip("\n").partition("t=")
+    assert head == "error: NoConvergence: integrand is not finite at ", err
+    assert 0.0 < float(t) < 1.0  # a plain float, no numpy repr
+
+
 def test_sweep_refuses_a_zero_step_and_a_reversed_range():
     for rng, step in [(("1", "3"), "0"), (("3", "1"), "0.5")]:
         res = run("sweep", "--builtin", "cyl_caps_KM", "--dim", "4", "--param",

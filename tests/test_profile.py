@@ -47,9 +47,21 @@ def test_prefix_literal_with_fractional_exponent():
 
 
 def test_prefix_parse_errors():
-    for bad in ["", "(mul t", "(frob t 2)", "(pow t x)", "t t"]:
+    # const and t carry payloads and are never called with arguments.
+    for bad in ["", "(mul t", "(frob t 2)", "(pow t x)", "t t", "(const 1)", "(t)",
+                "(neg t t)", "(sqrt)"]:
         with pytest.raises(ProfileFormatError):
             parse_prefix(bad)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("(add t 2)", 2.5), ("(sub t 2)", -1.5), ("(mul t 2)", 1.0), ("(div t 2)", 0.25),
+    ("(pow t 3/2)", 0.5 ** 1.5), ("(sqrt t)", math.sqrt(0.5)), ("(exp t)", math.exp(0.5)),
+    ("(neg t)", -0.5)])
+def test_every_operator_parses_evaluates_and_prints_back(text, expected):
+    expr = parse_prefix(text)
+    assert expr.to_prefix() == text
+    assert expr.eval_jet(0.5, 0).value == pytest.approx(expected, rel=1e-15)
 
 
 def test_signed_zero_constant_survives_the_prefix_round_trip():

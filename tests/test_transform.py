@@ -14,9 +14,9 @@ import pytest
 
 from ibodies import transform
 from ibodies.calculus import Settings
-from ibodies.errors import DomainError
+from ibodies.errors import DomainError, SideRequired
 from ibodies.families import FamilySpec, instantiate
-from ibodies.profile import Piece, RadialProfile, add, mul, var_t
+from ibodies.profile import JOINT_TOL, Piece, RadialProfile, add, mul, var_t
 from ibodies.transform import (MomentTable, box_operator, default_grid, h_jet,
                                intersection_radial, inverse_radon,
                                obstruction_field)
@@ -289,6 +289,30 @@ def test_default_grid_clusters_and_excludes_breakpoints():
     # Geometric cluster points hug the breakpoint from both sides.
     assert np.any((grid > 0.5) & (grid < 0.5 + 2e-9))
     assert np.any((grid < 0.5) & (grid > 0.5 - 2e-9))
+
+
+def test_the_joint_band_is_joint_tol_wide_for_the_grid_the_rows_and_the_profile():
+    # cyl_caps in R^4: g has a C1 joint at b = 1/sqrt(2), so two joint rows.
+    body = _body("cyl_caps", 4)
+    profile = body.profile
+    (b,) = profile.breakpoint_locations
+    assert b == SQ2
+    near = [b - JOINT_TOL / 2, b + JOINT_TOL / 2]
+    far = [b - 2 * JOINT_TOL, b + 2 * JOINT_TOL]
+    fld = obstruction_field(body, grid=[0.3, far[0], near[0], b, near[1], far[1]])
+    # The points within the band fold into the two one-sided joint rows.
+    assert fld.grid == [0.3, far[0], b, b, far[1]]
+    assert fld.is_left_limit == [False, False, True, False, False]
+    assert fld.continuous_values[2:4] == [box_operator(fld.g, 4, b, side)
+                                          for side in ("left", "right")]
+    # The points just outside it are interior rows, evaluated without a side.
+    for t, v in zip(far, [fld.continuous_values[1], fld.continuous_values[4]]):
+        assert v == box_operator(fld.g, 4, t)
+    grid = default_grid([b], uniform_points=2000)
+    assert not np.any(np.abs(grid - b) <= JOINT_TOL)
+    with pytest.raises(SideRequired):
+        profile.eval_jet(near[1], 2)
+    profile.eval_jet(far[1], 2)
 
 
 # ------------------------------------------------------- field: one quadrature
