@@ -24,18 +24,15 @@ from .profile import BodyOfRevolution
 from .transform import intersection_radial
 
 MIN_SAMPLES = 10 ** 4
-# Larger sample counts are refused before anything is allocated: at this
-# bound two batches in flight hold 200 MB of cosines.
 MAX_SAMPLES = 10 ** 8
 # With zero variance a Monte Carlo ratio agrees when it lies within this many
 # ulps of the quadrature ratio (see _z_score).
 ZERO_VARIANCE_ULPS = 4
 # mc_section_volume draws its samples in this many independently seeded batches,
-# walks each batch in chunks of at most CHUNK rows, and runs the batches on
-# WORKERS threads.  Each batch in flight holds 8 bytes of cosines per sample,
-# so WORKERS stays small on purpose.
+# walks each batch in chunks of at most CHUNK rows (all a thread holds at a
+# time), and runs the batches on WORKERS threads.
 BATCHES = 8
-CHUNK = 1 << 13
+CHUNK = 1 << 14
 WORKERS = min(2, os.cpu_count() or 1)
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 4, math.pi / 6)
 
@@ -63,33 +60,51 @@ def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def _section_inputs(body: BodyOfRevolution, phi: float, samples: int) -> tuple:
+    """(d, radius, volume) of the bounding ball of the sections of ``body``,
+    after every check that mc_section_volume makes before it draws."""
+    if samples < MIN_SAMPLES:
+        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples for a "
+                                  f"meaningful estimate, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"at most {MAX_SAMPLES} samples are drawn, got {samples}")
+    if not 0.0 <= phi <= math.pi / 2 + 1e-12:
+        raise DomainError(f"phi must lie in [0, pi/2], got {phi}")
+    d = body.dimension - 1
+    radius = body.profile.max_value()
+    try:
+        volume = _unit_ball_volume(d) * radius ** d
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise DomainError(f"the bounding ball of radius {radius:g} in dimension {d} "
+                          f"has no finite positive volume in floating point")
+    return d, radius, volume
+
+
+def _vertical_cosines(factors: np.ndarray, d: int, scale: float) -> np.ndarray:
+    """scale * |u1| for uniformly random directions u on S^(d-1), one per row
+    of ``factors``, a (rows, d // 2) array of uniforms in [0, 1): (u1, ...,
+    u_(d-2)) is uniform in the ball B^(d-2) (Archimedes for d = 3; Barthe,
+    Guedon, Mendelson and Naor, Ann. Probab. 2005, in general), so |u1| is
+    that point's radius U^(1/(d-2)) times |u1| on S^(d-3), down to S^0, where
+    |u1| = 1, or S^1, where |u1| = cos(pi U / 2)."""
+    cos = np.full(len(factors), scale)
+    for j, k in enumerate(range(d - 2, -1, -2)):
+        cos *= factors[:, j] ** (1.0 / k) if k else np.cos(math.pi / 2 * factors[:, j])
+    return cos
+
+
 def _batch_hits(profile, seed_sequence, m: int, d: int, radius: float,
                 sin_phi: float) -> int:
-    """Hits among the m samples of one seeded batch: all Gaussian directions
-    first, then all uniform radii, each in chunks of CHUNK rows."""
+    """Hits among the m samples of one seeded batch (see mc_section_volume)."""
     rng = np.random.Generator(np.random.PCG64(seed_sequence))
-    chunks = [slice(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
-    cos_vertical = np.empty(m)
-    for rows in chunks:
-        sq = rng.standard_normal((rows.stop - rows.start, d))
-        sq *= sq
-        # The Euclidean norm, with the squares added column by column; on
-        # the numpy this was written against it equals np.linalg.norm's
-        # row reduction bit for bit (a test checks), and sqrt(x*x) == |x|
-        # exactly in binary64.
-        total = sq[:, 0].copy()
-        for j in range(1, d):
-            total += sq[:, j]
-        norms = np.sqrt(total)
-        norms[norms == 0.0] = 1.0
-        np.divide(np.sqrt(sq[:, 0]), norms, out=cos_vertical[rows])
-    cos_vertical *= sin_phi
-    np.clip(cos_vertical, 0.0, 1.0, out=cos_vertical)
     hits = 0
-    for rows in chunks:
-        radii = radius * rng.random(rows.stop - rows.start) ** (1.0 / d)
-        rho_bound = profile.eval_array(cos_vertical[rows])
-        hits += int(np.count_nonzero(radii <= rho_bound))
+    for lo in range(0, m, CHUNK):
+        draws = rng.random((min(CHUNK, m - lo), 1 + d // 2))
+        cos_vertical = _vertical_cosines(draws[:, 1:], d, sin_phi)
+        radii = radius * draws[:, 0] ** (1.0 / d)
+        hits += int(np.count_nonzero(radii <= profile.eval_array(cos_vertical)))
     return hits
 
 
@@ -102,16 +117,16 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     hyperplane; membership uses the radial test |p| <= rho(|cos angle(p)|).
     Within the hyperplane's orthonormal frame, only the coordinate along the
     tilted basis vector contributes a vertical component, so the vertical
-    cosine of a sample is |u1| sin(phi) for a uniformly random direction u.
+    cosine of a sample is |u1| sin(phi) for a uniformly random direction u
+    on S^(d-1), d = n - 1, drawn from its exact law (see _vertical_cosines).
     Raises InsufficientSamples below MIN_SAMPLES samples, and DomainError
     above MAX_SAMPLES or when the bounding ball's volume overflows or
     underflows a float.
 
-    The samples come in BATCHES independently seeded batches.  A batch draws
-    all its Gaussian directions, then all its uniform radii, each in chunks
-    of CHUNK rows; consecutive draws of k rows give the same numbers as one
-    draw of all of them, so the chunking changes no sample and no hit.  Only
-    the vertical cosines (8 bytes per sample of a batch) outlive a chunk.
+    The samples come in BATCHES independently seeded batches, each drawn in
+    chunks of CHUNK rows of 1 + d // 2 uniforms: column 0 for the radius, the
+    others for |u1|.  Consecutive draws of k rows give the numbers of one draw
+    of all of them, so the chunking changes no sample and no hit.
     The batches run on WORKERS threads: the calling thread takes batches 0,
     WORKERS, 2*WORKERS, ..., and each extra thread w takes w, w+WORKERS, ....
     A batch's hits depend only on its seed, and their integer sum on no
@@ -119,29 +134,11 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     exception in any batch is raised in the calling thread after every
     thread has ended.
     """
-    if samples < MIN_SAMPLES:
-        raise InsufficientSamples(
-            f"need at least {MIN_SAMPLES} samples for a meaningful estimate, got {samples}"
-        )
-    if samples > MAX_SAMPLES:
-        raise DomainError(f"at most {MAX_SAMPLES} samples are drawn, got {samples}")
-    if not 0.0 <= phi <= math.pi / 2 + 1e-12:
-        raise DomainError(f"phi must lie in [0, pi/2], got {phi}")
-    d = body.dimension - 1
-    radius = body.profile.max_value()
+    d, radius, ball_volume = _section_inputs(body, phi, samples)
     sin_phi = math.sin(phi)
-    try:
-        ball_volume = _unit_ball_volume(d) * radius ** d
-    except OverflowError:
-        ball_volume = math.inf
-    if not 0.0 < ball_volume < math.inf:
-        raise DomainError(f"the bounding ball of radius {radius:g} in dimension {d} "
-                          f"has no finite positive volume in floating point")
-
     children = np.random.SeedSequence(seed).spawn(BATCHES)
-    base = samples // BATCHES
-    sizes = [base] * BATCHES
-    sizes[-1] += samples - base * BATCHES
+    sizes = [samples // BATCHES] * BATCHES
+    sizes[-1] += samples % BATCHES
     counts = [0] * BATCHES
     errors = []
 
@@ -192,16 +189,18 @@ def section_ratio_report(body: BodyOfRevolution,
     angles = list(angles)
     if len(angles) < 2:
         raise ValueError("need at least two angles to form a ratio")
+    for phi in angles:   # bad input fails here or in ik.value, before any draw
+        _section_inputs(body, phi, samples)
     ik = intersection_radial(body, settings)
+    quad = [ik.value(math.sin(phi)) for phi in angles]
     estimates = [mc_section_volume(body, phi, samples, seed=seed + 7919 * i)
                  for i, phi in enumerate(angles)]
     ref = estimates[0]
-    ref_value = ik.value(math.sin(ref.phi))
     comparisons = []
     all_ok = True
-    for est in estimates[1:]:
+    for est, value in zip(estimates[1:], quad[1:]):
         mc_ratio, sigma = est.ratio_to(ref)
-        quad_ratio = ik.value(math.sin(est.phi)) / ref_value
+        quad_ratio = value / quad[0]
         z = _z_score(mc_ratio - quad_ratio, sigma, quad_ratio)
         ok = abs(z) <= 3.0
         all_ok = all_ok and ok

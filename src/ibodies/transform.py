@@ -342,6 +342,15 @@ class ObstructionField:
     inverse-Radon profile the rows were evaluated from, so the field can be
     refined at further points without rebuilding it.  Such a query changes
     nothing in the field (see :class:`MomentTable`), whatever came before it.
+
+    The density is per surface measure of S^(n-1), at the points whose
+    cosine with the axis is t (and, the measure being even, -t); an atom's
+    weight is per dt, a point mass of that density in the variable t (the
+    delta that the (1 - t^2) g'' term of :func:`box_operator` takes at a
+    kink).  The two are consistent: surface measure is (1 - t^2)^((n-3)/2) dt
+    times that of S^(n-2), so in units of |S^(n-2)| the band of cosines
+    [a, b] has measure integral_a^b density(t) (1 - t^2)^((n-3)/2) dt plus
+    weight * (1 - t0^2)^((n-3)/2) for each atom at t0 in [a, b].
     """
 
     dimension: int
@@ -390,10 +399,11 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     Continuous part: box_operator(inverse_radon(x^(n-3)/(c_n h_n))) sampled
     over the grid (one-sided at kinks); atoms: (1 - t0^2) times the
     first-derivative jump of g at each kink where g is continuous but not
-    C1.  Verdict is NotPolarZonoid iff the density falls below
-    -NEGATIVITY_SCALE * max|density| or any atom is below -1e-9 times the
-    largest atom weight (at least 1); ``witness`` names the most negative
-    such row or atom.  In dimension 6 the rows with t < 1e-4 of a body
+    C1.  The density is per surface measure and the atoms are per dt (see
+    :class:`ObstructionField`).  Verdict is NotPolarZonoid iff the density
+    falls below -NEGATIVITY_SCALE * max|density| or any atom is below -1e-9
+    times the largest atom weight (at least 1); ``witness`` names the most
+    negative such row or atom.  In dimension 6 the rows with t < 1e-4 of a body
     without an axis series (see :func:`_axis_series`) stay in the output but
     are listed in ``excluded`` and decide nothing.  The moments are
     integrated at the tolerances of ``settings``.

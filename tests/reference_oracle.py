@@ -1,7 +1,9 @@
-"""The Monte Carlo section-volume estimator as it was before it walked its
-batches in chunks: each batch draws its whole (m, d) Gaussian array and takes
-norms with ``np.linalg.norm``.  The chunked ``oracle.mc_section_volume`` must
-give the same hits, volume and standard error bit for bit.
+"""The Monte Carlo section-volume estimator with no chunks and no threads:
+each batch draws its whole (m, 1 + d // 2) block of uniforms at once, the
+radius in column 0 and the factors of the vertical cosine |u1| after it, and
+multiplies the factors out over the whole batch.  The chunked, threaded
+``oracle.mc_section_volume`` must give the same hits, volume and standard
+error bit for bit.
 """
 
 import math
@@ -41,12 +43,16 @@ def mc_section_volume_whole_batch(body: BodyOfRevolution, phi: float, samples: i
         if m == 0:
             continue
         rng = np.random.Generator(np.random.PCG64(child))
-        gauss = rng.standard_normal((m, d))
-        norms = np.linalg.norm(gauss, axis=1)
-        norms[norms == 0.0] = 1.0
-        cos_vertical = np.abs(gauss[:, 0]) / norms * sin_phi
-        radii = radius * rng.random(m) ** (1.0 / d)
-        rho_bound = body.profile.eval_array(np.clip(cos_vertical, 0.0, 1.0))
+        draws = rng.random((m, 1 + d // 2))
+        # |u1| on S^(d-1) is U1^(1/(d-2)) * U2^(1/(d-4)) * ..., times 1 for
+        # odd d and cos(pi U / 2) for even d.
+        cos_vertical = np.full(m, sin_phi)
+        for j in range(1, (d - 1) // 2 + 1):
+            cos_vertical = cos_vertical * draws[:, j] ** (1.0 / (d - 2 * j))
+        if d % 2 == 0:
+            cos_vertical = cos_vertical * np.cos(math.pi / 2 * draws[:, d // 2])
+        radii = radius * draws[:, 0] ** (1.0 / d)
+        rho_bound = body.profile.eval_array(cos_vertical)
         hits += int(np.count_nonzero(radii <= rho_bound))
 
     p_hat = hits / samples

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ibodies import (DomainError, FamilySpec, InsufficientSamples, instantiate,
                      mc_section_volume, section_ratio_report)
@@ -106,6 +107,39 @@ def test_ratio_to_propagates_relative_errors():
 
 
 # ---------------------------------------------------------------------------
+# The law of the vertical cosine |u1| on S^(d-1)
+
+
+def vertical_cosines(d, seed, n=10 ** 5):
+    rng = np.random.default_rng(seed)
+    return oracle._vertical_cosines(rng.random((n, d // 2)), d, 1.0)
+
+
+@pytest.mark.parametrize("d,cdf", [(3, lambda x: x),
+                                   (5, lambda x: (3.0 * x - x ** 3) / 2.0)])
+def test_vertical_cosine_has_the_exact_cdf(d, cdf):
+    # |u1| is uniform on [0, 1] for d = 3 (Archimedes) and has the density
+    # 3(1 - x^2)/2 for d = 5.
+    assert stats.kstest(vertical_cosines(d, seed=100 + d), cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_vertical_cosine_has_the_law_of_a_normalised_gaussian(d):
+    # Even d ends in the cos(pi U / 2) factor; compare with |g1| / |g| for
+    # d independent standard normals g.
+    g = np.random.default_rng(200 + d).standard_normal((10 ** 5, d))
+    gaussian = np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
+    assert stats.ks_2samp(vertical_cosines(d, seed=300 + d), gaussian).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_vertical_cosine_second_moment_is_one_over_d(d):
+    sq = vertical_cosines(d, seed=400 + d) ** 2
+    assert 0.0 <= sq.min() and sq.max() <= 1.0
+    assert abs(sq.mean() - 1.0 / d) <= 4.0 * sq.std(ddof=1) / math.sqrt(len(sq))
+
+
+# ---------------------------------------------------------------------------
 # section_ratio_report
 
 
@@ -156,6 +190,27 @@ def test_report_needs_two_angles():
                              samples=2 * 10 ** 4)
 
 
+@pytest.mark.parametrize("bad", [0.0, 2.0])
+def test_report_checks_every_angle_before_any_draw(bad, monkeypatch):
+    # rho_IK refuses sin(0) = 0, and 2 > pi/2 fails the angle check; either
+    # must raise before the first batch is drawn, not after the valid angle's.
+    b = body("cyl_caps", 4)
+    calls = []
+    original = oracle._batch_hits
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "_batch_hits", counting)
+    section_ratio_report(b, angles=(math.pi / 2, math.pi / 4), samples=10 ** 4)
+    assert len(calls) == 2 * BATCHES
+    calls.clear()
+    with pytest.raises(DomainError):
+        section_ratio_report(b, angles=(math.pi / 2, bad), samples=10 ** 4)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # The chunked estimator against the whole-batch reference
 
@@ -166,8 +221,12 @@ def test_report_needs_two_angles():
 CHUNKED_SAMPLES = (10 ** 4 + 3, 8 * CHUNK + 17, 8 * (CHUNK + 1), 10 ** 5)
 
 
-@pytest.mark.parametrize("name,dim", [("ball", 4), ("cyl_caps", 4),
-                                      ("cylinder", 6), ("three_bodies_L", 6)])
+# R^3 and R^5 (d = 2 and 4) exercise the cos(pi U / 2) factor of |u1|.
+INVARIANCE_BODIES = [("ball", 4), ("cyl_caps", 4), ("cylinder", 6), ("three_bodies_L", 6),
+                     ("ball", 3), ("cylinder", 3), ("ball", 5), ("cylinder", 5)]
+
+
+@pytest.mark.parametrize("name,dim", INVARIANCE_BODIES)
 @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
 def test_chunked_estimate_is_the_whole_batch_estimate(name, dim, phi):
     b = body(name, dim)
@@ -181,8 +240,8 @@ def test_chunked_estimate_is_the_whole_batch_estimate(name, dim, phi):
 def test_section_ratio_report_hits_at_a_million_samples():
     # The hits of the whole-batch estimator, which the chunks must reproduce.
     golden = {("ball", 4): [1000000, 1000000, 1000000],
-              ("cyl_caps", 4): [312052, 177219, 144744],
-              ("three_bodies_L", 6): [738366, 877176, 948317]}
+              ("cyl_caps", 4): [311867, 176497, 144633],
+              ("three_bodies_L", 6): [737490, 877000, 948425]}
     for (name, dim), hits in golden.items():
         rep = section_ratio_report(body(name, dim), samples=10 ** 6)
         assert [e["hits"] for e in rep["estimates"]] == hits, name
@@ -190,8 +249,8 @@ def test_section_ratio_report_hits_at_a_million_samples():
 
 def test_estimator_memory_is_about_one_batch_of_cosines():
     # tracemalloc counts numpy's allocations, not RSS, so the peak repeats
-    # exactly.  The whole-batch estimator peaks at about 19 MB; the chunked
-    # one keeps one batch of cosines (1 MB) and one chunk of draws.
+    # exactly.  The whole-batch estimator peaks at about 10 MB; the chunked
+    # one keeps one chunk of draws and its temporaries per thread (4.1 MB).
     b = body("three_bodies_L", 6)
     tracemalloc.start()
     try:
@@ -203,31 +262,10 @@ def test_estimator_memory_is_about_one_batch_of_cosines():
 
 
 # ---------------------------------------------------------------------------
-# Worker threads and the column-by-column sum of squares
+# Worker threads
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_column_sum_of_squares_is_the_row_reduction_bit_for_bit(d):
-    # The estimator adds the d squared columns left to right where
-    # np.linalg.norm reduces each row; numpy does not promise that the two
-    # agree, so check them on the chunks of normals the oracle draws at
-    # 10^6 samples for the seeds of the tests above.
-    m = 10 ** 6 // BATCHES
-    for seed in (4321, 12345, 12345 + 7919, 12345 + 2 * 7919):
-        for child in np.random.SeedSequence(seed).spawn(BATCHES):
-            rng = np.random.Generator(np.random.PCG64(child))
-            for lo in range(0, m, CHUNK):
-                sq = rng.standard_normal((min(CHUNK, m - lo), d))
-                sq *= sq
-                total = sq[:, 0].copy()
-                for j in range(1, d):
-                    total += sq[:, j]
-                assert np.array_equal(total.view(np.int64),
-                                      np.add.reduce(sq, axis=1).view(np.int64))
-
-
-@pytest.mark.parametrize("name,dim", [("ball", 4), ("cyl_caps", 4),
-                                      ("cylinder", 6), ("three_bodies_L", 6)])
+@pytest.mark.parametrize("name,dim", INVARIANCE_BODIES)
 def test_hits_do_not_depend_on_the_worker_count(name, dim, monkeypatch):
     b = body(name, dim)
     for samples in (10 ** 4 + 3, 8 * CHUNK + 17, 10 ** 5):
