@@ -1,10 +1,10 @@
 """Closed-form sufficient conditions for "not a polar zonoid".
 
 Each criterion inspects only boundary jets at the axis direction (t=1) and
-one or two moment integrals of the radial profile, and certifies -- when its
-strict inequality holds -- that the intersection body of the input body of
-revolution is not a polar zonoid.  The conditions are one-sided: a failed
-inequality concludes nothing.
+one quadrature pass of moments over [0, 1] (prop4 and cor6 stack h and k as
+two integrands of it), and certifies -- when its strict inequality holds --
+that the intersection body of the input body of revolution is not a polar
+zonoid.  The conditions are one-sided: a failed inequality concludes nothing.
 
 Dimension 4 ("prop1"):   2 rho(1)^4  >  3 (int_0^1 rho^3) (rho(1) + rho'(1))
 Dimension 6 ("prop4"):   h^2 (5r + r') + 24 k^3  <  12 h k r   at t = 1,
@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+import numpy as np
+
+# integrate is read as a name of this module, so a tracer can wrap criteria.integrate.
 from .calculus import DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate
 from .errors import FlatTopRequired
 from .profile import RadialProfile
@@ -47,13 +50,6 @@ class CriterionReport:
         return asdict(self)
 
 
-def _moment(profile: RadialProfile, weight,
-            settings: Settings = DEFAULT_SETTINGS) -> float:
-    return float(integrate(QuadratureRequest(
-        lambda t: weight(t, profile.eval_array(t)), [1.0],
-        profile.breakpoint_locations, settings)).values[0, 0])
-
-
 def _report(name: str, profile: RadialProfile, lhs: float, rhs: float,
             margin: float, intermediates: dict) -> CriterionReport:
     """The report of criterion ``name``: satisfied when the margin clears
@@ -82,12 +78,19 @@ def _flat_top(rho1: float, drho1: float) -> tuple:
     return value, abs(value) <= FLAT_TOP_TOL * scale
 
 
+def _rho3_moment(profile: RadialProfile, settings: Settings = DEFAULT_SETTINGS) -> float:
+    """int rho^3 over [0, 1], prop1's one pass."""
+    return float(integrate(QuadratureRequest(
+        lambda t: profile.eval_array(t) ** 3, [1.0],
+        profile.breakpoint_locations, settings)).values[0, 0])
+
+
 def prop1_check(profile: RadialProfile,
                 settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dimension-4 criterion: 2 rho(1)^4 > 3 (int_0^1 rho^3 dt)(rho(1)+rho'(1))."""
     rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     flat = rho1 + drho1
-    int_rho3 = _moment(profile, lambda t, r: r ** 3, settings)
+    int_rho3 = _rho3_moment(profile, settings)
     lhs = 2.0 * rho1 ** 4
     rhs = 3.0 * int_rho3 * flat
     return _report("prop1", profile, lhs, rhs, lhs - rhs, {
@@ -96,11 +99,11 @@ def prop1_check(profile: RadialProfile,
     })
 
 
-def _sixdim_moments(profile: RadialProfile,
-                    settings: Settings = DEFAULT_SETTINGS) -> tuple:
-    h1 = _moment(profile, lambda t, r: r ** 5 * (1.0 - t * t), settings)
-    k1 = _moment(profile, lambda t, r: r ** 5 * t * t, settings)
-    return h1, k1
+def _sixdim_moments(profile: RadialProfile, settings: Settings = DEFAULT_SETTINGS) -> tuple:
+    """(h(1), k(1)) from one pass; h is its own integral, as int rho^5 - k rounds otherwise."""
+    return tuple(integrate(QuadratureRequest(
+        lambda t: profile.eval_array(t) ** 5 * np.stack([1.0 - t * t, t * t]), [1.0],
+        profile.breakpoint_locations, settings)).values[:, 0].tolist())
 
 
 def prop4_check(profile: RadialProfile,
@@ -143,18 +146,20 @@ def cor6_check(profile: RadialProfile,
     })
 
 
-# Criterion name -> (the dimension it applies to, its check).  A caller may
-# also ask for "auto": prop1 in dimension 4, prop4 otherwise.
+# Criterion name -> (the dimension it applies to, its check).
 CRITERIA = {"prop1": (4, prop1_check), "prop4": (6, prop4_check), "cor6": (6, cor6_check)}
 CRITERION_CHOICES = ("auto",) + tuple(CRITERIA)
 
 
 def criterion_name(criterion: Optional[str], dimension: int) -> str:
     """The criterion that ``criterion`` names in ``dimension``: None and
-    "auto" pick prop1 in dimension 4 and prop4 otherwise.  A ValueError for
-    an unknown name or a criterion that does not apply to the dimension."""
+    "auto" pick prop1 in dimension 4 and prop4 in dimension 6.  A ValueError
+    for an unknown name or a dimension that the criterion does not serve."""
     name = criterion or "auto"
     if name == "auto":
+        if dimension not in (4, 6):
+            raise ValueError(f"no criterion applies to dimension {dimension}: prop1 "
+                             "needs dimension 4, prop4 and cor6 need dimension 6")
         name = "prop1" if dimension == 4 else "prop4"
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion {name!r}")

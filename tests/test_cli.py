@@ -235,6 +235,18 @@ def test_sweep_refuses_a_criterion_of_another_dimension(criterion, dim, capsys):
     assert err == f"error: ValueError: {criterion} applies to dimension 6\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "ball", "--dim", "5"],
+    ["sweep", "--builtin", "cyl_caps_KM", "--param", "M", "--range", "1", "2", "--step", "0.5",
+     "--dim", "5"]], ids=["check", "sweep"])
+def test_a_dimension_without_a_criterion_is_refused(argv):
+    res = run(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == ("error: ValueError: no criterion applies to dimension 5: prop1 needs "
+                          "dimension 4, prop4 and cor6 need dimension 6\n")
+
+
 def test_sweep_refuses_an_oversized_grid():
     res = run("sweep", "--builtin", "cyl_caps_KM", "--param", "M",
               "--range", "1", "2", "--step", "1e-12")

@@ -7,8 +7,8 @@ import pytest
 
 from ibodies import criteria
 from ibodies.calculus import Settings
-from ibodies.criteria import (_moment, check_for_dimension, cor6_check,
-                              flat_top_check, prop1_check, prop4_check)
+from ibodies.criteria import (_rho3_moment, _sixdim_moments, check_for_dimension,
+                              cor6_check, flat_top_check, prop1_check, prop4_check)
 from ibodies.errors import FlatTopRequired, SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import (Piece, RadialProfile, add, mul, powr, sub, var_t)
@@ -230,21 +230,27 @@ def test_criterion_moments_match_quadpack(name, params):
     # octagon_Kb(b=0) has a square-root end on its diagonal piece.  The
     # QUADPACK reference runs at 1e-13 relative, because at the library's
     # 1e-10 its own error on k(1) for p = 0.5 is 1.0e-12 of the exact 1/252.
+    # int rho^3 comes from prop1's pass, h(1) and k(1) from the stacked pass
+    # of prop4 and cor6.
     profile = _profile(name, **params)
+    moments = {"int_rho3": _rho3_moment(profile)}
+    moments["h(1)"], moments["k(1)"] = _sixdim_moments(profile)
     for label, weight in _MOMENT_WEIGHTS.items():
-        got = _moment(profile, weight)
+        got = moments[label]
         want = integrate(lambda t: weight(t, profile.value(t)), 0.0, 1.0,
                          profile.breakpoint_locations, Settings(rel_tol=1e-13, abs_tol=1e-15))
         assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
 
 
-@pytest.mark.parametrize("name,dim,criterion,passes", [
-    ("cyl_caps", 4, "prop1", 1), ("cylinder", 6, "prop4", 2), ("cylinder", 6, "cor6", 2)])
-def test_each_moment_is_one_pass_through_integrate(name, dim, criterion, passes,
-                                                    monkeypatch):
+@pytest.mark.parametrize("name,dim,criterion,shape", [
+    ("cyl_caps", 4, "prop1", (7,)), ("cylinder", 6, "prop4", (2, 7)),
+    ("cylinder", 6, "cor6", (2, 7))], ids=["cyl_caps-4-prop1", "cylinder-6-prop4",
+                                           "cylinder-6-cor6"])
+def test_each_criterion_is_one_pass_through_integrate(name, dim, criterion, shape,
+                                                      monkeypatch):
     # The criteria integrate through the integrate that criteria imports:
-    # one single-node pass per moment, int rho^3 for prop1, h(1) and k(1)
-    # for prop4 and cor6.
+    # one single-node pass per criterion, int rho^3 for prop1, and h(1) and
+    # k(1) stacked as two integrands for prop4 and cor6.
     requests = []
 
     def spy(request, _original=criteria.integrate):
@@ -253,8 +259,9 @@ def test_each_moment_is_one_pass_through_integrate(name, dim, criterion, passes,
 
     monkeypatch.setattr(criteria, "integrate", spy)
     check_for_dimension(_profile(name), dim, criterion)
-    assert len(requests) == passes
-    assert all(list(r.nodes) == [1.0] for r in requests)
+    assert len(requests) == 1
+    assert list(requests[0].nodes) == [1.0]
+    assert np.shape(requests[0].fn(np.linspace(0.0, 1.0, 7))) == shape
 
 
 # ------------------------------------------------------------------ dispatch
@@ -269,6 +276,10 @@ def test_dispatch_by_dimension():
         check_for_dimension(_profile("ball"), 4, "cor6")
     with pytest.raises(ValueError):
         check_for_dimension(_profile("ball"), 4, "frobnicate")
+    for dim in (3, 5):
+        with pytest.raises(ValueError, match=f"^no criterion applies to dimension {dim}: prop1 "
+                           "needs dimension 4, prop4 and cor6 need dimension 6$"):
+            check_for_dimension(_profile("ball"), dim)
 
 
 def test_report_serialization():
