@@ -10,7 +10,7 @@ a CLI sit on top.
 
 from .calculus import DEFAULT_SETTINGS, Settings
 from .criteria import (CriterionReport, check_for_dimension, cor6_check,
-                       flat_top_check, prop1_check, prop4_check)
+                       prop1_check, prop4_check)
 from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
                      InvalidBracket, InvalidParam, NoConvergence,
                      ProfileFormatError, SideRequired, SmoothnessError)
@@ -35,7 +35,7 @@ __all__ = [
     "SectionEstimate", "Settings", "SideRequired", "SmoothnessError",
     "SweepResult", "box_operator", "check_for_dimension",
     "classify_breakpoints", "cor6_check",
-    "flat_top_check", "h_jet", "instantiate", "intersection_radial",
+    "h_jet", "instantiate", "intersection_radial",
     "inverse_radon", "lp_threshold", "mc_section_volume",
     "obstruction_field", "parse_prefix", "profile_from_json", "prop1_check",
     "prop4_check", "section_ratio_report",

@@ -63,16 +63,12 @@ def _report(name: str, profile: RadialProfile, lhs: float, rhs: float,
         borderline=abs(margin) <= band, intermediates=intermediates)
 
 
-def flat_top_check(profile: RadialProfile) -> tuple:
+def _flat_top(rho1: float, drho1: float) -> tuple:
     """Value of rho(1) + rho'(1) and whether it vanishes within tolerance.
 
     A vanishing sum means the boundary graph has zero second derivative at
     the axis of revolution (a "flat top").
     """
-    return _flat_top(*profile.eval_jet(1.0, 1, "left"))
-
-
-def _flat_top(rho1: float, drho1: float) -> tuple:
     value = rho1 + drho1
     scale = max(1.0, abs(rho1), abs(drho1))
     return value, abs(value) <= FLAT_TOP_TOL * scale

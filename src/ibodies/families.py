@@ -13,7 +13,7 @@ The named families:
   three_bodies_L  the dashed comparison body L (piecewise rational/algebraic)
 
 plus margin functions over family parameters and a generic parameter sweep
-with sign-change bracketing and bisection refinement.
+with sign-change bracketing and root refinement by Brent's method.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .calculus import DEFAULT_SETTINGS, RootBracket, Settings, bisect
+from .calculus import DEFAULT_SETTINGS, RootBracket, Settings, find_root
 from .criteria import NOT_POLAR_ZONOID, check_for_dimension, criterion_name
 from .errors import InvalidParam
 from .profile import (BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
@@ -31,8 +31,8 @@ from .profile import (BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
 
 _SQ2 = math.sqrt(0.5)  # 1/sqrt(2), the recurring breakpoint
 
-# A sweep bisects each grid cell whose end margins change sign down to this
-# width.
+# A sweep refines the root in each grid cell whose end margins change sign
+# to within this width of a sign change.
 REFINE_TOL = 1e-10
 # step_grid refuses to build a grid longer than this.
 MAX_GRID_POINTS = 10 ** 5
@@ -288,7 +288,8 @@ def sweep(template: FamilySpec, param: str, grid: Sequence[float],
         if math.isnan(m0) or math.isnan(m1) or m0 * m1 >= 0.0:
             continue
         brackets.append((grid[i], grid[i + 1]))
-        roots.append(bisect(fn, RootBracket(grid[i], grid[i + 1], m0, m1), x_tol=REFINE_TOL))
+        roots.append(find_root(fn, RootBracket(grid[i], grid[i + 1], m0, m1),
+                               x_tol=REFINE_TOL))
     return SweepResult(family=template.name, parameter=param, criterion=crit_name,
                        grid=grid, margins=margins, verdicts=verdicts,
                        brackets=brackets, roots=roots)

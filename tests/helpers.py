@@ -12,6 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ibodies.calculus import RootBracket, Settings
+from ibodies.criteria import _flat_top
 from ibodies.errors import DomainError
 from ibodies.jets import Jet
 from ibodies.profile import COSINE, SINE, DerivedProfile
@@ -25,6 +26,12 @@ class Divergent(RuntimeError):
 def bracket(fn: Callable[[float], float], lower: float, upper: float) -> RootBracket:
     """The root bracket of fn on [lower, upper]."""
     return RootBracket(lower, upper, fn(lower), fn(upper))
+
+
+def flat_top_check(profile) -> tuple:
+    """Value of rho(1) + rho'(1) for a RadialProfile and whether it vanishes
+    within the criteria's tolerance (a "flat top")."""
+    return _flat_top(*profile.eval_jet(1.0, 1, "left"))
 
 
 def report_json(report) -> str:

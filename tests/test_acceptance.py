@@ -13,10 +13,9 @@ import numpy as np
 from ibodies import (FamilySpec, box_operator, check_for_dimension,
                      cor6_check, instantiate, inverse_radon, obstruction_field,
                      prop4_check, prop1_check, section_ratio_report)
-from ibodies.calculus import bisect
-from ibodies.criteria import flat_top_check
+from ibodies.calculus import find_root
 from ibodies.profile import Piece, RadialProfile, add, mul, powr, sub, var_t
-from helpers import bracket
+from helpers import bracket, flat_top_check
 from reference_moments import reciprocal_intersection_profile
 from reference_closed_forms import (octagon_h1_closed, octagon_k1_closed,
                                     octagon_margin, radon_transform,
@@ -126,8 +125,8 @@ def test_03_cap_height_tangency_function():
         quad, closed = w_of_M(M), w_of_M_closed(M)
         check(problems, abs(quad / closed - 1.0) <= 1e-8,
               f"w({M}): quadrature {quad!r} vs closed {closed!r}")
-    r1 = bisect(w_of_M, bracket(w_of_M, 1.01942, 1.01943))
-    r2 = bisect(w_of_M, bracket(w_of_M, 1.31290, 1.31291))
+    r1 = find_root(w_of_M, bracket(w_of_M, 1.01942, 1.01943))
+    r2 = find_root(w_of_M, bracket(w_of_M, 1.31290, 1.31291))
     check(problems, 1.01942 < r1 < 1.01943, f"first root {r1!r}")
     check(problems, 1.31290 < r2 < 1.31291, f"second root {r2!r}")
     tail = w_of_M(1e6)
@@ -147,7 +146,7 @@ def test_04_octagon_family_threshold():
                                    - octagon_k1_closed(float(b))))
     check(problems, worst_h <= 1e-10, f"worst h(1) deviation {worst_h!r}")
     check(problems, worst_k <= 1e-10, f"worst k(1) deviation {worst_k!r}")
-    b0 = bisect(octagon_margin, bracket(octagon_margin, 0.8, 0.85))
+    b0 = find_root(octagon_margin, bracket(octagon_margin, 0.8, 0.85))
     check(problems, abs(b0 - 0.826279) <= 1e-5, f"threshold root {b0!r}")
     for b in (0.05, 0.3, 0.6, 0.82):
         check(problems,

@@ -12,7 +12,7 @@ import pytest
 import ibodies
 from ibodies import calculus
 from ibodies.calculus import (DEFAULT_SETTINGS, QuadratureRequest, RootBracket,
-                              Settings, bisect, integrate)
+                              Settings, find_root, integrate)
 from ibodies.errors import InvalidBracket, NoConvergence
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from helpers import Divergent, bracket, fd_check, one_sided_limit
@@ -268,8 +268,81 @@ def test_one_sided_limit_rejects_bad_side():
 # ------------------------------------------------------------- root finding
 
 def test_bisect_finds_cosine_root():
-    root = bisect(math.cos, bracket(math.cos, 1.0, 2.0))
+    root = find_root(math.cos, bracket(math.cos, 1.0, 2.0))
     assert abs(root - math.pi / 2.0) < 1e-11
+
+
+def _recorded(fn):
+    """fn, and the list of (x, fn(x)) pairs it has been called with."""
+    calls = []
+
+    def recorded(x):
+        calls.append((x, fn(x)))
+        return calls[-1][1]
+    return recorded, calls
+
+
+def test_find_root_locates_a_jump_in_bisections_count():
+    # A step, the shape of a verdict that flips: no interpolation helps, and
+    # bisection needs ceil(log2(1e10)) = 34 halvings of [0, 1] to reach 1e-10.
+    jump = 1.0 / 3.0
+    fn, calls = _recorded(lambda x: -1.0 if x < jump else 1.0)
+    root = find_root(fn, RootBracket(0.0, 1.0, -1.0, 1.0), x_tol=1e-10)
+    assert abs(root - jump) <= 1e-10
+    assert len(calls) <= 34 + 2
+
+
+def test_find_root_converges_on_a_triple_root():
+    # Interpolation crawls towards a multiple root; the bisection fallback
+    # still closes the bracket inside the evaluation cap.
+    fn, calls = _recorded(lambda x: (x - 0.3) ** 3)
+    root = find_root(fn, RootBracket(0.0, 1.0, -0.3 ** 3, 0.7 ** 3), x_tol=1e-10)
+    assert abs(root - 0.3) <= 1e-10
+    assert len(calls) < calculus._ROOT_MAX_ITER
+
+
+def test_find_root_near_a_square_root_singularity():
+    # The slope is infinite at the bracket's lower end, as w(M) is at M = 1,
+    # and the root lies close to it.
+    fn, calls = _recorded(lambda x: 1e-3 - math.sqrt(x))
+    root = find_root(fn, RootBracket(0.0, 1.0, 1e-3, 1e-3 - 1.0), x_tol=1e-10)
+    assert abs(root - 1e-6) <= 1e-10
+    assert len(calls) <= 34
+
+
+def test_find_root_stays_in_the_bracket_next_to_a_sign_change():
+    # Roots a hair from either end, and margins whose signs are noise: the
+    # result lies in the bracket and within x_tol (plus rounding) of an
+    # evaluated point whose value has the other sign.  Every case is
+    # negative at its lower end.
+    rng = np.random.default_rng(20240817)
+    cases = [(lambda x: x - 1e-13, 0.0, 1.0), (lambda x: x - (1.0 - 1e-13), 0.0, 1.0),
+             (lambda x: math.atan(1e6 * (x - 2.0)), 2.0 - 1e-9, 3.0)]
+    cases += [(lambda x: rng.standard_normal(), -1.0, 2.0)] * 20
+    for fn, lower, upper in cases:
+        fn, calls = _recorded(fn)
+        calls += [(lower, -1.0), (upper, 1.0)]
+        root = find_root(fn, RootBracket(lower, upper, -1.0, 1.0), x_tol=1e-10)
+        assert lower <= root <= upper
+        f_root = dict(calls)[root]
+        assert f_root == 0.0 or any(
+            abs(x - root) <= 1e-10 + 4.0 * np.finfo(float).eps * abs(root) and f * f_root < 0.0
+            for x, f in calls), root
+
+
+def test_find_root_at_zero_tolerance_stops_at_rounding():
+    # A bracket of adjacent doubles cannot shrink: the rounding term ends it.
+    root = find_root(math.cos, bracket(math.cos, 1.0, 2.0), x_tol=0.0)
+    assert abs(root - math.pi / 2.0) <= 4.0 * np.finfo(float).eps * root
+
+
+def test_find_root_raises_when_the_cap_runs_out_or_a_value_is_nan(monkeypatch):
+    monkeypatch.setattr(calculus, "_ROOT_MAX_ITER", 3)
+    with pytest.raises(NoConvergence, match="after 3 evaluations"):
+        find_root(math.cos, bracket(math.cos, 1.0, 2.0), x_tol=1e-12)
+    monkeypatch.undo()
+    with pytest.raises(NoConvergence, match="NaN"):
+        find_root(lambda x: math.nan, bracket(math.cos, 1.0, 2.0))
 
 
 def test_bracket_validation():

@@ -8,12 +8,12 @@ import pytest
 from ibodies import criteria
 from ibodies.calculus import Settings
 from ibodies.criteria import (_rho3_moment, _sixdim_moments, check_for_dimension,
-                              cor6_check, flat_top_check, prop1_check, prop4_check)
+                              cor6_check, prop1_check, prop4_check)
 from ibodies.errors import FlatTopRequired, SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import (Piece, RadialProfile, add, mul, powr, sub, var_t)
 from ibodies.transform import obstruction_field
-from helpers import report_json, value_at
+from helpers import flat_top_check, report_json, value_at
 from reference_closed_forms import flatness_curvature, vamos_numerator
 from reference_quadpack import integrate
 

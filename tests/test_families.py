@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ibodies.calculus import bisect
+from ibodies import families
+from ibodies.calculus import find_root
 from ibodies.criteria import _sixdim_moments, cor6_check
 from ibodies.errors import InvalidParam
 from ibodies.families import (DEFAULT_DIMENSION, FAMILY_NAMES, MAX_GRID_POINTS,
@@ -130,9 +131,9 @@ def test_octagon_margin_matches_closed_form():
 
 
 def test_octagon_threshold_parameter():
-    root = bisect(octagon_margin_closed,
-                  bracket(octagon_margin_closed, 0.7, 0.9),
-                  x_tol=1e-12)
+    root = find_root(octagon_margin_closed,
+                     bracket(octagon_margin_closed, 0.7, 0.9),
+                     x_tol=1e-12)
     assert abs(root - 0.826279) < 1e-5
     assert octagon_margin(0.5) > 0.0          # satisfied below the threshold
     assert octagon_margin(0.9) < 0.0          # fails above it
@@ -216,14 +217,17 @@ def test_sweep_refines_the_octagon_root():
 
 
 # Golden roots, to 17 digits, of the three sweeps perfbench runs; a root
-# bisected to REFINE_TOL lies within REFINE_TOL of them.
+# refined to REFINE_TOL lies within REFINE_TOL of them.  The cyl_caps_KM and
+# octagon_Kb roots are find_root on w_of_M_closed and octagon_margin_closed
+# over the same grid cells at x_tol=1e-15; the l^p root, which has no closed
+# form, is a bisected sweep's output.
 _GOLDEN_SWEEPS = [
     (lambda: sweep(FamilySpec("cyl_caps_KM", {"M": 1.0}, 4), "M",
                    [round(1.0 + 0.1 * i, 10) for i in range(21)]),
-     [1.0194201959090097, 1.3129092019051312]),
+     [1.0194201959215785, 1.3129092018858253]),
     (lambda: sweep(FamilySpec("octagon_Kb", {"b": 0.5}, 6), "b",
                    [round(0.05 + 0.05 * i, 10) for i in range(20)], criterion="cor6"),
-     [0.8262789283775619]),
+     [0.8262789284131968]),
     (lambda: lp_threshold(9.0, 10.0, 0.1), [9.525037782763441]),
 ]
 
@@ -239,6 +243,22 @@ def test_sweep_roots_stay_within_refine_tol_of_the_goldens(run, golden):
         i = result.grid.index(lo)
         assert result.grid[i + 1] == hi and lo <= root <= hi
         assert result.margins[i] * result.margins[i + 1] < 0.0
+
+
+@pytest.mark.parametrize("run, golden", _GOLDEN_SWEEPS, ids=["cyl_caps_KM", "octagon_Kb", "lp"])
+def test_sweep_refines_each_root_in_few_margin_evaluations(run, golden, monkeypatch):
+    # One margin per grid point, then at most 10 per root: bisection to
+    # REFINE_TOL spends about 30.
+    calls = []
+    check = families.check_for_dimension
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+    monkeypatch.setattr(families, "check_for_dimension", counted)
+    result = run()
+    assert len(result.roots) == len(golden)
+    assert len(calls) <= len(result.grid) + 10 * len(result.roots), len(calls)
 
 
 def test_sweep_records_errors_without_aborting():
