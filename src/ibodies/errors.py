@@ -30,7 +30,7 @@ class InvalidParam(ValueError):
 
 
 class InsufficientSamples(ValueError):
-    """Too few Monte Carlo samples were requested."""
+    """Too few Monte Carlo samples were requested, or too few hit."""
 
 
 class ProfileFormatError(ValueError):

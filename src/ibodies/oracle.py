@@ -11,8 +11,6 @@ field names its own negative witness (``ObstructionField.witness``).
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,12 +26,10 @@ MAX_SAMPLES = 10 ** 8
 # With zero variance a Monte Carlo ratio agrees when it lies within this many
 # ulps of the quadrature ratio (see _z_score).
 ZERO_VARIANCE_ULPS = 4
-# mc_section_volume draws its samples in this many independently seeded batches,
-# walks each batch in chunks of at most CHUNK rows (all a thread holds at a
-# time), and runs the batches on WORKERS threads.
+# mc_section_volume draws its samples in this many independently seeded batches
+# and walks each batch in chunks of at most CHUNK rows (all it holds at a time).
 BATCHES = 8
 CHUNK = 1 << 14
-WORKERS = min(2, os.cpu_count() or 1)
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 4, math.pi / 6)
 
 
@@ -126,42 +122,16 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     The samples come in BATCHES independently seeded batches, each drawn in
     chunks of CHUNK rows of 1 + d // 2 uniforms: column 0 for the radius, the
     others for |u1|.  Consecutive draws of k rows give the numbers of one draw
-    of all of them, so the chunking changes no sample and no hit.
-    The batches run on WORKERS threads: the calling thread takes batches 0,
-    WORKERS, 2*WORKERS, ..., and each extra thread w takes w, w+WORKERS, ....
-    A batch's hits depend only on its seed, and their integer sum on no
-    order, so the estimate does not depend on the thread count.  An
-    exception in any batch is raised in the calling thread after every
-    thread has ended.
+    of all of them, so the chunking changes no sample and no hit.  The
+    batches run one after another on the calling thread.
     """
     d, radius, ball_volume = _section_inputs(body, phi, samples)
     sin_phi = math.sin(phi)
     children = np.random.SeedSequence(seed).spawn(BATCHES)
     sizes = [samples // BATCHES] * BATCHES
     sizes[-1] += samples % BATCHES
-    counts = [0] * BATCHES
-    errors = []
-
-    def run(first: int):
-        try:
-            for k in range(first, BATCHES, WORKERS):
-                counts[k] = _batch_hits(body.profile, children[k], sizes[k], d,
-                                        radius, sin_phi)
-        except Exception as exc:   # re-raised in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, WORKERS)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-    hits = sum(counts)
-
+    hits = sum(_batch_hits(body.profile, children[k], sizes[k], d, radius, sin_phi)
+               for k in range(BATCHES))
     p_hat = hits / samples
     volume = ball_volume * p_hat
     std_error = ball_volume * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
@@ -184,7 +154,8 @@ def section_ratio_report(body: BodyOfRevolution,
                          settings: Settings = DEFAULT_SETTINGS) -> dict:
     """Compare Monte Carlo section-volume ratios against the computed
     intersection profile (integrated at the tolerances of ``settings``),
-    angle by angle versus the first (reference) angle.
+    angle by angle versus the first (reference) angle.  Raises
+    InsufficientSamples when a section gets no hit.
     """
     angles = list(angles)
     if len(angles) < 2:
@@ -195,6 +166,10 @@ def section_ratio_report(body: BodyOfRevolution,
     quad = [ik.value(math.sin(phi)) for phi in angles]
     estimates = [mc_section_volume(body, phi, samples, seed=seed + 7919 * i)
                  for i, phi in enumerate(angles)]
+    for est in estimates:   # a ratio needs a nonzero volume and error bar
+        if est.hits == 0:
+            raise InsufficientSamples(f"no sample of {samples} hit the section at "
+                                      f"phi = {est.phi}; draw more samples")
     ref = estimates[0]
     comparisons = []
     all_ok = True

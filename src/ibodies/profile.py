@@ -662,8 +662,9 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
     if "builtin" in obj:
         from . import families  # deferred: families builds on this module
         params = obj.get("params", {})
-        if not (isinstance(params, dict)
-                and all(isinstance(v, (int, float)) for v in params.values())):
+        if not (isinstance(params, dict)   # bool is an int subclass, not a number here
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        for v in params.values())):
             raise ProfileFormatError(f"'params' must be an object of numbers, got {params!r}")
         return families.instantiate(families.FamilySpec(obj["builtin"], params)).profile
     if "pieces" not in obj:

@@ -1,7 +1,7 @@
-"""The Monte Carlo section-volume estimator with no chunks and no threads:
+"""The Monte Carlo section-volume estimator with no chunks:
 each batch draws its whole (m, 1 + d // 2) block of uniforms at once, the
 radius in column 0 and the factors of the vertical cosine |u1| after it, and
-multiplies the factors out over the whole batch.  The chunked, threaded
+multiplies the factors out over the whole batch.  The chunked
 ``oracle.mc_section_volume`` must give the same hits, volume and standard
 error bit for bit.
 """

@@ -217,7 +217,6 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_worker_pool_module():
-    # The oracle's worker threads use threading, which numpy already loads;
     # concurrent.futures (which pulls in logging) and multiprocessing would
     # add to the import time every CLI process pays.
     code = ("import sys, ibodies; print(sorted(m for m in sys.modules "
@@ -239,6 +238,24 @@ def test_no_module_imports_another_modules_private_names():
             offences += [f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
                          for alias in node.names
                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert offences == []
+
+
+def test_no_module_imports_a_concurrency_module():
+    # The library runs on the calling thread: its results then depend on no
+    # thread count and no process-wide worker setting.
+    banned = {"threading", "multiprocessing", "concurrent"}
+    offences = []
+    for path in sorted(Path(ibodies.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offences += [f"{path.name}: {name}" for name in names
+                         if name.split(".")[0] in banned]
     assert offences == []
 
 

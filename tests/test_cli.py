@@ -312,6 +312,19 @@ def test_oracle_bounding_ball_overflow_is_an_input_error():
     assert res.stdout == ""
 
 
+def test_oracle_section_without_hits_is_an_input_error(tmp_path):
+    # A valid convex profile so tall near the axis that the sections at pi/4
+    # and pi/6 get no hit in their bounding balls: no ratio can be formed.
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps({"pieces": [
+        {"interval": [0, 1], "expr": "(add 1 (mul 1000 (pow t 40)))"}]}))
+    res = run("oracle", "--profile-json", str(path), "--dim", "6")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == ("error: InsufficientSamples: no sample of 100000 hit the "
+                          f"section at phi = {math.pi / 4}; draw more samples\n"), res.stderr
+
+
 def test_oracle_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -1,7 +1,6 @@
 """Monte Carlo section-volume oracle."""
 
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -250,7 +249,7 @@ def test_section_ratio_report_hits_at_a_million_samples():
 def test_estimator_memory_is_about_one_batch_of_cosines():
     # tracemalloc counts numpy's allocations, not RSS, so the peak repeats
     # exactly.  The whole-batch estimator peaks at about 10 MB; the chunked
-    # one keeps one chunk of draws and its temporaries per thread (4.1 MB).
+    # one keeps one chunk of draws and its temporaries at a time (3.0 MB).
     b = body("three_bodies_L", 6)
     tracemalloc.start()
     try:
@@ -262,43 +261,28 @@ def test_estimator_memory_is_about_one_batch_of_cosines():
 
 
 # ---------------------------------------------------------------------------
-# Worker threads
-
-
-@pytest.mark.parametrize("name,dim", INVARIANCE_BODIES)
-def test_hits_do_not_depend_on_the_worker_count(name, dim, monkeypatch):
-    b = body(name, dim)
-    for samples in (10 ** 4 + 3, 8 * CHUNK + 17, 10 ** 5):
-        want = mc_section_volume_whole_batch(b, math.pi / 4, samples, seed=4321)
-        for workers in (1, 2, 3, 8):
-            monkeypatch.setattr(oracle, "WORKERS", workers)
-            got = mc_section_volume(b, math.pi / 4, samples, seed=4321)
-            assert (got.hits, got.volume, got.std_error) == \
-                (want.hits, want.volume, want.std_error), (samples, workers)
+# A failing batch
 
 
 class _Boom(Exception):
     pass
 
 
-@pytest.mark.parametrize("in_worker", [False, True])
-def test_a_batch_exception_reaches_the_caller_after_every_thread_ends(in_worker, monkeypatch):
-    # The profile fails on its second batch call in the calling thread (its
-    # first call there is max_value's) or in the worker thread.
-    monkeypatch.setattr(oracle, "WORKERS", 2)
+def test_a_batch_exception_reaches_the_caller(monkeypatch):
+    # The profile's first eval_array call is max_value's, and each batch of
+    # 12500 rows is one chunk, so the profile fails in batch 1 and no later
+    # batch runs.
     b = body("cyl_caps", 4)
     original = b.profile.eval_array
     calls = [0]
 
     def failing(t):
-        if (threading.current_thread() is not threading.main_thread()) == in_worker:
-            calls[0] += 1
-            if calls[0] == (2 if in_worker else 3):
-                raise _Boom
+        calls[0] += 1
+        if calls[0] == 3:
+            raise _Boom
         return original(t)
 
     monkeypatch.setattr(b.profile, "eval_array", failing)
-    before = threading.active_count()
     with pytest.raises(_Boom):
         mc_section_volume(b, math.pi / 4, 10 ** 5)
-    assert threading.active_count() == before
+    assert calls[0] == 3

@@ -303,7 +303,8 @@ def test_profile_from_json_rejects_malformed_input():
         profile_from_json({"pieces": [{"interval": [0.0, 1.0]}]})
     with pytest.raises(ProfileFormatError):
         profile_from_json([1, 2, 3])
-    for params in (5, [1], {"scale": [1]}, {"scale": "2"}):
+    # JSON true is an int to isinstance, but no number.
+    for params in (5, [1], {"scale": [1]}, {"scale": "2"}, {"scale": True}):
         with pytest.raises(ProfileFormatError):
             profile_from_json({"builtin": "ball", "params": params})
     with pytest.raises(ProfileFormatError):
