@@ -80,8 +80,9 @@ class Jet:
     @classmethod
     def from_parts(cls, parts, size: int, order: int) -> "Jet":
         """Array jet about ``size`` points, assembled from ``(rows, jet)``
-        parts: each jet holds the points that ``rows`` (a mask) selects, and
-        the parts' rows are disjoint and cover every point."""
+        parts: each jet holds the points at the integer indices ``rows`` (a
+        float jet holds one point), and the parts' rows are disjoint and
+        cover every point."""
         out = np.empty((order + 1, size))
         for rows, jet in parts:
             for k, c in enumerate(jet.coeffs):

@@ -59,6 +59,8 @@ def _unit_ball_volume(d: int) -> float:
 def _section_inputs(body: BodyOfRevolution, phi: float, samples: int) -> tuple:
     """(d, radius, volume) of the bounding ball of the sections of ``body``,
     after every check that mc_section_volume makes before it draws."""
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
+        raise TypeError(f"the sample count must be an integer, got {samples!r}")
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples for a "
                                   f"meaningful estimate, got {samples}")
@@ -87,7 +89,9 @@ def _vertical_cosines(factors: np.ndarray, d: int, scale: float) -> np.ndarray:
     |u1| = 1, or S^1, where |u1| = cos(pi U / 2)."""
     cos = np.full(len(factors), scale)
     for j, k in enumerate(range(d - 2, -1, -2)):
-        cos *= factors[:, j] ** (1.0 / k) if k else np.cos(math.pi / 2 * factors[:, j])
+        column = factors[:, j]  # x ** 1.0 is x: for k = 1, the column itself
+        cos *= (column ** (1.0 / k) if k > 1 else column if k
+                else np.cos(math.pi / 2 * column))
     return cos
 
 
@@ -115,7 +119,8 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     tilted basis vector contributes a vertical component, so the vertical
     cosine of a sample is |u1| sin(phi) for a uniformly random direction u
     on S^(d-1), d = n - 1, drawn from its exact law (see _vertical_cosines).
-    Raises InsufficientSamples below MIN_SAMPLES samples, and DomainError
+    Raises TypeError for a sample count that is not an integer (a bool
+    included), InsufficientSamples below MIN_SAMPLES samples, and DomainError
     above MAX_SAMPLES or when the bounding ball's volume overflows or
     underflows a float.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -421,8 +422,8 @@ class RadialProfile(DerivedProfile):
         self.require_positive = require_positive
         # Piece i governs [b_i, b_(i+1)]; a point within JOINT_TOL of a
         # joint b belongs to the piece on the side asked for (right by default).
-        self._left_of = np.array(self.breakpoint_locations) + JOINT_TOL
-        self._right_of = np.array(self.breakpoint_locations) - JOINT_TOL
+        self._left_of = [b + JOINT_TOL for b in self.breakpoint_locations]
+        self._right_of = [b - JOINT_TOL for b in self.breakpoint_locations]
         self._validate_values()
         self.breakpoints = classify_breakpoints(self)
         self._check_continuity()
@@ -453,41 +454,53 @@ class RadialProfile(DerivedProfile):
 
     # ------------------------------------------------------------ evaluation
 
-    def _locate(self, t: np.ndarray, side: Optional[str]):
-        """The piece of each point of t: one int when the least and the
-        greatest point lie on one piece, else an array of piece indices."""
-        edges, how = ((self._left_of, "left") if side == "left"
-                      else (self._right_of, "right"))
-        if t.size:
-            first, last = np.searchsorted(edges, (t.min(), t.max()), side=how)
-            if first == last:
-                return int(first)
-        return np.searchsorted(edges, t, side=how)
+    def _locate(self, t: np.ndarray, lo: float, hi: float, side: Optional[str]):
+        """The pieces of the points of t, which lie in [lo, hi]: one int when
+        lo and hi lie on one piece, else a (piece, integer rows) pair per
+        occupied piece.  A point is above edge e when t > e (side "left") or
+        t >= e, which for all but NaN gives np.searchsorted's piece; only the
+        edges between lo and hi are compared, and their counts skip empty
+        pieces."""
+        edges, find, beyond = ((self._left_of, bisect_left, operator.gt)
+                               if side == "left"
+                               else (self._right_of, bisect_right, operator.ge))
+        first, last = find(edges, float(lo)), find(edges, float(hi))
+        if first == last:
+            return first
+        above = [beyond(t, e) for e in edges[first:last]]
+        counts = [t.size] + [np.count_nonzero(a) for a in above] + [0]
+        # Piece first + j holds the points above edge j - 1 and not edge j.
+        above = [True] + above + [False]
+        return [(first + j, np.flatnonzero(above[j] ^ above[j + 1]))
+                for j in range(len(counts) - 1) if counts[j] > counts[j + 1]]
 
     def _evaluate(self, t, ts: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        # A float walks its piece's expression on the float itself: the bits
-        # of the one-point array jet, in fewer numpy calls.
-        index = self._locate(ts, side)
         if ts is t:
-            return self._pieces_jet(t, index, order)
-        return self.pieces[index].expr.eval_jet(float(t), order)
+            lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
+            return self._pieces_jet(t, self._locate(t, lo, hi, side), order)
+        return self._walk(self._locate(ts, ts[0], ts[0], side), ts, order)
 
-    def _pieces_jet(self, t: np.ndarray, index, order: int) -> Jet:
-        """Array jet with point k evaluated on piece ``index[k]``, or on piece
-        ``index`` for every point when it is an int (see :meth:`_locate`).
+    def _walk(self, index: int, t: np.ndarray, order: int) -> Jet:
+        """Piece ``index``'s jet at t; one point walks on its float (the bits
+        of the one-point array jet in fewer numpy calls): a float jet."""
+        expr = self.pieces[index].expr
+        return expr.eval_jet(float(t[0]) if t.size == 1 else t, order)
 
-        Each occupied piece's expression is walked once, over its own points;
-        an int walks it on t itself, with no masks and no scatter.  Every
-        coefficient is a fresh float array of t's shape.
+    def _pieces_jet(self, t: np.ndarray, located, order: int) -> Jet:
+        """Array jet with each point evaluated on its piece, ``located`` as
+        :meth:`_locate` returns it.
+
+        Each occupied piece's expression is walked once, over its own points
+        gathered with ``take``, and scattered back through their integer
+        rows; an int walks it on t itself, with no gather and no scatter.
+        Every coefficient is a fresh float array of t's shape.
         """
-        if isinstance(index, np.ndarray):
-            parts = []
-            for i in np.flatnonzero(np.bincount(index)):
-                sel = index == i
-                parts.append((sel, self.pieces[i].expr.eval_jet(t[sel], order)))
-            return Jet.from_parts(parts, t.size, order)
-        jet = self.pieces[index].expr.eval_jet(t, order)
-        # A constant coefficient is a scalar, and the jet of "t" holds t.
+        if isinstance(located, list):
+            return Jet.from_parts([(rows, self._walk(i, t.take(rows), order))
+                                   for i, rows in located], t.size, order)
+        jet = self._walk(located, t, order)
+        # A float walk and a constant coefficient give scalars, and the jet
+        # of "t" holds t.
         return Jet(tuple(c if isinstance(c, np.ndarray) and c is not t
                          else np.broadcast_to(c, t.shape).copy()
                          for c in jet.coeffs))
@@ -501,19 +514,20 @@ class RadialProfile(DerivedProfile):
         outside [0, 1].
 
         Returns a fresh float array of t's shape.  When every point lies in
-        [0, 1] there is no NaN fill and no scatter, and when the least and
-        the greatest point lie on one piece no point is located at all.
+        [0, 1] there is no NaN fill, and when the least and the greatest
+        point lie on one piece no point is compared or moved at all.
         """
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         with np.errstate(all="ignore"):
-            if flat.size and 0.0 <= flat.min() and flat.max() <= 1.0:
-                jet = self._pieces_jet(flat, self._locate(flat, "left"), 0)
+            lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
+            if 0.0 <= lo and hi <= 1.0:
+                jet = self._pieces_jet(flat, self._locate(flat, lo, hi, "left"), 0)
                 return jet.value.reshape(t.shape)
             out = np.full(flat.shape, np.nan)
-            inside = (flat >= 0.0) & (flat <= 1.0)
-            pts = flat[inside]
-            out[inside] = self._pieces_jet(pts, self._locate(pts, "left"), 0).value
+            rows = np.flatnonzero((flat >= 0.0) & (flat <= 1.0))
+            pts = flat.take(rows)
+            out[rows] = self._pieces_jet(pts, self._locate(pts, 0.0, 1.0, "left"), 0).value
         return out.reshape(t.shape)
 
     def max_value(self) -> float:
@@ -648,6 +662,10 @@ def validate_convexity(profile: RadialProfile, samples: int = 720) -> ConvexityR
 
 # --------------------------------------------------------------------- JSON
 
+def _is_number(v) -> bool:   # bool is an int subclass, not a number here
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
     """Build a profile from the JSON description format.
 
@@ -662,9 +680,7 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
     if "builtin" in obj:
         from . import families  # deferred: families builds on this module
         params = obj.get("params", {})
-        if not (isinstance(params, dict)   # bool is an int subclass, not a number here
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in params.values())):
+        if not (isinstance(params, dict) and all(map(_is_number, params.values()))):
             raise ProfileFormatError(f"'params' must be an object of numbers, got {params!r}")
         return families.instantiate(families.FamilySpec(obj["builtin"], params)).profile
     if "pieces" not in obj:
@@ -675,9 +691,11 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
     for entry in obj["pieces"]:
         try:
             a, b = entry["interval"]
+            if not (_is_number(a) and _is_number(b)):
+                raise ValueError("interval ends must be JSON numbers")
             interval = (float(a), float(b))
             expr = parse_prefix(entry["expr"])
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise ProfileFormatError(f"bad piece entry {entry!r}: {e}") from e
         pieces.append(Piece(interval, expr))
     return RadialProfile(pieces)

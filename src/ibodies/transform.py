@@ -237,9 +237,11 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
         near = x < (_AXIS_NOISE_T if series else 0.0)
         if not near.any():
             return from_moments(x, order, side)
-        parts = [(near, _series_reciprocal_jet(series, x[near], order))]
-        if not near.all():
-            parts.append((~near, from_moments(x[~near], order, side)))
+        rows = np.flatnonzero(near)
+        parts = [(rows, _series_reciprocal_jet(series, x.take(rows), order))]
+        if rows.size < x.size:
+            rows = np.flatnonzero(~near)
+            parts.append((rows, from_moments(x.take(rows), order, side)))
         return Jet.from_parts(parts, x.size, order)
 
     return DerivedProfile(source, profile.breakpoint_locations,

@@ -205,10 +205,19 @@ def value_at(fld, t: float) -> float:
     return fld.continuous_values[idx]
 
 
+def searchsorted_index(profile, t: np.ndarray, side: str) -> np.ndarray:
+    """The piece of every point of t on ``side`` ("left", or "right" for
+    any other side), found by ``np.searchsorted`` against the profile's
+    edges: the reference for ``RadialProfile._locate``."""
+    if side == "left":
+        return np.searchsorted(profile._left_of, t, side="left")
+    return np.searchsorted(profile._right_of, t, side="right")
+
+
 def masked_pieces_jet(profile, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
-    """``RadialProfile._pieces_jet`` as it was before it grouped points with
-    ``np.bincount``: each piece's points gathered through a mask, in
-    ``np.unique`` order, and scattered back into one array."""
+    """``RadialProfile._pieces_jet`` as a mask dispatch: each piece's points
+    gathered through a mask, in ``np.unique`` order, walked as an array even
+    when there is one, and scattered back through the mask."""
     out = np.empty((order + 1, t.size))
     with np.errstate(all="ignore"):
         for i in np.unique(index):
@@ -220,13 +229,13 @@ def masked_pieces_jet(profile, t: np.ndarray, index: np.ndarray, order: int) -> 
 
 
 def masked_eval_array(profile, t) -> np.ndarray:
-    """``RadialProfile.eval_array`` as it was before its unmasked routes:
-    a NaN-filled array with the points in [0, 1] scattered into it."""
+    """``RadialProfile.eval_array`` as a searchsorted and mask dispatch: a
+    NaN-filled array with the points in [0, 1] scattered into it."""
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     out = np.full(flat.shape, np.nan)
     inside = (flat >= 0.0) & (flat <= 1.0)
     pts = flat[inside]
-    index = np.searchsorted(profile._left_of, pts, side="left")
+    index = searchsorted_index(profile, pts, "left")
     out[inside] = masked_pieces_jet(profile, pts, index, 0).value
     return out.reshape(t.shape)

@@ -86,6 +86,16 @@ def test_check_profile_json_route(tmp_path):
     assert "error:" in res.stderr and "--dim" in res.stderr
 
 
+@pytest.mark.parametrize("interval", [[False, True], ["0", "1"]])
+def test_check_refuses_interval_ends_that_are_not_json_numbers(tmp_path, interval):
+    path = tmp_path / "ends.json"
+    path.write_text(json.dumps({"pieces": [{"interval": interval, "expr": "1"}]}))
+    res = run("check", "--profile-json", str(path), "--dim", "4")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ProfileFormatError")
+
+
 def test_check_rejects_bad_params():
     res = run("check", "--builtin", "ball", "--dim", "4", "--param", "M=2")
     assert res.returncode == 2

@@ -1,6 +1,7 @@
 """Monte Carlo section-volume oracle."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -71,6 +72,24 @@ def test_estimate_input_validation():
         mc_section_volume(body("ball", 4), -0.1, 10 ** 4)
     with pytest.raises(DomainError):
         mc_section_volume(body("ball", 4), math.pi / 2 + 0.1, 10 ** 4)
+
+
+@pytest.mark.parametrize("samples", [1e5, True, 10 ** 5 + 0.5, "100000", np.float64(1e5)])
+def test_a_sample_count_that_is_not_an_integer_is_refused_before_any_draw(samples,
+                                                                        monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "_batch_hits", lambda *args: calls.append(args))
+    with pytest.raises(TypeError, match=re.escape(
+            f"the sample count must be an integer, got {samples!r}")):
+        mc_section_volume(body("ball", 4), math.pi / 2, samples)
+    with pytest.raises(TypeError, match="sample count must be an integer"):
+        section_ratio_report(body("ball", 4), samples=samples)
+    assert calls == []
+
+
+def test_a_numpy_integer_sample_count_draws_like_an_int():
+    b = body("cyl_caps", 4)
+    assert mc_section_volume(b, 0.5, np.int64(10 ** 4)) == mc_section_volume(b, 0.5, 10 ** 4)
 
 
 def test_zero_variance_accepts_only_rounding():

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from ibodies.errors import (DomainError, ProfileFormatError, SideRequired,
                             SmoothnessError)
 from ibodies.families import FamilySpec, instantiate
-from ibodies.profile import (BodyOfRevolution, Piece, RadialProfile, add,
-                             classify_breakpoints, const, div, exp_of, mul, neg,
-                             parse_prefix, powr, profile_from_json, sqrt, sub,
-                             validate_convexity, var_t)
-from helpers import converted_variable, masked_eval_array, masked_pieces_jet
+from ibodies.jets import Jet
+from ibodies.profile import (JOINT_TOL, BodyOfRevolution, DerivedProfile, Piece,
+                             RadialProfile, add, classify_breakpoints, const, div,
+                             exp_of, mul, neg, parse_prefix, powr, profile_from_json,
+                             sqrt, sub, validate_convexity, var_t)
+from helpers import (converted_variable, masked_eval_array, masked_pieces_jet,
+                     searchsorted_index)
 from reference_closed_forms import cylinder_intersection_closed_form
 
 SQ2 = math.sqrt(0.5)
@@ -313,6 +315,17 @@ def test_profile_from_json_rejects_malformed_input():
         profile_from_json({"pieces": [{"interval": [0.0, 1.0], "expr": 5}]})
 
 
+@pytest.mark.parametrize("interval", [[False, True], ["0", "1"], [0, True], [0.0, None]])
+def test_profile_from_json_refuses_interval_ends_that_are_not_numbers(interval):
+    # float() reads false, true and "1"; only JSON numbers are ends.
+    with pytest.raises(ProfileFormatError, match="interval ends must be JSON numbers"):
+        profile_from_json({"pieces": [{"interval": interval, "expr": "1"}]})
+    assert profile_from_json({"pieces": [{"interval": [0, 1], "expr": "1"}]}).value(0.5) == 1.0
+    # A JSON integer too large for a float is a format error too.
+    with pytest.raises(ProfileFormatError, match="too large"):
+        profile_from_json({"pieces": [{"interval": [0, 10 ** 400], "expr": "1"}]})
+
+
 # ------------------------------------------------------- variable conversion
 
 def test_converted_variable_round_trip():
@@ -406,13 +419,137 @@ def test_pieces_jet_matches_the_masked_scatter_at_every_order():
     profile = _builtin("three_bodies_L")
     points = np.concatenate([np.linspace(0.05, 0.7, 9), np.linspace(0.72, 0.99, 9)])
     for pts in (points, points[:9], points[9:]):
-        index = np.searchsorted(profile._right_of, pts, side="right")
+        index = searchsorted_index(profile, pts, "right")
+        located = profile._locate(pts, pts.min(), pts.max(), "right")
         for order in range(4):
-            got = profile._pieces_jet(pts, index, order)
+            got = profile._pieces_jet(pts, located, order)
             want = masked_pieces_jet(profile, pts, index, order)
             assert len(got.coeffs) == order + 1
             for c_got, c_want in zip(got.coeffs, want.coeffs):
                 assert c_got.shape == pts.shape and _bits(c_got) == _bits(c_want)
+
+
+# ------------------------------------------------- piece dispatch
+
+_JOINTED = {"cyl_caps": {}, "three_bodies_L": {}, "octagon_Kb": {"b": 0.65}}
+
+
+def _near_joints(profile):
+    """Each joint, at +-JOINT_TOL from it, and one ulp either side of those."""
+    pts = []
+    for b in profile.breakpoint_locations:
+        for x in (b, b - JOINT_TOL, b + JOINT_TOL):
+            pts += [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+    return np.array(pts)
+
+
+def _straddling(profile, size=1 << 14):
+    """size unsorted points in (0, 1) across every joint, with the joint
+    points of _near_joints among them."""
+    rng = np.random.default_rng(20260)
+    t = rng.uniform(1e-6, 1.0 - 1e-6, size)
+    special = _near_joints(profile)
+    t[rng.choice(size, special.size, replace=False)] = special
+    return t
+
+
+def _index_of(t, located):
+    """The piece of every point from a _locate result, checking that the
+    parts are nonempty, disjoint and cover t."""
+    if isinstance(located, int):
+        return np.full(t.size, located)
+    index = np.full(t.size, -1)
+    for i, rows in located:
+        assert rows.dtype.kind == "i" and rows.size and (index[rows] == -1).all()
+        index[rows] = i
+    assert (index >= 0).all()
+    return index
+
+
+def _assert_same_jet(got, want, shape):
+    assert len(got.coeffs) == len(want.coeffs)
+    for c_got, c_want in zip(got.coeffs, want.coeffs):
+        assert c_got.shape == shape and _bits(c_got) == _bits(c_want)
+
+
+@pytest.mark.parametrize("points", ["straddling", "near joints"])
+@pytest.mark.parametrize("name", sorted(_JOINTED))
+def test_dispatch_matches_the_masked_dispatch(name, points):
+    profile = _builtin(name, **_JOINTED[name])
+    t = _straddling(profile) if points == "straddling" else _near_joints(profile)
+    assert _bits(profile.eval_array(t)) == _bits(masked_eval_array(profile, t))
+    for side in ("left", "right"):
+        index = searchsorted_index(profile, t, side)
+        assert np.unique(index).size == len(profile.pieces)
+        for order in range(4):
+            _assert_same_jet(profile._jet(t, order, side),
+                             masked_pieces_jet(profile, t, index, order), t.shape)
+
+
+def test_parts_of_one_point_have_the_bits_of_array_parts():
+    # octagon_Kb has three pieces: one point on the first and one on the last
+    # piece with several on the middle one, one point on each piece, and
+    # every point near a joint alone.
+    profile = _builtin("octagon_Kb", b=0.65)
+    lo, hi = profile.breakpoint_locations
+    alone = [np.array([x]) for x in _near_joints(profile)]
+    for t in [np.array([0.1, (lo + hi) / 2, lo + 0.01, 0.97, hi - 0.01]),
+              np.array([0.97, 0.1, (lo + hi) / 2])] + alone:
+        assert _bits(profile.eval_array(t)) == _bits(masked_eval_array(profile, t))
+        for side in ("left", "right"):
+            index = searchsorted_index(profile, t, side)
+            located = profile._locate(t, t.min(), t.max(), side)
+            if t.size > 1:
+                assert [rows.size for _, rows in located].count(1) >= 2
+            for order in range(4):
+                _assert_same_jet(profile._jet(t, order, side),
+                                 masked_pieces_jet(profile, t, index, order), t.shape)
+
+
+def _many_pieces(n):
+    edges = np.linspace(0.0, 1.0, n + 1)
+    return profile_from_json({"pieces": [
+        {"interval": [float(a), float(b)], "expr": "(add 1 (mul 0.1 (mul t t)))"}
+        for a, b in zip(edges, edges[1:])]})
+
+
+_LOCATE_PROFILES = {"cyl_caps": _builtin("cyl_caps"),
+                    "octagon_Kb": _builtin("octagon_Kb", b=0.65),
+                    "9 pieces": _many_pieces(9)}
+
+
+@st.composite
+def _locate_case(draw):
+    name = draw(st.sampled_from(sorted(_LOCATE_PROFILES)))
+    near = _near_joints(_LOCATE_PROFILES[name]).tolist()
+    points = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(near)),
+                           min_size=1, max_size=40))
+    return name, np.array(points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_locate_case(), side=st.sampled_from(["left", "right", None]))
+def test_locate_finds_the_searchsorted_piece(case, side):
+    name, t = case
+    profile = _LOCATE_PROFILES[name]
+    want = searchsorted_index(profile, t, side)
+    # Tight bounds, and the loose bounds [0, 1] of eval_array's masked route.
+    for lo, hi in ((t.min(), t.max()), (0.0, 1.0)):
+        assert (_index_of(t, profile._locate(t, lo, hi, side)) == want).all()
+
+
+@pytest.mark.parametrize("joints", [1, 2, 5])
+def test_classify_breakpoints_calls_the_jet_source_once_per_side(joints):
+    calls = []
+
+    def source(t, order, side):
+        calls.append(side)
+        return Jet.variable(t, order) * Jet.variable(t, order)
+
+    profile = DerivedProfile(source, np.linspace(0.0, 1.0, joints + 2)[1:-1].tolist())
+    bps = classify_breakpoints(profile)
+    assert [b.smoothness_class for b in bps] == ["C2+"] * joints
+    assert sorted(calls) == ["left", "right"]
 
 
 _ROUND_TRIP_CONSTS = st.floats(-1e6, 1e6, allow_nan=False)
