@@ -2,8 +2,8 @@
 
 Everything downstream (the transform pipeline, criteria margins, parameter
 sweeps) funnels through this module so that failure modes are decided in
-exactly one place; tolerances arrive as arguments, from a :class:`Settings`
-that the caller passes down.  There is one quadrature routine,
+exactly one place; the relative tolerance arrives as an argument, in a
+:class:`Settings` that the caller passes down.  There is one quadrature routine,
 :func:`integrate`: a vectorised adaptive Gauss-Kronrod pass that gives the
 running integrals from 0 up to every node of a :class:`QuadratureRequest`
 at once; a single definite integral over [0, x] is that pass with one node.
@@ -23,7 +23,9 @@ import numpy as np
 from .errors import InvalidBracket, NoConvergence
 
 DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-12
+_EPMACH = float(np.finfo(float).eps)
+# QUADPACK's floor on a panel's error estimate, relative to its int |f|.
+MIN_REL_TOL = 50.0 * _EPMACH
 # calculus.find_root gives up after this many evaluations; a triple root, its
 # slowest case, takes 83 to narrow [0, 1] to 1e-10, and bisection 34.
 _ROOT_MAX_ITER = 200
@@ -31,15 +33,14 @@ _ROOT_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class Settings:
-    """Quadrature tolerances, passed to every computation that integrates."""
+    """Quadrature tolerance, relative to int |f|; passed to every computation that integrates."""
 
     rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
 
     def __post_init__(self):
-        for what, tol in (("relative", self.rel_tol), ("absolute", self.abs_tol)):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"{what} tolerance must be positive and finite, got {tol}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= MIN_REL_TOL):
+            raise ValueError(f"relative tolerance must be finite and at least "
+                             f"50 eps = {MIN_REL_TOL:.3g}, got {self.rel_tol}")
 
 
 DEFAULT_SETTINGS = Settings()
@@ -63,7 +64,6 @@ _WG = (0.0, 0.129484966168869693270611432679082, 0.0,
 _GK_X = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _GK_WK = np.array(_WGK[:-1] + _WGK[::-1])
 _GK_WG = np.array(_WG[:-1] + _WG[::-1])
-_EPMACH = float(np.finfo(float).eps)
 MAX_BISECTIONS = 40     # a panel still failing at this depth is accepted as is
 MAX_PANELS = 100_000    # refinement stops before the panel count passes this
 
@@ -81,7 +81,7 @@ class CumulativeIntegral:
     panels: int                  # accepted panels
     evaluations: int             # integrand evaluation points, rejected panels included
     max_depth: int               # deepest bisection of an accepted panel
-    worst_error_fraction: float  # max of accumulated error / max(abs_tol, rel_tol |value|)
+    worst_error_fraction: float  # max of accumulated error / (rel_tol int_0^node |f|)
 
 
 def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
@@ -113,14 +113,14 @@ def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
     return kronrod * half, err * half, resabs * half
 
 
-def _at_nodes(a: list, b: list, val: list, err: list, nodes: np.ndarray) -> tuple:
-    """Running sums of the panel integrals and error estimates, read at every
-    node; the panels (given as lists of arrays) tile [0, max node]."""
+def _at_nodes(a: list, b: list, nodes: np.ndarray, *per_panel: list) -> tuple:
+    """Running sums of each per-panel quantity, read at every node; the
+    panels (given as lists of arrays) tile [0, max node]."""
     order = np.argsort(np.concatenate(a), kind="stable")
     right = np.concatenate(b)[order]
     at = np.searchsorted(right, nodes, side="right")
     out = []
-    for parts in (val, err):
+    for parts in per_panel:
         sums = np.cumsum(np.concatenate(parts, axis=1)[:, order], axis=1)
         out.append(np.concatenate([np.zeros((sums.shape[0], 1)), sums], axis=1)[:, at])
     return tuple(out)
@@ -151,18 +151,18 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
     panels with one call of ``request.fn`` (Gauss-Kronrod 7/15) and bisects
     those that miss their share of the tolerance, until every panel meets
     its share or every node's accumulated error estimate (open panels
-    counted at their current estimates) is within
-    max(abs_tol, rel_tol * |value|).  A running sum over the panels, in
-    order, gives every node's value and accumulated error estimate.  Results
+    counted at their current estimates) is within rel_tol times its
+    integral of |f|.  A running sum over the panels, in order, gives every
+    node's value, accumulated error estimate and integral of |f|.  Results
     are bit-reproducible for a given request.
 
     Raises ValueError for a node that is negative or not finite, or when no
     node lies above 0, and NoConvergence when the integrand is not finite at
     an evaluation point or when the accumulated error at any node exceeds
-    10 * max(abs_tol, rel_tol * |value|).  The tolerances are those of
+    10 * rel_tol times its integral of |f|.  ``rel_tol`` is that of
     ``request.settings``.
     """
-    rel_tol, abs_tol = request.settings.rel_tol, request.settings.abs_tol
+    rel_tol = request.settings.rel_tol
     nodes = np.asarray(request.nodes, dtype=float)
     if not np.isfinite(nodes).all():
         raise ValueError(f"nodes must be finite, got {float(nodes[~np.isfinite(nodes)][0])}")
@@ -174,17 +174,16 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
     edges = np.unique(np.concatenate([[0.0], inner, nodes]))
     a, b = edges[:-1], edges[1:]
 
-    done_a, done_b, done_val, done_err = [], [], [], []
+    done_a, done_b, done_val, done_err, done_abs = [], [], [], [], []
     panels = evaluations = max_depth = 0
     for depth in range(MAX_BISECTIONS + 1):
         if a.size == 0:
             break
         val, err, resabs = _gk15_panels(request.fn, a, b)
         evaluations += a.size * _GK_X.size
-        # Half of each panel's share of rel_tol * int|f| + abs_tol, so that the
-        # error summed up to any node stays within max(abs_tol, rel_tol |value|)
-        # for an integrand of one sign.
-        allowed = 0.5 * (rel_tol * resabs + abs_tol * (b - a) / end)
+        # Half of each panel's share of rel_tol * int|f|, so that the error
+        # summed up to any node stays within rel_tol times its int|f|.
+        allowed = 0.5 * rel_tol * resabs
         ok = np.all(err <= allowed, axis=0)
         mid = 0.5 * (a + b)
         ok |= (mid <= a) | (mid >= b)  # panel too narrow to bisect
@@ -194,28 +193,30 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
             # A panel can miss its share for ever (a square-root singularity
             # in a derivative at its end) while every node already meets the
             # tolerance; stop refining then, open panels at their estimates.
-            values, errors = _at_nodes(done_a + [a], done_b + [b], done_val + [val],
-                                       done_err + [err], nodes)
-            if np.all(errors <= np.maximum(abs_tol, rel_tol * np.abs(values))):
+            errors, mass = _at_nodes(done_a + [a], done_b + [b], nodes,
+                                     done_err + [err], done_abs + [resabs])
+            if np.all(errors <= rel_tol * mass):
                 ok[:] = True
         if ok.any():
             done_a.append(a[ok])
             done_b.append(b[ok])
             done_val.append(val[:, ok])
             done_err.append(err[:, ok])
+            done_abs.append(resabs[:, ok])
             panels += int(ok.sum())
             max_depth = depth
         bad = ~ok
         a, b = (np.concatenate([a[bad], mid[bad]]),
                 np.concatenate([mid[bad], b[bad]]))
 
-    values, errors = _at_nodes(done_a, done_b, done_val, done_err, nodes)
-    fraction = errors / np.maximum(abs_tol, rel_tol * np.abs(values))
+    values, errors, mass = _at_nodes(done_a, done_b, nodes, done_val, done_err, done_abs)
+    # A node with no error (a zero integrand) has fraction 0, not 0 / 0.
+    fraction = np.divide(errors, rel_tol * mass, out=np.zeros_like(errors), where=errors != 0)
     worst = np.unravel_index(int(np.argmax(fraction)), fraction.shape)
     if fraction[worst] > 10.0:
         raise NoConvergence(
             f"accumulated quadrature error {errors[worst]} up to x={nodes[worst[1]]} "
-            f"exceeds tolerance {10.0 * max(abs_tol, rel_tol * abs(values[worst]))}"
+            f"exceeds tolerance {10.0 * rel_tol * mass[worst]}"
         )
     return CumulativeIntegral(nodes=nodes, values=values, panels=panels, evaluations=evaluations,
                               max_depth=max_depth,

@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .calculus import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Settings
+from .calculus import DEFAULT_REL_TOL, Settings
 from .criteria import CRITERION_CHOICES, check_for_dimension
 from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
                      InvalidBracket, InvalidParam, NoConvergence,
@@ -54,8 +54,6 @@ def _add_common_args(p: argparse.ArgumentParser, tolerances: bool = True) -> Non
     if tolerances:
         p.add_argument("--tol-rel", type=float, default=DEFAULT_REL_TOL,
                        help=f"quadrature relative tolerance (default {DEFAULT_REL_TOL:g})")
-        p.add_argument("--tol-abs", type=float, default=DEFAULT_ABS_TOL,
-                       help=f"quadrature absolute tolerance (default {DEFAULT_ABS_TOL:g})")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the primary artifact here instead of stdout")
 
@@ -250,7 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.func is cmd_validate:
             return cmd_validate(args)
-        return args.func(args, Settings(args.tol_rel, args.tol_abs))
+        return args.func(args, Settings(args.tol_rel))
     except _LIBRARY_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -70,8 +70,7 @@ def _flat_top(rho1: float, drho1: float) -> tuple:
     the axis of revolution (a "flat top").
     """
     value = rho1 + drho1
-    scale = max(1.0, abs(rho1), abs(drho1))
-    return value, abs(value) <= FLAT_TOP_TOL * scale
+    return value, abs(value) <= FLAT_TOP_TOL * max(abs(rho1), abs(drho1))
 
 
 def _rho3_moment(profile: RadialProfile, settings: Settings = DEFAULT_SETTINGS) -> float:

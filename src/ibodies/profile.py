@@ -33,7 +33,7 @@ SINE = "sin"    # profile argument is the sine of the vertical angle
 
 # A point within JOINT_TOL of a breakpoint is on it (see near_joint).
 JOINT_TOL = 1e-12
-# Tolerance (scaled by local derivative magnitude) for continuity classes.
+# Tolerance for continuity classes, relative to the value and derivatives at a joint.
 DEFAULT_CLASS_TOL = 1e-9
 # Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
 _MAX_SCAN_POINTS = 10001
@@ -420,6 +420,7 @@ class RadialProfile(DerivedProfile):
                          variable=variable, max_order=3, name=name)
         self.pieces = pieces
         self.require_positive = require_positive
+        self._max_value = None
         # Piece i governs [b_i, b_(i+1)]; a point within JOINT_TOL of a
         # joint b belongs to the piece on the side asked for (right by default).
         self._left_of = [b + JOINT_TOL for b in self.breakpoint_locations]
@@ -446,8 +447,7 @@ class RadialProfile(DerivedProfile):
         # Each joint's one-sided values, read from its classification jets.
         for bp in self.breakpoints:
             left, right = bp.left_jet.value, bp.right_jet.value
-            scale = max(1.0, abs(left), abs(right))
-            if abs(left - right) > 1e-9 * scale:
+            if abs(left - right) > 1e-9 * max(abs(left), abs(right)):
                 raise ValueError(
                     f"pieces disagree at t={bp.location}: {left} (left) vs {right} (right)"
                 )
@@ -531,10 +531,13 @@ class RadialProfile(DerivedProfile):
         return out.reshape(t.shape)
 
     def max_value(self) -> float:
-        # Piece endpoints join the scan so kink maxima are hit exactly.
-        ends = [e for p in self.pieces for e in p.interval]
-        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, _MAX_SCAN_POINTS), ends]))
-        return float(np.nanmax(self.eval_array(grid)))
+        """The largest value on the scan grid, scanned once: pieces never change."""
+        if self._max_value is None:
+            # Piece endpoints join the scan so kink maxima are hit exactly.
+            ends = [e for p in self.pieces for e in p.interval]
+            grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, _MAX_SCAN_POINTS), ends]))
+            self._max_value = float(np.nanmax(self.eval_array(grid)))
+        return self._max_value
 
     def scaled(self, lam: float) -> "RadialProfile":
         """Profile of the dilated body (rho multiplied by a positive constant)."""
@@ -604,18 +607,15 @@ def classify_breakpoints(profile: DerivedProfile) -> list:
 
 def _joint_class(t0: float, left_jet: Jet, right_jet: Jet, order: int) -> Breakpoint:
     left, right = left_jet.derivs(), right_jet.derivs()
-    jump1 = right[1] - left[1] if order >= 1 else float("nan")
-    jump2 = right[2] - left[2] if order >= 2 else float("nan")
-    scale1 = max(1.0, abs(left[1]), abs(right[1])) if order >= 1 else 1.0
-    if order >= 1 and abs(jump1) > DEFAULT_CLASS_TOL * scale1:
-        cls = "C0"
-    else:
-        scale2 = max(1.0, abs(left[2]), abs(right[2])) if order >= 2 else 1.0
-        if order >= 2 and abs(jump2) > DEFAULT_CLASS_TOL * scale2:
-            cls = "C1"
-        else:
-            cls = "C2+"
-    bp = Breakpoint(t0, cls, float(jump1), float(jump2) if order >= 2 else 0.0)
+    jump = [right[k] - left[k] if order >= k else float("nan") for k in range(3)]
+
+    def jumps(k: int) -> bool:
+        # t is dimensionless, so a derivative is judged against the value too.
+        return order >= k and abs(jump[k]) > DEFAULT_CLASS_TOL * max(
+            abs(left[0]), abs(left[k]), abs(right[k]))
+
+    cls = "C0" if jumps(1) else "C1" if jumps(2) else "C2+"
+    bp = Breakpoint(t0, cls, float(jump[1]), float(jump[2]) if order >= 2 else 0.0)
     bp.left_jet, bp.right_jet = left_jet, right_jet
     return bp
 
@@ -693,10 +693,11 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
             a, b = entry["interval"]
             if not (_is_number(a) and _is_number(b)):
                 raise ValueError("interval ends must be JSON numbers")
-            interval = (float(a), float(b))
-            expr = parse_prefix(entry["expr"])
+            pieces.append(Piece((float(a), float(b)), parse_prefix(entry["expr"])))
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise ProfileFormatError(f"bad piece entry {entry!r}: {e}") from e
-        pieces.append(Piece(interval, expr))
-    return RadialProfile(pieces)
+    try:
+        return RadialProfile(pieces)
+    except ValueError as e:  # pieces that do not tile [0, 1], or not positive
+        raise ProfileFormatError(str(e)) from e
 

@@ -468,7 +468,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
             witness = (float(t[k]), float(value[k]), kind)
             break
     if witness is None:
-        atom_floor = -1e-9 * max([1.0] + [abs(w) for _, w in atoms])
+        atom_floor = -1e-9 * max((abs(w) for _, w in atoms), default=0.0)
         negative_atoms = [a for a in atoms if a[1] < atom_floor]
         if negative_atoms:
             t0, w = min(negative_atoms, key=lambda a: a[1])

@@ -187,7 +187,7 @@ def inverse_radon_brute(f: DerivedProfile, n: int, t: float,
             return base if power == 0 else base * (u * u - x * x) ** power
 
         inner = [b for b in bps if lo < b < u]
-        return integrate(integrand, lo, u, inner, Settings(rel_tol=1e-12, abs_tol=1e-14))
+        return integrate(integrand, lo, u, inner, Settings(rel_tol=1e-12))
 
     level: Callable[[float], float] = j_fn
     for _ in range(n - 2):

@@ -3,10 +3,11 @@ independent reference.
 
 The library integrates with one numpy adaptive Gauss-Kronrod routine
 (``calculus.integrate``: running integrals from 0 to many nodes in one
-pass).  :func:`integrate` below is the route it replaced, kept verbatim: one
-definite integral over [lower, upper] at the tolerances of ``settings``,
-split into subintervals at the breakpoints and handed to
-``scipy.integrate.quad``, whose ``qagse`` has epsilon extrapolation.
+pass).  :func:`integrate` below is the route it replaced: one definite
+integral over [lower, upper] at the relative tolerance of ``settings``
+(``epsabs=0``, as the library has no absolute tolerance), split into
+subintervals at the breakpoints and handed to ``scipy.integrate.quad``,
+whose ``qagse`` has epsilon extrapolation.
 ``fn`` receives one float at a time here.  Tests that stand for an
 independent quadrature compare the library with this, never with the
 library itself.
@@ -27,16 +28,16 @@ def integrate(fn, lower: float, upper: float, breakpoints=(),
     bit-reproducible for given arguments.
     """
     edges = [lower, *sorted(b for b in breakpoints if lower < b < upper), upper]
-    rel_tol, abs_tol = settings.rel_tol, settings.abs_tol
+    rel_tol = settings.rel_tol
     total = 0.0
     err_budget = 0.0
     for a, b in zip(edges, edges[1:]):
         out = _sp_integrate.quad(fn, a, b, full_output=1,
-                                 epsabs=abs_tol, epsrel=rel_tol,
+                                 epsabs=0.0, epsrel=rel_tol,
                                  limit=200)
         val, abserr = out[0], out[1]
         if len(out) == 4:  # scipy attached a warning message
-            tol = 10.0 * max(abs_tol, rel_tol * abs(val))
+            tol = 10.0 * rel_tol * abs(val)
             if abserr > tol:
                 raise NoConvergence(
                     f"quadrature on [{a}, {b}] did not converge: "
@@ -44,7 +45,7 @@ def integrate(fn, lower: float, upper: float, breakpoints=(),
                 )
         total += val
         err_budget += abserr
-    tol = 10.0 * max(abs_tol, rel_tol * abs(total))
+    tol = 10.0 * rel_tol * abs(total)
     if err_budget > tol:
         raise NoConvergence(
             f"accumulated quadrature error {err_budget} exceeds tolerance {tol}"

@@ -86,6 +86,45 @@ def test_check_profile_json_route(tmp_path):
     assert "error:" in res.stderr and "--dim" in res.stderr
 
 
+# Documents that parse as JSON but describe no profile: an interval outside
+# [0, 1], NaN or infinite, pieces that do not cover [0, 1], no pieces, and a
+# piece that is not positive.
+_BAD_PROFILES = {
+    "outside": '{"pieces": [{"interval": [0, 2], "expr": "1"}]}',
+    "nan": '{"pieces": [{"interval": [0, NaN], "expr": "1"}]}',
+    "inf": '{"pieces": [{"interval": [0, 1e999], "expr": "1"}]}',
+    "short": '{"pieces": [{"interval": [0, 0.5], "expr": "1"}]}',
+    "empty": '{"pieces": []}',
+    "negative": '{"pieces": [{"interval": [0, 1], "expr": "(sub t 1)"}]}',
+}
+
+
+@pytest.mark.parametrize("label", sorted(_BAD_PROFILES))
+def test_check_reports_a_profile_that_is_no_profile_as_a_format_error(tmp_path, label):
+    path = tmp_path / "bad.json"
+    path.write_text(_BAD_PROFILES[label])
+    res = run("check", "--profile-json", str(path), "--dim", "4")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ProfileFormatError: "), res.stderr
+
+
+def test_a_small_ball_gets_no_flat_top_certificate():
+    # rho(1) + rho'(1) = rho(1) for every ball, so no ball is flat-topped,
+    # however small: cor6 must refuse it, not certify it.
+    res = run("check", "--builtin", "ball", "--dim", "6", "--criterion", "cor6",
+              "--param", "scale=1e-10")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: FlatTopRequired"), res.stderr
+    res = run("sweep", "--builtin", "ball", "--dim", "6", "--criterion", "cor6",
+              "--param", "scale", "--range", "1e-10", "1", "--step", "0.25")
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_csv(res.stdout)
+    assert len(rows) == 5 and {r[2] for r in rows} == {"error:FlatTopRequired"}
+    assert "5 points, 0 satisfied" in res.stderr
+
+
 @pytest.mark.parametrize("interval", [[False, True], ["0", "1"]])
 def test_check_refuses_interval_ends_that_are_not_json_numbers(tmp_path, interval):
     path = tmp_path / "ends.json"
@@ -376,10 +415,9 @@ def test_validate_profile_json_round_trip(tmp_path):
 
 def test_validate_takes_no_tolerances():
     # validate integrates nothing, so a tolerance flag is a usage error.
-    for flag in ("--tol-rel", "--tol-abs"):
-        res = run("validate", "--builtin", "ball", flag, "1e-3")
-        assert res.returncode == 2, (flag, res.stderr)
-        assert "unrecognized arguments" in res.stderr
+    res = run("validate", "--builtin", "ball", "--tol-rel", "1e-3")
+    assert res.returncode == 2, res.stderr
+    assert "unrecognized arguments" in res.stderr
 
 
 def test_validate_reports_malformed_json(tmp_path):
@@ -409,19 +447,28 @@ def test_source_arguments_are_mutually_exclusive(tmp_path):
 
 
 def test_tolerance_flags_are_accepted():
-    res = run("check", "--builtin", "cyl_caps", "--dim", "4",
-              "--tol-rel", "1e-9", "--tol-abs", "1e-11")
+    res = run("check", "--builtin", "cyl_caps", "--dim", "4", "--tol-rel", "1e-9")
     assert res.returncode == 0
     assert json.loads(res.stdout)["verdict"] == "NotPolarZonoid"
 
 
 def test_bad_tolerances_are_input_errors():
-    for flag, value in [("--tol-rel", "-1"), ("--tol-rel", "0"),
-                        ("--tol-abs", "nan"), ("--tol-rel", "inf")]:
-        res = run("check", "--builtin", "ball", flag, value)
-        assert res.returncode == 2, (flag, value, res.stderr)
-        assert res.stderr.startswith("error: ValueError"), (flag, value)
+    # 1e-15 lies below the quadrature's error floor of 50 eps.
+    for value in ("-1", "0", "nan", "inf", "1e-15"):
+        res = run("check", "--builtin", "ball", "--tol-rel", value)
+        assert res.returncode == 2, (value, res.stderr)
+        assert res.stderr.startswith("error: ValueError: relative tolerance"), value
         assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["check", "field", "sweep", "oracle", "validate"])
+def test_there_is_no_absolute_tolerance_flag(command):
+    # Every tolerance is relative, so a dilated body gets the dilated answer.
+    extra = ["--param", "scale", "--range", "1", "2", "--step", "1"] if command == "sweep" else []
+    res = run(command, "--builtin", "ball", *extra, "--tol-abs", "1e-9")
+    assert res.returncode == 2, res.stderr
+    assert "unrecognized arguments: --tol-abs 1e-9" in res.stderr
+    assert res.stdout == ""
 
 
 def _cyl_caps_KM_diagnostics():
@@ -434,7 +481,7 @@ def test_tolerance_flags_leave_no_process_state(capsys):
     assert cli.main(["check", "--builtin", "ball", "--tol-rel", "1e-3"]) == 0
     capsys.readouterr()
     assert _cyl_caps_KM_diagnostics() == before
-    assert (calculus.DEFAULT_REL_TOL, calculus.DEFAULT_ABS_TOL) == (1e-10, 1e-12)
+    assert calculus.DEFAULT_REL_TOL == 1e-10
 
 
 _TOLERANCE_ARGV = {
@@ -454,15 +501,15 @@ def test_tolerance_flags_reach_the_quadrature(command, monkeypatch, capsys):
     seen = []
     for module in (criteria, transform):
         def spy(request, _original=module.integrate):
-            seen.append((request.settings.rel_tol, request.settings.abs_tol))
+            seen.append(request.settings)
             return _original(request)
         monkeypatch.setattr(module, "integrate", spy)
     argv = _TOLERANCE_ARGV[command]
-    assert cli.main(argv + ["--tol-rel", "1e-7", "--tol-abs", "1e-9"]) == 0
-    assert seen and set(seen) == {(1e-7, 1e-9)}
+    assert cli.main(argv + ["--tol-rel", "1e-7"]) == 0
+    assert seen and set(seen) == {calculus.Settings(1e-7)}
     seen.clear()
     assert cli.main(argv) == 0
-    assert seen and set(seen) == {(1e-10, 1e-12)}
+    assert seen and set(seen) == {calculus.DEFAULT_SETTINGS}
     capsys.readouterr()
 
 

@@ -114,6 +114,16 @@ def test_cor6_requires_flat_top():
         cor6_check(_profile("ball"))
 
 
+def test_a_small_ball_is_not_flat_topped():
+    # rho(1) + rho'(1) = rho(1) for every ball: judged against rho(1)
+    # itself, a ball of radius 1e-10 is as far from a flat top as the unit
+    # ball, so cor6 refuses it rather than certify a body whose IK is a ball.
+    ball = instantiate(FamilySpec("ball", {"scale": 1e-10}, 6))
+    assert flat_top_check(ball.profile) == (1e-10, False)
+    with pytest.raises(FlatTopRequired):
+        check_for_dimension(ball.profile, 6, "cor6")
+
+
 def test_double_cone_lacks_boundary_smoothness():
     # b=0 collapses the octagon to a double cone whose slope blows up at the
     # axis; every boundary criterion must refuse rather than guess.
@@ -239,7 +249,7 @@ def test_criterion_moments_match_quadpack(name, params):
     for label, weight in _MOMENT_WEIGHTS.items():
         got = moments[label]
         want = integrate(lambda t: weight(t, profile.value(t)), 0.0, 1.0,
-                         profile.breakpoint_locations, Settings(rel_tol=1e-13, abs_tol=1e-15))
+                         profile.breakpoint_locations, Settings(rel_tol=1e-13))
         assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
 
 
@@ -275,19 +285,12 @@ _ROW_TO_MARGIN = {
     "prop4": lambda i: -3.0 / 40.0 * i["h(1)"] ** 4,
     "cor6": lambda i: -i["h(1)"] ** 4 / (160.0 * i["k(1)"]),
 }
-# At scale 1e-3 these bodies' moments fall below the default absolute
-# tolerance of 1e-12 (rho^5 is about 1e-15), so the quadrature stops short of
-# the relative one and the two routes differ by up to 2e-8 of the sides.
-_BELOW_ABS_TOL = {("cylinder", 6), ("lp_revolution", 6), ("three_bodies_L", 4),
-                  ("three_bodies_L", 6)}
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("dim", [4, 6])
 @pytest.mark.parametrize("name", FAMILY_NAMES)
-def test_each_margin_is_a_multiple_of_the_field_row_at_one(name, dim, scale, request):
-    if scale < 1.0 and (name, dim) in _BELOW_ABS_TOL:
-        request.applymarker(pytest.mark.xfail(strict=True, reason="moments below abs_tol"))
+def test_each_margin_is_a_multiple_of_the_field_row_at_one(name, dim, scale):
     body = instantiate(FamilySpec(name, {**_CATALOGUE_PARAMS.get(name, {}), "scale": scale},
                                   dim))
     dumped = BodyOfRevolution(dim, profile_from_json(body.profile.to_json_dict()))

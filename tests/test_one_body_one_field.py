@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibodies.criteria import check_for_dimension
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, profile_from_json
 from ibodies.transform import NEGATIVITY_SCALE, box_operator, obstruction_field
+from helpers import flat_top_check
 
 # Midpoints of the parameter ranges the benchmark catalogue draws from.
 CATALOGUE_PARAMS = {"lp_revolution": {"p": 4.5}, "octagon_Kb": {"b": 0.65},
@@ -151,3 +153,46 @@ def test_series_meets_quadrature_at_the_switch(name):
     fld = _field(name, 6)
     below, above = box_operator(fld.g, 6, np.array([0.99999e-4, 1.00001e-4]))
     assert abs(below - above) <= NEGATIVITY_SCALE * fld.max_abs
+
+
+# ------------------------------------------------------------ dilation
+
+COVARIANCE_POINTS = 500
+# Degree of each criterion's margin in rho: the margin of a dilate by
+# lambda is lambda^deg times the margin.
+_MARGIN_DEGREE = {"prop1": 4, "prop4": 15, "cor6": 10}
+
+
+@functools.lru_cache(maxsize=None)
+def _dilated(name, dim, k):
+    """The field of the body dilated by 2^k and its criterion margins."""
+    body = instantiate(FamilySpec(name, {**CATALOGUE_PARAMS.get(name, {}), "scale": 2.0 ** k},
+                                  dim))
+    names = ["prop1"] if dim == 4 else ["prop4"] + ["cor6"] * flat_top_check(body.profile)[1]
+    margins = {c: check_for_dimension(body.profile, dim, c).margin for c in names}
+    return obstruction_field(body, uniform_points=COVARIANCE_POINTS), margins
+
+
+@pytest.mark.parametrize("k", [-20, -10, 10, 20])
+@pytest.mark.parametrize("name,dim", BODIES)
+def test_a_power_of_two_dilation_scales_the_field_exactly(name, dim, k):
+    # The intersection body of lambda K is lambda^(n-1) IK, so its field is
+    # lambda^-(n-1) times K's.  With lambda a power of two every tolerance,
+    # being relative, takes the same decisions: the same grid, joints,
+    # witness and verdict, and every number is the exact multiple.
+    (base, base_margins), (fld, margins) = _dilated(name, dim, 0), _dilated(name, dim, k)
+    factor = 2.0 ** (-k * (dim - 1))
+    assert fld.grid == base.grid
+    assert fld.is_left_limit == base.is_left_limit
+    assert fld.continuous_values == [v * factor for v in base.continuous_values]
+    assert fld.atoms == [(t, w * factor) for t, w in base.atoms]
+    assert fld.breakpoint_classes == [(t, c, j * factor) for t, c, j in base.breakpoint_classes]
+    assert fld.verdict == base.verdict
+    if base.witness is None:
+        assert fld.witness is None
+    else:
+        t, w, kind = base.witness
+        assert fld.witness == (t, w * factor, kind)
+    assert margins.keys() == base_margins.keys()
+    for criterion, margin in base_margins.items():
+        assert margins[criterion] == margin * 2.0 ** (k * _MARGIN_DEGREE[criterion]), criterion

@@ -12,6 +12,7 @@ from ibodies import (DomainError, FamilySpec, InsufficientSamples, instantiate,
                      mc_section_volume, section_ratio_report)
 from ibodies import oracle
 from ibodies.oracle import BATCHES, CHUNK
+from ibodies.profile import _MAX_SCAN_POINTS
 from reference_oracle import mc_section_volume_whole_batch
 
 
@@ -227,6 +228,27 @@ def test_report_checks_every_angle_before_any_draw(bad, monkeypatch):
     with pytest.raises(DomainError):
         section_ratio_report(b, angles=(math.pi / 2, bad), samples=10 ** 4)
     assert calls == []
+
+
+def test_report_scans_the_profile_for_its_maximum_once(monkeypatch):
+    # Every angle's bounding ball, checked up front and again when drawn,
+    # needs max rho; the pieces never change, so the scan runs once.  At
+    # 10^4 samples every batch is one chunk of 1250 rows, far below the
+    # scan's size.
+    b = body("three_bodies_L", 6)
+    sizes = []
+    original = b.profile.eval_array
+
+    def counting(t):
+        sizes.append(np.size(t))
+        return original(t)
+
+    monkeypatch.setattr(b.profile, "eval_array", counting)
+    first = section_ratio_report(b, samples=10 ** 4)
+    assert sum(size >= _MAX_SCAN_POINTS for size in sizes) == 1
+    assert section_ratio_report(b, samples=10 ** 4) == first
+    assert sum(size >= _MAX_SCAN_POINTS for size in sizes) == 1
+    assert first == section_ratio_report(body("three_bodies_L", 6), samples=10 ** 4)
 
 
 # ---------------------------------------------------------------------------

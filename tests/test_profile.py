@@ -315,6 +315,21 @@ def test_profile_from_json_rejects_malformed_input():
         profile_from_json({"pieces": [{"interval": [0.0, 1.0], "expr": 5}]})
 
 
+@pytest.mark.parametrize("pieces", [
+    [{"interval": [0, 2], "expr": "1"}],
+    [{"interval": [0, math.nan], "expr": "1"}],
+    [{"interval": [0, math.inf], "expr": "1"}],
+    [{"interval": [0, 0.5], "expr": "1"}],
+    [],
+    [{"interval": [0, 1], "expr": "(sub t 1)"}],
+], ids=["outside", "nan", "inf", "short", "empty", "not-positive"])
+def test_profile_from_json_reports_pieces_that_make_no_profile_as_format_errors(pieces):
+    # Piece and RadialProfile raise a plain ValueError for these; read from
+    # JSON, they are a malformed description.
+    with pytest.raises(ProfileFormatError):
+        profile_from_json({"pieces": pieces})
+
+
 @pytest.mark.parametrize("interval", [[False, True], ["0", "1"], [0, True], [0.0, None]])
 def test_profile_from_json_refuses_interval_ends_that_are_not_numbers(interval):
     # float() reads false, true and "1"; only JSON numbers are ends.

@@ -330,7 +330,7 @@ def test_field_runs_one_moment_pass_through_integrate(name, dim, params, monkeyp
         return _original(request)
 
     monkeypatch.setattr(transform, "integrate", spy)
-    settings = Settings(rel_tol=1e-9, abs_tol=1e-11)
+    settings = Settings(rel_tol=1e-9)
     fld = obstruction_field(_body(name, dim, **params), uniform_points=200,
                             settings=settings)
     assert len(requests) == 1
