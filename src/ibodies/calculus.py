@@ -84,6 +84,18 @@ class CumulativeIntegral:
     worst_error_fraction: float  # max of accumulated error / (rel_tol int_0^node |f|)
 
 
+def sorted_unique(x) -> np.ndarray:
+    """The distinct values of a finite array, sorted: the bits of
+    ``np.unique(x)``, which in numpy 2.4 imports ``numpy.ma`` (10-20 ms at
+    cold start) on its first call.  Of equal values (0.0 and -0.0) the first
+    in sorted order is kept, as ``np.unique`` keeps it."""
+    aux = np.sort(np.asarray(x, dtype=float).ravel())
+    keep = np.empty(aux.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = aux[1:] != aux[:-1]
+    return aux[keep]
+
+
 def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
                  b: np.ndarray) -> tuple:
     """qk15 on every panel [a[j], b[j]] with one call of ``fn``.
@@ -166,12 +178,12 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
     nodes = np.asarray(request.nodes, dtype=float)
     if not np.isfinite(nodes).all():
         raise ValueError(f"nodes must be finite, got {float(nodes[~np.isfinite(nodes)][0])}")
-    nodes = np.unique(nodes)
+    nodes = sorted_unique(nodes)
     if nodes.size == 0 or nodes[0] < 0.0 or nodes[-1] <= 0.0:
         raise ValueError(f"nodes must lie in [0, inf) with one above it, got {nodes}")
     end = float(nodes[-1])
     inner = [x for x in request.breakpoints if 0.0 < x < end]
-    edges = np.unique(np.concatenate([[0.0], inner, nodes]))
+    edges = sorted_unique(np.concatenate([[0.0], inner, nodes]))
     a, b = edges[:-1], edges[1:]
 
     done_a, done_b, done_val, done_err, done_abs = [], [], [], [], []

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .calculus import DEFAULT_SETTINGS, RootBracket, Settings, find_root
 from .criteria import NOT_POLAR_ZONOID, check_for_dimension, criterion_name
 from .errors import InvalidParam
-from .profile import (BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
+from .profile import (JOINT_TOL, BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
                       const, div, exp_of, mul, neg, powr, sqrt, sub, var_t)
 
 _SQ2 = math.sqrt(0.5)  # 1/sqrt(2), the recurring breakpoint
@@ -104,13 +104,16 @@ def _octagon_profile(b: float) -> RadialProfile:
     top = div(1, t)
     t1 = b / math.sqrt(1.0 + b * b)
     t2 = 1.0 / math.sqrt(1.0 + b * b)
+    # At b=0 the side and the top, at b=1 the diagonal (the square's
+    # corner), degenerate to a point and are left out; near those ends a
+    # piece no wider than JOINT_TOL would put both its ends on one joint.
     pieces = []
-    if t1 > 0.0:
-        pieces.append(Piece((0.0, t1), side))
-    if t1 < t2:  # at b=1 the diagonal degenerates to the square's corner
-        pieces.append(Piece((t1, t2), diagonal))
-    if t2 < 1.0:
-        pieces.append(Piece((t2, 1.0), top))
+    for lo, hi, expr in ((0.0, t1, side), (t1, t2, diagonal), (t2, 1.0, top)):
+        if hi - lo > JOINT_TOL:
+            pieces.append(Piece((lo, hi), expr))
+        elif hi > lo:
+            raise InvalidParam(f"octagon parameter b={b!r} leaves a piece on "
+                               f"[{lo!r}, {hi!r}], no wider than {JOINT_TOL:g}")
     return RadialProfile(pieces, name=f"octagon_Kb(b={b:g})")
 
 

@@ -21,6 +21,7 @@ that itself consumes two derivative levels).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -48,7 +49,8 @@ def _elementary(fn, c: Coefficient, *args) -> Coefficient:
     finite argument overflows to inf (numpy would return inf)."""
     with np.errstate(over="ignore"):
         out = fn(c, *args)
-    if (np.isinf(out) & np.isfinite(c)).any():
+    inf = np.isinf(out)
+    if inf.any() and (inf & np.isfinite(c)).any():
         raise OverflowError(f"{fn.__name__} out of range")
     return out if isinstance(c, np.ndarray) else float(out)
 
@@ -60,9 +62,11 @@ class Jet:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coefficient]):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
+        if type(coeffs) is not tuple:
+            coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a jet needs at least the order-0 coefficient")
+        self.coeffs = coeffs
 
     # ---------------------------------------------------------------- basics
 
@@ -128,52 +132,59 @@ class Jet:
     # ------------------------------------------------------------ arithmetic
 
     def _align(self, other) -> tuple:
+        """Both coefficient tuples at the lower of the two orders; a number
+        is a constant jet."""
+        a = self.coeffs
         if not isinstance(other, Jet):
-            other = Jet.constant(other, self.order)
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1], other.coeffs[: n + 1], n
+            return a, (other,) + (0.0,) * (len(a) - 1)
+        b = other.coeffs
+        if len(a) == len(b):
+            return a, b
+        n = min(len(a), len(b))
+        return a[:n], b[:n]
 
     def __add__(self, other) -> "Jet":
-        a, b, n = self._align(other)
-        return Jet(tuple(a[k] + b[k] for k in range(n + 1)))
+        return Jet(tuple(map(operator.add, *self._align(other))))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
-        a, b, n = self._align(other)
-        return Jet(tuple(a[k] - b[k] for k in range(n + 1)))
+        return Jet(tuple(map(operator.sub, *self._align(other))))
 
     def __rsub__(self, other) -> "Jet":
-        a, b, n = self._align(other)
-        return Jet(tuple(b[k] - a[k] for k in range(n + 1)))
+        a, b = self._align(other)
+        return Jet(tuple(map(operator.sub, b, a)))
 
     def __neg__(self) -> "Jet":
-        return Jet(tuple(-c for c in self.coeffs))
+        return Jet(tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return Jet(tuple(c * other for c in self.coeffs))
-        a, b, n = self._align(other)
-        # The value is one product; sum() would add it to 0, an array pass
-        # per node at order 0.  The higher sums keep their start 0, which
-        # turns a sum of -0.0 terms into +0.0.
-        return Jet((a[0] * b[0],) + tuple(sum(a[j] * b[k - j] for j in range(k + 1))
-                                          for k in range(1, n + 1)))
+        a, b = self._align(other)
+        # The value is one product (all of it at order 0): sum() would add
+        # it to 0, an array pass per node.  The higher sums keep their start
+        # 0, which turns a sum of -0.0 terms into +0.0.
+        out = (a[0] * b[0],)
+        if len(a) == 1:
+            return Jet(out)
+        return Jet(out + tuple(sum(a[j] * b[k - j] for j in range(k + 1))
+                               for k in range(1, len(a))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return Jet(tuple(c / other for c in self.coeffs))
-        a, b, n = self._align(other)
+        a, b = self._align(other)
         b0 = b[0]
         if _any(b0 == 0.0):
             raise SmoothnessError("division by a quantity vanishing at the evaluation point")
         out = [a[0] / b0]
-        for k in range(1, n + 1):
+        for k in range(1, len(a)):
             acc = a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / b0)
-        return Jet(out)
+        return Jet(tuple(out))
 
     def __rtruediv__(self, other) -> "Jet":
         return Jet.constant(other, self.order) / self

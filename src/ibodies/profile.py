@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .calculus import sorted_unique
 from .errors import DomainError, ProfileFormatError, SideRequired, SmoothnessError
 from .jets import Jet
 
@@ -35,6 +36,9 @@ SINE = "sin"    # profile argument is the sine of the vertical angle
 JOINT_TOL = 1e-12
 # Tolerance for continuity classes, relative to the value and derivatives at a joint.
 DEFAULT_CLASS_TOL = 1e-9
+# The deepest expression tree parse_prefix builds: a walk recurses once per
+# node on a path, and a path of about 1000 would exhaust Python's stack.
+MAX_EXPR_DEPTH = 256
 # Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
 _MAX_SCAN_POINTS = 10001
 
@@ -77,19 +81,20 @@ class ExprNode:
     def eval_jet(self, t, order: int) -> Jet:
         """Taylor jet of the expression at t (a float or an array of points),
         truncated at ``order``."""
-        if self.op == "const":
-            return Jet.constant(self.value, order)
-        if self.op == "t":
+        children = self.children
+        if not children:
+            if self.op == "const":
+                return Jet.constant(self.value, order)
             return Jet.variable(t, order)
         # One or two children, walked without building an argument list:
         # a list per node made this walk about 10% slower.
-        a = self.children[0].eval_jet(t, order)
-        if self.op == "pow":
-            return a ** self.exponent
+        a = children[0].eval_jet(t, order)
         rule = _OPERATORS[self.op][1]
-        if len(self.children) == 1:
+        if rule is None:  # "pow", the one operator with children and no rule
+            return a ** self.exponent
+        if len(children) == 1:
             return rule(a)
-        return rule(a, self.children[1].eval_jet(t, order))
+        return rule(a, children[1].eval_jet(t, order))
 
     # ---------------------------------------------------------- serialization
 
@@ -174,13 +179,20 @@ def parse_prefix(text: str) -> ExprNode:
 
         (div 1 (mul 2 (sqrt (sub 1 (mul t t)))))
 
-    Numbers may be integers, floats, or fractions like -1/2.
+    Numbers may be integers, floats, or fractions like -1/2.  A tree deeper
+    than MAX_EXPR_DEPTH nodes, counting the left-deep chain that an n-ary
+    add or mul builds, is refused.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
+    too_deep = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 
-    def parse() -> ExprNode:
+    def parse(level: int) -> tuple:
+        """The next expression and its depth in nodes.  ``level`` counts
+        the parentheses around it, which bounds the recursion here."""
         nonlocal pos
+        if level > MAX_EXPR_DEPTH:
+            raise ProfileFormatError(too_deep)
         if pos >= len(tokens):
             raise ProfileFormatError("unexpected end of expression")
         tok = tokens[pos]
@@ -191,37 +203,41 @@ def parse_prefix(text: str) -> ExprNode:
             op = tokens[pos]
             pos += 1
             if op == "pow":
-                base = parse()
+                base, depth = parse(level + 1)
                 if pos >= len(tokens):
                     raise ProfileFormatError("pow needs an exponent")
                 exponent = _parse_fraction(tokens[pos])
                 pos += 1
-                node = ExprNode("pow", (base,), exponent=exponent)
+                node, depth = ExprNode("pow", (base,), exponent=exponent), depth + 1
             elif op in ("add", "mul"):
                 args = []
                 while pos < len(tokens) and tokens[pos] != ")":
-                    args.append(parse())
+                    args.append(parse(level + 1))
                 if len(args) < 2:
                     raise ProfileFormatError(f"{op} needs at least two arguments")
-                node = args[0]
-                for a in args[1:]:
-                    node = ExprNode(op, (node, a))
+                node, depth = args[0]
+                for a, d in args[1:]:
+                    node, depth = ExprNode(op, (node, a)), max(depth, d) + 1
             else:
                 arity, rule = _OPERATORS.get(op, (0, None))
                 if rule is None:
                     raise ProfileFormatError(f"unknown operator {op!r}")
-                node = ExprNode(op, tuple(parse() for _ in range(arity)))
+                children = [parse(level + 1) for _ in range(arity)]
+                node = ExprNode(op, tuple(c for c, _ in children))
+                depth = max(d for _, d in children) + 1
+            if depth > MAX_EXPR_DEPTH:
+                raise ProfileFormatError(too_deep)
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ProfileFormatError(f"missing ')' after {op}")
             pos += 1
-            return node
+            return node, depth
         if tok == ")":
             raise ProfileFormatError("unexpected ')'")
         if tok == "t":
-            return ExprNode("t")
-        return const(_parse_number(tok))
+            return ExprNode("t"), 1
+        return const(_parse_number(tok)), 1
 
-    node = parse()
+    node, _ = parse(1)
     if pos != len(tokens):
         raise ProfileFormatError("trailing tokens after expression")
     return node
@@ -535,7 +551,8 @@ class RadialProfile(DerivedProfile):
         if self._max_value is None:
             # Piece endpoints join the scan so kink maxima are hit exactly.
             ends = [e for p in self.pieces for e in p.interval]
-            grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, _MAX_SCAN_POINTS), ends]))
+            grid = sorted_unique(np.concatenate([np.linspace(0.0, 1.0, _MAX_SCAN_POINTS),
+                                                 ends]))
             self._max_value = float(np.nanmax(self.eval_array(grid)))
         return self._max_value
 

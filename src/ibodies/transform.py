@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, QuadratureRequest,
-                       Settings, integrate)
+                       Settings, integrate, sorted_unique)
 from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
@@ -95,9 +95,14 @@ class MomentTable:
 
     def at(self, x: np.ndarray) -> tuple:
         """(B(x), C(x)) at an array of points; C is None for n = 4."""
-        found = np.isin(x, self._nodes)
+        # x is in the sorted table where the first node not below it equals
+        # it (np.isin would import numpy.ma at cold start).
+        nodes = self._nodes
+        pos = np.searchsorted(nodes, x)
+        found = (nodes[np.minimum(pos, nodes.size - 1)] == x if nodes.size
+                 else np.zeros(x.shape, dtype=bool))
         out = np.empty((self._values.shape[0], x.size))
-        out[:, found] = self._values[:, np.searchsorted(self._nodes, x[found])]
+        out[:, found] = self._values[:, pos[found]]
         if not found.all():
             res = self._run(x[~found])
             out[:, ~found] = res.values[:, np.searchsorted(res.nodes, x[~found])]
@@ -328,7 +333,7 @@ def default_grid(breakpoints: Sequence[float],
             for cand in (b - off, b + off):
                 if _EPS_AXIS < cand <= 1.0:
                     pts.append(cand)
-    arr = np.unique(np.asarray(pts, dtype=float))
+    arr = sorted_unique(pts)
     return arr[~near_joint(arr, breakpoints).any(axis=1)]
 
 

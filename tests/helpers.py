@@ -13,7 +13,7 @@ import numpy as np
 
 from ibodies.calculus import RootBracket, Settings
 from ibodies.criteria import _flat_top
-from ibodies.errors import DomainError
+from ibodies.errors import DomainError, SmoothnessError
 from ibodies.jets import Jet
 from ibodies.profile import COSINE, SINE, DerivedProfile
 from reference_quadpack import integrate
@@ -239,3 +239,56 @@ def masked_eval_array(profile, t) -> np.ndarray:
     index = searchsorted_index(profile, pts, "left")
     out[inside] = masked_pieces_jet(profile, pts, index, 0).value
     return out.reshape(t.shape)
+
+
+# ------------------------------------------------- reference jet arithmetic
+# The generic recurrences the jet operations ran before their order-0 and
+# equal-order shortcuts: every coefficient rebuilt through index loops and
+# sums.  tests/test_jets.py requires the library's bytes to equal these.
+
+def reference_align(a: Jet, other) -> tuple:
+    if not isinstance(other, Jet):
+        other = Jet.constant(other, a.order)
+    n = min(a.order, other.order)
+    return a.coeffs[: n + 1], other.coeffs[: n + 1], n
+
+
+def reference_add(x: Jet, other) -> Jet:
+    a, b, n = reference_align(x, other)
+    return Jet(tuple(a[k] + b[k] for k in range(n + 1)))
+
+
+def reference_sub(x: Jet, other) -> Jet:
+    a, b, n = reference_align(x, other)
+    return Jet(tuple(a[k] - b[k] for k in range(n + 1)))
+
+
+def reference_rsub(x: Jet, other) -> Jet:
+    a, b, n = reference_align(x, other)
+    return Jet(tuple(b[k] - a[k] for k in range(n + 1)))
+
+
+def reference_neg(x: Jet) -> Jet:
+    return Jet(tuple(-c for c in x.coeffs))
+
+
+def reference_mul(x: Jet, other) -> Jet:
+    if not isinstance(other, Jet):
+        return Jet(tuple(c * other for c in x.coeffs))
+    a, b, n = reference_align(x, other)
+    return Jet((a[0] * b[0],) + tuple(sum(a[j] * b[k - j] for j in range(k + 1))
+                                      for k in range(1, n + 1)))
+
+
+def reference_truediv(x: Jet, other) -> Jet:
+    if not isinstance(other, Jet):
+        return Jet(tuple(c / other for c in x.coeffs))
+    a, b, n = reference_align(x, other)
+    b0 = b[0]
+    if (b0 == 0.0).any() if isinstance(b0, np.ndarray) else b0 == 0.0:
+        raise SmoothnessError("division by a quantity vanishing at the evaluation point")
+    out = [a[0] / b0]
+    for k in range(1, n + 1):
+        acc = a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))
+        out.append(acc / b0)
+    return Jet(out)

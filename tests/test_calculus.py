@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ibodies
 from ibodies import calculus
 from ibodies.calculus import (DEFAULT_SETTINGS, QuadratureRequest, RootBracket,
-                              Settings, find_root, integrate)
+                              Settings, find_root, integrate, sorted_unique)
 from ibodies.errors import InvalidBracket, NoConvergence
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from helpers import Divergent, bracket, fd_check, one_sided_limit
@@ -429,3 +431,17 @@ def test_fd_check_flags_a_wrong_derivative():
 def test_fd_check_order_validation():
     with pytest.raises(ValueError):
         fd_check(math.exp, math.exp, 0.3, order=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]),
+                                 st.floats(allow_nan=False)), max_size=40))
+def test_sorted_unique_has_the_bytes_of_np_unique(values):
+    # Duplicates and both signed zeros are drawn often: of 0.0 and -0.0 the
+    # first in sorted order is kept, as np.unique keeps it.
+    x = np.array(values, dtype=float)
+    got = sorted_unique(x)
+    assert got.dtype == np.float64 and got.shape == np.unique(x).shape
+    assert got.tobytes() == np.unique(x).tobytes()
+    assert sorted_unique(np.empty(0)).shape == (0,)
+    assert sorted_unique(x.reshape(-1, 1)).tobytes() == got.tobytes()

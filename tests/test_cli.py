@@ -531,15 +531,18 @@ def test_misshapen_profile_json_is_an_input_error(tmp_path):
 
 
 def test_an_octagon_piece_narrower_than_the_joint_tolerance_is_refused():
-    # Near b = 1 the diagonal piece, and near b = 0 the side piece, shrinks
-    # below JOINT_TOL: its two ends would be one joint, counted twice.
+    # Near b = 1 the diagonal piece, and near b = 0 the side piece (then the
+    # top piece) shrinks below JOINT_TOL: its two ends would be one joint,
+    # counted twice.  Like every other out-of-range family parameter, the b
+    # is named as an InvalidParam.
     for command, b, interval in (("field", "0.9999999999999",
                                   "[0.7071067811865122, 0.7071067811865829]"),
-                                 ("validate", "1e-13", "[0.0, 1e-13]")):
+                                 ("validate", "1e-13", "[0.0, 1e-13]"),
+                                 ("check", "1e-06", "[0.9999999999995, 1.0]")):
         res = run(command, "--builtin", "octagon_Kb", "--param", f"b={b}")
         assert res.returncode == 2, res.stderr
-        assert res.stderr == (f"error: ValueError: piece interval {interval} must "
-                              "lie inside [0, 1] and be wider than 1e-12\n"), res.stderr
+        assert res.stderr == (f"error: InvalidParam: octagon parameter b={b} leaves a piece "
+                              f"on {interval}, no wider than 1e-12\n"), res.stderr
         assert res.stdout == ""
 
 
@@ -584,3 +587,50 @@ def test_sweep_refuses_a_zero_step_and_a_reversed_range():
         assert res.returncode == 2, (rng, step, res.stderr)
         assert res.stderr.startswith("error: InvalidParam"), res.stderr
         assert res.stdout == ""
+
+
+# A fresh process that runs `python -m ibodies ARGS` and writes the names of
+# every module it imported to the file named by its first argument at exit.
+_MODULES_AT_EXIT = """\
+import atexit, runpy, sys
+path = sys.argv.pop(1)
+atexit.register(lambda: open(path, "w").write("\\n".join(sorted(sys.modules))))
+runpy.run_module("ibodies", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "cyl_caps"],
+    ["field", "--builtin", "three_bodies_L", "--grid-points", "200"],
+    ["sweep", "--builtin", "cyl_caps_KM", "--param", "M", "--range", "1", "3",
+     "--step", "0.5"],
+    ["oracle", "--builtin", "ball", "--dim", "4", "--samples", "20000"],
+    ["oracle", "--builtin", "three_bodies_L", "--samples", "20000"],
+    ["validate", "--builtin", "octagon_Kb", "--param", "b=0.5"],
+], ids=lambda argv: "_".join(argv[:3]))
+def test_no_command_imports_numpy_ma(tmp_path, argv):
+    # np.unique and np.isin import numpy.ma on their first call, 10-20 ms of
+    # every cold start; the library sorts and searches instead.
+    path = tmp_path / "modules.txt"
+    res = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, str(path), *argv],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    modules = path.read_text().split()
+    assert "ibodies.cli" in modules and "numpy" in modules
+    assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("expr", ["(add " + " 1" * 3000 + ")",
+                                  "(neg " * 1200 + "-1" + ")" * 1200],
+                         ids=["add_of_3000_terms", "1200_nested_negs"])
+def test_an_expression_nested_too_deeply_is_an_input_error(tmp_path, expr):
+    # Without the parser's depth limit this ended in a RecursionError
+    # traceback and exit 1, the oracle's MISMATCH code.
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"pieces": [{"interval": [0.0, 1.0], "expr": expr}]}))
+    res = run("check", "--profile-json", str(path), "--dim", "4")
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith("error: ProfileFormatError: bad piece entry")
+    assert res.stderr.endswith(": expression nested deeper than 256 levels\n")
+    assert res.stdout == ""

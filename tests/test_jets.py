@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from ibodies.errors import DomainError, SmoothnessError
 from ibodies.jets import Jet
 from ibodies.profile import add, const, div, exp_of, mul, powr, sqrt, sub, var_t
-from helpers import compose, truncated
+from helpers import (compose, reference_add, reference_mul, reference_neg, reference_rsub,
+                     reference_sub, reference_truediv, truncated)
 
 
 def test_variable_and_constant_jets():
@@ -220,3 +221,47 @@ def test_array_jet_matches_float_jets_point_by_point(tree, points, order):
         for i, s in enumerate(single):
             for c_all, c_one in zip(_coeffs(whole, arr.size), _coeffs(s, 1)):
                 assert np.array_equal(c_all[i:i + 1], c_one, equal_nan=True)
+
+
+# ----------------------------------------- against the generic recurrences
+
+# Signed zeros are drawn often: sum() starts at +0 and turns a sum of -0.0
+# terms into +0.0, which the order-0 shortcut and the higher orders must keep.
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.5]), st.floats(-100.0, 100.0))
+_COEFFICIENTS = st.one_of(_VALUES, st.lists(_VALUES, min_size=3, max_size=3).map(np.array))
+_OPERAND_JETS = st.integers(0, 4).flatmap(
+    lambda order: st.lists(_COEFFICIENTS, min_size=order + 1, max_size=order + 1)
+).map(lambda cs: Jet(tuple(cs)))
+_SCALARS = st.one_of(_VALUES, st.integers(-3, 3))
+# (operation, reference) with a jet x and a jet or Python scalar y; an
+# operation named r... has the scalar y on its left.
+_OPERATIONS = {
+    "add": (lambda x, y: x + y, reference_add),
+    "sub": (lambda x, y: x - y, reference_sub),
+    "mul": (lambda x, y: x * y, reference_mul),
+    "div": (lambda x, y: x / y, reference_truediv),
+    "radd": (lambda x, y: y + x, reference_add),
+    "rsub": (lambda x, y: y - x, reference_rsub),
+    "rmul": (lambda x, y: y * x, reference_mul),
+    "rdiv": (lambda x, y: y / x,
+             lambda x, y: reference_truediv(Jet.constant(y, x.order), x)),
+    "neg": (lambda x, y: -x, lambda x, y: reference_neg(x)),
+}
+
+
+def _bits(outcome):
+    """An exception class, or each coefficient's type and bytes."""
+    if isinstance(outcome, type):
+        return outcome
+    return [(type(c), np.asarray(c).tobytes()) for c in outcome.coeffs]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=_OPERAND_JETS, y=st.one_of(_OPERAND_JETS, _SCALARS), scalar=_SCALARS,
+       op=st.sampled_from(sorted(_OPERATIONS)))
+def test_jet_operations_give_the_bytes_of_the_generic_recurrences(x, y, scalar, op):
+    other = scalar if op.startswith("r") else y  # Python scalars on the left
+    fn, reference = _OPERATIONS[op]
+    with np.errstate(all="ignore"):
+        got, want = _outcome(lambda: fn(x, other)), _outcome(lambda: reference(x, other))
+    assert _bits(got) == _bits(want)

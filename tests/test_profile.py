@@ -1,8 +1,11 @@
 """Piecewise profile representation: parsing, validation, classification."""
 
+import importlib.util
 import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +14,10 @@ from hypothesis import strategies as st
 
 from ibodies.errors import (DomainError, ProfileFormatError, SideRequired,
                             SmoothnessError)
-from ibodies.families import FamilySpec, instantiate
+from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.jets import Jet
-from ibodies.profile import (JOINT_TOL, BodyOfRevolution, DerivedProfile, Piece,
-                             RadialProfile, add, classify_breakpoints, const, div,
+from ibodies.profile import (JOINT_TOL, MAX_EXPR_DEPTH, BodyOfRevolution, DerivedProfile,
+                             Piece, RadialProfile, add, classify_breakpoints, const, div,
                              exp_of, mul, neg, parse_prefix, powr, profile_from_json,
                              sqrt, sub, validate_convexity, var_t)
 from helpers import (converted_variable, masked_eval_array, masked_pieces_jet,
@@ -86,6 +89,51 @@ def test_prefix_nary_add_and_mul_fold():
     assert abs(expr.eval_jet(0.3, 0).value - 1.6) < 1e-15
     expr = parse_prefix("(mul 2 t t)")
     assert abs(expr.eval_jet(0.3, 0).value - 0.18) < 1e-15
+
+
+def _depth(expr) -> int:
+    return 1 + max((_depth(c) for c in expr.children), default=0)
+
+
+@pytest.mark.parametrize("text", [
+    # An n-ary add folds into a left-deep chain one node deeper per term.
+    "(add " + " 1" * 3000 + ")",
+    "(mul " + " t" * (MAX_EXPR_DEPTH + 1) + ")",
+    "(neg " * 1200 + "t" + ")" * 1200,
+    "(neg " * MAX_EXPR_DEPTH + "t" + ")" * MAX_EXPR_DEPTH,
+    "(add (mul 1 " + "(exp " * (MAX_EXPR_DEPTH - 2) + "t" + ")" * (MAX_EXPR_DEPTH - 2) + ") 1)",
+], ids=["add_of_3000_terms", "mul_chain_past_the_limit", "1200_nested_negs",
+        "nested_negs_past_the_limit", "nesting_within_and_depth_past_the_limit"])
+def test_a_tree_deeper_than_the_limit_is_a_format_error(text):
+    # Walking it would recurse once per node and end in RecursionError.
+    with pytest.raises(ProfileFormatError,
+                       match=f"expression nested deeper than {MAX_EXPR_DEPTH} levels"):
+        parse_prefix(text)
+
+
+def test_a_tree_at_the_depth_limit_parses_and_evaluates():
+    chain = parse_prefix("(add " + " 1" * MAX_EXPR_DEPTH + ")")
+    nested = parse_prefix("(neg " * (MAX_EXPR_DEPTH - 1) + "t" + ")" * (MAX_EXPR_DEPTH - 1))
+    assert _depth(chain) == _depth(nested) == MAX_EXPR_DEPTH
+    assert chain.eval_jet(0.5, 3).value == MAX_EXPR_DEPTH
+    assert nested.eval_jet(0.5, 3).value == -0.5
+
+
+def test_builtin_and_benchmark_expressions_are_far_below_the_depth_limit():
+    params = {"cyl_caps_KM": {"M": 2.25}, "octagon_Kb": {"b": 0.5},
+              "lp_revolution": {"p": 4.5}}
+    exprs = [piece.expr for name in FAMILY_NAMES
+             for piece in _builtin(name, **params.get(name, {})).pieces]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(1)
+    exprs += [parse_prefix(piece["expr"]) for _ in range(20)
+              for piece in inputs.perturbed_L(rng)["pieces"]]
+    for expr in exprs:
+        assert parse_prefix(expr.to_prefix()) == expr
+        assert _depth(expr) <= MAX_EXPR_DEPTH // 8
 
 
 # --------------------------------------------------------------- validation
