@@ -22,19 +22,16 @@ from typing import Optional, Sequence
 
 from .calculus import DEFAULT_REL_TOL, Settings
 from .criteria import CRITERION_CHOICES, check_for_dimension
-from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
-                     InvalidBracket, InvalidParam, NoConvergence,
-                     ProfileFormatError, SideRequired, SmoothnessError)
+from .errors import InvalidParam, NoConvergence, SmoothnessError
 from .families import (FAMILY_NAMES, MAX_GRID_POINTS, FamilySpec, instantiate,
                        step_grid, sweep)
 from .oracle import section_ratio_report
 from .profile import BodyOfRevolution, profile_from_json, validate_convexity
 from .transform import obstruction_field
 
-_LIBRARY_ERRORS = (ProfileFormatError, DomainError, SideRequired,
-                   SmoothnessError, FlatTopRequired, NoConvergence,
-                   InvalidBracket, InvalidParam, InsufficientSamples,
-                   ValueError, OverflowError, OSError, json.JSONDecodeError)
+# Every input error the library raises, json.JSONDecodeError included,
+# subclasses ValueError; the others are a computation's or a file's failures.
+_LIBRARY_ERRORS = (ValueError, SmoothnessError, NoConvergence, OverflowError, OSError)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:

@@ -11,7 +11,8 @@ jet about every point of an array at once, evaluated elementwise).  Both run
 through the same recurrences, summed in the same fixed order, with numpy's
 elementary functions, so a float jet has the bits of the one-point array
 jet.  The checks that refuse a jet (a vanishing divisor, a fractional power
-of a vanishing or negative base) raise when any element fails.
+of a vanishing or negative base) raise when any element fails.  Exponents
+are exact rationals, so those checks need no tolerance.
 
 The default truncation order used by the profile layer is 3; transform-level
 compositions internally run at order 4 (a second derivative of a function
@@ -30,9 +31,6 @@ import numpy as np
 from .errors import DomainError, SmoothnessError
 
 Coefficient = Union[float, np.ndarray]
-
-# Tolerance for recognising an integer exponent given as a float.
-_INT_EXP_TOL = 1e-12
 
 
 def _any(cond) -> bool:
@@ -192,32 +190,30 @@ class Jet:
     # ----------------------------------------------------------- elementary
 
     def __pow__(self, exponent) -> "Jet":
-        """Raise to a rational (or float) power via the series recurrence.
+        """Raise to a rational power via the series recurrence.
 
-        A vanishing base is allowed only for non-negative integer exponents
-        (computed by repeated multiplication, exactly) or for exponents larger
-        than the truncation order (all retained derivatives vanish).  Other
-        fractional powers of a vanishing quantity have unbounded derivatives
-        and raise :class:`SmoothnessError`.
+        An int is taken as is, any other exponent as ``Fraction(exponent)``,
+        exact for a float.  A vanishing base is allowed only for non-negative
+        integer exponents (computed by repeated multiplication, exactly) or
+        for exponents above the truncation order (all retained derivatives
+        vanish).  Other fractional powers of a vanishing quantity have
+        unbounded derivatives and raise :class:`SmoothnessError`.
         """
-        if isinstance(exponent, Fraction):
-            q = float(exponent)
-            is_int = exponent.denominator == 1
-        else:
-            q = float(exponent)
-            is_int = abs(q - round(q)) <= _INT_EXP_TOL
+        if not isinstance(exponent, (int, Fraction)):
+            exponent = Fraction(exponent)
         n = self.order
-        if is_int:
-            k = round(q)
+        if exponent.denominator == 1:
+            k = int(exponent)
             if k >= 0:
                 return self._int_power(k)
             # A vanishing base fails the division check.
             return Jet.constant(1.0, n) / self._int_power(-k)
 
+        q = float(exponent)
         a0 = self.coeffs[0]
         zero = a0 == 0.0
         if _any(zero):
-            if not q > n + _INT_EXP_TOL:
+            if not exponent > n:
                 raise SmoothnessError(
                     f"power {q} of a quantity vanishing at the evaluation point "
                     "has no finite jet at this order"

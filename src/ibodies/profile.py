@@ -36,9 +36,10 @@ SINE = "sin"    # profile argument is the sine of the vertical angle
 JOINT_TOL = 1e-12
 # Tolerance for continuity classes, relative to the value and derivatives at a joint.
 DEFAULT_CLASS_TOL = 1e-9
-# The deepest expression tree parse_prefix builds: a walk recurses once per
+# The deepest expression tree an ExprNode may root: a walk recurses once per
 # node on a path, and a path of about 1000 would exhaust Python's stack.
 MAX_EXPR_DEPTH = 256
+_TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 # Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
 _MAX_SCAN_POINTS = 10001
 
@@ -55,13 +56,16 @@ class ExprNode:
     """Node of a closed-form expression tree over the single variable t.
 
     Supported operators: const, t, add, sub, mul, div, pow (rational
-    exponent), sqrt, exp, neg.
+    exponent), sqrt, exp, neg.  A tree deeper than MAX_EXPR_DEPTH nodes is
+    refused when its root is built, however it is built.
     """
 
     op: str
     children: tuple = ()
     value: Optional[float] = None        # payload for "const"
     exponent: Optional[Fraction] = None  # payload for "pow"
+    # Nodes on the longest path from here to a leaf, this one included.
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.op not in _OPERATORS:
@@ -75,6 +79,13 @@ class ExprNode:
             raise ProfileFormatError("const node needs a value")
         if self.op == "pow" and self.exponent is None:
             raise ProfileFormatError("pow node needs a rational exponent")
+        depth = 0  # of the deepest child; a loop is the fastest form here
+        for child in self.children:
+            if child.depth > depth:
+                depth = child.depth
+        if depth >= MAX_EXPR_DEPTH:
+            raise ProfileFormatError(_TOO_DEEP)
+        object.__setattr__(self, "depth", depth + 1)
 
     # ------------------------------------------------------------ evaluation
 
@@ -179,20 +190,19 @@ def parse_prefix(text: str) -> ExprNode:
 
         (div 1 (mul 2 (sqrt (sub 1 (mul t t)))))
 
-    Numbers may be integers, floats, or fractions like -1/2.  A tree deeper
-    than MAX_EXPR_DEPTH nodes, counting the left-deep chain that an n-ary
-    add or mul builds, is refused.
+    Numbers may be integers, floats, or fractions like -1/2.  An n-ary add
+    or mul builds a left-deep chain, and :class:`ExprNode` refuses a tree
+    deeper than MAX_EXPR_DEPTH nodes.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
-    too_deep = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 
-    def parse(level: int) -> tuple:
-        """The next expression and its depth in nodes.  ``level`` counts
-        the parentheses around it, which bounds the recursion here."""
+    def parse(level: int) -> ExprNode:
+        """The next expression.  ``level`` counts the parentheses around it,
+        which bounds the recursion here before any node is built."""
         nonlocal pos
         if level > MAX_EXPR_DEPTH:
-            raise ProfileFormatError(too_deep)
+            raise ProfileFormatError(_TOO_DEEP)
         if pos >= len(tokens):
             raise ProfileFormatError("unexpected end of expression")
         tok = tokens[pos]
@@ -203,41 +213,37 @@ def parse_prefix(text: str) -> ExprNode:
             op = tokens[pos]
             pos += 1
             if op == "pow":
-                base, depth = parse(level + 1)
+                base = parse(level + 1)
                 if pos >= len(tokens):
                     raise ProfileFormatError("pow needs an exponent")
                 exponent = _parse_fraction(tokens[pos])
                 pos += 1
-                node, depth = ExprNode("pow", (base,), exponent=exponent), depth + 1
+                node = ExprNode("pow", (base,), exponent=exponent)
             elif op in ("add", "mul"):
                 args = []
                 while pos < len(tokens) and tokens[pos] != ")":
                     args.append(parse(level + 1))
                 if len(args) < 2:
                     raise ProfileFormatError(f"{op} needs at least two arguments")
-                node, depth = args[0]
-                for a, d in args[1:]:
-                    node, depth = ExprNode(op, (node, a)), max(depth, d) + 1
+                node = args[0]
+                for a in args[1:]:
+                    node = ExprNode(op, (node, a))
             else:
                 arity, rule = _OPERATORS.get(op, (0, None))
                 if rule is None:
                     raise ProfileFormatError(f"unknown operator {op!r}")
-                children = [parse(level + 1) for _ in range(arity)]
-                node = ExprNode(op, tuple(c for c, _ in children))
-                depth = max(d for _, d in children) + 1
-            if depth > MAX_EXPR_DEPTH:
-                raise ProfileFormatError(too_deep)
+                node = ExprNode(op, tuple(parse(level + 1) for _ in range(arity)))
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ProfileFormatError(f"missing ')' after {op}")
             pos += 1
-            return node, depth
+            return node
         if tok == ")":
             raise ProfileFormatError("unexpected ')'")
         if tok == "t":
-            return ExprNode("t"), 1
-        return const(_parse_number(tok)), 1
+            return ExprNode("t")
+        return const(_parse_number(tok))
 
-    node, _ = parse(1)
+    node = parse(1)
     if pos != len(tokens):
         raise ProfileFormatError("trailing tokens after expression")
     return node
@@ -526,25 +532,21 @@ class RadialProfile(DerivedProfile):
     value = DerivedProfile.value
 
     def eval_array(self, t: np.ndarray) -> np.ndarray:
-        """Values at an array of points (a joint takes its left piece); nan
-        outside [0, 1].
+        """Values at an array of points in [0, 1] (a joint takes its left
+        piece); a point outside, NaN included, raises DomainError.
 
-        Returns a fresh float array of t's shape.  When every point lies in
-        [0, 1] there is no NaN fill, and when the least and the greatest
-        point lie on one piece no point is compared or moved at all.
+        Returns a fresh float array of t's shape.  When the least and the
+        greatest point lie on one piece no point is compared or moved at all.
         """
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         with np.errstate(all="ignore"):
             lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
-            if 0.0 <= lo and hi <= 1.0:
-                jet = self._pieces_jet(flat, self._locate(flat, lo, hi, "left"), 0)
-                return jet.value.reshape(t.shape)
-            out = np.full(flat.shape, np.nan)
-            rows = np.flatnonzero((flat >= 0.0) & (flat <= 1.0))
-            pts = flat.take(rows)
-            out[rows] = self._pieces_jet(pts, self._locate(pts, 0.0, 1.0, "left"), 0).value
-        return out.reshape(t.shape)
+            if not (0.0 <= lo and hi <= 1.0):  # NaN is outside too
+                outside = flat[~((flat >= 0.0) & (flat <= 1.0))]
+                raise DomainError(f"argument {outside[0]} outside [0.0, 1.0]")
+            jet = self._pieces_jet(flat, self._locate(flat, lo, hi, "left"), 0)
+        return jet.value.reshape(t.shape)
 
     def max_value(self) -> float:
         """The largest value on the scan grid, scanned once: pieces never change."""
@@ -553,7 +555,7 @@ class RadialProfile(DerivedProfile):
             ends = [e for p in self.pieces for e in p.interval]
             grid = sorted_unique(np.concatenate([np.linspace(0.0, 1.0, _MAX_SCAN_POINTS),
                                                  ends]))
-            self._max_value = float(np.nanmax(self.eval_array(grid)))
+            self._max_value = float(self.eval_array(grid).max())
         return self._max_value
 
     def scaled(self, lam: float) -> "RadialProfile":
@@ -705,14 +707,14 @@ def profile_from_json(obj: Union[str, dict]) -> RadialProfile:
     if not isinstance(obj["pieces"], list):
         raise ProfileFormatError(f"'pieces' must be a list, got {obj['pieces']!r}")
     pieces = []
-    for entry in obj["pieces"]:
+    for i, entry in enumerate(obj["pieces"]):
         try:
             a, b = entry["interval"]
             if not (_is_number(a) and _is_number(b)):
                 raise ValueError("interval ends must be JSON numbers")
             pieces.append(Piece((float(a), float(b)), parse_prefix(entry["expr"])))
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
-            raise ProfileFormatError(f"bad piece entry {entry!r}: {e}") from e
+            raise ProfileFormatError(f"bad piece entry {i}: {e}") from e
     try:
         return RadialProfile(pieces)
     except ValueError as e:  # pieces that do not tile [0, 1], or not positive

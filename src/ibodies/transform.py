@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,52 +109,6 @@ class MomentTable:
         return out[0], out[1] if self.n == 6 else None
 
 
-def _kernel_integral_jet(b_val: np.ndarray, c_val: Optional[np.ndarray],
-                         q_jet: Callable[[np.ndarray, int, Optional[str]], Jet],
-                         n: int, x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-    """Taylor jet of H(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at the
-    points x, where the moments are b_val (and c_val).
-
-    Only n = 4 and n = 6 are supported (the :class:`MomentTable` that
-    supplies B and C checks n and x); for these, every derivative of H
-    above the first (n=4) or second (n=6) localizes to jets of q at t = x,
-    so the moments B = int_0^x q and C = int_0^x t^2 q (plus local jets)
-    give an exact jet:
-
-      n=4:  H = B,  H' = q
-      n=6:  H = x^2 B - C;
-            H' = 2xB,  H'' = 2B + 2xq,  H''' = 4q + 2xq',  H'''' = 6q' + 2xq''
-    """
-    if not 0 <= order <= 4:
-        raise ValueError("order must be between 0 and 4")
-    if n == 4:
-        derivs = [b_val]
-        if order >= 1:
-            jq = q_jet(x, order - 1, side)
-            derivs += [jq.deriv(k - 1) for k in range(1, order + 1)]
-    else:
-        derivs = [x * x * b_val - c_val]
-        if order >= 1:
-            derivs.append(2.0 * x * b_val)
-        if order >= 2:
-            jq = q_jet(x, order - 2, side)
-            q0 = jq.deriv(0)
-            derivs.append(2.0 * b_val + 2.0 * x * q0)
-            if order >= 3:
-                q1 = jq.deriv(1)
-                derivs.append(4.0 * q0 + 2.0 * x * q1)
-            if order >= 4:
-                q2 = jq.deriv(2)
-                derivs.append(6.0 * q1 + 2.0 * x * q2)
-    return Jet([d / math.factorial(k) for k, d in enumerate(derivs)])
-
-
-def _power_jet(profile: DerivedProfile, power: int):
-    def fn(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        return profile._jet(x, order, side) ** power
-    return fn
-
-
 def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
     bad = ~np.all(np.isfinite(np.broadcast_arrays(t, *jet.coeffs)[1:]), axis=0)
     return float(t[bad][0])
@@ -164,16 +118,44 @@ def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
 
 def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
           side: Optional[str] = None, moments: Optional[MomentTable] = None) -> Jet:
-    """Jet of h_n at x (derivatives exact via the localization identities).
+    """Jet of H(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at x, a float
+    (a float jet is returned) or an array of points (an array jet).
 
-    x is a float (a float jet is returned) or an array of points (an array
-    jet).  B and C come from ``moments``, the :class:`MomentTable` of
-    rho^(n-1); without one, from one pass over the points x.
+    q = profile^power, B = int_0^x q and C = int_0^x t^2 q come from
+    ``moments``, a :class:`MomentTable` (which checks n and x); without one,
+    q = rho^(n-1), so H = h_n, integrated in one pass over x.  For n = 4
+    and 6 every derivative of H above the first (n=4) or second (n=6)
+    localizes to jets of q at t = x, so the jet is exact:
+
+      n=4:  H = B,  H' = q
+      n=6:  H = x^2 B - C;
+            H' = 2xB,  H'' = 2B + 2xq,  H''' = 4q + 2xq',  H'''' = 6q' + 2xq''
     """
+    moments = moments or MomentTable(profile, n - 1, n)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    b_val, c_val = (moments or MomentTable(profile, n - 1, n)).at(xs)
-    jet = _kernel_integral_jet(b_val, c_val, _power_jet(profile, n - 1),
-                               n, xs, order, side)
+    b_val, c_val = moments.at(xs)
+    if not 0 <= order <= 4:
+        raise ValueError("order must be between 0 and 4")
+    if n == 4:
+        derivs = [b_val]
+        if order >= 1:
+            jq = profile._jet(xs, order - 1, side) ** moments.power
+            derivs += [jq.deriv(k - 1) for k in range(1, order + 1)]
+    else:
+        derivs = [xs * xs * b_val - c_val]
+        if order >= 1:
+            derivs.append(2.0 * xs * b_val)
+        if order >= 2:
+            jq = profile._jet(xs, order - 2, side) ** moments.power
+            q0 = jq.deriv(0)
+            derivs.append(2.0 * b_val + 2.0 * xs * q0)
+            if order >= 3:
+                q1 = jq.deriv(1)
+                derivs.append(4.0 * q0 + 2.0 * xs * q1)
+            if order >= 4:
+                q2 = jq.deriv(2)
+                derivs.append(6.0 * q1 + 2.0 * xs * q2)
+    jet = Jet([d / math.factorial(k) for k, d in enumerate(derivs)])
     return jet.item(0) if np.ndim(x) == 0 else jet
 
 

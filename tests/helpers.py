@@ -230,7 +230,8 @@ def masked_pieces_jet(profile, t: np.ndarray, index: np.ndarray, order: int) -> 
 
 def masked_eval_array(profile, t) -> np.ndarray:
     """``RadialProfile.eval_array`` as a searchsorted and mask dispatch: a
-    NaN-filled array with the points in [0, 1] scattered into it."""
+    NaN-filled array with the points in [0, 1] scattered into it (eval_array
+    refuses the others)."""
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     out = np.full(flat.shape, np.nan)

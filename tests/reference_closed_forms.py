@@ -17,8 +17,7 @@ from ibodies.families import FamilySpec, instantiate
 from ibodies.jets import Jet
 from ibodies.profile import (COSINE, SINE, DerivedProfile, Piece, RadialProfile,
                              add, div, mul, powr, sub, var_t)
-from ibodies.transform import (_EPS_AXIS, MomentTable, _kernel_integral_jet,
-                               _require_dimension)
+from ibodies.transform import _EPS_AXIS, MomentTable, _require_dimension, h_jet
 
 
 # ------------------------------------------------------------------ criteria
@@ -66,8 +65,7 @@ def radon_transform(q: DerivedProfile, n: int) -> DerivedProfile:
     moments = MomentTable(q, 1, n)
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        b_val, c_val = moments.at(x)
-        jh = _kernel_integral_jet(b_val, c_val, q._jet, n, x, order, side)
+        jh = h_jet(q, n, x, order, side, moments=moments)
         return jh / Jet.variable(x, order) ** (n - 3)
 
     return DerivedProfile(source, q.breakpoint_locations, domain=(_EPS_AXIS, 1.0),

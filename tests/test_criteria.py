@@ -304,6 +304,37 @@ def test_each_margin_is_a_multiple_of_the_field_row_at_one(name, dim, scale):
                 (criterion, rep.margin, want)
 
 
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("p", [2 + 1e-12, 2 + 1e-9, 2.001, 2.3, 3.0, 3.5])
+def test_every_lp_just_above_two_is_certified(p, dim):
+    # Every l^p body with p > 2 has a flat top, so prop1 certifies in R^4,
+    # and prop4 does in R^6 below p = 9.525038.  At p = 2 + 1e-12 the
+    # vanishing 1 - t^2 at the pole meets the exponent p/2, within 1e-12
+    # of the jet's order: its order-1 jet is 0, not a SmoothnessError.
+    rep = check_for_dimension(_profile("lp_revolution", p=p), dim)
+    assert rep.verdict == "NotPolarZonoid" and not rep.borderline, rep
+    if p - 2.0 <= 1e-9:  # the margins' limits as p falls to 2
+        assert rep.margin == pytest.approx(2.0 if dim == 4 else 16.0 / 9.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("p", [2.3, 2.5, 3.0])
+def test_lp_field_rows_converge_to_the_criterion_at_the_rim(p, dim):
+    # The rows at t = 1 - 10^-k, k = 2..12, are all negative and move
+    # monotonically towards the criterion's F(1) (its margin over the factor
+    # of _ROW_TO_MARGIN), at about the rate (1 - t)^((p - 2)/2).
+    body = instantiate(FamilySpec("lp_revolution", {"p": p}, dim))
+    rep = check_for_dimension(body.profile, dim)
+    row_at_one = rep.margin / _ROW_TO_MARGIN[rep.criterion](rep.intermediates)
+    grid = 1.0 - 10.0 ** -np.arange(2, 13)
+    fld = obstruction_field(body, grid=grid)
+    assert fld.grid == grid.tolist()
+    rows = np.array(fld.continuous_values)
+    assert np.all(rows < 0.0), rows
+    assert np.all(np.diff(np.abs(rows - row_at_one)) < 0.0), (rows, row_at_one)
+    assert abs(rows[-1] - row_at_one) < 0.05 * abs(row_at_one), (rows, row_at_one)
+
+
 # ------------------------------------------------------------------ dispatch
 
 def test_dispatch_by_dimension():

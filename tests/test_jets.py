@@ -72,6 +72,22 @@ def test_zero_base_power_rules():
     assert cube.derivs() == (0.0, 0.0, 0.0, 6.0)
 
 
+@pytest.mark.parametrize("above, below", [
+    (2 + Fraction(1, 10 ** 15), 2 - Fraction(1, 10 ** 15)),
+    (2.0000000000001, 1.9999999999999),  # floats convert exactly
+])
+def test_an_exponent_near_the_order_is_judged_exactly(above, below):
+    # t^q at t = 0 for q just above the order 2 has a zero jet of order 2,
+    # not the jet (0, 0, 2) of t^2; just below it has no finite jet.
+    for zero in (Jet.variable(0.0, 2), Jet.variable(np.array([0.0, 0.0]), 2)):
+        jet = zero ** above
+        assert all(np.all(c == 0.0) for c in jet.coeffs)
+        with pytest.raises(SmoothnessError):
+            zero ** below
+    # An integer given as a float is still an integer.
+    assert (Jet.variable(0.0, 2) ** 2.0).derivs() == (0.0, 0.0, 2.0)
+
+
 def test_sqrt_matches_fraction_half_power():
     t = Jet.variable(0.8, 3)
     expr = 2.0 + t * t

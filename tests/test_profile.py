@@ -119,6 +119,34 @@ def test_a_tree_at_the_depth_limit_parses_and_evaluates():
     assert nested.eval_jet(0.5, 3).value == -0.5
 
 
+def test_a_tree_built_in_python_checks_its_own_depth():
+    # The limit holds however a tree is built: a 2000-link add chain once
+    # built and then ended in RecursionError when evaluated.
+    expr = var_t()
+    with pytest.raises(ProfileFormatError, match=f"deeper than {MAX_EXPR_DEPTH} levels"):
+        for _ in range(2000):
+            expr = add(expr, 1.0)
+        RadialProfile([Piece((0.0, 1.0), expr)])
+    assert expr.depth == _depth(expr) == MAX_EXPR_DEPTH
+    assert expr.eval_jet(0.5, 3).value == MAX_EXPR_DEPTH - 0.5
+    # The depth is no part of a node's value: equal trees stay equal.
+    small = parse_prefix("(add t 1)")
+    assert small == add(var_t(), 1.0) and hash(small) == hash(add(var_t(), 1.0))
+    assert repr(small) == ("ExprNode(op='add', children=(ExprNode(op='t', children=(), "
+                           "value=None, exponent=None), ExprNode(op='const', children=(), "
+                           "value=1.0, exponent=None)), value=None, exponent=None)")
+
+
+def test_a_profile_at_the_depth_limit_cannot_be_scaled_past_it():
+    # Scaling wraps every piece in one more mul, so it would write JSON that
+    # profile_from_json refuses.
+    deep = "(neg " * (MAX_EXPR_DEPTH - 1) + "-1" + ")" * (MAX_EXPR_DEPTH - 1)
+    profile = profile_from_json({"pieces": [{"interval": [0.0, 1.0], "expr": deep}]})
+    assert profile.pieces[0].expr.depth == MAX_EXPR_DEPTH
+    with pytest.raises(ProfileFormatError, match=f"deeper than {MAX_EXPR_DEPTH} levels"):
+        profile.scaled(2.0)
+
+
 def test_builtin_and_benchmark_expressions_are_far_below_the_depth_limit():
     params = {"cyl_caps_KM": {"M": 2.25}, "octagon_Kb": {"b": 0.5},
               "lp_revolution": {"p": 4.5}}
@@ -449,10 +477,26 @@ def _two_piece():
     (_builtin("cyl_caps"), np.linspace(-0.5, 1.5, 30).reshape(2, 5, 3)),
 ])
 def test_eval_array_matches_the_masked_scatter_bit_for_bit(profile, points):
+    outside = points[~((points >= 0.0) & (points <= 1.0))]  # NaN is outside too
+    if outside.size:
+        # One domain rule, as for jets: the first point outside is named.
+        with pytest.raises(DomainError, match=f"argument {outside[0]} outside"):
+            profile.eval_array(points)
+        return
     got = profile.eval_array(points)
     want = masked_eval_array(profile, points)
     assert got.shape == points.shape and got.dtype == np.float64
     assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+def test_eval_array_refuses_a_point_outside_the_domain(bad):
+    points = np.array([0.2, 0.9, bad, 0.5])
+    for profile in (_builtin("ball"), _two_piece()):
+        with pytest.raises(DomainError, match=f"argument {bad} outside"):
+            profile.eval_array(points)
+        with pytest.raises(DomainError):
+            profile.eval_jet(bad)
 
 
 def test_eval_array_takes_the_left_piece_on_a_joint():
