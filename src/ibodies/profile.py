@@ -312,6 +312,15 @@ def near_joint(t: np.ndarray, joints: Sequence[float]) -> np.ndarray:
     return np.abs(t[:, None] - np.asarray(joints, dtype=float)[None, :]) <= JOINT_TOL
 
 
+def _refuse_outside(t: np.ndarray, lo: float, hi: float) -> None:
+    """The one domain rule of jets and eval_array: DomainError for a point
+    of t more than JOINT_TOL outside [lo, hi], NaN included."""
+    # Written as "not inside", so that NaN is outside too.
+    outside = ~((t >= lo - JOINT_TOL) & (t <= hi + JOINT_TOL))
+    if outside.any():
+        raise DomainError(f"argument {t[outside][0]} outside [{lo}, {hi}]")
+
+
 def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float],
                 order: int, side: Optional[str], classes=None) -> Optional[str]:
     """Which side of its joints an evaluation at the points ``t`` uses, one
@@ -327,10 +336,7 @@ def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float
         raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
     if not t.size:
         return side
-    # Written as "not inside", so that NaN is outside too.
-    outside = ~((t >= lo - JOINT_TOL) & (t <= hi + JOINT_TOL))
-    if outside.any():
-        raise DomainError(f"argument {t[outside][0]} outside [{lo}, {hi}]")
+    _refuse_outside(t, lo, hi)
     if side == "left" and (np.abs(t - lo) <= JOINT_TOL).any():
         raise DomainError(f"no left neighborhood at the lower endpoint {lo}")
     if side == "right" and (np.abs(t - hi) <= JOINT_TOL).any():
@@ -533,7 +539,8 @@ class RadialProfile(DerivedProfile):
 
     def eval_array(self, t: np.ndarray) -> np.ndarray:
         """Values at an array of points in [0, 1] (a joint takes its left
-        piece); a point outside, NaN included, raises DomainError.
+        piece); a point outside it by more than JOINT_TOL, NaN included,
+        raises DomainError, as for the jets.
 
         Returns a fresh float array of t's shape.  When the least and the
         greatest point lie on one piece no point is compared or moved at all.
@@ -542,9 +549,9 @@ class RadialProfile(DerivedProfile):
         flat = t.ravel()
         with np.errstate(all="ignore"):
             lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
-            if not (0.0 <= lo and hi <= 1.0):  # NaN is outside too
-                outside = flat[~((flat >= 0.0) & (flat <= 1.0))]
-                raise DomainError(f"argument {outside[0]} outside [0.0, 1.0]")
+            # Extremes in [0, 1] put every point inside; NaN makes them NaN.
+            if not 0.0 <= lo <= hi <= 1.0:
+                _refuse_outside(flat, *self.domain)
             jet = self._pieces_jet(flat, self._locate(flat, lo, hi, "left"), 0)
         return jet.value.reshape(t.shape)
 

@@ -229,17 +229,12 @@ def masked_pieces_jet(profile, t: np.ndarray, index: np.ndarray, order: int) -> 
 
 
 def masked_eval_array(profile, t) -> np.ndarray:
-    """``RadialProfile.eval_array`` as a searchsorted and mask dispatch: a
-    NaN-filled array with the points in [0, 1] scattered into it (eval_array
-    refuses the others)."""
+    """``RadialProfile.eval_array`` as a searchsorted and mask dispatch, for
+    points in the profile's domain."""
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
-    out = np.full(flat.shape, np.nan)
-    inside = (flat >= 0.0) & (flat <= 1.0)
-    pts = flat[inside]
-    index = searchsorted_index(profile, pts, "left")
-    out[inside] = masked_pieces_jet(profile, pts, index, 0).value
-    return out.reshape(t.shape)
+    index = searchsorted_index(profile, flat, "left")
+    return masked_pieces_jet(profile, flat, index, 0).value.reshape(t.shape)
 
 
 # ------------------------------------------------- reference jet arithmetic

@@ -477,9 +477,10 @@ def _two_piece():
     (_builtin("cyl_caps"), np.linspace(-0.5, 1.5, 30).reshape(2, 5, 3)),
 ])
 def test_eval_array_matches_the_masked_scatter_bit_for_bit(profile, points):
-    outside = points[~((points >= 0.0) & (points <= 1.0))]  # NaN is outside too
+    # The jets' domain rule; NaN is outside too.
+    outside = points[~((points >= -JOINT_TOL) & (points <= 1.0 + JOINT_TOL))]
     if outside.size:
-        # One domain rule, as for jets: the first point outside is named.
+        # The first point outside is named.
         with pytest.raises(DomainError, match=f"argument {outside[0]} outside"):
             profile.eval_array(points)
         return
@@ -489,7 +490,7 @@ def test_eval_array_matches_the_masked_scatter_bit_for_bit(profile, points):
     assert _bits(got) == _bits(want)
 
 
-@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan, -2 * JOINT_TOL, 1.0 + 2 * JOINT_TOL])
 def test_eval_array_refuses_a_point_outside_the_domain(bad):
     points = np.array([0.2, 0.9, bad, 0.5])
     for profile in (_builtin("ball"), _two_piece()):
@@ -497,6 +498,13 @@ def test_eval_array_refuses_a_point_outside_the_domain(bad):
             profile.eval_array(points)
         with pytest.raises(DomainError):
             profile.eval_jet(bad)
+
+
+@pytest.mark.parametrize("x", [-JOINT_TOL / 2, 1.0 + JOINT_TOL / 2])
+def test_eval_array_and_the_jets_take_the_end_piece_within_joint_tol(x):
+    for profile in (_builtin("ball"), _two_piece(), _builtin("cyl_caps")):
+        end = profile.pieces[0 if x < 0.5 else -1].expr.eval_jet(x, 0).value
+        assert profile.eval_array(np.array([0.5, x]))[1] == end == profile.value(x)
 
 
 def test_eval_array_takes_the_left_piece_on_a_joint():
@@ -640,9 +648,7 @@ def test_locate_finds_the_searchsorted_piece(case, side):
     name, t = case
     profile = _LOCATE_PROFILES[name]
     want = searchsorted_index(profile, t, side)
-    # Tight bounds, and the loose bounds [0, 1] of eval_array's masked route.
-    for lo, hi in ((t.min(), t.max()), (0.0, 1.0)):
-        assert (_index_of(t, profile._locate(t, lo, hi, side)) == want).all()
+    assert (_index_of(t, profile._locate(t, t.min(), t.max(), side)) == want).all()
 
 
 @pytest.mark.parametrize("joints", [1, 2, 5])
@@ -693,7 +699,7 @@ def test_prefix_round_trip_keeps_every_bit_of_eval_array(tree):
     text = tree.to_prefix()
     back = parse_prefix(text)
     assert back.to_prefix() == text
-    grid = np.linspace(-0.25, 1.25, 61)
+    grid = np.linspace(0.0, 1.0, 61)
     with np.errstate(all="ignore"):
         profiles = [_outcome(lambda e=e: RadialProfile([Piece((0.0, 1.0), e)],
                                                        require_positive=False))
