@@ -254,9 +254,21 @@ class RootBracket:
             )
 
 
+@dataclass(frozen=True)
+class RefinedRoot:
+    """Where Brent's method stopped: the end of its final bracket with the
+    smaller |value| (the root), and the bracket's other end."""
+
+    root: float
+    value: float
+    far: float
+    far_value: float
+
+
 def find_root(fn: Callable[[float], float], bracket: RootBracket,
-              x_tol: float = 1e-12) -> float:
-    """A root of ``fn`` in ``bracket`` by Brent's method, to ``x_tol``.
+              x_tol: float = 1e-12) -> RefinedRoot:
+    """A root of ``fn`` in ``bracket`` by Brent's method, to ``x_tol``,
+    with the final bracket around it.
 
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
     each step is an inverse quadratic or secant step through the last
@@ -264,7 +276,8 @@ def find_root(fn: Callable[[float], float], bracket: RootBracket,
     bisection otherwise.  The bracket starts as ``bracket`` with its end
     values and always holds a sign change of the values ``fn`` returned;
     once it is narrower than ``x_tol + 4 eps |x|``, its end ``x`` with the
-    smaller value is the result.  So the result lies in
+    smaller value is the root, returned with the final bracket and both its
+    end values (no evaluation beyond Brent's own).  So the root lies in
     ``[bracket.lower, bracket.upper]``, within that width of a sign change,
     and a noisy ``fn`` can mislead it no further than it misleads bisection.
     Raises NoConvergence when ``fn`` returns NaN or the bracket is still too
@@ -287,7 +300,7 @@ def find_root(fn: Callable[[float], float], bracket: RootBracket,
         delta = 0.5 * (x_tol + 4.0 * _EPMACH * abs(x_cur))
         s_bis = 0.5 * (x_blk - x_cur)
         if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
+            return RefinedRoot(x_cur, f_cur, x_blk, f_blk)
         if evaluations == _ROOT_MAX_ITER:
             break
         interpolate = abs(s_pre) > delta and abs(f_cur) < abs(f_pre)

@@ -10,6 +10,40 @@ Dimension 4 ("prop1"):   2 rho(1)^4  >  3 (int_0^1 rho^3) (rho(1) + rho'(1))
 Dimension 6 ("prop4"):   h^2 (5r + r') + 24 k^3  <  12 h k r   at t = 1,
     with h = int rho^5 (1-t^2) dt, k = int rho^5 t^2 dt, r = rho^5.
 Dimension 6, flat top ("cor6"):  2 k^2 < h r, valid when rho(1)+rho'(1)=0.
+
+Each margin is a negative multiple of F(1), the obstruction field's row at
+the pole (see transform).  This derivation is the repository's own claim,
+not a quotation from the paper; tests/test_criteria.py checks it on every
+builtin.  At t = 1 the box operator loses its g'' term, so
+F(1) = (n-1) (g(1) - g'(1)).  Below, rho and rho' are taken at 1 and H is
+h_n of transform, with f = 1/rho_IK = x^(n-3) / (c_n H).
+
+Dimension 4: H = int_0^x rho^3, so H(1) = I = int_0^1 rho^3, H'(1) = rho^3
+and H''(1) = 3 rho^2 rho'.  With f = x / H and g = f + t f',
+g - g' = f - f' - f'', and at 1 that is (3 H' + H'') / I^2 - 2 H'^2 / I^3.
+So
+
+    F(1) = 3 rho^2 (3 I (rho + rho') - 2 rho^4) / I^3,
+    prop1 margin = 2 rho^4 - 3 I (rho + rho') = -I^3 / (3 rho^2) F(1).
+
+Corollary: a flat top makes prop1's right-hand side vanish.  So every
+flat-top body in R^4 with a finite rho'(1) certifies with margin 2 rho^4,
+and F(1) = -6 rho^6 / I^3.
+
+Dimension 6: H = x^2 B - C with B = int_0^x rho^5 and C = int_0^x t^2 rho^5.
+So at 1, H = h, H' = 2 (h + k), H'' = 2 (h + k) + 2 r and H''' = 4 r + 2 r'
+(the intermediates of prop4's report).  With f = (2/3) phi, phi = x^3 / H,
+and g = 6 f + 10 t f' + 2 t^2 f'', at 1 g - g' = 6 f - 6 f' - 12 f'' - 2 f'''.
+Differentiating phi H = x^3 three times at 1 gives phi, ..., phi''' in h, k,
+r and r', and
+
+    F(1) = 40 (h^2 (5 r + r') + 24 k^3 - 12 h k r) / (3 h^4),
+    prop4 margin = 12 h k r - h^2 (5 r + r') - 24 k^3 = -(3/40) h^4 F(1).
+
+A flat top gives r' = 5 rho^4 rho' = -5 r, so 5 r + r' = 0 and
+
+    F(1) = 160 k (2 k^2 - h r) / h^4,
+    cor6 margin = h r - 2 k^2 = -h^4 / (160 k) F(1).
 """
 
 from __future__ import annotations

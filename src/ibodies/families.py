@@ -13,7 +13,8 @@ The named families:
   three_bodies_L  the dashed comparison body L (piecewise rational/algebraic)
 
 plus margin functions over family parameters and a generic parameter sweep
-with sign-change bracketing and root refinement by Brent's method.
+with sign-change bracketing and root refinement by Brent's method, which
+tells a root from a jump of the margin.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .calculus import DEFAULT_SETTINGS, RootBracket, Settings, find_root
+from .calculus import DEFAULT_SETTINGS, RefinedRoot, RootBracket, Settings, find_root
 from .criteria import NOT_POLAR_ZONOID, check_for_dimension, criterion_name
 from .errors import InvalidParam
 from .profile import (JOINT_TOL, BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
@@ -187,9 +188,21 @@ def instantiate(spec: FamilySpec) -> BodyOfRevolution:
 
 # ------------------------------------------------------------------- sweeps
 
+@dataclass(frozen=True)
+class Jump:
+    """A sign change of the margin that is no root: Brent's final bracket
+    [lower, upper] and the one-sided margins at its ends."""
+
+    lower: float
+    margin_lower: float
+    upper: float
+    margin_upper: float
+
+
 @dataclass
 class SweepResult:
-    """Criterion margins over a parameter grid, with refined sign changes."""
+    """Criterion margins over a parameter grid, with refined sign changes:
+    each root with the grid cell it was refined in, and each jump."""
 
     family: str
     parameter: str
@@ -199,6 +212,7 @@ class SweepResult:
     verdicts: list
     brackets: list = dc_field(default_factory=list)
     roots: list = dc_field(default_factory=list)
+    jumps: list = dc_field(default_factory=list)
 
     def to_csv(self, fh) -> None:
         fh.write("param,margin,verdict,is_root\n")
@@ -207,12 +221,34 @@ class SweepResult:
             fh.write(f"{v:.17g},{m_text},{verdict},0\n")
         for r in self.roots:
             fh.write(f"{r:.17g},,root,1\n")
+        for j in self.jumps:   # one row for each side of the jump
+            fh.write(f"{j.lower:.17g},{j.margin_lower:.17g},jump,0\n")
+            fh.write(f"{j.upper:.17g},{j.margin_upper:.17g},jump,0\n")
 
     def summary(self) -> str:
         ok = sum(1 for v in self.verdicts if v == NOT_POLAR_ZONOID)
         roots = ", ".join(f"{r:.9f}" for r in self.roots) or "none"
-        return (f"{self.family}.{self.parameter}: {len(self.grid)} points, "
+        text = (f"{self.family}.{self.parameter}: {len(self.grid)} points, "
                 f"{ok} satisfied, roots: {roots}")
+        if self.jumps:
+            text += ", jumps: " + ", ".join(
+                f"{j.lower:.9f} ({j.margin_lower:.9g} to {j.margin_upper:.9g})"
+                for j in self.jumps)
+        return text
+
+
+def _is_root(refined: RefinedRoot, cell: RootBracket) -> bool:
+    """Whether the margins at the ends of Brent's final bracket shrank with
+    the bracket.  Near a root of a continuous margin they shrink about as
+    the width does (by 1e-9 for the builtin roots); across a jump they keep
+    their size.  The test splits the two at the square root of the width's
+    shrink, so it also keeps a root where the margin grows like |x - x0|^a,
+    up to a constant factor, for any a above 1/2."""
+    if refined.value == 0.0:
+        return True
+    width = abs(refined.far - refined.root) / (cell.upper - cell.lower)
+    end = max(abs(refined.value), abs(refined.far_value))
+    return end <= math.sqrt(width) * max(abs(cell.f_lower), abs(cell.f_upper))
 
 
 def _report_fn(template: FamilySpec, param: str, criterion: str,
@@ -259,7 +295,10 @@ def sweep(template: FamilySpec, param: str, grid: Sequence[float],
 
     Grid points where the criterion does not apply (invalid parameter, no
     flat top, insufficient smoothness) are recorded with a NaN margin and an
-    error verdict, and are skipped for sign-change detection.  Moments are
+    error verdict, and are skipped for sign-change detection.  Each sign
+    change between neighbouring margins is refined by Brent's method and
+    reported as a root, or as a jump when the margins at the ends of the
+    final bracket did not shrink with it (see _is_root).  Moments are
     integrated at the tolerances of ``settings``.
     """
     grid = [float(v) for v in grid]
@@ -285,17 +324,23 @@ def sweep(template: FamilySpec, param: str, grid: Sequence[float],
         margins.append(report.margin)
         verdicts.append(report.verdict)
 
-    brackets, roots = [], []
+    brackets, roots, jumps = [], [], []
     for i in range(len(grid) - 1):
         m0, m1 = margins[i], margins[i + 1]
         if math.isnan(m0) or math.isnan(m1) or m0 * m1 >= 0.0:
             continue
-        brackets.append((grid[i], grid[i + 1]))
-        roots.append(find_root(fn, RootBracket(grid[i], grid[i + 1], m0, m1),
-                               x_tol=REFINE_TOL))
+        cell = RootBracket(grid[i], grid[i + 1], m0, m1)
+        refined = find_root(fn, cell, x_tol=REFINE_TOL)
+        if _is_root(refined, cell):
+            brackets.append((grid[i], grid[i + 1]))
+            roots.append(refined.root)
+        else:
+            lower, upper = sorted([(refined.root, refined.value),
+                                   (refined.far, refined.far_value)])
+            jumps.append(Jump(*lower, *upper))
     return SweepResult(family=template.name, parameter=param, criterion=crit_name,
                        grid=grid, margins=margins, verdicts=verdicts,
-                       brackets=brackets, roots=roots)
+                       brackets=brackets, roots=roots, jumps=jumps)
 
 
 def lp_threshold(p_lo: float, p_hi: float, step: float) -> SweepResult:

@@ -38,6 +38,11 @@ def _any(cond) -> bool:
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
+def _all(cond) -> bool:
+    """Whether a condition holds at every element (a bool passes through)."""
+    return cond.all() if isinstance(cond, np.ndarray) else cond
+
+
 def _finite(c: Coefficient) -> bool:
     return bool(np.isfinite(c).all()) if isinstance(c, np.ndarray) else math.isfinite(c)
 
@@ -211,21 +216,25 @@ class Jet:
 
         q = float(exponent)
         a0 = self.coeffs[0]
-        zero = a0 == 0.0
-        if _any(zero):
-            if not exponent > n:
-                raise SmoothnessError(
-                    f"power {q} of a quantity vanishing at the evaluation point "
-                    "has no finite jet at this order"
-                )
-            if not isinstance(zero, np.ndarray):
-                return Jet.constant(0.0, n)
-            # Run the recurrence on a unit base there, then zero the result.
-            a0 = np.where(zero, 1.0, a0)
-        else:
-            zero = None
-        if _any(a0 < 0.0):
-            raise DomainError(f"fractional power {q} of a negative quantity")
+        zero = None
+        # One test when every base is positive; the checks run only when
+        # some base is not (NaN included), and refuse as they always have.
+        if not _all(a0 > 0.0):
+            zero = a0 == 0.0
+            if _any(zero):
+                if not exponent > n:
+                    raise SmoothnessError(
+                        f"power {q} of a quantity vanishing at the evaluation point "
+                        "has no finite jet at this order"
+                    )
+                if not isinstance(zero, np.ndarray):
+                    return Jet.constant(0.0, n)
+                # Run the recurrence on a unit base there, then zero the result.
+                a0 = np.where(zero, 1.0, a0)
+            else:
+                zero = None
+            if _any(a0 < 0.0):
+                raise DomainError(f"fractional power {q} of a negative quantity")
         c = self.coeffs
         out = [_elementary(np.power, a0, q)]
         for k in range(1, n + 1):

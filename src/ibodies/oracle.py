@@ -81,17 +81,27 @@ def _section_inputs(body: BodyOfRevolution, phi: float, samples: int) -> tuple:
 
 
 def _vertical_cosines(factors: np.ndarray, d: int, scale: float) -> np.ndarray:
-    """scale * |u1| for uniformly random directions u on S^(d-1), one per row
-    of ``factors``, a (rows, d // 2) array of uniforms in [0, 1): (u1, ...,
-    u_(d-2)) is uniform in the ball B^(d-2) (Archimedes for d = 3; Barthe,
-    Guedon, Mendelson and Naor, Ann. Probab. 2005, in general), so |u1| is
-    that point's radius U^(1/(d-2)) times |u1| on S^(d-3), down to S^0, where
-    |u1| = 1, or S^1, where |u1| = cos(pi U / 2)."""
-    cos = np.full(len(factors), scale)
-    for j, k in enumerate(range(d - 2, -1, -2)):
-        column = factors[:, j]  # x ** 1.0 is x: for k = 1, the column itself
-        cos *= (column ** (1.0 / k) if k > 1 else column if k
-                else np.cos(math.pi / 2 * column))
+    """scale * |u1| for uniformly random directions u on S^(d-1), one per
+    column of ``factors``, a (d // 2, n) array of uniforms in [0, 1): (u1,
+    ..., u_(d-2)) is uniform in the ball B^(d-2) (Archimedes for d = 3;
+    Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005, in general), so
+    |u1| is that point's radius U^(1/(d-2)) times |u1| on S^(d-3), down to
+    S^0, where |u1| = 1, or S^1, where |u1| = cos(pi U / 2).
+
+    Each row is turned into its factor in place, and the product is built
+    in the first row: ((scale * f1) * f2) * ..., so ``factors`` is
+    overwritten and the result is a view of it."""
+    for row, k in zip(factors, range(d - 2, -1, -2)):
+        if k > 1:
+            row **= 1.0 / k
+        elif k == 0:
+            row *= math.pi / 2
+            np.cos(row, out=row)
+        # for k = 1 the factor is the row itself: x ** 1.0 is x
+    cos = factors[0]
+    cos *= scale
+    for row in factors[1:]:
+        cos *= row
     return cos
 
 
@@ -99,11 +109,19 @@ def _batch_hits(profile, seed_sequence, m: int, d: int, radius: float,
                 sin_phi: float) -> int:
     """Hits among the m samples of one seeded batch (see mc_section_volume)."""
     rng = np.random.Generator(np.random.PCG64(seed_sequence))
+    rows = min(CHUNK, m)
+    draws = np.empty((rows, 1 + d // 2))    # row-major, as the stream fills it
+    columns = np.empty((1 + d // 2, rows))  # one contiguous row per column
     hits = 0
     for lo in range(0, m, CHUNK):
-        draws = rng.random((min(CHUNK, m - lo), 1 + d // 2))
-        cos_vertical = _vertical_cosines(draws[:, 1:], d, sin_phi)
-        radii = radius * draws[:, 0] ** (1.0 / d)
+        n = min(CHUNK, m - lo)
+        chunk, block = draws[:n], columns[:, :n]
+        rng.random(out=chunk)
+        block[...] = chunk.T
+        cos_vertical = _vertical_cosines(block[1:], d, sin_phi)
+        radii = block[0]
+        radii **= 1.0 / d
+        radii *= radius
         hits += int(np.count_nonzero(radii <= profile.eval_array(cos_vertical)))
     return hits
 
@@ -129,6 +147,14 @@ def mc_section_volume(body: BodyOfRevolution, phi: float, samples: int,
     others for |u1|.  Consecutive draws of k rows give the numbers of one draw
     of all of them, so the chunking changes no sample and no hit.  The
     batches run one after another on the calling thread.
+
+    A batch draws its chunks row-major into one reused buffer (``out=``
+    gives the same stream) and copies each once into a column-major block,
+    whose rows the powers, the cosine and the products then walk
+    contiguously and in place.  Every uniform stays in its sample, numpy
+    computes the same elementwise functions of it, and the products keep
+    their order ((sin phi * f1) * f2 and radius * U^(1/d)), so the layout
+    changes no cosine, radius or hit.
     """
     d, radius, ball_volume = _section_inputs(body, phi, samples)
     sin_phi = math.sin(phi)

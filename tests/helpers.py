@@ -7,6 +7,7 @@ small conveniences on library types.
 
 import json
 import math
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from ibodies.calculus import RootBracket, Settings
 from ibodies.criteria import _flat_top
 from ibodies.errors import DomainError, SmoothnessError
-from ibodies.jets import Jet
+from ibodies.jets import Jet, _elementary
 from ibodies.profile import COSINE, SINE, DerivedProfile
 from reference_quadpack import integrate
 
@@ -240,7 +241,8 @@ def masked_eval_array(profile, t) -> np.ndarray:
 # ------------------------------------------------- reference jet arithmetic
 # The generic recurrences the jet operations ran before their order-0 and
 # equal-order shortcuts: every coefficient rebuilt through index loops and
-# sums.  tests/test_jets.py requires the library's bytes to equal these.
+# sums, and every domain check of a fractional power made on every call.
+# tests/test_jets.py requires the library's bytes to equal these.
 
 def reference_align(a: Jet, other) -> tuple:
     if not isinstance(other, Jet):
@@ -287,4 +289,36 @@ def reference_truediv(x: Jet, other) -> Jet:
     for k in range(1, n + 1):
         acc = a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))
         out.append(acc / b0)
+    return Jet(out)
+
+
+def reference_pow(x: Jet, exponent) -> Jet:
+    """x ** exponent for a fractional exponent, with the domain checks run
+    at every call: a vanishing base first, then a negative one."""
+    exponent = Fraction(exponent)
+    n = x.order
+    q = float(exponent)
+    a0 = x.coeffs[0]
+    zero = a0 == 0.0
+    if (zero.any() if isinstance(zero, np.ndarray) else zero):
+        if not exponent > n:
+            raise SmoothnessError(
+                f"power {q} of a quantity vanishing at the evaluation point "
+                "has no finite jet at this order"
+            )
+        if not isinstance(zero, np.ndarray):
+            return Jet.constant(0.0, n)
+        a0 = np.where(zero, 1.0, a0)
+    else:
+        zero = None
+    negative = a0 < 0.0
+    if (negative.any() if isinstance(negative, np.ndarray) else negative):
+        raise DomainError(f"fractional power {q} of a negative quantity")
+    c = x.coeffs
+    out = [_elementary(np.power, a0, q)]
+    for k in range(1, n + 1):
+        acc = sum((j * (q + 1.0) - k) * c[j] * out[k - j] for j in range(1, k + 1))
+        out.append(acc / (k * a0))
+    if zero is not None:
+        out = [np.where(zero, 0.0, o) for o in out]
     return Jet(out)

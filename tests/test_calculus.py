@@ -328,7 +328,7 @@ def test_one_sided_limit_rejects_bad_side():
 # ------------------------------------------------------------- root finding
 
 def test_bisect_finds_cosine_root():
-    root = find_root(math.cos, bracket(math.cos, 1.0, 2.0))
+    root = find_root(math.cos, bracket(math.cos, 1.0, 2.0)).root
     assert abs(root - math.pi / 2.0) < 1e-11
 
 
@@ -347,16 +347,30 @@ def test_find_root_locates_a_jump_in_bisections_count():
     # bisection needs ceil(log2(1e10)) = 34 halvings of [0, 1] to reach 1e-10.
     jump = 1.0 / 3.0
     fn, calls = _recorded(lambda x: -1.0 if x < jump else 1.0)
-    root = find_root(fn, RootBracket(0.0, 1.0, -1.0, 1.0), x_tol=1e-10)
+    root = find_root(fn, RootBracket(0.0, 1.0, -1.0, 1.0), x_tol=1e-10).root
     assert abs(root - jump) <= 1e-10
     assert len(calls) <= 34 + 2
+
+
+def test_find_root_returns_the_final_bracket_it_evaluated():
+    # The root and the far end are evaluated points, with the values fn gave
+    # there, a sign change between them and no wider than Brent's stop.
+    for step in (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, lambda x: x - 0.3):
+        fn, calls = _recorded(step)
+        refined = find_root(fn, RootBracket(0.0, 1.0, -1.0, 1.0), x_tol=1e-10)
+        values = dict(calls + [(0.0, -1.0), (1.0, 1.0)])
+        assert values[refined.root] == refined.value
+        assert values[refined.far] == refined.far_value
+        assert refined.value * refined.far_value <= 0.0
+        assert abs(refined.far - refined.root) <= 2e-10
+        assert abs(refined.value) <= abs(refined.far_value)
 
 
 def test_find_root_converges_on_a_triple_root():
     # Interpolation crawls towards a multiple root; the bisection fallback
     # still closes the bracket inside the evaluation cap.
     fn, calls = _recorded(lambda x: (x - 0.3) ** 3)
-    root = find_root(fn, RootBracket(0.0, 1.0, -0.3 ** 3, 0.7 ** 3), x_tol=1e-10)
+    root = find_root(fn, RootBracket(0.0, 1.0, -0.3 ** 3, 0.7 ** 3), x_tol=1e-10).root
     assert abs(root - 0.3) <= 1e-10
     assert len(calls) < calculus._ROOT_MAX_ITER
 
@@ -365,7 +379,7 @@ def test_find_root_near_a_square_root_singularity():
     # The slope is infinite at the bracket's lower end, as w(M) is at M = 1,
     # and the root lies close to it.
     fn, calls = _recorded(lambda x: 1e-3 - math.sqrt(x))
-    root = find_root(fn, RootBracket(0.0, 1.0, 1e-3, 1e-3 - 1.0), x_tol=1e-10)
+    root = find_root(fn, RootBracket(0.0, 1.0, 1e-3, 1e-3 - 1.0), x_tol=1e-10).root
     assert abs(root - 1e-6) <= 1e-10
     assert len(calls) <= 34
 
@@ -382,7 +396,7 @@ def test_find_root_stays_in_the_bracket_next_to_a_sign_change():
     for fn, lower, upper in cases:
         fn, calls = _recorded(fn)
         calls += [(lower, -1.0), (upper, 1.0)]
-        root = find_root(fn, RootBracket(lower, upper, -1.0, 1.0), x_tol=1e-10)
+        root = find_root(fn, RootBracket(lower, upper, -1.0, 1.0), x_tol=1e-10).root
         assert lower <= root <= upper
         f_root = dict(calls)[root]
         assert f_root == 0.0 or any(
@@ -392,7 +406,7 @@ def test_find_root_stays_in_the_bracket_next_to_a_sign_change():
 
 def test_find_root_at_zero_tolerance_stops_at_rounding():
     # A bracket of adjacent doubles cannot shrink: the rounding term ends it.
-    root = find_root(math.cos, bracket(math.cos, 1.0, 2.0), x_tol=0.0)
+    root = find_root(math.cos, bracket(math.cos, 1.0, 2.0), x_tol=0.0).root
     assert abs(root - math.pi / 2.0) <= 4.0 * np.finfo(float).eps * root
 
 

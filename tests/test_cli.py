@@ -4,6 +4,7 @@ the question is what a run leaves behind in it."""
 import filecmp
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -381,6 +382,22 @@ def test_oracle_reruns_are_byte_identical(tmp_path):
                   "--samples", "20000", "--seed", "7", "--out", str(path))
         assert res.returncode == 0
     assert filecmp.cmp(a, b, shallow=False)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--builtin", "cyl_caps", "--dim", "4"], "oracle_cyl_caps_R4_100000.json"),
+    (["--builtin", "three_bodies_L"], "oracle_three_bodies_L_100000.json"),
+])
+def test_oracle_prints_the_golden_bytes(argv, golden):
+    # Every hit, volume, ratio and z of 10^5 samples per angle, as the
+    # oracle printed them before its chunks were evaluated column-major.
+    res = subprocess.run([sys.executable, "-m", "ibodies", "oracle", *argv,
+                          "--samples", "100000"], capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / golden).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_octagon_margin_matches_closed_form():
 def test_octagon_threshold_parameter():
     root = find_root(octagon_margin_closed,
                      bracket(octagon_margin_closed, 0.7, 0.9),
-                     x_tol=1e-12)
+                     x_tol=1e-12).root
     assert abs(root - 0.826279) < 1e-5
     assert octagon_margin(0.5) > 0.0          # satisfied below the threshold
     assert octagon_margin(0.9) < 0.0          # fails above it
@@ -235,7 +235,7 @@ _GOLDEN_SWEEPS = [
 @pytest.mark.parametrize("run, golden", _GOLDEN_SWEEPS, ids=["cyl_caps_KM", "octagon_Kb", "lp"])
 def test_sweep_roots_stay_within_refine_tol_of_the_goldens(run, golden):
     result = run()
-    assert len(result.roots) == len(golden)
+    assert len(result.roots) == len(golden) and result.jumps == []
     for root, want in zip(result.roots, golden):
         assert abs(root - want) < REFINE_TOL, (root, want)
     # Each bracket is the grid cell whose end margins change sign.
@@ -259,6 +259,58 @@ def test_sweep_refines_each_root_in_few_margin_evaluations(run, golden, monkeypa
     result = run()
     assert len(result.roots) == len(golden)
     assert len(calls) <= len(result.grid) + 10 * len(result.roots), len(calls)
+
+
+# The l^p margins jump at p = 2, where the top turns flat: prop4 in R^6 from
+# -4/9 at p = 2 to 16/9 above it, prop1 in R^4 from -1 to 2.  Each sweep
+# reports that sign change as a jump with its one-sided margins, and keeps
+# the root at the cor6 threshold.
+_JUMP_SWEEPS = [
+    (lambda: sweep(FamilySpec("lp_revolution", {"p": 2.0}, 6), "p",
+                   step_grid(2.0, 12.0, 0.5), criterion="prop4"),
+     [9.525037782763441], (-4.0 / 9.0, 16.0 / 9.0)),
+    (lambda: sweep(FamilySpec("lp_revolution", {"p": 2.0}, 4), "p",
+                   step_grid(1.5, 3.0, 0.1), criterion="prop1"),
+     [], (-1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("run, roots, margins", _JUMP_SWEEPS, ids=["R6_prop4", "R4_prop1"])
+def test_lp_sweeps_report_the_jump_at_two_and_keep_their_roots(run, roots, margins,
+                                                               monkeypatch):
+    calls = []
+    check = families.check_for_dimension
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+    monkeypatch.setattr(families, "check_for_dimension", counted)
+    result = run()
+    assert len(result.roots) == len(roots)
+    for root, want in zip(result.roots, roots):
+        assert abs(root - want) < REFINE_TOL, (root, want)
+    assert len(result.brackets) == len(result.roots)
+    [jump] = result.jumps
+    assert jump.lower == 2.0 < jump.upper <= 2.0 + REFINE_TOL
+    assert jump.margin_lower == pytest.approx(margins[0], rel=1e-9)
+    assert jump.margin_upper == pytest.approx(margins[1], rel=1e-9)
+    assert "jumps: 2.000000000 (" in result.summary()
+    # Telling a jump from a root costs no margin beyond Brent's own; across
+    # the jump Brent takes no more than the 33 bisections of a 0.5 cell.
+    assert len(calls) <= len(result.grid) + 10 * len(result.roots) + 33, len(calls)
+
+
+def test_a_sweep_writes_each_side_of_a_jump_as_a_row():
+    import io
+    result = _JUMP_SWEEPS[1][0]()
+    buf = io.StringIO()
+    result.to_csv(buf)
+    lines = buf.getvalue().strip().split("\n")
+    j = result.jumps[0]
+    assert lines[0] == "param,margin,verdict,is_root"
+    assert lines[-2:] == [f"{j.lower:.17g},{j.margin_lower:.17g},jump,0",
+                          f"{j.upper:.17g},{j.margin_upper:.17g},jump,0"]
+    assert not any(line.endswith(",1") for line in lines)
 
 
 def test_sweep_records_errors_without_aborting():

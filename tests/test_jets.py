@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from ibodies.errors import DomainError, SmoothnessError
 from ibodies.jets import Jet
 from ibodies.profile import add, const, div, exp_of, mul, powr, sqrt, sub, var_t
-from helpers import (compose, reference_add, reference_mul, reference_neg, reference_rsub,
-                     reference_sub, reference_truediv, truncated)
+from helpers import (compose, reference_add, reference_mul, reference_neg, reference_pow,
+                     reference_rsub, reference_sub, reference_truediv, truncated)
 
 
 def test_variable_and_constant_jets():
@@ -281,3 +281,40 @@ def test_jet_operations_give_the_bytes_of_the_generic_recurrences(x, y, scalar, 
     with np.errstate(all="ignore"):
         got, want = _outcome(lambda: fn(x, other)), _outcome(lambda: reference(x, other))
     assert _bits(got) == _bits(want)
+
+
+# Bases that are all positive, or hold a +-0.0, a negative or a NaN, so that
+# the one-test fast path and every refusing branch behind it are taken.
+_POSITIVE = st.floats(1e-3, 100.0)
+_BASE_VALUES = st.one_of(_POSITIVE, st.sampled_from([0.0, -0.0, -1.5, math.nan]))
+_BASES = st.one_of(
+    _POSITIVE, _BASE_VALUES,
+    st.lists(_POSITIVE, min_size=3, max_size=3).map(np.array),
+    st.lists(_BASE_VALUES, min_size=3, max_size=3).map(np.array))
+_HIGHER = st.one_of(_VALUES, st.just(math.nan),
+                    st.lists(_VALUES, min_size=3, max_size=3).map(np.array))
+_POWER_JETS = st.builds(lambda base, higher: Jet((base,) + tuple(higher)),
+                        _BASES, st.integers(0, 4).flatmap(
+                            lambda order: st.lists(_HIGHER, min_size=order,
+                                                   max_size=order)))
+_FRACTIONAL = st.sampled_from([Fraction(1, 3), Fraction(-1, 2), Fraction(1, 2),
+                               Fraction(5, 2), Fraction(7, 2), Fraction(9, 2),
+                               Fraction(-7, 3), 0.5, 2.5, 1.0 / 3.0])
+
+
+def _bits_or_message(fn):
+    """Each coefficient's type and bytes, or the exception's class and text."""
+    try:
+        outcome = fn()
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return _bits(outcome)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=_POWER_JETS, exponent=_FRACTIONAL)
+def test_fractional_powers_give_the_bytes_of_the_checked_recurrence(x, exponent):
+    with np.errstate(all="ignore"):
+        got = _bits_or_message(lambda: x ** exponent)
+        want = _bits_or_message(lambda: reference_pow(x, exponent))
+    assert got == want

@@ -130,8 +130,13 @@ def test_ratio_to_propagates_relative_errors():
 
 
 def vertical_cosines(d, seed, n=10 ** 5):
+    """n vertical cosines from n rows of d // 2 uniforms, fed as the oracle
+    feeds them: one contiguous row of the block per factor."""
     rng = np.random.default_rng(seed)
-    return oracle._vertical_cosines(rng.random((n, d // 2)), d, 1.0)
+    factors = np.ascontiguousarray(rng.random((n, d // 2)).T)
+    cosines = oracle._vertical_cosines(factors, d, 1.0)
+    assert cosines.shape == (n,), cosines.shape  # one cosine per sample
+    return cosines
 
 
 @pytest.mark.parametrize("d,cdf", [(3, lambda x: x),
@@ -290,7 +295,7 @@ def test_section_ratio_report_hits_at_a_million_samples():
 def test_estimator_memory_is_about_one_batch_of_cosines():
     # tracemalloc counts numpy's allocations, not RSS, so the peak repeats
     # exactly.  The whole-batch estimator peaks at about 10 MB; the chunked
-    # one keeps one chunk of draws and its temporaries at a time (3.0 MB).
+    # one keeps a batch's two chunk buffers and their temporaries (2.1 MB).
     b = body("three_bodies_L", 6)
     tracemalloc.start()
     try:
