@@ -14,6 +14,14 @@ jet.  The checks that refuse a jet (a vanishing divisor, a fractional power
 of a vanishing or negative base) raise when any element fails.  Exponents
 are exact rationals, so those checks need no tolerance.
 
+The value of a quotient, a power or an exponential has one owner here:
+:func:`divide`, :func:`power` (with :func:`int_power` and
+:func:`fractional_power`) and :func:`exponential` make the checks and the
+arithmetic of a plain value, a float or an array.  An expression walked for
+values alone runs them and builds no jet; the :class:`Jet` methods take
+their coefficient 0 from the same functions, so a value has the bits of the
+jet's coefficient 0 and refuses with the same exception and message.
+
 The default truncation order used by the profile layer is 3; transform-level
 compositions internally run at order 4 (a second derivative of a function
 that itself consumes two derivative levels).
@@ -56,6 +64,84 @@ def _elementary(fn, c: Coefficient, *args) -> Coefficient:
     if inf.any() and (inf & np.isfinite(c)).any():
         raise OverflowError(f"{fn.__name__} out of range")
     return out if isinstance(c, np.ndarray) else float(out)
+
+
+# ------------------------------------------------------------ value rules
+
+_HALF = Fraction(1, 2)
+
+
+def divide(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b, refused where b vanishes."""
+    if _any(b == 0.0):
+        raise SmoothnessError("division by a quantity vanishing at the evaluation point")
+    return a / b
+
+
+def int_power(base, k: int, one=1.0):
+    """base ** k for an int k >= 0 by repeated squaring: ``one`` times the
+    squares of base that the bits of k select, lowest bit first.  The base
+    is squared only while bits remain.  ``one`` is 1.0 for a value and the
+    constant jet 1 for a jet, so both multiply through the same chain."""
+    result = one
+    while True:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
+def fractional_power(a0: Coefficient, exponent: Fraction, order: int) -> tuple:
+    """The value of a fractional power of a jet of ``order`` whose value is
+    a0: (p, base, zero).
+
+    ``base`` is a0 with 1 where it vanishes, p is numpy's power of it, and
+    ``zero`` masks the vanishing elements, where every coefficient of the
+    power is 0 (None when none vanishes).  A float a0 that vanishes gives
+    (0.0, None, None).  A vanishing base is refused unless the exponent
+    exceeds ``order``, and a negative one always."""
+    q = float(exponent)
+    zero = None
+    # One test when every base is positive; the checks run only when some
+    # base is not (NaN included).
+    if not _all(a0 > 0.0):
+        zero = a0 == 0.0
+        if _any(zero):
+            if not exponent > order:
+                raise SmoothnessError(
+                    f"power {q} of a quantity vanishing at the evaluation point "
+                    "has no finite jet at this order"
+                )
+            if not isinstance(zero, np.ndarray):
+                return 0.0, None, None
+            a0 = np.where(zero, 1.0, a0)
+        else:
+            zero = None
+        if _any(a0 < 0.0):
+            raise DomainError(f"fractional power {q} of a negative quantity")
+    return _elementary(np.power, a0, q), a0, zero
+
+
+def power(x: Coefficient, exponent) -> Coefficient:
+    """x ** exponent for a rational exponent, the value of ``Jet ** exponent``
+    (an int is taken as is, anything else as ``Fraction(exponent)``)."""
+    if not isinstance(exponent, (int, Fraction)):
+        exponent = Fraction(exponent)
+    if exponent.denominator == 1:
+        k = int(exponent)
+        return int_power(x, k) if k >= 0 else divide(1.0, int_power(x, -k))
+    p, _, zero = fractional_power(x, exponent, 0)
+    return p if zero is None else np.where(zero, 0.0, p)
+
+
+def square_root(x: Coefficient) -> Coefficient:
+    return power(x, _HALF)
+
+
+def exponential(x: Coefficient) -> Coefficient:
+    return _elementary(np.exp, x)
 
 
 class Jet:
@@ -181,9 +267,7 @@ class Jet:
             return Jet(tuple(c / other for c in self.coeffs))
         a, b = self._align(other)
         b0 = b[0]
-        if _any(b0 == 0.0):
-            raise SmoothnessError("division by a quantity vanishing at the evaluation point")
-        out = [a[0] / b0]
+        out = [divide(a[0], b0)]
         for k in range(1, len(a)):
             acc = a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / b0)
@@ -209,57 +293,29 @@ class Jet:
         n = self.order
         if exponent.denominator == 1:
             k = int(exponent)
-            if k >= 0:
-                return self._int_power(k)
-            # A vanishing base fails the division check.
-            return Jet.constant(1.0, n) / self._int_power(-k)
-
+            one = Jet.constant(1.0, n)
+            # A vanishing base fails the division check of a negative power.
+            return int_power(self, k, one) if k >= 0 else one / int_power(self, -k, one)
+        p, a0, zero = fractional_power(self.coeffs[0], exponent, n)
+        if a0 is None:
+            return Jet.constant(p, n)
         q = float(exponent)
-        a0 = self.coeffs[0]
-        zero = None
-        # One test when every base is positive; the checks run only when
-        # some base is not (NaN included), and refuse as they always have.
-        if not _all(a0 > 0.0):
-            zero = a0 == 0.0
-            if _any(zero):
-                if not exponent > n:
-                    raise SmoothnessError(
-                        f"power {q} of a quantity vanishing at the evaluation point "
-                        "has no finite jet at this order"
-                    )
-                if not isinstance(zero, np.ndarray):
-                    return Jet.constant(0.0, n)
-                # Run the recurrence on a unit base there, then zero the result.
-                a0 = np.where(zero, 1.0, a0)
-            else:
-                zero = None
-            if _any(a0 < 0.0):
-                raise DomainError(f"fractional power {q} of a negative quantity")
         c = self.coeffs
-        out = [_elementary(np.power, a0, q)]
+        out = [p]
         for k in range(1, n + 1):
             acc = sum((j * (q + 1.0) - k) * c[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / (k * a0))
         if zero is not None:
+            # The recurrence ran on a unit base there.
             out = [np.where(zero, 0.0, o) for o in out]
         return Jet(out)
 
-    def _int_power(self, k: int) -> "Jet":
-        result = Jet.constant(1.0, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def sqrt(self) -> "Jet":
-        return self.__pow__(Fraction(1, 2))
+        return self.__pow__(_HALF)
 
     def exp(self) -> "Jet":
         c = self.coeffs
-        out = [_elementary(np.exp, c[0])]
+        out = [exponential(c[0])]
         for k in range(1, self.order + 1):
             acc = sum(j * c[j] * out[k - j] for j in range(1, k + 1))
             out.append(acc / k)

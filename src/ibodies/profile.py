@@ -27,7 +27,7 @@ import numpy as np
 
 from .calculus import sorted_unique
 from .errors import DomainError, ProfileFormatError, SideRequired, SmoothnessError
-from .jets import Jet
+from .jets import Jet, divide, exponential, power, square_root
 
 COSINE = "cos"  # profile argument is the cosine of the vertical angle
 SINE = "sin"    # profile argument is the sine of the vertical angle
@@ -43,21 +43,33 @@ _TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 # Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
 _MAX_SCAN_POINTS = 10001
 
-# Every operator with its arity and its jet rule.  "const", "t" and "pow"
-# carry a payload (a value, the variable, an exponent) and have no rule.
-_OPERATORS = {"const": (0, None), "t": (0, None), "pow": (1, None),
-              "add": (2, operator.add), "sub": (2, operator.sub),
-              "mul": (2, operator.mul), "div": (2, operator.truediv),
-              "sqrt": (1, Jet.sqrt), "exp": (1, Jet.exp), "neg": (1, operator.neg)}
+# Every operator with its arity, its value rule and its jet rule.  A jet
+# rule's coefficient 0 is its value rule: jets.py owns the checks and the
+# arithmetic of both.  "const" and "t" are leaves with a payload (a value,
+# the variable) and no rule; "pow" passes its exponent to both its rules.
+_OPERATORS = {"const": (0, None, None), "t": (0, None, None),
+              "add": (2, operator.add, operator.add),
+              "sub": (2, operator.sub, operator.sub),
+              "mul": (2, operator.mul, operator.mul),
+              "div": (2, divide, operator.truediv),
+              "pow": (1, power, operator.pow),
+              "sqrt": (1, square_root, Jet.sqrt),
+              "exp": (1, exponential, Jet.exp),
+              "neg": (1, operator.neg, operator.neg)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExprNode:
     """Node of a closed-form expression tree over the single variable t.
 
     Supported operators: const, t, add, sub, mul, div, pow (rational
     exponent), sqrt, exp, neg.  A tree deeper than MAX_EXPR_DEPTH nodes is
     refused when its root is built, however it is built.
+
+    Equality, hashing, copying and pickling walk the tree with loops, not
+    recursion, so they serve every tree that can be built.  Two trees are
+    equal when their nodes have the same operators, exponents and constant
+    bits (0.0 and -0.0 differ; NaN equals NaN).
     """
 
     op: str
@@ -88,24 +100,82 @@ class ExprNode:
         object.__setattr__(self, "depth", depth + 1)
 
     # ------------------------------------------------------------ evaluation
+    # Two walks, one per rule column of _OPERATORS.  Each takes its one or
+    # two children without building an argument list: a list per node made
+    # the walk about 10% slower.
+
+    def eval_value(self, t):
+        """The expression's value at t, a float or an array of points, from
+        the value rules alone: no jet is built."""
+        children = self.children
+        if not children:
+            return self.value if self.op == "const" else t
+        a = children[0].eval_value(t)
+        rule = _OPERATORS[self.op][1]
+        if len(children) == 2:
+            return rule(a, children[1].eval_value(t))
+        if self.op == "pow":
+            return rule(a, self.exponent)
+        return rule(a)
 
     def eval_jet(self, t, order: int) -> Jet:
         """Taylor jet of the expression at t (a float or an array of points),
-        truncated at ``order``."""
+        truncated at ``order``; at order 0 the values, wrapped in a jet."""
+        if order == 0:
+            return Jet((self.eval_value(t),))
+        return self._jet(t, order)
+
+    def _jet(self, t, order: int) -> Jet:
         children = self.children
         if not children:
             if self.op == "const":
                 return Jet.constant(self.value, order)
             return Jet.variable(t, order)
-        # One or two children, walked without building an argument list:
-        # a list per node made this walk about 10% slower.
-        a = children[0].eval_jet(t, order)
-        rule = _OPERATORS[self.op][1]
-        if rule is None:  # "pow", the one operator with children and no rule
-            return a ** self.exponent
-        if len(children) == 1:
-            return rule(a)
-        return rule(a, children[1].eval_jet(t, order))
+        a = children[0]._jet(t, order)
+        rule = _OPERATORS[self.op][2]
+        if len(children) == 2:
+            return rule(a, children[1]._jet(t, order))
+        if self.op == "pow":
+            return rule(a, self.exponent)
+        return rule(a)
+
+    # ------------------------------------------------- identity, without recursion
+
+    def _postorder(self) -> list:
+        """Every node of the tree, each after its children, in order."""
+        nodes, stack = [], [self]
+        while stack:  # root, last child, ..., first child: post-order reversed
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children)
+        nodes.reverse()
+        return nodes
+
+    def _label(self) -> tuple:
+        """What equality compares of this node besides its children."""
+        v = self.value
+        if v is not None:
+            v = (v, math.copysign(1.0, v)) if v == v else "nan"
+        return self.op, v, self.exponent
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if a._label() != b._label():
+                    return False
+                pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(node._label() for node in self._postorder()))
+
+    def __reduce__(self):
+        return _from_postorder, (tuple((node.op, node.value, node.exponent)
+                                       for node in self._postorder()),)
 
     # ---------------------------------------------------------- serialization
 
@@ -118,6 +188,19 @@ class ExprNode:
             return f"(pow {self.children[0].to_prefix()} {_format_exponent(self.exponent)})"
         inner = " ".join(c.to_prefix() for c in self.children)
         return f"({self.op} {inner})"
+
+
+def _from_postorder(items) -> ExprNode:
+    """The tree whose nodes' (op, value, exponent), each after its children,
+    are ``items``: how a pickled or copied tree is rebuilt."""
+    stack = []
+    for op, value, exponent in items:
+        split = len(stack) - _OPERATORS[op][0]
+        children = tuple(stack[split:])
+        del stack[split:]
+        stack.append(ExprNode(op, children, value, exponent))
+    (root,) = stack
+    return root
 
 
 def _format_number(x: float) -> str:
@@ -229,7 +312,7 @@ def parse_prefix(text: str) -> ExprNode:
                 for a in args[1:]:
                     node = ExprNode(op, (node, a))
             else:
-                arity, rule = _OPERATORS.get(op, (0, None))
+                arity, rule, _ = _OPERATORS.get(op, (0, None, None))
                 if rule is None:
                     raise ProfileFormatError(f"unknown operator {op!r}")
                 node = ExprNode(op, tuple(parse(level + 1) for _ in range(arity)))
@@ -465,7 +548,7 @@ class RadialProfile(DerivedProfile):
             a, b = p.interval
             grid = np.linspace(a, b, 35)[1:-1]
             with np.errstate(all="ignore"):
-                vals = p.expr.eval_jet(grid, 0).value
+                vals = p.expr.eval_value(grid)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"piece on [{a}, {b}] is not finite on its interior")
             if self.require_positive and not np.all(vals > 0.0):
@@ -508,11 +591,13 @@ class RadialProfile(DerivedProfile):
             return self._pieces_jet(t, self._locate(t, lo, hi, side), order)
         return self._walk(self._locate(ts, ts[0], ts[0], side), ts, order)
 
-    def _walk(self, index: int, t: np.ndarray, order: int) -> Jet:
-        """Piece ``index``'s jet at t; one point walks on its float (the bits
-        of the one-point array jet in fewer numpy calls): a float jet."""
+    def _walk(self, index: int, t: np.ndarray, order: Optional[int]):
+        """Piece ``index``'s jet at t, or its values for order None; one
+        point walks on its float (the bits of the one-point array walk in
+        fewer numpy calls) and gives a float jet or value."""
         expr = self.pieces[index].expr
-        return expr.eval_jet(float(t[0]) if t.size == 1 else t, order)
+        point = float(t[0]) if t.size == 1 else t
+        return expr.eval_value(point) if order is None else expr.eval_jet(point, order)
 
     def _pieces_jet(self, t: np.ndarray, located, order: int) -> Jet:
         """Array jet with each point evaluated on its piece, ``located`` as
@@ -526,12 +611,7 @@ class RadialProfile(DerivedProfile):
         if isinstance(located, list):
             return Jet.from_parts([(rows, self._walk(i, t.take(rows), order))
                                    for i, rows in located], t.size, order)
-        jet = self._walk(located, t, order)
-        # A float walk and a constant coefficient give scalars, and the jet
-        # of "t" holds t.
-        return Jet(tuple(c if isinstance(c, np.ndarray) and c is not t
-                         else np.broadcast_to(c, t.shape).copy()
-                         for c in jet.coeffs))
+        return Jet(tuple(_fresh(c, t) for c in self._walk(located, t, order).coeffs))
 
     # perfbench's tracer wraps RadialProfile.__dict__["value"], so the name
     # is bound here too.
@@ -544,6 +624,7 @@ class RadialProfile(DerivedProfile):
 
         Returns a fresh float array of t's shape.  When the least and the
         greatest point lie on one piece no point is compared or moved at all.
+        The pieces are walked for their values alone: no jet is built.
         """
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
@@ -552,8 +633,14 @@ class RadialProfile(DerivedProfile):
             # Extremes in [0, 1] put every point inside; NaN makes them NaN.
             if not 0.0 <= lo <= hi <= 1.0:
                 _refuse_outside(flat, *self.domain)
-            jet = self._pieces_jet(flat, self._locate(flat, lo, hi, "left"), 0)
-        return jet.value.reshape(t.shape)
+            located = self._locate(flat, lo, hi, "left")
+            if isinstance(located, list):
+                out = np.empty(flat.size)
+                for i, rows in located:
+                    out[rows] = self._walk(i, flat.take(rows), None)
+            else:
+                out = _fresh(self._walk(located, flat, None), flat)
+        return out.reshape(t.shape)
 
     def max_value(self) -> float:
         """The largest value on the scan grid, scanned once: pieces never change."""
@@ -612,6 +699,14 @@ class BodyOfRevolution:
             inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
             bits += f"({inner})"
         return f"{bits} in R^{self.dimension}"
+
+
+def _fresh(c, t: np.ndarray) -> np.ndarray:
+    """A walk's result c at the points t as a fresh float array of t's shape:
+    a float walk and a constant give scalars, and the walk of "t" gives t."""
+    if isinstance(c, np.ndarray) and c is not t:
+        return c
+    return np.broadcast_to(c, t.shape).copy()
 
 
 # ----------------------------------------------------------- classification

@@ -322,3 +322,60 @@ def reference_pow(x: Jet, exponent) -> Jet:
     if zero is not None:
         out = [np.where(zero, 0.0, o) for o in out]
     return Jet(out)
+
+
+def reference_int_power(x: Jet, k: int) -> Jet:
+    """x ** k for an int k >= 0 by the chain the jets ran before, which
+    squares its base once more after the last bit."""
+    result = Jet.constant(1.0, x.order)
+    base = x
+    while k:
+        if k & 1:
+            result = reference_mul(result, base)
+        base = reference_mul(base, base)
+        k >>= 1
+    return result
+
+
+def reference_power(x: Jet, exponent) -> Jet:
+    """x ** exponent for any rational exponent: integers by the chain above
+    (a negative one as 1 over it), fractions by reference_pow."""
+    exponent = Fraction(exponent)
+    if exponent.denominator == 1:
+        k = int(exponent)
+        if k >= 0:
+            return reference_int_power(x, k)
+        return reference_truediv(Jet.constant(1.0, x.order), reference_int_power(x, -k))
+    return reference_pow(x, exponent)
+
+
+def reference_exp(x: Jet) -> Jet:
+    c = x.coeffs
+    out = [_elementary(np.exp, c[0])]
+    for k in range(1, x.order + 1):
+        out.append(sum(j * c[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return Jet(out)
+
+
+_REFERENCE_RULES = {
+    "add": reference_add, "sub": reference_sub, "mul": reference_mul,
+    "div": reference_truediv, "pow": reference_power, "neg": reference_neg,
+    "sqrt": lambda x: reference_pow(x, Fraction(1, 2)), "exp": reference_exp,
+}
+
+
+def reference_eval_jet(expr, t, order: int = 0) -> Jet:
+    """The jet of an expression tree at t by the walk the library ran before
+    its value walk: a jet at every node, even at order 0, through the
+    reference operations above."""
+    if not expr.children:
+        if expr.op == "const":
+            return Jet.constant(expr.value, order)
+        return Jet.variable(t, order)
+    rule = _REFERENCE_RULES[expr.op]
+    a = reference_eval_jet(expr.children[0], t, order)
+    if expr.op == "pow":
+        return rule(a, expr.exponent)
+    if len(expr.children) == 1:
+        return rule(a)
+    return rule(a, reference_eval_jet(expr.children[1], t, order))

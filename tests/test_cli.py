@@ -2,6 +2,7 @@
 the question is what a run leaves behind in it."""
 
 import filecmp
+import hashlib
 import json
 import math
 import pathlib
@@ -398,6 +399,28 @@ def test_oracle_prints_the_golden_bytes(argv, golden):
                           "--samples", "100000"], capture_output=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == (GOLDEN / golden).read_bytes()
+
+
+# check on every builtin with each criterion of each dimension, field on five
+# bodies (the CSV by its sha256), two sweeps (one with a jump), validate, and
+# the error paths among them: each run's exit code, stdout and stderr,
+# captured from `python -m ibodies` while expressions were still walked as
+# order-0 jets for their values.  Runs start in tests/golden, where the
+# perturbed-L profile JSON lies.
+CLI_RUNS = json.loads((GOLDEN / "cli_runs.json").read_text())
+
+
+@pytest.mark.parametrize("run", CLI_RUNS, ids=[" ".join(r["argv"][:3]) + f" #{i}"
+                                               for i, r in enumerate(CLI_RUNS)])
+def test_cli_prints_the_golden_bytes(run, capsysbinary, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert cli.main(run["argv"]) == run["returncode"]
+    out, err = capsysbinary.readouterr()
+    if "stdout_sha256" in run:
+        assert hashlib.sha256(out).hexdigest() == run["stdout_sha256"]
+    else:
+        assert out == run["stdout"].encode()
+    assert err == run["stderr"].encode()
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibodies.errors import DomainError, SmoothnessError
-from ibodies.jets import Jet
-from ibodies.profile import add, const, div, exp_of, mul, powr, sqrt, sub, var_t
-from helpers import (compose, reference_add, reference_mul, reference_neg, reference_pow,
-                     reference_rsub, reference_sub, reference_truediv, truncated)
+from ibodies.jets import Jet, int_power
+from ibodies.profile import add, const, div, exp_of, mul, neg, powr, sqrt, sub, var_t
+from helpers import (compose, reference_add, reference_eval_jet, reference_mul,
+                     reference_neg, reference_pow, reference_power, reference_rsub,
+                     reference_sub, reference_truediv, truncated)
 
 
 def test_variable_and_constant_jets():
@@ -318,3 +319,90 @@ def test_fractional_powers_give_the_bytes_of_the_checked_recurrence(x, exponent)
         got = _bits_or_message(lambda: x ** exponent)
         want = _bits_or_message(lambda: reference_pow(x, exponent))
     assert got == want
+
+
+_INTEGERS = st.sampled_from([0, 1, 2, 3, 5, 6, 7, -1, -2, -3, Fraction(4), 2.0])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=_POWER_JETS, exponent=_INTEGERS)
+def test_integer_powers_give_the_bytes_of_the_chain_with_its_last_square(x, exponent):
+    # The library squares the base only while bits remain, the reference
+    # once more after the last bit; the result never reads that square, so
+    # every byte and every refusal agree.
+    with np.errstate(all="ignore"):
+        got = _bits_or_message(lambda: x ** exponent)
+        want = _bits_or_message(lambda: reference_power(x, exponent))
+    assert got == want
+
+
+class _Counted:
+    """A factor that counts the products it takes part in."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return self
+
+    __rmul__ = __mul__
+
+
+def test_int_power_squares_only_while_bits_remain():
+    # One product per set bit and one square per bit below the highest.
+    for k in range(70):
+        log = []
+        int_power(_Counted(log), k, one=_Counted(log))
+        assert len(log) == bin(k).count("1") + max(k.bit_length() - 1, 0), k
+
+
+# --------------------------------------------------- the value walk of trees
+
+# Constants and points that make divisors and bases vanish (t - 1 at 1, t
+# at 0, 1 - t * t at 1, a constant 0 of either sign), go negative or NaN.
+_WALK_CONSTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -1.5, 3.0])
+_WALK_EXPONENTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(3),
+                                   Fraction(5), Fraction(-1), Fraction(-2),
+                                   Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                                   Fraction(5, 2), Fraction(1, 3), Fraction(-7, 3)])
+_WALK_BINARY = st.sampled_from([add, sub, mul, div])
+
+
+def _walk_extend(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), _WALK_BINARY, children, children),
+        st.builds(powr, children, _WALK_EXPONENTS),
+        children.map(sqrt), children.map(exp_of), children.map(neg),
+    )
+
+
+_WALK_TREES = st.recursive(st.one_of(_WALK_CONSTS.map(const), st.just(var_t())),
+                           _walk_extend, max_leaves=10)
+_WALK_POINT = st.one_of(st.sampled_from([0.0, 1.0, -0.0, 0.5, math.nan]),
+                        st.floats(-2.0, 2.0))
+_WALK_POINTS = st.one_of(_WALK_POINT,
+                         st.lists(_WALK_POINT, min_size=0, max_size=5).map(np.array))
+
+
+def _value_bits_or_message(fn):
+    """The value's type and bytes, or the exception's class and text."""
+    try:
+        value = fn()
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return type(value), np.asarray(value).dtype, np.shape(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(tree=_WALK_TREES, t=_WALK_POINTS)
+def test_the_value_walk_gives_the_bytes_of_the_order_0_jet_walk(tree, t):
+    # The value walk against a jet at every node through the reference
+    # operations: the same value, bit for bit and of the same type, or the
+    # same refusal with the same message; and eval_jet at order 0 wraps it.
+    with np.errstate(all="ignore"):
+        want = _value_bits_or_message(lambda: reference_eval_jet(tree, t, 0).value)
+        got = _value_bits_or_message(lambda: tree.eval_value(t))
+        wrapped = _value_bits_or_message(lambda: tree.eval_jet(t, 0).value)
+    assert got == want
+    assert wrapped == want

@@ -1,8 +1,10 @@
 """Piecewise profile representation: parsing, validation, classification."""
 
+import copy
 import importlib.util
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -135,6 +137,56 @@ def test_a_tree_built_in_python_checks_its_own_depth():
     assert repr(small) == ("ExprNode(op='add', children=(ExprNode(op='t', children=(), "
                            "value=None, exponent=None), ExprNode(op='const', children=(), "
                            "value=1.0, exponent=None)), value=None, exponent=None)")
+
+
+def test_a_tree_at_the_depth_limit_compares_copies_pickles_and_hashes():
+    # Each of these once recursed through the tree and ended in
+    # RecursionError on this chain; the chain's prefix, whose exponents all
+    # print exactly, is the third route back to an equal tree.
+    chain = var_t()
+    for i in range(MAX_EXPR_DEPTH - 1):
+        chain = add(chain, powr(const(i), Fraction(-1, 3)) if i % 2 else i)
+    assert chain.depth == MAX_EXPR_DEPTH
+    for back in (parse_prefix(chain.to_prefix()), copy.deepcopy(chain),
+                 pickle.loads(pickle.dumps(chain))):
+        assert back is not chain and back == chain and hash(back) == hash(chain)
+        assert back.to_prefix() == chain.to_prefix()
+    # A copy keeps every bit: an exponent no prefix prints exactly included.
+    fine = powr(var_t(), Fraction(1, 3 * 10 ** 7))
+    assert pickle.loads(pickle.dumps(fine)) == fine
+    assert parse_prefix(fine.to_prefix()) != fine
+
+
+def test_trees_that_differ_in_a_zero_sign_or_an_exponent_are_unequal():
+    assert mul(const(-0.0), var_t()) != mul(const(0.0), var_t())
+    assert powr(var_t(), Fraction(1, 2)) != powr(var_t(), Fraction(1, 3))
+    assert powr(var_t(), 2) == powr(var_t(), Fraction(2))
+    assert const(math.nan) == const(math.nan) and hash(const(math.nan)) == hash(const(math.nan))
+    assert add(var_t(), 1.0) != add(1.0, var_t()) and add(var_t(), 1.0) != "(add t 1)"
+
+
+def test_values_are_walked_without_jets(monkeypatch):
+    # eval_array, the value scan at construction and max_value walk the
+    # value rules alone: a jet built during them is an error.
+    one_piece = _builtin("lp_revolution", p=4.5)
+    pieces = _builtin("octagon_Kb", b=0.5)
+
+    def refuse(self, coeffs):
+        raise AssertionError("a value walk built a jet")
+
+    monkeypatch.setattr(Jet, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a jet"):
+        Jet.constant(1.0, 0)
+    t = np.linspace(0.0, 1.0, 101)
+    for profile in (one_piece, pieces):
+        profile.eval_array(t)
+        profile.eval_array(np.array([0.3]))
+        profile._validate_values()
+        profile._max_value = None
+        assert profile.max_value() > 0.0
+    # A one-piece profile has no joint to classify, so all of its
+    # construction runs without a jet.
+    RadialProfile(one_piece.pieces)
 
 
 def test_a_profile_at_the_depth_limit_cannot_be_scaled_past_it():
