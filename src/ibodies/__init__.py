@@ -14,15 +14,14 @@ from .criteria import (CriterionReport, check_for_dimension, cor6_check,
 from .errors import (DomainError, FlatTopRequired, InsufficientSamples,
                      InvalidBracket, InvalidParam, NoConvergence,
                      ProfileFormatError, SideRequired, SmoothnessError)
-from .families import (FAMILY_NAMES, FamilySpec, SweepResult, instantiate,
-                       lp_threshold, sweep)
+from .families import FAMILY_NAMES, FamilySpec, SweepResult, instantiate, sweep
 from .oracle import SectionEstimate, mc_section_volume, section_ratio_report
 from .profile import (BodyOfRevolution, Breakpoint, ConvexityReport,
                       DerivedProfile, Piece, RadialProfile,
                       classify_breakpoints, parse_prefix, profile_from_json,
                       validate_convexity)
-from .transform import (ObstructionField, box_operator, h_jet,
-                        intersection_radial, inverse_radon, obstruction_field)
+from .transform import (ObstructionField, box_operator, intersection_radial,
+                        inverse_radon, obstruction_field)
 
 __version__ = "0.1.0"
 
@@ -35,8 +34,8 @@ __all__ = [
     "SectionEstimate", "Settings", "SideRequired", "SmoothnessError",
     "SweepResult", "box_operator", "check_for_dimension",
     "classify_breakpoints", "cor6_check",
-    "h_jet", "instantiate", "intersection_radial",
-    "inverse_radon", "lp_threshold", "mc_section_volume",
+    "instantiate", "intersection_radial",
+    "inverse_radon", "mc_section_volume",
     "obstruction_field", "parse_prefix", "profile_from_json", "prop1_check",
     "prop4_check", "section_ratio_report",
     "sweep", "validate_convexity", "__version__",

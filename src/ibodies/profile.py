@@ -42,6 +42,8 @@ MAX_EXPR_DEPTH = 256
 _TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 # Uniform points (plus piece endpoints) scanned by RadialProfile.max_value.
 _MAX_SCAN_POINTS = 10001
+# Values of t at which validate_convexity samples the meridian.
+_CONVEXITY_SAMPLES = 720
 
 # Every operator with its arity, its value rule and its jet rule.  A jet
 # rule's coefficient 0 is its value rule: jets.py owns the checks and the
@@ -66,10 +68,10 @@ class ExprNode:
     exponent), sqrt, exp, neg.  A tree deeper than MAX_EXPR_DEPTH nodes is
     refused when its root is built, however it is built.
 
-    Equality, hashing, copying and pickling walk the tree with loops, not
-    recursion, so they serve every tree that can be built.  Two trees are
-    equal when their nodes have the same operators, exponents and constant
-    bits (0.0 and -0.0 differ; NaN equals NaN).
+    Equality, hashing, copying, pickling and printing walk the tree with
+    loops, not recursion, so they serve every tree that can be built.  Two
+    trees are equal when their nodes have the same operators, exponents and
+    constant bits (0.0 and -0.0 differ; NaN equals NaN).
     """
 
     op: str
@@ -180,14 +182,20 @@ class ExprNode:
     # ---------------------------------------------------------- serialization
 
     def to_prefix(self) -> str:
-        if self.op == "const":
-            return _format_number(self.value)
-        if self.op == "t":
-            return "t"
-        if self.op == "pow":
-            return f"(pow {self.children[0].to_prefix()} {_format_exponent(self.exponent)})"
-        inner = " ".join(c.to_prefix() for c in self.children)
-        return f"({self.op} {inner})"
+        """The tree in the notation :func:`parse_prefix` reads."""
+        done = []  # the text of each finished subtree, in post-order
+        for node in self._postorder():
+            split = len(done) - len(node.children)
+            parts = [node.op] + done[split:]
+            del done[split:]
+            if node.op == "pow":
+                parts.append(_format_exponent(node.exponent))
+            done.append(_format_number(node.value) if node.op == "const"
+                        else "t" if node.op == "t" else f"({' '.join(parts)})")
+        return done[0]
+
+    def __repr__(self) -> str:
+        return f"parse_prefix({self.to_prefix()!r})"
 
 
 def _from_postorder(items) -> ExprNode:
@@ -507,15 +515,13 @@ class DerivedProfile:
 class RadialProfile(DerivedProfile):
     """Piecewise closed-form function on [0, 1] with jet evaluation.
 
-    Invariants enforced at construction: the pieces tile [0, 1] exactly,
-    the function is continuous across joints, and (for radial functions of
-    bodies containing the origin) strictly positive on a validation grid.
+    The radial function of a body containing the origin, in the cosine
+    convention.  Invariants enforced at construction: the pieces tile [0, 1]
+    exactly, the function is continuous across joints, and it is strictly
+    positive on a validation grid.
     """
 
-    def __init__(self, pieces: Sequence[Piece], variable: str = COSINE,
-                 require_positive: bool = True, name: str = ""):
-        if variable not in (COSINE, SINE):
-            raise ValueError(f"variable must be {COSINE!r} or {SINE!r}")
+    def __init__(self, pieces: Sequence[Piece], name: str = ""):
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("profile needs at least one piece")
@@ -527,10 +533,8 @@ class RadialProfile(DerivedProfile):
                 raise ValueError(
                     f"pieces must tile [0, 1]: gap between {p.interval} and {q.interval}"
                 )
-        super().__init__(None, [p.interval[1] for p in pieces[:-1]],
-                         variable=variable, max_order=3, name=name)
+        super().__init__(None, [p.interval[1] for p in pieces[:-1]], max_order=3, name=name)
         self.pieces = pieces
-        self.require_positive = require_positive
         self._max_value = None
         # Piece i governs [b_i, b_(i+1)]; a point within JOINT_TOL of a
         # joint b belongs to the piece on the side asked for (right by default).
@@ -551,7 +555,7 @@ class RadialProfile(DerivedProfile):
                 vals = p.expr.eval_value(grid)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"piece on [{a}, {b}] is not finite on its interior")
-            if self.require_positive and not np.all(vals > 0.0):
+            if not np.all(vals > 0.0):
                 raise ValueError(f"piece on [{a}, {b}] is not strictly positive")
 
     def _check_continuity(self):
@@ -658,8 +662,7 @@ class RadialProfile(DerivedProfile):
             raise ValueError("scale factor must be positive")
         pieces = [Piece(p.interval, mul(lam, p.expr)) for p in self.pieces]
         suffix = f" * {lam:g}"
-        return RadialProfile(pieces, variable=self.variable,
-                             require_positive=self.require_positive,
+        return RadialProfile(pieces,
                              name=(self.name + suffix) if self.name else suffix.strip(" *"))
 
     # ---------------------------------------------------------- serialization
@@ -690,8 +693,6 @@ class BodyOfRevolution:
         if int(self.dimension) != self.dimension or self.dimension < 3:
             raise ValueError("dimension must be an integer >= 3")
         self.dimension = int(self.dimension)
-        if self.profile.variable != COSINE:
-            raise ValueError("a body profile must use the cosine-angle convention")
 
     def describe(self) -> str:
         bits = self.family or self.profile.name or "custom profile"
@@ -751,7 +752,7 @@ class ConvexityReport:
     violations: int
 
 
-def validate_convexity(profile: RadialProfile, samples: int = 720) -> ConvexityReport:
+def validate_convexity(profile: RadialProfile) -> ConvexityReport:
     """Diagnostic check that the profile bounds a convex body of revolution.
 
     Samples the meridian curve (rho*sqrt(1-t^2), rho*t), closes it up by the
@@ -759,9 +760,7 @@ def validate_convexity(profile: RadialProfile, samples: int = 720) -> ConvexityR
     single sign within tolerance.  Never raises for a non-convex profile --
     the transforms are well-defined for star bodies -- it only reports.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
-    t = np.linspace(0.0, 1.0, samples)
+    t = np.linspace(0.0, 1.0, _CONVEXITY_SAMPLES)
     rho = profile.eval_array(t)
     x = rho * np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     y = rho * t
@@ -778,7 +777,7 @@ def validate_convexity(profile: RadialProfile, samples: int = 720) -> ConvexityR
     # Orientation: the path above runs clockwise, so convex means turn <= 0.
     violations = int(np.sum(turn > 1e-7))
     worst = float(np.max(turn))
-    return ConvexityReport(violations == 0, samples, worst, violations)
+    return ConvexityReport(violations == 0, _CONVEXITY_SAMPLES, worst, violations)
 
 
 # --------------------------------------------------------------------- JSON

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (DEFAULT_SETTINGS, CumulativeIntegral, QuadratureRequest,
-                       Settings, integrate, sorted_unique)
+from .calculus import (DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate,
+                       sorted_unique)
 from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
@@ -60,53 +60,47 @@ def _require_dimension(n: int) -> None:
 class MomentTable:
     """Moments B(x) = int_0^x q and, for n = 6, C(x) = int_0^x t^2 q.
 
-    Here q = profile^power.  The table is one :func:`integrate`
-    pass over ``nodes`` at the tolerances of ``settings``, run at
-    construction; it never changes.  :meth:`at` reads the points in the table
-    and integrates the others in one pass of their own that is not kept, so a
-    point's moments do not depend on earlier queries.  ``diagnostics`` holds
-    the counters of the table's pass (all zero without nodes).
+    Here q = profile^power.  The table is one :func:`integrate` pass over
+    ``nodes`` at the tolerances of ``settings``, run at construction; it
+    never changes, and :meth:`at` only reads it.  ``diagnostics`` holds the
+    counters of that pass (all zero without nodes).
     """
 
     def __init__(self, profile: RadialProfile, power: int, n: int,
                  nodes: Sequence[float] = (), settings: Settings = DEFAULT_SETTINGS):
         _require_dimension(n)
-        self.profile, self.power, self.n, self.settings = profile, power, n, settings
+        self.power, self.n = power, n
         nodes = np.asarray(nodes, dtype=float).ravel()
         self._nodes, self._values = nodes, np.empty((1 if n == 4 else 2, 0))
         counters = (0, 0, 0, 0.0)
         if nodes.size:
-            res = self._run(nodes)
+            outside = ~((nodes > 0.0) & (nodes <= 1.0))  # NaN is outside too
+            if outside.any():
+                raise DomainError(f"upper limit must lie in (0, 1], got {nodes[outside][0]}")
+
+            def integrand(t: np.ndarray) -> np.ndarray:
+                q = profile.eval_array(t) ** power
+                return q if n == 4 else np.stack([q, t * t * q])
+
+            res = integrate(QuadratureRequest(integrand, nodes,
+                                              profile.breakpoint_locations, settings))
             self._nodes, self._values = res.nodes, res.values  # sorted, unique
             counters = (res.panels, res.evaluations, res.max_depth, res.worst_error_fraction)
         self.diagnostics = dict(zip(("panels", "integrand_evals", "max_depth",
                                      "worst_error_fraction"), counters))
 
-    def _integrand(self, t: np.ndarray) -> np.ndarray:
-        q = self.profile.eval_array(t) ** self.power
-        return q if self.n == 4 else np.stack([q, t * t * q])
-
-    def _run(self, x: np.ndarray) -> CumulativeIntegral:
-        outside = ~((x > 0.0) & (x <= 1.0))  # NaN is outside too
-        if outside.any():
-            raise DomainError(f"upper limit must lie in (0, 1], got {x[outside][0]}")
-        return integrate(QuadratureRequest(self._integrand, x,
-                                           self.profile.breakpoint_locations, self.settings))
-
     def at(self, x: np.ndarray) -> tuple:
-        """(B(x), C(x)) at an array of points; C is None for n = 4."""
+        """(B(x), C(x)) at an array of the table's nodes; C is None for n = 4.
+        A point that is not a node raises ValueError."""
         # x is in the sorted table where the first node not below it equals
-        # it (np.isin would import numpy.ma at cold start).
-        nodes = self._nodes
-        pos = np.searchsorted(nodes, x)
-        found = (nodes[np.minimum(pos, nodes.size - 1)] == x if nodes.size
-                 else np.zeros(x.shape, dtype=bool))
-        out = np.empty((self._values.shape[0], x.size))
-        out[:, found] = self._values[:, pos[found]]
-        if not found.all():
-            res = self._run(x[~found])
-            out[:, ~found] = res.values[:, np.searchsorted(res.nodes, x[~found])]
-        return out[0], out[1] if self.n == 6 else None
+        # it; past the last node stands a NaN, which equals nothing (np.isin
+        # would import numpy.ma at cold start).
+        pos = np.searchsorted(self._nodes, x)
+        missing = np.append(self._nodes, np.nan)[pos] != x
+        if missing.any():
+            raise ValueError(f"x={x[missing][0]} is not a node of the moment table")
+        values = self._values[:, pos]
+        return values[0], values[1] if self.n == 6 else None
 
 
 def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
@@ -122,8 +116,8 @@ def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
     (a float jet is returned) or an array of points (an array jet).
 
     q = profile^power, B = int_0^x q and C = int_0^x t^2 q come from
-    ``moments``, a :class:`MomentTable` (which checks n and x); without one,
-    q = rho^(n-1), so H = h_n, integrated in one pass over x.  For n = 4
+    ``moments``, a :class:`MomentTable` that holds x; without one, q =
+    rho^(n-1), so H = h_n, from a table over x (which checks n and x).  For n = 4
     and 6 every derivative of H above the first (n=4) or second (n=6)
     localizes to jets of q at t = x, so the jet is exact:
 
@@ -131,11 +125,11 @@ def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
       n=6:  H = x^2 B - C;
             H' = 2xB,  H'' = 2B + 2xq,  H''' = 4q + 2xq',  H'''' = 6q' + 2xq''
     """
-    moments = moments or MomentTable(profile, n - 1, n)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    b_val, c_val = moments.at(xs)
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    moments = moments or MomentTable(profile, n - 1, n, xs)
+    b_val, c_val = moments.at(xs)
     if n == 4:
         derivs = [b_val]
         if order >= 1:
@@ -164,12 +158,14 @@ def intersection_radial(body: BodyOfRevolution,
     """Radial profile of the intersection body, x -> c_n h_n(x)/x^(n-3).
 
     The field's inverse-Radon input (:func:`_reciprocal`, with its axis
-    series in dimension 6) turned over; quadrature-backed (at the tolerances
-    of ``settings``) and evaluable (with derivatives) on [1e-6, 1].
+    series in dimension 6) turned over; evaluable (with derivatives) on
+    [1e-6, 1].  Each query integrates the points that need moments in a
+    :class:`MomentTable` of their own, at the tolerances of ``settings``.
     """
     n = body.dimension
+    _require_dimension(n)
     profile = body.profile
-    reciprocal = _reciprocal(body, MomentTable(profile, n - 1, n, settings=settings),
+    reciprocal = _reciprocal(body, lambda x: MomentTable(profile, n - 1, n, x, settings),
                              _axis_series(profile, n))
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
@@ -208,16 +204,17 @@ def _series_reciprocal_jet(series: list, x: np.ndarray, order: int) -> Jet:
                       for k in range(order + 1)])
 
 
-def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
+def _reciprocal(body: BodyOfRevolution, moments: Callable[[np.ndarray], MomentTable],
                 series: Optional[list]) -> DerivedProfile:
     """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)), jets up to order 4,
-    from ``moments``; in dimension 6, points below _AXIS_NOISE_T take the axis
-    ``series`` of rho^5 instead when there is one (:func:`_axis_series`)."""
+    from the table ``moments(x)`` that holds the points x; in dimension 6,
+    points below _AXIS_NOISE_T take the axis ``series`` of rho^5 instead when
+    there is one (:func:`_axis_series`) and reach no table."""
     n = body.dimension
     profile = body.profile
 
     def from_moments(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(profile, n, x, order, side, moments=moments)
+        jh = h_jet(profile, n, x, order, side, moments=moments(x))
         return Jet.variable(x, order) ** (n - 3) / (jh * _IK_FACTOR[n])
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
@@ -327,10 +324,9 @@ class ObstructionField:
     one-sided limits appear as consecutive rows sharing the same t, with
     ``is_left_limit`` marking the left one.  ``atoms`` lists (location,
     weight) point masses; a negative density value (below tolerance) or a
-    negative atom certifies the NotPolarZonoid verdict.  ``g`` is the
-    inverse-Radon profile the rows were evaluated from, so the field can be
-    refined at further points without rebuilding it.  Such a query changes
-    nothing in the field (see :class:`MomentTable`), whatever came before it.
+    negative atom certifies the NotPolarZonoid verdict.  The field keeps
+    only its rows: the inverse-Radon profile they were evaluated from, and
+    its moment table over the grid and the joints, end with the call.
 
     The density is per surface measure of S^(n-1), at the points whose
     cosine with the axis is t (and, the measure being even, -t); an atom's
@@ -365,7 +361,6 @@ class ObstructionField:
     # max_depth, worst_error_fraction); deterministic, and kept out of the
     # CSV and the summary line.
     diagnostics: dict = dc_field(default_factory=dict)
-    g: Optional[DerivedProfile] = dc_field(default=None, repr=False, compare=False)
 
     def to_csv(self, fh) -> None:
         fh.write("t,continuous_value,is_left_limit,is_atom,atom_weight\n")
@@ -412,7 +407,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     # over those nodes serves every moment the field needs.
     moments = MomentTable(body.profile, n - 1, n, np.concatenate([grid_arr, breaks]),
                           settings)
-    g = inverse_radon(_reciprocal(body, moments, series), n)
+    g = inverse_radon(_reciprocal(body, lambda x: moments, series), n)
 
     joints = classify_breakpoints(g)
     locs = np.array([j.location for j in joints])
@@ -488,5 +483,4 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
                             for j in joints],
         excluded=excluded,
         diagnostics=dict(moments.diagnostics),
-        g=g,
     )

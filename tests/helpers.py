@@ -16,7 +16,7 @@ from ibodies.calculus import RootBracket, Settings
 from ibodies.criteria import _flat_top
 from ibodies.errors import DomainError, SmoothnessError
 from ibodies.jets import Jet, _elementary
-from ibodies.profile import COSINE, SINE, DerivedProfile
+from ibodies.profile import COSINE, JOINT_TOL, SINE, DerivedProfile
 from reference_quadpack import integrate
 
 
@@ -215,18 +215,38 @@ def searchsorted_index(profile, t: np.ndarray, side: str) -> np.ndarray:
     return np.searchsorted(profile._right_of, t, side="right")
 
 
-def masked_pieces_jet(profile, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
-    """``RadialProfile._pieces_jet`` as a mask dispatch: each piece's points
-    gathered through a mask, in ``np.unique`` order, walked as an array even
-    when there is one, and scattered back through the mask."""
+def masked_pieces_jet(pieces, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
+    """``RadialProfile._pieces_jet`` as a mask dispatch over a profile's
+    ``pieces``: each piece's points gathered through a mask, in ``np.unique``
+    order, walked as an array even when there is one, and scattered back
+    through the mask."""
     out = np.empty((order + 1, t.size))
     with np.errstate(all="ignore"):
         for i in np.unique(index):
             sel = index == i
-            jet = profile.pieces[i].expr.eval_jet(t[sel], order)
+            jet = pieces[i].expr.eval_jet(t[sel], order)
             for k, c in enumerate(jet.coeffs):
                 out[k, sel] = c
     return Jet(tuple(out))
+
+
+def closed_form_function(pieces, variable: str = COSINE, name: str = "") -> DerivedProfile:
+    """The function given by closed-form ``pieces`` that tile [0, 1], jets
+    up to order 3: a signed function, or one of the sine of the vertical
+    angle, neither of which a RadialProfile (a radial function of t, always
+    positive) holds.  A point within JOINT_TOL of a joint takes the piece on
+    its side, the right one without a side."""
+    pieces = tuple(pieces)
+    joints = np.array([p.interval[1] for p in pieces[:-1]])
+
+    def source(t: np.ndarray, order: int, side: Optional[str]) -> Jet:
+        if side == "left":
+            index = np.searchsorted(joints + JOINT_TOL, t, side="left")
+        else:
+            index = np.searchsorted(joints - JOINT_TOL, t, side="right")
+        return masked_pieces_jet(pieces, t, index, order)
+
+    return DerivedProfile(source, joints.tolist(), variable=variable, max_order=3, name=name)
 
 
 def masked_eval_array(profile, t) -> np.ndarray:
@@ -235,7 +255,7 @@ def masked_eval_array(profile, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     index = searchsorted_index(profile, flat, "left")
-    return masked_pieces_jet(profile, flat, index, 0).value.reshape(t.shape)
+    return masked_pieces_jet(profile.pieces, flat, index, 0).value.reshape(t.shape)
 
 
 # ------------------------------------------------- reference jet arithmetic

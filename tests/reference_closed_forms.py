@@ -18,6 +18,7 @@ from ibodies.jets import Jet
 from ibodies.profile import (COSINE, SINE, DerivedProfile, Piece, RadialProfile,
                              add, div, mul, powr, sub, var_t)
 from ibodies.transform import _EPS_AXIS, MomentTable, _require_dimension, h_jet
+from helpers import closed_form_function
 
 
 # ------------------------------------------------------------------ criteria
@@ -62,10 +63,8 @@ def radon_transform(q: DerivedProfile, n: int) -> DerivedProfile:
     if q.variable != COSINE:
         raise DomainError("forward transform input must use the cosine convention")
 
-    moments = MomentTable(q, 1, n)
-
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(q, n, x, order, side, moments=moments)
+        jh = h_jet(q, n, x, order, side, moments=MomentTable(q, 1, n, x))
         return jh / Jet.variable(x, order) ** (n - 3)
 
     return DerivedProfile(source, q.breakpoint_locations, domain=(_EPS_AXIS, 1.0),
@@ -73,7 +72,7 @@ def radon_transform(q: DerivedProfile, n: int) -> DerivedProfile:
                           name=f"radon[{q.name or 'q'}]")
 
 
-def cylinder_intersection_closed_form() -> RadialProfile:
+def cylinder_intersection_closed_form() -> DerivedProfile:
     """Piecewise closed form of the R^6 cylinder's intersection profile, in
     the library's normalization (3/2) h_6(x)/x^3 (x = sine of the vertical
     angle):
@@ -86,8 +85,8 @@ def cylinder_intersection_closed_form() -> RadialProfile:
     left = powr(sub(1, t2), -1 / 2)
     right = div(add(sub(3, mul(16, t2)), mul(28, mul(t2, t2))), mul(8, powr(t, 5)))
     r = math.sqrt(0.5)
-    return RadialProfile([Piece((0.0, r), left), Piece((r, 1.0), right)],
-                         variable=SINE, name="cylinder intersection profile")
+    return closed_form_function([Piece((0.0, r), left), Piece((r, 1.0), right)],
+                                variable=SINE, name="cylinder intersection profile")
 
 
 # ------------------------------------------------------ capped-cylinder family

@@ -9,12 +9,14 @@ behind the table's interface, so the library's own reciprocal /
 inverse-Radon / box chain can run on either
 (:func:`reciprocal_intersection_profile`); :func:`reference_rows` restates
 the field's row logic (grid, one-sided rows at joints, atoms) on top of it.
+:func:`field_g` rebuilds the g that a field evaluates its rows from, on a
+table over the field's own nodes.
 """
 
 import numpy as np
 
 from ibodies.profile import classify_breakpoints
-from ibodies.transform import (MomentTable, _axis_series, _reciprocal,
+from ibodies.transform import (_EPS_AXIS, MomentTable, _axis_series, _reciprocal,
                                _require_dimension, box_operator, default_grid,
                                inverse_radon)
 from reference_quadpack import integrate
@@ -46,12 +48,26 @@ class ScalarMoments:
 
 def reciprocal_intersection_profile(body, moments=None):
     """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)) that the field
-    builds, on ``moments`` (a :class:`MomentTable` without nodes when
-    omitted: one pass per query)."""
+    builds, on ``moments`` (a :class:`MomentTable` that holds every point
+    asked, or :class:`ScalarMoments`); without one, each query integrates
+    its points in a table of their own, as ``intersection_radial`` does."""
     n = body.dimension
     _require_dimension(n)
-    return _reciprocal(body, moments or MomentTable(body.profile, n - 1, n),
+    return _reciprocal(body, lambda x: moments or MomentTable(body.profile, n - 1, n, x),
                        _axis_series(body.profile, n))
+
+
+def field_g(body, grid=None, uniform_points=2000):
+    """The g whose rows ``obstruction_field(body, grid, uniform_points)``
+    holds: inverse_radon of the reciprocal on the field's own moment table,
+    one pass over its grid before the joint split plus its joints, so each
+    row's t gives the row's bits."""
+    n = body.dimension
+    breaks = [b for b in body.profile.breakpoint_locations if b > _EPS_AXIS]
+    if grid is None:
+        grid = default_grid(breaks, uniform_points=uniform_points)
+    moments = MomentTable(body.profile, n - 1, n, np.concatenate([sorted(grid), breaks]))
+    return inverse_radon(reciprocal_intersection_profile(body, moments), n)
 
 
 def reference_g(body):

@@ -15,7 +15,7 @@ from ibodies import (FamilySpec, box_operator, check_for_dimension,
                      prop4_check, prop1_check, section_ratio_report)
 from ibodies.calculus import find_root
 from ibodies.profile import Piece, RadialProfile, add, mul, powr, sub, var_t
-from helpers import bracket, flat_top_check
+from helpers import bracket, closed_form_function, flat_top_check
 from reference_moments import reciprocal_intersection_profile
 from reference_closed_forms import (octagon_h1_closed, octagon_k1_closed,
                                     octagon_margin, radon_transform,
@@ -267,8 +267,8 @@ def test_08a_box_operator_affine_kernel():
     t = var_t()
     worst = 0.0
     for alpha, beta in ((2.5, -0.75), (1.0, 0.0), (0.3, 2.0)):
-        aff = RadialProfile([Piece((0.0, 1.0), add(alpha, mul(beta, t)))],
-                            name="affine", require_positive=False)
+        aff = closed_form_function([Piece((0.0, 1.0), add(alpha, mul(beta, t)))],
+                                   name="affine")
         for n in (4, 6):
             for x in (0.1, 0.45, 0.9):
                 worst = max(worst, abs(box_operator(aff, n, x)

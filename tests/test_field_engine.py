@@ -15,8 +15,9 @@ from the series under both engines.
 
 The field evaluates its interior rows in one array walk and its joint rows
 from the classification jets; the tests below also check each row against a
-single-point evaluation, bit for bit, the moment pass's stopping rule,
-and that queries of g off the grid leave the field's moment table as built.
+single-point evaluation of g on the field's own moment table
+(``reference_moments.field_g``), bit for bit, and the moment pass's
+stopping rule.
 """
 
 import functools
@@ -34,7 +35,7 @@ from ibodies.jets import Jet
 from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, add, mul, sub, var_t
 from ibodies.transform import (_EPS_AXIS, MomentTable, _box, box_operator, default_grid,
                                obstruction_field)
-from reference_moments import reference_g, reference_rows, reference_value
+from reference_moments import field_g, reference_g, reference_rows, reference_value
 
 # Midpoints of the parameter ranges the benchmark catalogue draws from.
 CATALOGUE_PARAMS = {"lp_revolution": {"p": 4.5}, "octagon_Kb": {"b": 0.65},
@@ -97,17 +98,10 @@ def test_moment_diagnostics_repeat_and_meet_tolerance(name, dim):
     assert set(first.diagnostics) == DIAGNOSTIC_KEYS
     assert first.diagnostics == again.diagnostics
     assert 0.0 <= first.diagnostics["worst_error_fraction"] <= 1.0
+    assert "panels" not in first.summary()
     # Every row's abscissa ends a panel; each panel costs 15 evaluations.
     assert first.diagnostics["panels"] >= len(set(first.grid))
     assert first.diagnostics["integrand_evals"] >= 15 * first.diagnostics["panels"]
-
-
-def test_field_keeps_the_g_it_evaluated():
-    fld = _field("three_bodies_L", 6)
-    k = len(fld.grid) // 2
-    assert box_operator(fld.g, 6, fld.grid[k]) == fld.continuous_values[k]
-    assert "DerivedProfile" not in repr(fld)
-    assert "panels" not in fld.summary()
 
 
 # ----------------------------------------------------- random profiles
@@ -156,13 +150,14 @@ def test_every_row_equals_its_own_box_operator_call(name, dim):
     # joint rows from its classification jets; a single point gives the
     # same bits.
     fld = _field(name, dim)
+    g = field_g(_body(name, dim), uniform_points=POINTS)
     classes = {t: cls for t, cls, _ in fld.breakpoint_classes}
     for t, v, left in zip(fld.grid, fld.continuous_values, fld.is_left_limit):
         if t not in classes:
-            assert box_operator(fld.g, dim, t) == v, t
+            assert box_operator(g, dim, t) == v, t
         else:
             side = "left" if left or classes[t] == "C2+" else "right"
-            assert box_operator(fld.g, dim, t, side=side) == v, (t, side)
+            assert box_operator(g, dim, t, side=side) == v, (t, side)
 
 
 def test_joint_rows_come_from_the_classification_jets(monkeypatch):
@@ -214,47 +209,20 @@ def test_moment_pass_stops_once_every_node_meets_its_tolerance():
         obstruction_field(body, uniform_points=POINTS)
 
 
-def test_off_grid_queries_leave_the_field_as_built(monkeypatch):
-    # A query of g off the grid integrates its points in a pass of its own
-    # and keeps nothing: the table, the diagnostics and the bits of a later
-    # query are those of a field nobody asked before.  (A table that kept
-    # such passes gave the cylinder in R^6 a second value 5.1e-13 off.)
-    tables = []
-
-    class Recorded(MomentTable):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            tables.append(self)
-
-    monkeypatch.setattr(transform, "MomentTable", Recorded)
-    body = _body("cylinder", 6)
-    fresh = obstruction_field(body, uniform_points=POINTS)
-    used = obstruction_field(body, uniform_points=POINTS)
-    table = tables[-1]
-    nodes, values = table._nodes.copy(), table._values.copy()
-    diagnostics = dict(table.diagnostics)
-    points = np.array([0.3337, 0.81234])
-    assert not np.isin(points, used.grid).any()
-    used.g.value(0.3337)
-    assert (box_operator(used.g, 6, points).tolist()
-            == box_operator(fresh.g, 6, points).tolist())
-    assert np.array_equal(table._nodes, nodes) and np.array_equal(table._values, values)
-    assert table.diagnostics == diagnostics == used.diagnostics == fresh.diagnostics
-
-
 @pytest.mark.parametrize("name,dim", BODIES)
 def test_mixed_batch_returns_each_grid_row_bit_for_bit(name, dim):
+    # A batch of every 7th interior row, walked at once, gives each row's
+    # bits; a point off the field's nodes is refused (ValueError).
     fld = _field(name, dim)
+    g = field_g(_body(name, dim), uniform_points=POINTS)
     joints = [t for t, _, _ in fld.breakpoint_classes]
     rows = {t: v for t, v in zip(fld.grid, fld.continuous_values) if t not in joints}
     ts = sorted(rows)
-    on_grid = ts[1::7]
-    off_grid = [0.5 * (a + b) for a, b in zip(ts[1::7], ts[2::7])
-                if not any(a < j < b for j in joints)]
-    batch = np.array(sorted(on_grid + off_grid))
-    got = dict(zip(batch.tolist(), box_operator(fld.g, dim, batch).tolist()))
-    assert len(got) == len(on_grid) + len(off_grid)
-    assert [got[t] for t in on_grid] == [rows[t] for t in on_grid]
+    on_grid = np.array(ts[1::7])
+    assert box_operator(g, dim, on_grid).tolist() == [rows[t] for t in on_grid]
+    off_grid = 0.5 * (ts[1] + ts[2])
+    with pytest.raises(ValueError, match="is not a node of the moment table"):
+        box_operator(g, dim, np.append(on_grid, off_grid))
 
 
 def test_near_axis_rows_in_dimension_6_decide_nothing():

@@ -2,10 +2,12 @@
 
 import copy
 import importlib.util
+import inspect
 import json
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +24,8 @@ from ibodies.profile import (JOINT_TOL, MAX_EXPR_DEPTH, BodyOfRevolution, Derive
                              Piece, RadialProfile, add, classify_breakpoints, const, div,
                              exp_of, mul, neg, parse_prefix, powr, profile_from_json,
                              sqrt, sub, validate_convexity, var_t)
-from helpers import (converted_variable, masked_eval_array, masked_pieces_jet,
-                     searchsorted_index)
+from helpers import (closed_form_function, converted_variable, masked_eval_array,
+                     masked_pieces_jet, searchsorted_index)
 from reference_closed_forms import cylinder_intersection_closed_form
 
 SQ2 = math.sqrt(0.5)
@@ -134,9 +136,7 @@ def test_a_tree_built_in_python_checks_its_own_depth():
     # The depth is no part of a node's value: equal trees stay equal.
     small = parse_prefix("(add t 1)")
     assert small == add(var_t(), 1.0) and hash(small) == hash(add(var_t(), 1.0))
-    assert repr(small) == ("ExprNode(op='add', children=(ExprNode(op='t', children=(), "
-                           "value=None, exponent=None), ExprNode(op='const', children=(), "
-                           "value=1.0, exponent=None)), value=None, exponent=None)")
+    assert repr(small) == "parse_prefix('(add t 1)')"
 
 
 def test_a_tree_at_the_depth_limit_compares_copies_pickles_and_hashes():
@@ -155,6 +155,25 @@ def test_a_tree_at_the_depth_limit_compares_copies_pickles_and_hashes():
     fine = powr(var_t(), Fraction(1, 3 * 10 ** 7))
     assert pickle.loads(pickle.dumps(fine)) == fine
     assert parse_prefix(fine.to_prefix()) != fine
+
+
+def test_a_tree_at_the_depth_limit_prints_from_a_deep_caller():
+    # repr once recursed through the tree, several frames per level, and
+    # to_prefix two: repr of either tree ended in RecursionError, and so did
+    # to_prefix when called a few hundred frames deep.
+    chain = parse_prefix("(add " + " 1" * MAX_EXPR_DEPTH + ")")
+    nested = parse_prefix("(neg " * (MAX_EXPR_DEPTH - 1) + "t" + ")" * (MAX_EXPR_DEPTH - 1))
+    # Leave 100 frames free: far fewer than 2 * MAX_EXPR_DEPTH.
+    frames = sys.getrecursionlimit() - len(inspect.stack(0)) - 100
+
+    def from_depth(k, fn):
+        return fn() if k == 0 else from_depth(k - 1, fn)
+
+    for tree in (chain, nested):
+        assert tree.depth == MAX_EXPR_DEPTH
+        text = from_depth(frames, tree.to_prefix)
+        assert parse_prefix(text) == tree
+        assert from_depth(frames, lambda: repr(tree)) == f"parse_prefix({text!r})"
 
 
 def test_trees_that_differ_in_a_zero_sign_or_an_exponent_are_unequal():
@@ -247,8 +266,9 @@ def test_positivity_enforced():
     t = var_t()
     with pytest.raises(ValueError):
         RadialProfile([Piece((0.0, 1.0), sub(0.5, t))])  # vanishes at t=0.5
-    # The same shape is fine for a signed auxiliary function.
-    RadialProfile([Piece((0.0, 1.0), sub(0.5, t))], require_positive=False)
+    # The same shape is fine for a signed auxiliary function, which the
+    # tests hold in a DerivedProfile.
+    assert closed_form_function([Piece((0.0, 1.0), sub(0.5, t))]).value(0.75) == -0.25
 
 
 # ----------------------------------------------------------- classification
@@ -590,7 +610,7 @@ def test_pieces_jet_matches_the_masked_scatter_at_every_order():
         located = profile._locate(pts, pts.min(), pts.max(), "right")
         for order in range(4):
             got = profile._pieces_jet(pts, located, order)
-            want = masked_pieces_jet(profile, pts, index, order)
+            want = masked_pieces_jet(profile.pieces, pts, index, order)
             assert len(got.coeffs) == order + 1
             for c_got, c_want in zip(got.coeffs, want.coeffs):
                 assert c_got.shape == pts.shape and _bits(c_got) == _bits(c_want)
@@ -650,7 +670,7 @@ def test_dispatch_matches_the_masked_dispatch(name, points):
         assert np.unique(index).size == len(profile.pieces)
         for order in range(4):
             _assert_same_jet(profile._jet(t, order, side),
-                             masked_pieces_jet(profile, t, index, order), t.shape)
+                             masked_pieces_jet(profile.pieces, t, index, order), t.shape)
 
 
 def test_parts_of_one_point_have_the_bits_of_array_parts():
@@ -670,7 +690,7 @@ def test_parts_of_one_point_have_the_bits_of_array_parts():
                 assert [rows.size for _, rows in located].count(1) >= 2
             for order in range(4):
                 _assert_same_jet(profile._jet(t, order, side),
-                                 masked_pieces_jet(profile, t, index, order), t.shape)
+                                 masked_pieces_jet(profile.pieces, t, index, order), t.shape)
 
 
 def _many_pieces(n):
@@ -751,15 +771,11 @@ def test_prefix_round_trip_keeps_every_bit_of_eval_array(tree):
     text = tree.to_prefix()
     back = parse_prefix(text)
     assert back.to_prefix() == text
+    # A random tree is often negative somewhere, so each is walked as a
+    # signed one-piece function: the value walk eval_array runs on a piece.
     grid = np.linspace(0.0, 1.0, 61)
-    with np.errstate(all="ignore"):
-        profiles = [_outcome(lambda e=e: RadialProfile([Piece((0.0, 1.0), e)],
-                                                       require_positive=False))
-                    for e in (tree, back)]
-        if isinstance(profiles[0], type):
-            assert profiles[1] is profiles[0]
-            return
-        want, got = (_outcome(lambda p=p: p.eval_array(grid)) for p in profiles)
+    want, got = (_outcome(lambda e=e: closed_form_function([Piece((0.0, 1.0), e)])
+                          ._jet(grid, 0).value) for e in (tree, back))
     if isinstance(want, type):
         assert got is want
     else:

@@ -20,9 +20,9 @@ from ibodies.profile import JOINT_TOL, Piece, RadialProfile, add, mul, var_t
 from ibodies.transform import (MomentTable, box_operator, default_grid, h_jet,
                                intersection_radial, inverse_radon,
                                obstruction_field)
-from helpers import fd_check, inverse_radon_brute, value_at
+from helpers import closed_form_function, fd_check, inverse_radon_brute, value_at
 from reference_closed_forms import cylinder_intersection_closed_form, radon_transform
-from reference_moments import reciprocal_intersection_profile
+from reference_moments import field_g, reciprocal_intersection_profile
 
 SQ2 = math.sqrt(0.5)
 
@@ -127,6 +127,35 @@ def test_dimension_outside_four_and_six_is_rejected_alike():
             call()
 
 
+def test_h_jet_checks_the_order_before_it_integrates(monkeypatch):
+    requests = []
+    monkeypatch.setattr(transform, "integrate", requests.append)
+    with pytest.raises(ValueError, match="^order must be between 0 and 4$"):
+        h_jet(_body("ball").profile, 4, 0.5, order=5)
+    assert requests == []
+
+
+def test_moment_table_reads_only_its_nodes():
+    # One pass over the nodes at construction; a point that is not a node
+    # is refused, with or without nodes, and nothing is integrated for it.
+    ball = _body("ball").profile
+    table = MomentTable(ball, 5, 6, [0.5, 0.25, 0.5])
+    b, c = table.at(np.array([0.5, 0.25, 0.5]))
+    assert np.allclose(b, [0.5, 0.25, 0.5], rtol=1e-14)
+    assert np.allclose(c, [0.5 ** 3 / 3, 0.25 ** 3 / 3, 0.5 ** 3 / 3], rtol=1e-14)
+    diagnostics = dict(table.diagnostics)
+    for x in ([0.25, 0.3], [1.0], [0.1], [math.nan]):
+        with pytest.raises(ValueError, match=r"^x=.* is not a node of the moment table$"):
+            table.at(np.array(x))
+    assert table.diagnostics == diagnostics
+    empty = MomentTable(ball, 3, 4)
+    assert empty.diagnostics == {"panels": 0, "integrand_evals": 0, "max_depth": 0,
+                                 "worst_error_fraction": 0.0}
+    assert empty.at(np.array([]))[0].size == 0
+    with pytest.raises(ValueError, match=r"^x=0.5 is not a node of the moment table$"):
+        empty.at(np.array([0.5]))
+
+
 def test_h_jet_matches_finite_differences():
     # The jet route uses localization identities; the check re-derives h'
     # from values of h alone.
@@ -141,6 +170,23 @@ def test_h_jet_matches_finite_differences():
 
 
 # -------------------------------------------------------- intersection radial
+
+BUILTINS = [(name, dim, params) for name, params in (
+    ("ball", {}), ("cylinder", {}), ("cyl_caps", {}), ("cyl_caps_KM", {"M": 2.25}),
+    ("octagon_Kb", {"b": 0.65}), ("lp_revolution", {"p": 4.5}), ("exp_decay", {}),
+    ("three_bodies_L", {})) for dim in (4, 6)]
+
+
+@pytest.mark.parametrize("name,dim,params", BUILTINS)
+def test_intersection_profile_integrates_each_query_on_its_own(name, dim, params):
+    # A query's moments come from a table over its own points: a value has
+    # the bits of the reciprocal on a one-node table, whatever was asked before.
+    body = _body(name, dim, **params)
+    ir = intersection_radial(body)
+    for x in (5e-5, 0.3, SQ2, 0.9, 1.0):
+        table = MomentTable(body.profile, dim - 1, dim, [x])
+        assert ir.value(x) == 1.0 / reciprocal_intersection_profile(body, table).value(x)
+
 
 def test_intersection_profile_of_balls_is_constant():
     ir4 = intersection_radial(_body("ball", 4))
@@ -267,8 +313,7 @@ def test_inverse_radon_brute_agrees_with_local_formula():
 def test_box_operator_on_affine_input():
     # (1-t^2) g'' - (n-1) t g' + (n-1) g maps alpha + beta*t to (n-1) alpha.
     t = var_t()
-    aff = RadialProfile([Piece((0.0, 1.0), add(2.5, mul(-0.75, t)))],
-                        name="affine", require_positive=False)
+    aff = closed_form_function([Piece((0.0, 1.0), add(2.5, mul(-0.75, t)))], name="affine")
     assert abs(box_operator(aff, 4, 0.6) - 7.5) < 1e-12
     assert abs(box_operator(aff, 6, 0.3) - 12.5) < 1e-12
 
@@ -299,15 +344,17 @@ def test_the_joint_band_is_joint_tol_wide_for_the_grid_the_rows_and_the_profile(
     assert b == SQ2
     near = [b - JOINT_TOL / 2, b + JOINT_TOL / 2]
     far = [b - 2 * JOINT_TOL, b + 2 * JOINT_TOL]
-    fld = obstruction_field(body, grid=[0.3, far[0], near[0], b, near[1], far[1]])
+    grid = [0.3, far[0], near[0], b, near[1], far[1]]
+    fld = obstruction_field(body, grid=grid)
+    g = field_g(body, grid=grid)
     # The points within the band fold into the two one-sided joint rows.
     assert fld.grid == [0.3, far[0], b, b, far[1]]
     assert fld.is_left_limit == [False, False, True, False, False]
-    assert fld.continuous_values[2:4] == [box_operator(fld.g, 4, b, side)
+    assert fld.continuous_values[2:4] == [box_operator(g, 4, b, side)
                                           for side in ("left", "right")]
     # The points just outside it are interior rows, evaluated without a side.
     for t, v in zip(far, [fld.continuous_values[1], fld.continuous_values[4]]):
-        assert v == box_operator(fld.g, 4, t)
+        assert v == box_operator(g, 4, t)
     grid = default_grid([b], uniform_points=2000)
     assert not np.any(np.abs(grid - b) <= JOINT_TOL)
     with pytest.raises(SideRequired):
@@ -380,6 +427,18 @@ def test_flat_top_field_is_negative_at_the_equator():
     assert fld.verdict == "NotPolarZonoid"
     assert value_at(fld, 1.0) < 0.0
     assert fld.min_location > 0.9
+
+
+def test_an_empty_grid_gives_a_field_of_the_joint_rows_alone():
+    # Without grid points a ball has no row and no moment pass, and certifies
+    # nothing; a body with a joint keeps its two joint rows.
+    fld = obstruction_field(_body("ball", 4), grid=[])
+    assert (fld.grid, fld.continuous_values, fld.atoms, fld.sign_changes) == ([], [], [], [])
+    assert fld.verdict == "Inconclusive" and fld.witness is None
+    assert math.isnan(fld.min_value) and math.isnan(fld.min_location)
+    assert fld.diagnostics == {"panels": 0, "integrand_evals": 0, "max_depth": 0,
+                               "worst_error_fraction": 0.0}
+    assert obstruction_field(_body("cyl_caps", 6), grid=[]).grid == [SQ2, SQ2]
 
 
 def test_field_grid_validation():
