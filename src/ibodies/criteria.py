@@ -1,10 +1,11 @@
 """Closed-form sufficient conditions for "not a polar zonoid".
 
 Each criterion inspects only boundary jets at the axis direction (t=1) and
-one quadrature pass of moments over [0, 1] (prop4 and cor6 stack h and k as
-two integrands of it), and certifies -- when its strict inequality holds --
-that the intersection body of the input body of revolution is not a polar
-zonoid.  The conditions are one-sided: a failed inequality concludes nothing.
+the rows of a transform.MomentTable over the single node 1 (int rho^3 in
+dimension 4, h and k below in dimension 6), and certifies -- when its strict
+inequality holds -- that the intersection body of the input body of
+revolution is not a polar zonoid.  The conditions are one-sided: a failed
+inequality concludes nothing.
 
 Dimension 4 ("prop1"):   2 rho(1)^4  >  3 (int_0^1 rho^3) (rho(1) + rho'(1))
 Dimension 6 ("prop4"):   h^2 (5r + r') + 24 k^3  <  12 h k r   at t = 1,
@@ -53,17 +54,15 @@ from typing import Optional
 
 import numpy as np
 
-# integrate is read as a name of this module, so a tracer can wrap criteria.integrate.
-from .calculus import DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate
+# integrate is unused here (MomentTable integrates); perfbench's tracer patches it.
+from .calculus import DEFAULT_SETTINGS, Settings, integrate  # noqa: F401
 from .errors import FlatTopRequired
 from .profile import RadialProfile
+from .transform import INCONCLUSIVE, NOT_POLAR_ZONOID, MomentTable
 
 # A strict inequality is only trusted when the margin clears this relative band.
 STRICTNESS = 1e-9
 FLAT_TOP_TOL = 1e-9
-
-NOT_POLAR_ZONOID = "NotPolarZonoid"
-INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass
@@ -107,11 +106,10 @@ def _flat_top(rho1: float, drho1: float) -> tuple:
     return value, abs(value) <= FLAT_TOP_TOL * max(abs(rho1), abs(drho1))
 
 
-def _rho3_moment(profile: RadialProfile, settings: Settings = DEFAULT_SETTINGS) -> float:
-    """int rho^3 over [0, 1], prop1's one pass."""
-    return float(integrate(QuadratureRequest(
-        lambda t: profile.eval_array(t) ** 3, [1.0],
-        profile.breakpoint_locations, settings)).values[0, 0])
+def _h_k_at_one(profile: RadialProfile, settings: Settings) -> tuple:
+    """(h(1), k(1)): the two rows of the dimension-6 MomentTable at the node 1."""
+    h1, k1 = MomentTable(profile, 6, [1.0], settings).at(np.ones(1))
+    return float(h1[0]), float(k1[0])
 
 
 def prop1_check(profile: RadialProfile,
@@ -119,7 +117,7 @@ def prop1_check(profile: RadialProfile,
     """Dimension-4 criterion: 2 rho(1)^4 > 3 (int_0^1 rho^3 dt)(rho(1)+rho'(1))."""
     rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     flat = rho1 + drho1
-    int_rho3 = _rho3_moment(profile, settings)
+    int_rho3 = float(MomentTable(profile, 4, [1.0], settings).at(np.ones(1))[0][0])
     lhs = 2.0 * rho1 ** 4
     rhs = 3.0 * int_rho3 * flat
     return _report("prop1", profile, lhs, rhs, lhs - rhs, {
@@ -128,20 +126,13 @@ def prop1_check(profile: RadialProfile,
     })
 
 
-def _sixdim_moments(profile: RadialProfile, settings: Settings = DEFAULT_SETTINGS) -> tuple:
-    """(h(1), k(1)) from one pass; h is its own integral, as int rho^5 - k rounds otherwise."""
-    return tuple(integrate(QuadratureRequest(
-        lambda t: profile.eval_array(t) ** 5 * np.stack([1.0 - t * t, t * t]), [1.0],
-        profile.breakpoint_locations, settings)).values[:, 0].tolist())
-
-
 def prop4_check(profile: RadialProfile,
                 settings: Settings = DEFAULT_SETTINGS) -> CriterionReport:
     """Dimension-6 criterion: h^2(5r + r') + 24 k^3 < 12 h k r at t=1."""
     rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     r1 = rho1 ** 5
     rp1 = 5.0 * rho1 ** 4 * drho1
-    h1, k1 = _sixdim_moments(profile, settings)
+    h1, k1 = _h_k_at_one(profile, settings)
     lhs = h1 ** 2 * (5.0 * r1 + rp1) + 24.0 * k1 ** 3
     rhs = 12.0 * h1 * k1 * r1
     return _report("prop4", profile, lhs, rhs, rhs - lhs, {
@@ -166,7 +157,7 @@ def cor6_check(profile: RadialProfile,
             f"flat-top condition fails: rho(1) + rho'(1) = {flat_value:.6g}"
         )
     r1 = rho1 ** 5
-    h1, k1 = _sixdim_moments(profile, settings)
+    h1, k1 = _h_k_at_one(profile, settings)
     lhs = 2.0 * k1 ** 2
     rhs = h1 * r1
     return _report("cor6", profile, lhs, rhs, rhs - lhs, {

@@ -25,10 +25,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .calculus import DEFAULT_SETTINGS, RefinedRoot, RootBracket, Settings, find_root
-from .criteria import NOT_POLAR_ZONOID, check_for_dimension, criterion_name
+from .criteria import check_for_dimension, criterion_name
 from .errors import InvalidParam
 from .profile import (JOINT_TOL, BodyOfRevolution, ExprNode, Piece, RadialProfile, add,
                       const, div, exp_of, mul, neg, powr, sqrt, sub, var_t)
+from .transform import NOT_POLAR_ZONOID
 
 _SQ2 = math.sqrt(0.5)  # 1/sqrt(2), the recurring breakpoint
 

@@ -548,13 +548,17 @@ class RadialProfile(DerivedProfile):
     # ------------------------------------------------------------ invariants
 
     def _validate_values(self):
+        # Ends and joints included: a profile that vanishes there certifies falsely.
         for p in self.pieces:
             a, b = p.interval
-            grid = np.linspace(a, b, 35)[1:-1]
-            with np.errstate(all="ignore"):
-                vals = p.expr.eval_value(grid)
+            grid = np.linspace(a, b, 35)
+            try:  # refused: a vanishing base of a negative power, an exp past a float
+                with np.errstate(all="ignore"):
+                    vals = p.expr.eval_value(grid)
+            except (SmoothnessError, OverflowError) as e:
+                raise ValueError(f"piece on [{a}, {b}] has no finite value: {e}") from e
             if not np.all(np.isfinite(vals)):
-                raise ValueError(f"piece on [{a}, {b}] is not finite on its interior")
+                raise ValueError(f"piece on [{a}, {b}] is not finite on its closed interval")
             if not np.all(vals > 0.0):
                 raise ValueError(f"piece on [{a}, {b}] is not strictly positive")
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .calculus import (DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate,
                        sorted_unique)
-from .criteria import INCONCLUSIVE, NOT_POLAR_ZONOID
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
 from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile, RadialProfile,
@@ -37,7 +36,7 @@ _EPS_AXIS = 1e-6  # lower evaluation cutoff: the pipeline formulas hold on (0, 1
 # c_n in rho_IK = c_n h_n(x) / x^(n-3).
 _IK_FACTOR = {4: 1.0, 6: 1.5}
 # In dimension 6 the jet of x^3/h below this t divides by h(t) ~ t^5 and
-# amplifies the rounding of B and C past the field's own size there (e.g.
+# amplifies the rounding of the moments past the field's own size there (e.g.
 # -5.9e-3 at t = 1e-6 where the field is ~36 t^2).  Such rows take the Taylor
 # series of rho^5 at 0 instead (_axis_series); without one they certify
 # nothing.
@@ -48,6 +47,9 @@ _AXIS_SERIES_ORDER = 6
 _CLUSTER_POINTS = 20
 # A density value certifies below -NEGATIVITY_SCALE * max|density|.
 NEGATIVITY_SCALE = 1e-7
+# The two verdicts of every route: the field here, the criteria and sweeps.
+NOT_POLAR_ZONOID = "NotPolarZonoid"
+INCONCLUSIVE = "Inconclusive"
 
 
 def _require_dimension(n: int) -> None:
@@ -58,18 +60,18 @@ def _require_dimension(n: int) -> None:
 # --------------------------------------------------------------- kernel jets
 
 class MomentTable:
-    """Moments B(x) = int_0^x q and, for n = 6, C(x) = int_0^x t^2 q.
+    """Every moment the field and the criteria read, of q = rho^(n-1):
+    B(x) = int_0^x q (n = 4), or D(x) = int_0^x (1 - t^2) q and C(x) =
+    int_0^x t^2 q (n = 6), each with its own error control (h(1) = D(1);
+    B(1) - C(1) loses B/h for a body elongated along its axis).  One
+    :func:`integrate` pass over ``nodes`` at ``settings``, at construction;
+    the table never changes, and :meth:`at` only reads it.  ``diagnostics``
+    holds the counters of that pass (all zero without nodes)."""
 
-    Here q = profile^power.  The table is one :func:`integrate` pass over
-    ``nodes`` at the tolerances of ``settings``, run at construction; it
-    never changes, and :meth:`at` only reads it.  ``diagnostics`` holds the
-    counters of that pass (all zero without nodes).
-    """
-
-    def __init__(self, profile: RadialProfile, power: int, n: int,
-                 nodes: Sequence[float] = (), settings: Settings = DEFAULT_SETTINGS):
+    def __init__(self, profile: RadialProfile, n: int, nodes: Sequence[float] = (),
+                 settings: Settings = DEFAULT_SETTINGS):
         _require_dimension(n)
-        self.power, self.n = power, n
+        self.n = n
         nodes = np.asarray(nodes, dtype=float).ravel()
         self._nodes, self._values = nodes, np.empty((1 if n == 4 else 2, 0))
         counters = (0, 0, 0, 0.0)
@@ -79,8 +81,8 @@ class MomentTable:
                 raise DomainError(f"upper limit must lie in (0, 1], got {nodes[outside][0]}")
 
             def integrand(t: np.ndarray) -> np.ndarray:
-                q = profile.eval_array(t) ** power
-                return q if n == 4 else np.stack([q, t * t * q])
+                q = profile.eval_array(t) ** (n - 1)
+                return q if n == 4 else q * np.stack([1.0 - t * t, t * t])
 
             res = integrate(QuadratureRequest(integrand, nodes,
                                               profile.breakpoint_locations, settings))
@@ -90,8 +92,8 @@ class MomentTable:
                                      "worst_error_fraction"), counters))
 
     def at(self, x: np.ndarray) -> tuple:
-        """(B(x), C(x)) at an array of the table's nodes; C is None for n = 4.
-        A point that is not a node raises ValueError."""
+        """(B(x), None) for n = 4 or (D(x), C(x)) for n = 6, at an array of
+        the table's nodes.  A point that is not a node raises ValueError."""
         # x is in the sorted table where the first node not below it equals
         # it; past the last node stands a NaN, which equals nothing (np.isin
         # would import numpy.ma at cold start).
@@ -110,37 +112,39 @@ def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
 
 # ------------------------------------------------------------------ h and IK
 
-def h_jet(profile: RadialProfile, n: int, x, order: int = 4,
-          side: Optional[str] = None, moments: Optional[MomentTable] = None) -> Jet:
-    """Jet of H(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at x, a float
-    (a float jet is returned) or an array of points (an array jet).
+def h_jet(profile: RadialProfile, x, moments: MomentTable, order: int = 4,
+          side: Optional[str] = None) -> Jet:
+    """Jet of h_n(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at x, a
+    float (a float jet is returned) or an array of points (an array jet).
 
-    q = profile^power, B = int_0^x q and C = int_0^x t^2 q come from
-    ``moments``, a :class:`MomentTable` that holds x; without one, q =
-    rho^(n-1), so H = h_n, from a table over x (which checks n and x).  For n = 4
-    and 6 every derivative of H above the first (n=4) or second (n=6)
-    localizes to jets of q at t = x, so the jet is exact:
+    The moments of q = rho^(n-1) (n = ``moments.n``) are read from
+    ``moments``, the :class:`MomentTable` of ``profile`` that holds x; a
+    point that is not one of its nodes raises ValueError.  Every derivative
+    of H = h_n above the first (n=4) or second (n=6) localizes to jets of q
+    at t = x, so the jet is exact (B = D + C for n = 6):
 
       n=4:  H = B,  H' = q
-      n=6:  H = x^2 B - C;
+      n=6:  H = x^2 B - C = x^2 D - (1 - x^2) C;
             H' = 2xB,  H'' = 2B + 2xq,  H''' = 4q + 2xq',  H'''' = 6q' + 2xq''
     """
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
+    n = moments.n
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    moments = moments or MomentTable(profile, n - 1, n, xs)
-    b_val, c_val = moments.at(xs)
+    d_val, c_val = moments.at(xs)  # d_val is B for n = 4
     if n == 4:
-        derivs = [b_val]
+        derivs = [d_val]
         if order >= 1:
-            jq = profile._jet(xs, order - 1, side) ** moments.power
+            jq = profile._jet(xs, order - 1, side) ** (n - 1)
             derivs += [jq.deriv(k - 1) for k in range(1, order + 1)]
     else:
-        derivs = [xs * xs * b_val - c_val]
+        b_val = d_val + c_val
+        # (1 - x)(1 + x) keeps the bits of 1 - x^2 near x = 1; H(1) = D(1).
+        derivs = [xs * xs * d_val - (1.0 - xs) * (1.0 + xs) * c_val]
         if order >= 1:
             derivs.append(2.0 * xs * b_val)
         if order >= 2:
-            jq = profile._jet(xs, order - 2, side) ** moments.power
+            jq = profile._jet(xs, order - 2, side) ** (n - 1)
             q0 = jq.deriv(0)
             derivs.append(2.0 * b_val + 2.0 * xs * q0)
             if order >= 3:
@@ -165,7 +169,7 @@ def intersection_radial(body: BodyOfRevolution,
     n = body.dimension
     _require_dimension(n)
     profile = body.profile
-    reciprocal = _reciprocal(body, lambda x: MomentTable(profile, n - 1, n, x, settings),
+    reciprocal = _reciprocal(body, lambda x: MomentTable(profile, n, x, settings),
                              _axis_series(profile, n))
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
@@ -180,7 +184,7 @@ def _axis_series(profile: RadialProfile, n: int) -> Optional[list]:
     """Coefficients a_j of c_6 h_6(x)/x^3 = sum_j a_j x^j near the axis.
 
     With rho^5 = sum_j q_j t^j on the first piece, h_6(x) = sum_j 2 q_j
-    x^(j+3) / ((j+1)(j+3)): a sum without the cancellation of x^2 B - C.
+    x^(j+3) / ((j+1)(j+3)): a sum without the cancellation of the moments.
     None in dimension 4, when the first piece ends below _AXIS_NOISE_T, or
     when rho^5 has no finite jet of order _AXIS_SERIES_ORDER at 0 (a t^4.5
     term, say).
@@ -214,7 +218,7 @@ def _reciprocal(body: BodyOfRevolution, moments: Callable[[np.ndarray], MomentTa
     profile = body.profile
 
     def from_moments(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(profile, n, x, order, side, moments=moments(x))
+        jh = h_jet(profile, x, moments(x), order, side)
         return Jet.variable(x, order) ** (n - 3) / (jh * _IK_FACTOR[n])
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
@@ -405,8 +409,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
             raise DomainError("grid points must lie in (0, 1]")
     # Rows evaluate g at grid points and joints only, so one cumulative pass
     # over those nodes serves every moment the field needs.
-    moments = MomentTable(body.profile, n - 1, n, np.concatenate([grid_arr, breaks]),
-                          settings)
+    moments = MomentTable(body.profile, n, np.concatenate([grid_arr, breaks]), settings)
     g = inverse_radon(_reciprocal(body, lambda x: moments, series), n)
 
     joints = classify_breakpoints(g)

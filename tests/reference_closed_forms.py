@@ -11,11 +11,11 @@ from typing import Optional
 
 import numpy as np
 
-from ibodies.criteria import _sixdim_moments, cor6_check, prop1_check
-from ibodies.errors import DomainError, InvalidParam
+from ibodies.criteria import cor6_check, prop1_check, prop4_check
+from ibodies.errors import InvalidParam
 from ibodies.families import FamilySpec, instantiate
 from ibodies.jets import Jet
-from ibodies.profile import (COSINE, SINE, DerivedProfile, Piece, RadialProfile,
+from ibodies.profile import (SINE, DerivedProfile, Piece, RadialProfile,
                              add, div, mul, powr, sub, var_t)
 from ibodies.transform import _EPS_AXIS, MomentTable, _require_dimension, h_jet
 from helpers import closed_form_function
@@ -35,13 +35,16 @@ def vamos_numerator(profile: RadialProfile) -> float:
         48 h^3 - 6 h'^3 + 2 h h' (15 h' + 3 h'') - h^2 (57 h' + 15 h'' + h''')
 
     evaluated at t=1 with the exact identities h' = 2 int_0^1 rho^5 dt,
-    h'' = h' + 2 r(1), h''' = 4 r(1) + 2 r'(1).  Its sign always matches the
-    dimension-6 criterion margin (it equals exactly twice that margin).
+    h'' = h' + 2 r(1), h''' = 4 r(1) + 2 r'(1), with r = rho^5 from the
+    profile's own jet and h(1), k(1) from prop4's report.  Its sign always
+    matches the dimension-6 criterion margin (it equals exactly twice that
+    margin).
     """
     rho1, drho1 = profile.eval_jet(1.0, 1, "left")
     r1 = rho1 ** 5
     rp1 = 5.0 * rho1 ** 4 * drho1
-    h1, k1 = _sixdim_moments(profile)
+    moments = prop4_check(profile).intermediates
+    h1, k1 = moments["h(1)"], moments["k(1)"]
     hp = 2.0 * (h1 + k1)
     hpp = hp + 2.0 * r1
     hppp = 4.0 * r1 + 2.0 * rp1
@@ -52,24 +55,23 @@ def vamos_numerator(profile: RadialProfile) -> float:
 
 # ----------------------------------------------------------------- transform
 
-def radon_transform(q: DerivedProfile, n: int) -> DerivedProfile:
-    """Forward spherical Radon transform of a rotationally symmetric function.
+def radon_transform(rho: RadialProfile, n: int) -> DerivedProfile:
+    """Forward spherical Radon transform of the rotationally symmetric
+    function q = rho^(n-1) of t (cosine convention).
 
-    Input q is a function of t (cosine convention); output is the function
-    x -> x^(3-n) * integral_0^x q(t) (x^2-t^2)^((n-4)/2) dt of the sine of
-    the vertical angle, constants omitted.
+    The output is the function x -> x^(3-n) * integral_0^x q(t)
+    (x^2-t^2)^((n-4)/2) dt = h_n(x) / x^(n-3) of the sine of the vertical
+    angle, constants omitted.  A positive q is passed as rho = q^(1/(n-1)).
     """
     _require_dimension(n)
-    if q.variable != COSINE:
-        raise DomainError("forward transform input must use the cosine convention")
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(q, n, x, order, side, moments=MomentTable(q, 1, n, x))
+        jh = h_jet(rho, x, MomentTable(rho, n, x), order, side)
         return jh / Jet.variable(x, order) ** (n - 3)
 
-    return DerivedProfile(source, q.breakpoint_locations, domain=(_EPS_AXIS, 1.0),
+    return DerivedProfile(source, rho.breakpoint_locations, domain=(_EPS_AXIS, 1.0),
                           variable=SINE, max_order=4,
-                          name=f"radon[{q.name or 'q'}]")
+                          name=f"radon[{rho.name or 'rho'}^{n - 1}]")
 
 
 def cylinder_intersection_closed_form() -> DerivedProfile:

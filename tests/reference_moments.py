@@ -23,27 +23,27 @@ from reference_quadpack import integrate
 
 
 class ScalarMoments:
-    """B(x) and (n = 6) C(x) by one scalar quadrature each, per point, at
-    every call; x is an array of points, as the table receives it."""
+    """B(x) (n = 4), or D(x) and C(x) (n = 6), by one scalar quadrature
+    each, per point, at every call; x is an array of points, as the table
+    receives it."""
 
-    def __init__(self, profile, power, n):
-        self.profile, self.power, self.n = profile, power, n
+    def __init__(self, profile, n):
+        self.profile, self.n = profile, n
 
     def _at(self, x):
         bps = [b for b in self.profile.breakpoint_locations if 0.0 < b < x]
 
         def q(t):
-            return self.profile.value(t) ** self.power
+            return self.profile.value(t) ** (self.n - 1)
 
-        b_val = integrate(q, 0.0, x, bps)
         if self.n == 4:
-            return b_val, None
-        c_val = integrate(lambda t: t * t * q(t), 0.0, x, bps)
-        return b_val, c_val
+            return integrate(q, 0.0, x, bps), None
+        return (integrate(lambda t: (1.0 - t * t) * q(t), 0.0, x, bps),
+                integrate(lambda t: t * t * q(t), 0.0, x, bps))
 
     def at(self, xs):
-        b_vals, c_vals = zip(*(self._at(float(x)) for x in xs))
-        return np.array(b_vals), None if self.n == 4 else np.array(c_vals)
+        first, second = zip(*(self._at(float(x)) for x in xs))
+        return np.array(first), None if self.n == 4 else np.array(second)
 
 
 def reciprocal_intersection_profile(body, moments=None):
@@ -53,7 +53,7 @@ def reciprocal_intersection_profile(body, moments=None):
     its points in a table of their own, as ``intersection_radial`` does."""
     n = body.dimension
     _require_dimension(n)
-    return _reciprocal(body, lambda x: moments or MomentTable(body.profile, n - 1, n, x),
+    return _reciprocal(body, lambda x: moments or MomentTable(body.profile, n, x),
                        _axis_series(body.profile, n))
 
 
@@ -66,14 +66,14 @@ def field_g(body, grid=None, uniform_points=2000):
     breaks = [b for b in body.profile.breakpoint_locations if b > _EPS_AXIS]
     if grid is None:
         grid = default_grid(breaks, uniform_points=uniform_points)
-    moments = MomentTable(body.profile, n - 1, n, np.concatenate([sorted(grid), breaks]))
+    moments = MomentTable(body.profile, n, np.concatenate([sorted(grid), breaks]))
     return inverse_radon(reciprocal_intersection_profile(body, moments), n)
 
 
 def reference_g(body):
     """g = inverse_radon(x^(n-3)/h_n) with moments from :class:`ScalarMoments`."""
     n = body.dimension
-    moments = ScalarMoments(body.profile, n - 1, n)
+    moments = ScalarMoments(body.profile, n)
     return inverse_radon(reciprocal_intersection_profile(body, moments=moments), n)
 
 

@@ -7,6 +7,7 @@ the failure output otherwise).  Failing sub-checks are listed on that line.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -280,10 +281,12 @@ def test_08a_box_operator_affine_kernel():
 def test_08b_radon_round_trip():
     problems = []
     t = var_t()
-    q = RadialProfile([Piece((0.0, 1.0), add(1, mul(0.5, mul(t, t))))],
-                      name="smooth test profile")
+    q_expr = add(1, mul(0.5, mul(t, t)))
+    q = RadialProfile([Piece((0.0, 1.0), q_expr)], name="smooth test profile")
     for n, cn in ((4, 1.0), (6, 4.0)):
-        back = inverse_radon(radon_transform(q, n), n)
+        # radon_transform integrates rho^(n-1), so it is fed rho = q^(1/(n-1)).
+        rho = RadialProfile([Piece((0.0, 1.0), powr(q_expr, Fraction(1, n - 1)))])
+        back = inverse_radon(radon_transform(rho, n), n)
         worst = max(abs(back.value(float(x)) / (cn * q.value(float(x))) - 1.0)
                     for x in np.linspace(0.05, 0.95, 19))
         check(problems, worst <= 1e-6, f"n={n} worst relative error {worst!r}")

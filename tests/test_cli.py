@@ -88,9 +88,18 @@ def test_check_profile_json_route(tmp_path):
     assert "error:" in res.stderr and "--dim" in res.stderr
 
 
+# Profiles that vanish only at a piece end: positive inside every piece, so
+# a check of the interiors alone let them through to false certificates
+# (rho = 1 - t: check margin 0.75 and a NotPolarZonoid field in R^4).
+_VANISHING_ENDS = {
+    "zero-at-1": '{"pieces": [{"interval": [0, 1], "expr": "(sub 1 t)"}]}',
+    "zero-at-0": '{"pieces": [{"interval": [0, 1], "expr": "t"}]}',
+    "zero-at-the-joint": '{"pieces": [{"interval": [0, 0.5], "expr": "(sub 0.5 t)"}, '
+                         '{"interval": [0.5, 1], "expr": "(sub t 0.5)"}]}',
+}
 # Documents that parse as JSON but describe no profile: an interval outside
-# [0, 1], NaN or infinite, pieces that do not cover [0, 1], no pieces, and a
-# piece that is not positive.
+# [0, 1], NaN or infinite, pieces that do not cover [0, 1], no pieces, a
+# piece that is not positive, and the profiles above.
 _BAD_PROFILES = {
     "outside": '{"pieces": [{"interval": [0, 2], "expr": "1"}]}',
     "nan": '{"pieces": [{"interval": [0, NaN], "expr": "1"}]}',
@@ -98,6 +107,7 @@ _BAD_PROFILES = {
     "short": '{"pieces": [{"interval": [0, 0.5], "expr": "1"}]}',
     "empty": '{"pieces": []}',
     "negative": '{"pieces": [{"interval": [0, 1], "expr": "(sub t 1)"}]}',
+    **_VANISHING_ENDS,
 }
 
 
@@ -106,6 +116,16 @@ def test_check_reports_a_profile_that_is_no_profile_as_a_format_error(tmp_path, 
     path = tmp_path / "bad.json"
     path.write_text(_BAD_PROFILES[label])
     res = run("check", "--profile-json", str(path), "--dim", "4")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ProfileFormatError: "), res.stderr
+
+
+@pytest.mark.parametrize("label", sorted(_VANISHING_ENDS))
+def test_field_refuses_a_profile_that_vanishes_at_a_piece_end(tmp_path, label):
+    path = tmp_path / "bad.json"
+    path.write_text(_VANISHING_ENDS[label])
+    res = run("field", "--profile-json", str(path), "--dim", "4")
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: ProfileFormatError: "), res.stderr
@@ -405,8 +425,12 @@ def test_oracle_prints_the_golden_bytes(argv, golden):
 # bodies (the CSV by its sha256), two sweeps (one with a jump), validate, and
 # the error paths among them: each run's exit code, stdout and stderr,
 # captured from `python -m ibodies` while expressions were still walked as
-# order-0 jets for their values.  Runs start in tests/golden, where the
-# perturbed-L profile JSON lies.
+# order-0 jets for their values.  The three R^6 field CSVs were re-pinned
+# when the dimension-6 moment table began to integrate D = int (1 - t^2) q
+# in place of B = int q: the last bits of their rows moved (by at most
+# 4.2e-8 on octagon_Kb's row values of up to 204.6), no exit code or
+# summary line did.  Runs start in tests/golden, where the perturbed-L
+# profile JSON lies.
 CLI_RUNS = json.loads((GOLDEN / "cli_runs.json").read_text())
 
 

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ibodies import criteria
+from ibodies import criteria, transform
 from ibodies.calculus import Settings
-from ibodies.criteria import (_rho3_moment, _sixdim_moments, check_for_dimension,
-                              cor6_check, prop1_check, prop4_check)
+from ibodies.criteria import check_for_dimension, cor6_check, prop1_check, prop4_check
 from ibodies.errors import FlatTopRequired, SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import (BodyOfRevolution, Piece, RadialProfile, add, mul, powr,
                              profile_from_json, sub, var_t)
-from ibodies.transform import obstruction_field
+from ibodies.transform import MomentTable, h_jet, obstruction_field
 from helpers import flat_top_check, report_json, value_at
 from reference_closed_forms import flatness_curvature, vamos_numerator
 from reference_quadpack import integrate
@@ -225,8 +224,8 @@ _MOMENT_WEIGHTS = {
 }
 _CATALOGUE_PARAMS = {"cyl_caps_KM": {"M": 2.25}, "octagon_Kb": {"b": 0.65},
                      "lp_revolution": {"p": 4.5}}
-_MOMENT_BODIES = ([(name, _CATALOGUE_PARAMS.get(name, {})) for name in FAMILY_NAMES]
-                  + [("lp_revolution", {"p": p}) for p in (0.5, 1.5, 50.0)]
+_BUILTIN_BODIES = [(name, _CATALOGUE_PARAMS.get(name, {})) for name in FAMILY_NAMES]
+_MOMENT_BODIES = (_BUILTIN_BODIES + [("lp_revolution", {"p": p}) for p in (0.5, 1.5, 50.0)]
                   + [("octagon_Kb", {"b": 0.0})])
 
 
@@ -241,16 +240,40 @@ def test_criterion_moments_match_quadpack(name, params):
     # octagon_Kb(b=0) has a square-root end on its diagonal piece.  The
     # QUADPACK reference runs at 1e-13 relative, because at the library's
     # 1e-10 its own error on k(1) for p = 0.5 is 1.0e-12 of the exact 1/252.
-    # int rho^3 comes from prop1's pass, h(1) and k(1) from the stacked pass
-    # of prop4 and cor6.
+    # The moments are read from the one-node MomentTable that the criteria
+    # read (test_criterion_moments_are_the_moment_table_at_one), because
+    # lp_revolution with p < 2 and octagon_Kb(b=0) have no finite rho'(1),
+    # so no report.
     profile = _profile(name, **params)
-    moments = {"int_rho3": _rho3_moment(profile)}
-    moments["h(1)"], moments["k(1)"] = _sixdim_moments(profile)
+    (b4,), _ = MomentTable(profile, 4, [1.0]).at(np.ones(1))
+    (h6,), (k6,) = MomentTable(profile, 6, [1.0]).at(np.ones(1))
+    moments = {"int_rho3": b4, "h(1)": h6, "k(1)": k6}
     for label, weight in _MOMENT_WEIGHTS.items():
         got = moments[label]
         want = integrate(lambda t: weight(t, profile.value(t)), 0.0, 1.0,
                          profile.breakpoint_locations, Settings(rel_tol=1e-13))
         assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+def test_h_keeps_its_digits_for_a_body_elongated_along_its_axis(rel_tol):
+    # The ellipsoid of semi-axes a (axis) and 1 has rho = (t^2/a^2 +
+    # (1-t)(1+t))^(-1/2), h(1) = 2a/3 and k(1) = a^3/3.  At a = 10^4 its
+    # rho^5 sits so near t = 1 that h(1) is 2e-8 of int rho^5, so
+    # int rho^5 - k(1) rounds h(1) by 3e-9 to 6e-9 relative, past the band
+    # of STRICTNESS.  As a row of the moment table with its own error
+    # control h(1) is off by 4e-10 (the spacing of doubles near t = 1 is
+    # 1e-8 of the 1e-8 wide peak of rho^5 (1 - t^2)).  The field's row at
+    # t = 1 reads the same h(1).
+    a = 1e4
+    profile = profile_from_json({"pieces": [{"interval": [0, 1], "expr": (
+        f"(pow (add (mul {a ** -2!r} (mul t t)) (mul (sub 1 t) (add 1 t))) -1/2)")}]})
+    settings = Settings(rel_tol=rel_tol)
+    moments = prop4_check(profile, settings).intermediates
+    for label, want in (("h(1)", 2.0 * a / 3.0), ("k(1)", a ** 3 / 3.0)):
+        assert abs(moments[label] - want) <= criteria.STRICTNESS * want, label
+    table = MomentTable(profile, 6, [1.0], settings)
+    assert h_jet(profile, 1.0, table, order=0).value == moments["h(1)"]
 
 
 @pytest.mark.parametrize("name,dim,criterion,shape", [
@@ -259,20 +282,47 @@ def test_criterion_moments_match_quadpack(name, params):
                                            "cylinder-6-cor6"])
 def test_each_criterion_is_one_pass_through_integrate(name, dim, criterion, shape,
                                                       monkeypatch):
-    # The criteria integrate through the integrate that criteria imports:
-    # one single-node pass per criterion, int rho^3 for prop1, and h(1) and
-    # k(1) stacked as two integrands for prop4 and cor6.
+    # The criteria integrate through MomentTable, which calls the integrate
+    # that transform imports: one single-node pass per criterion, int rho^3
+    # for prop1, and h(1) and k(1) stacked as two integrands for prop4 and
+    # cor6.
+    # The integrate bound in criteria is never called.
     requests = []
 
-    def spy(request, _original=criteria.integrate):
+    def spy(request, _original=transform.integrate):
         requests.append(request)
         return _original(request)
 
-    monkeypatch.setattr(criteria, "integrate", spy)
+    def refuse(request):
+        raise AssertionError("criteria.integrate was called")
+
+    monkeypatch.setattr(transform, "integrate", spy)
+    monkeypatch.setattr(criteria, "integrate", refuse)
     check_for_dimension(_profile(name), dim, criterion)
     assert len(requests) == 1
     assert list(requests[0].nodes) == [1.0]
     assert np.shape(requests[0].fn(np.linspace(0.0, 1.0, 7))) == shape
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("name,params", _BUILTIN_BODIES,
+                         ids=[name for name, _ in _BUILTIN_BODIES])
+def test_criterion_moments_are_the_moment_table_at_one(name, params, dim, rel_tol):
+    # The criteria read their moments from a one-node MomentTable, bit for
+    # bit (they are positive, so == compares bits): int rho^3 = B(1) in R^4,
+    # h(1) = D(1) and k(1) = C(1) in R^6.
+    profile = _profile(name, **params)
+    settings = Settings(rel_tol=rel_tol)
+    first, second = MomentTable(profile, dim, [1.0], settings).at(np.ones(1))
+    if dim == 4:
+        assert prop1_check(profile, settings).intermediates["int_rho3"] == first[0]
+        return
+    want = {"h(1)": first[0], "k(1)": second[0]}
+    reports = [prop4_check] + [cor6_check] * flat_top_check(profile)[1]
+    for check in reports:
+        got = check(profile, settings).intermediates
+        assert {k: got[k] for k in want} == want
 
 
 # ---------------------------------------- the criteria as the field's row at t = 1

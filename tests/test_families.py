@@ -7,7 +7,7 @@ import pytest
 
 from ibodies import families
 from ibodies.calculus import find_root
-from ibodies.criteria import _sixdim_moments, cor6_check
+from ibodies.criteria import cor6_check, prop4_check
 from ibodies.errors import InvalidParam
 from ibodies.families import (DEFAULT_DIMENSION, FAMILY_NAMES, MAX_GRID_POINTS,
                               REFINE_TOL, FamilySpec, instantiate, lp_threshold,
@@ -120,7 +120,8 @@ def test_w_rejects_small_caps():
 def test_octagon_moment_closed_forms():
     for b in np.linspace(0.01, 1.0, 100):
         profile = _profile("octagon_Kb", b=float(b))
-        h1, k1 = _sixdim_moments(profile)
+        moments = prop4_check(profile).intermediates
+        h1, k1 = moments["h(1)"], moments["k(1)"]
         assert abs(h1 - octagon_h1_closed(b)) < 1e-10
         assert abs(k1 - octagon_k1_closed(b)) < 1e-10
 

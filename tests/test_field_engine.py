@@ -202,7 +202,7 @@ def test_moment_pass_stops_once_every_node_meets_its_tolerance():
     # the depth cap.  The row at t=1 itself has no finite jet.
     body = instantiate(FamilySpec("octagon_Kb", {"b": 0.0}, 6))
     grid = default_grid(body.profile.breakpoint_locations, uniform_points=POINTS)
-    moments = MomentTable(body.profile, 5, 6, grid)
+    moments = MomentTable(body.profile, 6, grid)
     assert 0 < moments.diagnostics["max_depth"] <= 20
     assert moments.diagnostics["worst_error_fraction"] <= 1.0
     with pytest.raises(SmoothnessError):

@@ -470,10 +470,21 @@ def test_profile_from_json_rejects_malformed_input():
     [{"interval": [0, 0.5], "expr": "1"}],
     [],
     [{"interval": [0, 1], "expr": "(sub t 1)"}],
-], ids=["outside", "nan", "inf", "short", "empty", "not-positive"])
+    [{"interval": [0, 1], "expr": "(sub 1 t)"}],
+    [{"interval": [0, 1], "expr": "t"}],
+    [{"interval": [0, 0.5], "expr": "(sub 0.5 t)"}, {"interval": [0.5, 1], "expr": "(sub t 0.5)"}],
+    [{"interval": [0, 1], "expr": "(pow t -1)"}],
+    [{"interval": [0, 1], "expr": "(div 1 (sub 1 t))"}],
+    [{"interval": [0, 1], "expr": "(exp (mul 1000 t))"}],
+], ids=["outside", "nan", "inf", "short", "empty", "not-positive", "zero-at-1", "zero-at-0",
+        "zero-at-the-joint", "pole-at-0", "pole-at-1", "overflow"])
 def test_profile_from_json_reports_pieces_that_make_no_profile_as_format_errors(pieces):
     # Piece and RadialProfile raise a plain ValueError for these; read from
-    # JSON, they are a malformed description.
+    # JSON, they are a malformed description.  Five are positive inside
+    # every piece but vanish or have no value at a piece end (a joint
+    # included): no body with the origin inside has such a profile, and
+    # rho = 1 - t was certified with prop1 margin 0.75.  An exp that
+    # overflows a float is no value either.
     with pytest.raises(ProfileFormatError):
         profile_from_json({"pieces": pieces})
 
@@ -589,9 +600,11 @@ def test_eval_array_takes_the_left_piece_on_a_joint():
 @pytest.mark.parametrize("expr", [const(2.0), var_t(), add(var_t(), 1.0)])
 def test_eval_array_returns_a_fresh_writable_array(expr):
     # A constant piece yields a scalar and the piece "t" yields the points
-    # themselves; neither may reach the caller.
-    profile = RadialProfile([Piece((0.0, 1.0), expr)])
-    points = np.linspace(0.1, 1.0, 5)
+    # themselves; neither may reach the caller.  The piece runs on [0.5, 1],
+    # above a constant piece (t vanishes at 0), and every point lies on it.
+    profile = RadialProfile([Piece((0.0, 0.5), const(expr.eval_value(0.5))),
+                             Piece((0.5, 1.0), expr)])
+    points = np.linspace(0.6, 1.0, 5)
     before = points.copy()
     a = profile.eval_array(points)
     b = profile.eval_array(points)
