@@ -4,8 +4,9 @@ Monte Carlo estimation of central hyperplane-section volumes.  The
 intersection-body radial function is, up to a fixed constant, the
 (n-1)-volume of the section perpendicular to the direction; since the
 pipeline omits constants, validation compares *ratios* of section volumes
-across directions against ratios of the computed profile.  The obstruction
-field names its own negative witness (``ObstructionField.witness``).
+across directions against ratios of ``intersection_radial`` at the sines of
+the angles, from one moment pass.  The obstruction field names its own
+negative witness (``ObstructionField.witness``).
 """
 
 from __future__ import annotations
@@ -183,18 +184,17 @@ def section_ratio_report(body: BodyOfRevolution,
                          angles: Sequence[float] = DEFAULT_ANGLES,
                          samples: int = 10 ** 5, seed: int = 12345,
                          settings: Settings = DEFAULT_SETTINGS) -> dict:
-    """Compare Monte Carlo section-volume ratios against the computed
-    intersection profile (integrated at the tolerances of ``settings``),
-    angle by angle versus the first (reference) angle.  Raises
-    InsufficientSamples when a section gets no hit.
+    """Compare Monte Carlo section-volume ratios against the intersection
+    profile at the sines of all the angles (one moment pass at the
+    tolerances of ``settings``), angle by angle versus the first (reference)
+    angle.  Raises InsufficientSamples when a section gets no hit.
     """
     angles = list(angles)
     if len(angles) < 2:
         raise ValueError("need at least two angles to form a ratio")
-    for phi in angles:   # bad input fails here or in ik.value, before any draw
+    for phi in angles:   # bad input fails here or at its sine, before any draw
         _section_inputs(body, phi, samples)
-    ik = intersection_radial(body, settings)
-    quad = [ik.value(math.sin(phi)) for phi in angles]
+    quad = intersection_radial(body, [math.sin(phi) for phi in angles], settings).tolist()
     estimates = [mc_section_volume(body, phi, samples, seed=seed + 7919 * i)
                  for i, phi in enumerate(angles)]
     for est in estimates:   # a ratio needs a nonzero volume and error bar

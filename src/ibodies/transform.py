@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -157,27 +157,22 @@ def h_jet(profile: RadialProfile, x, moments: MomentTable, order: int = 4,
     return jet.item(0) if np.ndim(x) == 0 else jet
 
 
-def intersection_radial(body: BodyOfRevolution,
-                        settings: Settings = DEFAULT_SETTINGS) -> DerivedProfile:
-    """Radial profile of the intersection body, x -> c_n h_n(x)/x^(n-3).
+def intersection_radial(body: BodyOfRevolution, x,
+                        settings: Settings = DEFAULT_SETTINGS) -> np.ndarray:
+    """The intersection body's radial function c_n h_n(x)/x^(n-3) at the
+    points x (sine convention, in [1e-6, 1]), as an array.
 
-    The field's inverse-Radon input (:func:`_reciprocal`, with its axis
-    series in dimension 6) turned over; evaluable (with derivatives) on
-    [1e-6, 1].  Each query integrates the points that need moments in a
-    :class:`MomentTable` of their own, at the tolerances of ``settings``.
+    One :class:`MomentTable` over x, at the tolerances of ``settings``,
+    feeds the field's inverse-Radon input (:func:`_reciprocal`, with its
+    axis series in dimension 6), whose order-0 value is turned over.  A
+    point outside [1e-6, 1] raises DomainError.
     """
     n = body.dimension
     _require_dimension(n)
-    profile = body.profile
-    reciprocal = _reciprocal(body, lambda x: MomentTable(profile, n, x, settings),
-                             _axis_series(profile, n))
-
-    def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        return 1.0 / reciprocal.jet_source(x, order, side)
-
-    return DerivedProfile(source, profile.breakpoint_locations,
-                          domain=(_EPS_AXIS, 1.0), variable=SINE, max_order=3,
-                          name=f"intersection[{body.describe()}]")
+    x = np.asarray(x, dtype=float).ravel()
+    reciprocal = _reciprocal(body, MomentTable(body.profile, n, x, settings),
+                             _axis_series(body.profile, n))
+    return 1.0 / reciprocal._jet(x, 0).value
 
 
 def _axis_series(profile: RadialProfile, n: int) -> Optional[list]:
@@ -208,17 +203,18 @@ def _series_reciprocal_jet(series: list, x: np.ndarray, order: int) -> Jet:
                       for k in range(order + 1)])
 
 
-def _reciprocal(body: BodyOfRevolution, moments: Callable[[np.ndarray], MomentTable],
+def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
                 series: Optional[list]) -> DerivedProfile:
     """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)), jets up to order 4,
-    from the table ``moments(x)`` that holds the points x; in dimension 6,
-    points below _AXIS_NOISE_T take the axis ``series`` of rho^5 instead when
-    there is one (:func:`_axis_series`) and reach no table."""
+    from the table ``moments`` (any object with ``n`` and ``at(x)``), which
+    must hold every point asked; in dimension 6, points below _AXIS_NOISE_T
+    take the axis ``series`` of rho^5 instead when there is one
+    (:func:`_axis_series`) and reach no table."""
     n = body.dimension
     profile = body.profile
 
     def from_moments(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        jh = h_jet(profile, x, moments(x), order, side)
+        jh = h_jet(profile, x, moments, order, side)
         return Jet.variable(x, order) ** (n - 3) / (jh * _IK_FACTOR[n])
 
     def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
@@ -410,7 +406,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     # Rows evaluate g at grid points and joints only, so one cumulative pass
     # over those nodes serves every moment the field needs.
     moments = MomentTable(body.profile, n, np.concatenate([grid_arr, breaks]), settings)
-    g = inverse_radon(_reciprocal(body, lambda x: moments, series), n)
+    g = inverse_radon(_reciprocal(body, moments, series), n)
 
     joints = classify_breakpoints(g)
     locs = np.array([j.location for j in joints])

@@ -6,8 +6,9 @@ The library computes the moments B(x) = int_0^x q and C(x) = int_0^x t^2 q
 scratch at every row with scipy's adaptive quadrature over [0, x]
 (``reference_quadpack.integrate``).  :class:`ScalarMoments` is that route
 behind the table's interface, so the library's own reciprocal /
-inverse-Radon / box chain can run on either
-(:func:`reciprocal_intersection_profile`); :func:`reference_rows` restates
+inverse-Radon / box chain can run on either, or on a table per query
+(:class:`QueryTables`, :func:`reciprocal_intersection_profile`);
+:func:`reference_rows` restates
 the field's row logic (grid, one-sided rows at joints, atoms) on top of it.
 :func:`field_g` rebuilds the g that a field evaluates its rows from, on a
 table over the field's own nodes.
@@ -46,14 +47,25 @@ class ScalarMoments:
         return np.array(first), None if self.n == 4 else np.array(second)
 
 
+class QueryTables:
+    """A table per query: :meth:`at` integrates the points x in a
+    :class:`MomentTable` of their own, so any point can be asked."""
+
+    def __init__(self, profile, n):
+        self.profile, self.n = profile, n
+
+    def at(self, x):
+        return MomentTable(self.profile, self.n, x).at(x)
+
+
 def reciprocal_intersection_profile(body, moments=None):
     """The inverse-Radon input x -> x^(n-3)/(c_n h_n(x)) that the field
     builds, on ``moments`` (a :class:`MomentTable` that holds every point
     asked, or :class:`ScalarMoments`); without one, each query integrates
-    its points in a table of their own, as ``intersection_radial`` does."""
+    its points in a table of their own (:class:`QueryTables`)."""
     n = body.dimension
     _require_dimension(n)
-    return _reciprocal(body, lambda x: moments or MomentTable(body.profile, n, x),
+    return _reciprocal(body, moments or QueryTables(body.profile, n),
                        _axis_series(body.profile, n))
 
 

@@ -1,7 +1,8 @@
 """One body, one field: the obstruction field depends on the body, never on
 the family name or the description it was built from, nor on joints where
-nothing changes; and the dimension-6 axis rows come from the Taylor series
-of rho^5 at 0 where it exists.
+nothing changes; an ellipsoid, a linear image of the ball, gets its exact
+field and no certificate; and the dimension-6 axis rows come from the Taylor
+series of rho^5 at 0 where it exists.
 """
 
 import functools
@@ -128,6 +129,82 @@ def test_a_smooth_fake_breakpoint_changes_no_field(case, data):
     assert len(common) >= len(old_rows) - len(fakes)
     worst = max(abs(new_rows[k] - old_rows[k]) for k in common)
     assert worst <= 1e-12 * old.max_abs
+
+
+# Cuts on grid points: a joint there adds no moment node and splits no
+# moment panel that the grid had not split already, so every row keeps its
+# bits.  A cut between grid points adds a node, and only a rounding bound
+# holds for the other rows.
+CUTS = (0.3, 0.55)
+CUT_GRID = np.concatenate([np.linspace(0.01, 1.0, 99), CUTS])
+CUT_BODIES = ["three_bodies_L", "exp_decay", "cyl_caps", "octagon_Kb", "cylinder",
+              "lp_revolution"]
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("name", CUT_BODIES)
+def test_splitting_pieces_on_grid_points_changes_no_bit(name, dim):
+    # Every piece that holds a cut splits there into pieces with the same
+    # expression: the field keeps every row, flag and atom bit for bit, and
+    # each new joint classifies as C2+.
+    body = _body(name, dim)
+    pieces = []
+    for piece in body.profile.pieces:
+        a, b = piece.interval
+        ends = [a, *(c for c in CUTS if a < c < b), b]
+        pieces += [Piece(interval, piece.expr) for interval in zip(ends, ends[1:])]
+    split = BodyOfRevolution(dim, RadialProfile(pieces))
+    old = obstruction_field(body, grid=CUT_GRID)
+    new = obstruction_field(split, grid=CUT_GRID)
+    assert new.grid == old.grid
+    assert new.continuous_values == old.continuous_values
+    assert new.is_left_limit == old.is_left_limit
+    assert new.atoms == old.atoms
+    assert new.verdict == old.verdict
+    classes = {t: c for t, c, _ in new.breakpoint_classes}
+    assert [classes[c] for c in CUTS] == ["C2+", "C2+"]
+
+
+# ------------------------------------------------------------ ellipsoids
+
+ELLIPSOID_AXES = (1e-3, 1e-2, 0.1, 0.5, 2.0, 10.0, 1e2, 1e3, 1e4, 3e4)
+# c_n in the ellipsoid's exact field (the ball's constant row).
+_ELLIPSOID_FACTOR = {4: 3.0, 6: 30.0}
+
+
+def _ellipsoid(a, dim):
+    """The ellipsoid of semi-axes a (along the axis) and 1, as prefix JSON:
+    rho = (t^2/a^2 + (1-t)(1+t))^(-1/2)."""
+    return BodyOfRevolution(dim, profile_from_json({"pieces": [{"interval": [0, 1], "expr": (
+        f"(pow (add (mul {a ** -2!r} (mul t t)) (mul (sub 1 t) (add 1 t))) -1/2)")}]}))
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_no_route_certifies_an_ellipsoid(dim):
+    # An ellipsoid is a linear image of the ball, so its intersection body
+    # is one of the ball's, a polar zonoid: a certificate would be false.
+    for a in ELLIPSOID_AXES:
+        body = _ellipsoid(a, dim)
+        assert check_for_dimension(body.profile, dim).verdict == "Inconclusive", a
+        assert obstruction_field(body).verdict == "Inconclusive", a
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
+def test_ellipsoid_rows_are_its_exact_field(a, dim):
+    # F(t) = c_n a^(n-1) (t^2 + a^2 (1 - t^2))^(-(n+1)/2).  In R^6 the rows
+    # below t = 1e-2 carry the near-axis error of the moment route and its
+    # axis series (ROADMAP item 7), hence their wider bound.
+    fld = obstruction_field(_ellipsoid(a, dim))
+    t = np.array(fld.grid)
+    exact = (_ELLIPSOID_FACTOR[dim] * a ** (dim - 1)
+             * (t * t + a * a * (1.0 - t * t)) ** (-(dim + 1) / 2))
+    rel = np.abs(np.array(fld.continuous_values) - exact) / exact
+    if dim == 4:
+        assert rel.max() <= 1e-12
+    else:
+        assert rel[t >= 1e-2].max() <= 1e-9
+        assert rel[t < 1e-2].max() <= 1e-7
 
 
 # ------------------------------------------------------------ axis rows

@@ -10,8 +10,8 @@ from scipy import stats
 
 from ibodies import (DomainError, FamilySpec, InsufficientSamples, instantiate,
                      mc_section_volume, section_ratio_report)
-from ibodies import oracle
-from ibodies.oracle import BATCHES, CHUNK
+from ibodies import oracle, transform
+from ibodies.oracle import BATCHES, CHUNK, DEFAULT_ANGLES
 from ibodies.profile import _MAX_SCAN_POINTS
 from reference_oracle import mc_section_volume_whole_batch
 
@@ -169,7 +169,7 @@ def test_vertical_cosine_second_moment_is_one_over_d(d):
 
 def test_ball_ratios_match_quadrature_exactly():
     # All sections equal, all hit rates exactly 1: every z-score is zero.
-    # In R^6 sigma is 0 and the quadrature ratio is one ulp above 1.
+    # In R^6 sigma is 0 and the quadrature ratios are 1 and one ulp above 1.
     for dim in (4, 6):
         rep = section_ratio_report(body("ball", dim), samples=2 * 10 ** 4)
         assert rep["all_within_3sigma"]
@@ -233,6 +233,23 @@ def test_report_checks_every_angle_before_any_draw(bad, monkeypatch):
     with pytest.raises(DomainError):
         section_ratio_report(b, angles=(math.pi / 2, bad), samples=10 ** 4)
     assert calls == []
+
+
+@pytest.mark.parametrize("name,dim", [("cyl_caps", 4), ("three_bodies_L", 6)])
+def test_report_makes_one_moment_pass_over_the_sines(name, dim, monkeypatch):
+    # rho_IK at every angle comes from one moment table: one integrate call
+    # per report, whose nodes are the sines of the angles.
+    requests = []
+    original = transform.integrate
+
+    def spying(request):
+        requests.append(request)
+        return original(request)
+
+    monkeypatch.setattr(transform, "integrate", spying)
+    section_ratio_report(body(name, dim), samples=10 ** 4)
+    assert len(requests) == 1
+    assert sorted(requests[0].nodes) == sorted(math.sin(phi) for phi in DEFAULT_ANGLES)
 
 
 def test_report_scans_the_profile_for_its_maximum_once(monkeypatch):

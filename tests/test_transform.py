@@ -128,8 +128,8 @@ def test_dimension_outside_four_and_six_is_rejected_alike():
     body8 = instantiate(FamilySpec("ball", {}, 8))
     calls = [lambda: MomentTable(ball.profile, 8, [0.5]),
              lambda: MomentTable(ball.profile, 8),
-             lambda: inverse_radon(intersection_radial(_body("ball", 4)), 8),
-             lambda: intersection_radial(body8),
+             lambda: inverse_radon(reciprocal_intersection_profile(_body("ball", 4)), 8),
+             lambda: intersection_radial(body8, [0.5]),
              lambda: reciprocal_intersection_profile(body8),
              lambda: obstruction_field(body8)]
     for call in calls:
@@ -196,47 +196,50 @@ BUILTINS = [(name, dim, params) for name, params in (
 
 @pytest.mark.parametrize("name,dim,params", BUILTINS)
 def test_intersection_profile_integrates_each_query_on_its_own(name, dim, params):
-    # A query's moments come from a table over its own points: a value has
-    # the bits of the reciprocal on a one-node table, whatever was asked before.
+    # A query's moments come from one table over its own points: the values
+    # have the bits of the reciprocal on that table, turned over, the axis
+    # series row (5e-5 in R^6) and a joint (1/sqrt 2) included.
     body = _body(name, dim, **params)
-    ir = intersection_radial(body)
-    for x in (5e-5, 0.3, SQ2, 0.9, 1.0):
-        table = MomentTable(body.profile, dim, [x])
-        assert ir.value(x) == 1.0 / reciprocal_intersection_profile(body, table).value(x)
+    xs = np.array([5e-5, 0.3, SQ2, 0.9, 1.0])
+    got = intersection_radial(body, xs)
+    reciprocal = reciprocal_intersection_profile(body, MomentTable(body.profile, dim, xs))
+    assert got.tolist() == [1.0 / reciprocal.value(x) for x in xs]
 
 
 def test_intersection_profile_of_balls_is_constant():
-    ir4 = intersection_radial(_body("ball", 4))
-    ir6 = intersection_radial(_body("ball", 6))
-    for x in (0.1, 0.5, 0.99):
-        assert abs(ir4.value(x) - 1.0) < 1e-12
-        assert abs(ir6.value(x) - 1.0) < 1e-12
+    xs = [0.1, 0.5, 0.99]
+    for dim in (4, 6):
+        assert np.all(np.abs(intersection_radial(_body("ball", dim), xs) - 1.0) < 1e-12)
 
 
 def test_every_profile_refuses_an_order_above_its_own_with_value_error():
     # One front checks the order for closed-form and derived profiles alike;
-    # the intersection profile has jets up to order 3.
-    ir4 = intersection_radial(_body("ball", 4))
-    assert ir4.max_order == 3
-    for profile in (ir4, _body("ball", 4).profile):
-        with pytest.raises(ValueError, match="^order must be between 0 and 3$"):
-            profile.eval_jet(0.5, 4)
-        with pytest.raises(ValueError, match="^order must be between 0 and 3$"):
+    # the field's reciprocal has jets up to order 4, the ball's profile up
+    # to order 3.
+    reciprocal = reciprocal_intersection_profile(_body("ball", 4))
+    ball = _body("ball", 4).profile
+    for profile, top in ((reciprocal, 4), (ball, 3)):
+        assert profile.max_order == top
+        with pytest.raises(ValueError, match=f"^order must be between 0 and {top}$"):
+            profile.eval_jet(0.5, top + 1)
+        with pytest.raises(ValueError, match=f"^order must be between 0 and {top}$"):
             profile.eval_jet(0.5, -1)
 
 
 def test_intersection_profile_near_the_axis_takes_the_axis_series():
-    # Below x = 1e-4 in dimension 6 the jet comes from the axis series of
-    # rho^5, as the field's does; from the moments, x^2 B - C, its order-3
-    # jet was off by up to 3.3e4 (cylinder) and 0.15 (ball) there.
-    cylinder = intersection_radial(_body("cylinder", 6))
-    ball = intersection_radial(_body("ball", 6))
+    # Below x = 1e-4 in dimension 6 the field's reciprocal x^3/(c_6 h_6)
+    # takes its jet from the axis series of rho^5; from the moments,
+    # x^2 B - C, the order-3 jet of its inverse was off by up to 3.3e4
+    # (cylinder) and 0.15 (ball) there.
+    cylinder = reciprocal_intersection_profile(_body("cylinder", 6))
+    ball = reciprocal_intersection_profile(_body("ball", 6))
     closed_form = cylinder_intersection_closed_form()
     for x in (1e-6, 1e-5, 5e-5, 9e-5):
-        for got, want in zip(cylinder.eval_jet(x, 3), closed_form.eval_jet(x, 3)):
-            assert abs(got - want) < 1e-12, x
-        for got, want in zip(ball.eval_jet(x, 3), (1.0, 0.0, 0.0, 0.0)):
-            assert abs(got - want) < 1e-12, x
+        want = (1.0 / closed_form._jet(x, 3)).derivs()
+        for got, w in zip(cylinder.eval_jet(x, 3), want):
+            assert abs(got - w) < 1e-12, x
+        for got, w in zip(ball.eval_jet(x, 3), (1.0, 0.0, 0.0, 0.0)):
+            assert abs(got - w) < 1e-12, x
 
 
 def test_cylinder_intersection_closed_form_values():
@@ -252,10 +255,11 @@ def test_cylinder_intersection_closed_form_values():
 def test_cylinder_quadrature_route_is_proportional_to_closed_form():
     # The closed form and the quadrature route share the normalization
     # (3/2) h(x)/x^3, so their ratio is 1.
-    ir = intersection_radial(_body("cylinder"))
+    xs = [0.3, SQ2, 0.85, 1.0]
+    ir = intersection_radial(_body("cylinder"), xs)
     closed_form = cylinder_intersection_closed_form()
-    for x in (0.3, SQ2, 0.85, 1.0):
-        assert abs(closed_form.value(x) / ir.value(x) - 1.0) < 1e-9
+    for x, value in zip(xs, ir):
+        assert abs(closed_form.value(x) / value - 1.0) < 1e-9
 
 
 def test_radon_round_trip_constants():
