@@ -125,10 +125,13 @@ def _gk15_panels(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
     return kronrod * half, err * half, resabs * half
 
 
-def _at_nodes(a: list, b: list, nodes: np.ndarray, *per_panel: list) -> tuple:
+def _at_nodes(a: list, b: list, nodes: np.ndarray, *per_panel: list,
+              in_order: bool = False) -> tuple:
     """Running sums of each per-panel quantity, read at every node; the
-    panels (given as lists of arrays) tile [0, max node]."""
-    order = np.argsort(np.concatenate(a), kind="stable")
+    panels (given as lists of arrays) tile [0, max node], and are sorted
+    unless ``in_order``, which only a first round's panels are (a later
+    round's are its lower halves, then its upper ones)."""
+    order = slice(None) if in_order else np.argsort(np.concatenate(a), kind="stable")
     right = np.concatenate(b)[order]
     at = np.searchsorted(right, nodes, side="right")
     out = []
@@ -165,8 +168,10 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
     its share or every node's accumulated error estimate (open panels
     counted at their current estimates) is within rel_tol times its
     integral of |f|.  A running sum over the panels, in order, gives every
-    node's value, accumulated error estimate and integral of |f|.  Results
-    are bit-reproducible for a given request.
+    node's value, accumulated error estimate and integral of |f| (a round
+    that accepts every open panel keeps them whole and ends the pass, and a
+    first round's panels are summed unsorted).  Results are bit-reproducible
+    for a given request.
 
     Raises ValueError for a node that is negative or not finite, or when no
     node lies above 0, and NoConvergence when the integrand is not finite at
@@ -206,22 +211,28 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
             # in a derivative at its end) while every node already meets the
             # tolerance; stop refining then, open panels at their estimates.
             errors, mass = _at_nodes(done_a + [a], done_b + [b], nodes,
-                                     done_err + [err], done_abs + [resabs])
+                                     done_err + [err], done_abs + [resabs],
+                                     in_order=depth == 0)
             if np.all(errors <= rel_tol * mass):
                 ok[:] = True
+        whole = ok.all()
         if ok.any():
-            done_a.append(a[ok])
-            done_b.append(b[ok])
-            done_val.append(val[:, ok])
-            done_err.append(err[:, ok])
-            done_abs.append(resabs[:, ok])
-            panels += int(ok.sum())
+            keep = slice(None) if whole else ok  # a whole round is not copied
+            done_a.append(a[keep])
+            done_b.append(b[keep])
+            done_val.append(val[:, keep])
+            done_err.append(err[:, keep])
+            done_abs.append(resabs[:, keep])
+            panels += done_a[-1].size
             max_depth = depth
+        if whole:
+            break
         bad = ~ok
         a, b = (np.concatenate([a[bad], mid[bad]]),
                 np.concatenate([mid[bad], b[bad]]))
 
-    values, errors, mass = _at_nodes(done_a, done_b, nodes, done_val, done_err, done_abs)
+    values, errors, mass = _at_nodes(done_a, done_b, nodes, done_val, done_err, done_abs,
+                                     in_order=max_depth == 0)
     # A node with no error (a zero integrand) has fraction 0, not 0 / 0.
     fraction = np.divide(errors, rel_tol * mass, out=np.zeros_like(errors), where=errors != 0)
     worst = np.unravel_index(int(np.argmax(fraction)), fraction.shape)

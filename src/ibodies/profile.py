@@ -413,33 +413,39 @@ def _refuse_outside(t: np.ndarray, lo: float, hi: float) -> None:
 
 
 def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float],
-                order: int, side: Optional[str], classes=None) -> Optional[str]:
-    """Which side of its joints an evaluation at the points ``t`` uses, one
-    side for all of them (a single point is a one-point array).
+                order: int, side, classes=None):
+    """Which side of its joints each point of ``t`` uses (a single point is
+    a one-point array): one for all ("left", "right" or None), or one per
+    point (an int8 array: -1 left, +1 right, 0 none).
 
-    Returns "left", "right" or None (no point on a joint).  Raises
-    DomainError for a point outside [lo, hi] or a ``side`` pointing out of
-    the domain at an endpoint, and SideRequired for a point on a non-smooth
-    joint without a side.  Without a side, points on joints where the
-    requested derivatives agree take "left".
+    Returns "left", "right" or None (no point on a joint), or the array.
+    No-side points on joints where the requested derivatives agree take the
+    left side.  Raises DomainError for a point outside [lo, hi] or a side
+    pointing out of the domain at an endpoint, and SideRequired for a
+    no-side point on a non-smooth joint.
     """
-    if side not in (None, "left", "right"):
+    per_point = isinstance(side, np.ndarray)
+    if not per_point and side not in (None, "left", "right"):
         raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
     if not t.size:
         return side
     _refuse_outside(t, lo, hi)
-    if side == "left" and (np.abs(t - lo) <= JOINT_TOL).any():
+    # One side gives bools: False skips a test below, True makes it everywhere.
+    code = side if per_point else {"left": -1, "right": 1, None: 0}[side]
+    left, right, free = code < 0, code > 0, code == 0
+    if left is not False and (left & (np.abs(t - lo) <= JOINT_TOL)).any():
         raise DomainError(f"no left neighborhood at the lower endpoint {lo}")
-    if side == "right" and (np.abs(t - hi) <= JOINT_TOL).any():
+    if right is not False and (right & (np.abs(t - hi) <= JOINT_TOL)).any():
         raise DomainError(f"no right neighborhood at the upper endpoint {hi}")
-    if side is not None or not len(breakpoints):
+    if free is False or not len(breakpoints):
         return side
-    hit = np.flatnonzero(near_joint(t, breakpoints).any(axis=0))
+    near = near_joint(t, breakpoints) & (free[:, None] if per_point else True)
+    hit = np.flatnonzero(near.any(axis=0))
     if not hit.size:
-        return None
+        return side
     if order == 0 or (classes is not None
                       and all(order <= _SMOOTH_TO[classes[i]] for i in hit)):
-        return "left"
+        return np.where(near.any(axis=1), np.int8(-1), side) if per_point else "left"
     raise SideRequired(
         f"t={breakpoints[hit[0]]} is a non-smooth joint; pass side='left' or "
         f"side='right' for derivatives of order {order}"
@@ -452,10 +458,10 @@ class DerivedProfile:
     Every profile is one.  A transform output (a quadrature-backed
     intersection profile, an inverse-Radon profile) is backed by
     ``jet_source(t, order, side)``, which receives a 1-D array of points and
-    returns their array jet; :class:`RadialProfile` evaluates closed-form
-    pieces instead and passes no source.  :meth:`_jet` is the one front for
-    both: it checks the order, resolves the side on the points as an array
-    and turns a float into a one-point array.
+    their resolved side and returns their array jet; :class:`RadialProfile`
+    evaluates closed-form pieces instead and passes no source.  :meth:`_jet`
+    is the one front for both: it checks the order, resolves the side on the
+    points as an array and turns a float into a one-point array.
     """
 
     # The continuity classes of the joints, in order, when the profile knows
@@ -473,8 +479,11 @@ class DerivedProfile:
         self.max_order = max_order
         self.name = name
 
-    def _jet(self, t, order: int, side: Optional[str] = None) -> Jet:
-        """Jet at t, a 1-D array of points (one side for all) or a float.
+    def _jet(self, t, order: int, side=None) -> Jet:
+        """Jet at t, a 1-D array of points or a float, on ``side``: one side
+        for all points, or for an array one per point (an int8 array, -1
+        left, +1 right, 0 none; see :func:`_array_side`).  A point's row
+        has the bits it has in a walk of its own side.
 
         A float is resolved as a one-point array and gives a float jet with
         the bits of the one-point array jet.
@@ -490,7 +499,7 @@ class DerivedProfile:
         with np.errstate(all="ignore"):
             return self._evaluate(t, ts, order, use)
 
-    def _evaluate(self, t, ts: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    def _evaluate(self, t, ts: np.ndarray, order: int, side) -> Jet:
         """The jet at t on the resolved ``side``; ``ts`` is t itself or, for
         a float, its one-point array."""
         jet = self.jet_source(ts, order, side)
@@ -573,27 +582,33 @@ class RadialProfile(DerivedProfile):
 
     # ------------------------------------------------------------ evaluation
 
-    def _locate(self, t: np.ndarray, lo: float, hi: float, side: Optional[str]):
+    def _locate(self, t: np.ndarray, lo: float, hi: float, side):
         """The pieces of the points of t, which lie in [lo, hi]: one int when
         lo and hi lie on one piece, else a (piece, integer rows) pair per
         occupied piece.  A point is above edge e when t > e (side "left") or
-        t >= e, which for all but NaN gives np.searchsorted's piece; only the
-        edges between lo and hi are compared, and their counts skip empty
-        pieces."""
-        edges, find, beyond = ((self._left_of, bisect_left, operator.gt)
-                               if side == "left"
-                               else (self._right_of, bisect_right, operator.ge))
-        first, last = find(edges, float(lo)), find(edges, float(hi))
+        t >= e, which for all but NaN gives np.searchsorted's piece; with one
+        side per point (an int8 array, see :func:`_array_side`) each point
+        compares with the edges of its own side.  Only the edges between lo
+        and hi are compared, and their counts skip empty pieces."""
+        if isinstance(side, np.ndarray):  # lo's left piece to hi's right one
+            first, last = bisect_left(self._left_of, lo), bisect_right(self._right_of, hi)
+            above = [np.where(side < 0, t > self._left_of[k], t >= self._right_of[k])
+                     for k in range(first, last)]
+        else:
+            edges, find, beyond = ((self._left_of, bisect_left, operator.gt)
+                                   if side == "left"
+                                   else (self._right_of, bisect_right, operator.ge))
+            first, last = find(edges, float(lo)), find(edges, float(hi))
+            above = [beyond(t, e) for e in edges[first:last]]
         if first == last:
             return first
-        above = [beyond(t, e) for e in edges[first:last]]
         counts = [t.size] + [np.count_nonzero(a) for a in above] + [0]
         # Piece first + j holds the points above edge j - 1 and not edge j.
         above = [True] + above + [False]
         return [(first + j, np.flatnonzero(above[j] ^ above[j + 1]))
                 for j in range(len(counts) - 1) if counts[j] > counts[j + 1]]
 
-    def _evaluate(self, t, ts: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    def _evaluate(self, t, ts: np.ndarray, order: int, side) -> Jet:
         if ts is t:
             lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
             return self._pieces_jet(t, self._locate(t, lo, hi, side), order)
@@ -716,19 +731,23 @@ def _fresh(c, t: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------- classification
 
-def classify_breakpoints(profile: DerivedProfile) -> list:
+def classify_breakpoints(profile: DerivedProfile, jet: Optional[Jet] = None) -> list:
     """Continuity class and derivative jumps of every interior joint, from
-    one left-sided and one right-sided evaluation of all of them; each
-    :class:`Breakpoint` keeps its two one-sided jets."""
+    the first rows of ``jet``, the array jet of a walk over all of them from
+    the left and then from the right (:func:`two_sided`), made here when
+    None; each :class:`Breakpoint` keeps its two one-sided jets."""
     locations = profile.breakpoint_locations
-    if not locations:
-        return []
-    locs = np.asarray(locations, dtype=float)
-    order = min(2, profile.max_order)
-    left = profile._jet(locs, order, "left")
-    right = profile._jet(locs, order, "right")
-    return [_joint_class(t0, left.item(i), right.item(i), order)
+    k, order = len(locations), min(2, profile.max_order)
+    if k and jet is None:
+        jet = profile._jet(np.array(locations * 2, dtype=float), order, two_sided(k))
+    return [_joint_class(t0, jet.item(i), jet.item(k + i), order)
             for i, t0 in enumerate(locations)]
+
+
+def two_sided(joints: int, others: int = 0) -> np.ndarray:
+    """The sides of a walk over ``joints`` joints from the left, the same
+    joints from the right, then ``others`` points without a side."""
+    return np.repeat(np.array([-1, 1, 0], dtype=np.int8), [joints, joints, others])
 
 
 def _joint_class(t0: float, left_jet: Jet, right_jet: Jet, order: int) -> Breakpoint:

@@ -30,7 +30,7 @@ from .calculus import (DEFAULT_SETTINGS, QuadratureRequest, Settings, integrate,
 from .errors import DomainError, SmoothnessError
 from .jets import Jet
 from .profile import (COSINE, SINE, BodyOfRevolution, DerivedProfile, RadialProfile,
-                      classify_breakpoints, near_joint)
+                      classify_breakpoints, near_joint, two_sided)
 
 _EPS_AXIS = 1e-6  # lower evaluation cutoff: the pipeline formulas hold on (0, 1]
 # c_n in rho_IK = c_n h_n(x) / x^(n-3).
@@ -113,7 +113,7 @@ def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
 # ------------------------------------------------------------------ h and IK
 
 def h_jet(profile: RadialProfile, x, moments: MomentTable, order: int = 4,
-          side: Optional[str] = None) -> Jet:
+          side=None) -> Jet:
     """Jet of h_n(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at x, a
     float (a float jet is returned) or an array of points (an array jet).
 
@@ -209,15 +209,16 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
     from the table ``moments`` (any object with ``n`` and ``at(x)``), which
     must hold every point asked; in dimension 6, points below _AXIS_NOISE_T
     take the axis ``series`` of rho^5 instead when there is one
-    (:func:`_axis_series`) and reach no table."""
+    (:func:`_axis_series`) and reach no table; per-point sides go with their
+    points."""
     n = body.dimension
     profile = body.profile
 
-    def from_moments(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    def from_moments(x: np.ndarray, order: int, side) -> Jet:
         jh = h_jet(profile, x, moments, order, side)
         return Jet.variable(x, order) ** (n - 3) / (jh * _IK_FACTOR[n])
 
-    def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    def source(x: np.ndarray, order: int, side) -> Jet:
         near = x < (_AXIS_NOISE_T if series else 0.0)
         if not near.any():
             return from_moments(x, order, side)
@@ -225,6 +226,7 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
         parts = [(rows, _series_reciprocal_jet(series, x.take(rows), order))]
         if rows.size < x.size:
             rows = np.flatnonzero(~near)
+            side = side.take(rows) if isinstance(side, np.ndarray) else side
             parts.append((rows, from_moments(x.take(rows), order, side)))
         return Jet.from_parts(parts, x.size, order)
 
@@ -253,7 +255,7 @@ def inverse_radon(f: DerivedProfile, n: int) -> DerivedProfile:
         raise DomainError("inverse transform input must use the sine convention")
     extra = 1 if n == 4 else 2
 
-    def source(t: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    def source(t: np.ndarray, order: int, side) -> Jet:
         jf = f._jet(t, order + extra, side)
         if not jf.is_finite():
             raise SmoothnessError(
@@ -273,11 +275,12 @@ def inverse_radon(f: DerivedProfile, n: int) -> DerivedProfile:
 
 # --------------------------------------------------------------- box operator
 
-def box_operator(g: DerivedProfile, n: int, t, side: Optional[str] = None):
+def box_operator(g: DerivedProfile, n: int, t, side=None):
     """(1 - t^2) g''(t) - (n-1) t g'(t) + (n-1) g(t).
 
     t is a float (a float is returned) or an array of points, evaluated in
-    one walk with one side for all of them (an array is returned).
+    one walk with one side for all of them or one per point (an array is
+    returned; see :meth:`DerivedProfile._jet`).
     """
     _require_dimension(n)
     if g.variable != COSINE:
@@ -381,7 +384,9 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     """Evaluate the zonoid-obstruction measure for a body of revolution.
 
     Continuous part: box_operator(inverse_radon(x^(n-3)/(c_n h_n))) sampled
-    over the grid (one-sided at kinks); atoms: (1 - t0^2) times the
+    over the grid (one-sided at kinks) and the joints' classes, from one
+    walk of g over the joints from the left, then from the right, then the
+    interior rows (with no side without joints); atoms: (1 - t0^2) times the
     first-derivative jump of g at each kink where g is continuous but not
     C1.  The density is per surface measure and the atoms are per dt (see
     :class:`ObstructionField`).  Verdict is NotPolarZonoid iff the density
@@ -408,20 +413,24 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     moments = MomentTable(body.profile, n, np.concatenate([grid_arr, breaks]), settings)
     g = inverse_radon(_reciprocal(body, moments, series), n)
 
-    joints = classify_breakpoints(g)
-    locs = np.array([j.location for j in joints])
+    # One walk of g, joints first: an error names the point the
+    # classification alone would name.
+    locs = np.asarray(g.breakpoint_locations, dtype=float)
+    k = locs.size
+    inner = grid_arr[~near_joint(grid_arr, locs).any(axis=1)]
+    walk = np.concatenate([locs, locs, inner])
+    sides = two_sided(k, inner.size) if k else None  # no side array without joints
+    jet = g._jet(walk, 2, sides) if walk.size else None
+    joints = classify_breakpoints(g, jet)
     kinked = np.array([j.smoothness_class != "C2+" for j in joints], dtype=bool)
 
-    # One table of rows: all interior rows from one walk, then the joint rows
-    # from the one-sided jets the classification evaluated (left at every
-    # joint, right where g is not C2+), sorted by t with a joint's left limit
-    # first.
-    inner = grid_arr[~near_joint(grid_arr, locs).any(axis=1)]
+    # One table of rows: the interior rows, then the joint rows (left at
+    # every joint, right where g is not C2+), boxed in that order and sorted
+    # by t with a joint's left limit first.
     t = np.concatenate([inner, locs, locs[kinked]])
-    value = np.concatenate([box_operator(g, n, inner) if inner.size else inner,
-                            [_box(j.location, j.left_jet, n) for j in joints],
-                            [_box(j.location, j.right_jet, n)
-                             for j, kink in zip(joints, kinked) if kink]])
+    rows = np.concatenate([2 * k + np.arange(inner.size), np.arange(k),
+                           k + np.flatnonzero(kinked)])
+    value = _box(t, Jet(tuple(c[rows] for c in jet.coeffs)), n) if t.size else t
     left = np.concatenate([np.zeros(inner.size, dtype=bool), kinked,
                            np.zeros(kinked.sum(), dtype=bool)])
     joint = np.arange(t.size) >= inner.size

@@ -200,6 +200,31 @@ def inverse_radon_brute(f: DerivedProfile, n: int, t: float,
     return t * level(t)
 
 
+def stretched(profile_json: dict, a: float) -> dict:
+    """The profile JSON of the body stretched by ``a`` along its axis, from
+    a profile's JSON pieces.
+
+    The stretched body's radial function is rho_a(t) = rho(t') D^(-1/2),
+    with D = t^2/a^2 + (1 - t)(1 + t) and t' = (t/a)/sqrt(D) the cosine of
+    the direction it comes from.  Each piece's prefix text takes t' for
+    every ``t``, written as t/sqrt(a^2 D) so that t' is 1 at t = 1, and its
+    joints move to t = a t'/sqrt(a^2 t'^2 + (1 - t')(1 + t')).
+    """
+    a2d = f"(add (mul t t) (mul {a * a!r} (mul (sub 1 t) (add 1 t))))"
+    source = f"(div t (sqrt {a2d}))"
+
+    def joint(u: float) -> float:
+        return u if u in (0.0, 1.0) else a * u / math.sqrt(a * a * u * u + (1.0 - u) * (1.0 + u))
+
+    pieces = []
+    for piece in profile_json["pieces"]:
+        tokens = piece["expr"].replace("(", " ( ").replace(")", " ) ").split()
+        expr = " ".join(source if tok == "t" else tok for tok in tokens)
+        pieces.append({"interval": [joint(u) for u in piece["interval"]],
+                       "expr": f"(mul {a!r} (mul {expr} (pow {a2d} -1/2)))"})
+    return {"pieces": pieces}
+
+
 def value_at(fld, t: float) -> float:
     """The continuous value of the field row nearest to t."""
     idx = int(np.argmin(np.abs(np.asarray(fld.grid) - t)))

@@ -150,6 +150,27 @@ def test_cumulative_degree_22_is_exact_but_refines_its_first_panel():
     assert (res.max_depth, res.panels) == (2, 24)
 
 
+def test_a_pass_accepted_in_its_second_round_is_summed_in_order(monkeypatch):
+    # cos(24 t) on three panels: the first round accepts none of them, the
+    # second accepts all six halves, which it holds as [lower halves, upper
+    # halves], out of order.  The pass must give the values and counters of
+    # a pass that sorts every set of panels before summing them.
+    request = QuadratureRequest(lambda t: np.cos(24.0 * t), [1 / 3, 2 / 3, 1.0],
+                                settings=calculus.Settings(rel_tol=1e-10))
+    res = integrate(request)
+    assert (res.max_depth, res.panels, res.evaluations) == (1, 6, 15 * 9)
+    at_nodes = calculus._at_nodes
+    monkeypatch.setattr(calculus, "_at_nodes",
+                        lambda *args, in_order=False: at_nodes(*args))
+    sorted_path = integrate(request)
+    assert res.nodes.tobytes() == sorted_path.nodes.tobytes()
+    assert res.values.tobytes() == sorted_path.values.tobytes()
+    assert ((res.panels, res.evaluations, res.max_depth, res.worst_error_fraction)
+            == (sorted_path.panels, sorted_path.evaluations, sorted_path.max_depth,
+                sorted_path.worst_error_fraction))
+    assert np.max(np.abs(res.values[0] - np.sin(24.0 * res.nodes) / 24.0)) < 1e-12
+
+
 def test_cumulative_converges_on_a_signed_integrand_that_cancels():
     # int_0^1 (t - 1/2) dt = 0: the tolerance is relative to int |f| = 1/4,
     # not to the vanishing value, so the pass converges at once.

@@ -13,11 +13,11 @@ move it by up to ~1.6e-4 max|field| under either engine (the field
 excludes such rows from its verdict).  Every other body takes that row
 from the series under both engines.
 
-The field evaluates its interior rows in one array walk and its joint rows
-from the classification jets; the tests below also check each row against a
-single-point evaluation of g on the field's own moment table
-(``reference_moments.field_g``), bit for bit, and the moment pass's
-stopping rule.
+The field evaluates every row, and both sides of each joint, in one array
+walk of g with a side per point; the tests below also check each row against
+a single-point evaluation of g on the field's own moment table
+(``reference_moments.field_g``), bit for bit, a per-point-side walk against
+walks of one side, and the moment pass's stopping rule.
 """
 
 import functools
@@ -32,7 +32,8 @@ from ibodies import transform
 from ibodies.errors import SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.jets import Jet
-from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, add, mul, sub, var_t
+from ibodies.profile import (BodyOfRevolution, Piece, RadialProfile, add, classify_breakpoints,
+                             mul, sub, var_t)
 from ibodies.transform import (_EPS_AXIS, MomentTable, _box, box_operator, default_grid,
                                obstruction_field)
 from reference_moments import field_g, reference_g, reference_rows, reference_value
@@ -160,20 +161,95 @@ def test_every_row_equals_its_own_box_operator_call(name, dim):
             assert box_operator(g, dim, t, side=side) == v, (t, side)
 
 
-def test_joint_rows_come_from_the_classification_jets(monkeypatch):
-    # box_operator walks the interior rows only, once per field; the joint
-    # rows reuse the one-sided jets classify_breakpoints evaluated.
-    sides = []
+def test_one_walk_per_field(monkeypatch):
+    # The whole chain runs once per field: the interior rows and both sides
+    # of every joint are one walk of g, so h_jet runs once (three times for
+    # a body with joints when the classification walked each side itself).
+    calls = []
 
-    def counted(g, n, t, side=None):
-        sides.append(side)
-        return box_operator(g, n, t, side)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return h_jet(*args, **kwargs)
 
-    monkeypatch.setattr(transform, "box_operator", counted)
+    h_jet = transform.h_jet
+    monkeypatch.setattr(transform, "h_jet", counted)
     for name, dim in BODIES:
-        sides.clear()
+        calls.clear()
         obstruction_field(_body(name, dim), uniform_points=POINTS)
-        assert sides == [None], (name, dim)
+        assert len(calls) == 1, (name, dim)
+
+
+@pytest.mark.parametrize("name,dim", BODIES)
+def test_joint_rows_are_the_boxed_classification_jets(name, dim):
+    # The joint rows and classes of the one walk equal, bit for bit, the box
+    # formula on the one-sided jets that classify_breakpoints(g) reads.
+    fld = _field(name, dim)
+    joints = classify_breakpoints(field_g(_body(name, dim), uniform_points=POINTS))
+    assert fld.breakpoint_classes == [(j.location, j.smoothness_class, j.first_derivative_jump)
+                                      for j in joints]
+    rows = {(t, left): v for t, v, left in
+            zip(fld.grid, fld.continuous_values, fld.is_left_limit)}
+    for j in joints:
+        kinked = j.smoothness_class != "C2+"
+        assert rows[j.location, kinked] == _box(j.location, j.left_jet, dim)
+        if kinked:
+            assert rows[j.location, False] == _box(j.location, j.right_jet, dim)
+
+
+def _bits_at(jet, i):
+    """The bytes of the coefficients of an array jet's row i."""
+    return [np.float64(c[i]).tobytes() for c in jet.coeffs]
+
+
+def _walk(profile, t, order, side):
+    """The jet at the points t, or the class and text of the refusal."""
+    try:
+        return profile._jet(t, order, side)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+@functools.lru_cache(maxsize=None)
+def _walked(name, dim):
+    """The body's profile and the field's g, each with its highest order
+    and the points a walk may ask: every joint, both domain ends and the
+    points within JOINT_TOL of the joints (the profile), or the field's
+    nodes (g); and a point off each (outside [0, 1], off the nodes)."""
+    body = _body(name, dim)
+    joints = np.array(body.profile.breakpoint_locations)
+    near = np.concatenate([joints, joints - 5e-13, joints + 5e-13, [0.0, 1.0]]).tolist()
+    nodes = sorted(set(_field(name, dim).grid))
+    on = [t for t in nodes if t in joints or t in (nodes[0], nodes[-1])]
+    return ((body.profile, 3, st.one_of(st.sampled_from(near), st.floats(0.0, 1.0), st.floats(0.0, 1.0)), 1.5),
+            (field_g(body, uniform_points=POINTS), 2,
+             st.one_of(st.sampled_from(on), st.sampled_from(nodes), st.sampled_from(nodes)),
+             0.5 * (nodes[1] + nodes[2])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(body=st.sampled_from(BODIES), level=st.sampled_from([0, 1]), data=st.data())
+def test_a_side_per_point_walks_each_point_on_its_own_side(body, level, data):
+    # A walk with one side per point (-1 left, +1 right, 0 none) gives every
+    # point the bits of a walk of that point alone on its side, and refuses
+    # when one of those walks refuses, with its exception and message.
+    profile, max_order, points, off = _walked(*body)[level]
+    t = data.draw(st.lists(points, min_size=1, max_size=8))
+    if data.draw(st.integers(0, 9)) == 0:
+        t.insert(data.draw(st.integers(0, len(t))), off)
+    t = np.array(t)
+    sides = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=t.size,
+                                        max_size=t.size)), dtype=np.int8)
+    order = data.draw(st.integers(0, max_order))
+    alone = [_walk(profile, t[i:i + 1], order, {-1: "left", 0: None, 1: "right"}[side])
+             for i, side in enumerate(sides.tolist())]
+    got = _walk(profile, t, order, sides)
+    refusals = [w for w in alone if isinstance(w, tuple)]
+    if refusals:
+        assert got in refusals
+        return
+    assert isinstance(got, Jet), got
+    for i, want in enumerate(alone):
+        assert _bits_at(got, i) == _bits_at(want, 0), (t[i], sides[i])
 
 
 def test_box_formula_refuses_non_finite_jets():

@@ -1,11 +1,14 @@
 """One body, one field: the obstruction field depends on the body, never on
 the family name or the description it was built from, nor on joints where
 nothing changes; an ellipsoid, a linear image of the ball, gets its exact
-field and no certificate; and the dimension-6 axis rows come from the Taylor
-series of rho^5 at 0 where it exists.
+field and no certificate, and stretching any body along its axis moves its
+field, atoms and margins by a closed-form rule and no verdict; and the
+dimension-6 axis rows come from the Taylor series of rho^5 at 0 where it
+exists.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from ibodies.criteria import check_for_dimension
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, profile_from_json
 from ibodies.transform import NEGATIVITY_SCALE, box_operator, inverse_radon, obstruction_field
-from helpers import flat_top_check
+from helpers import flat_top_check, stretched
 from reference_moments import reciprocal_intersection_profile
 
 # Midpoints of the parameter ranges the benchmark catalogue draws from.
@@ -205,6 +208,67 @@ def test_ellipsoid_rows_are_its_exact_field(a, dim):
     else:
         assert rel[t >= 1e-2].max() <= 1e-9
         assert rel[t < 1e-2].max() <= 1e-7
+
+
+# ------------------------------------------------------------ stretches
+
+STRETCH_POINTS = 250
+# Worst measured over a in [1e-2, 1e2] on the builtins, at a = 100: rows
+# 9.5e-12 (R^4) and 3.8e-11 (R^6) of max|F|, atoms 6.2e-12 and margins
+# 4.2e-11 relative; 2.1e-14 and 6.3e-12 for the rows at a = 0.5 and 3.
+_STRETCH_ROW_TOL = {4: 1e-10, 6: 1e-9}
+_STRETCH_TOL = 1e-9
+# Degree of each criterion's margin under the stretch: prop1 scales by a^4
+# and prop4 by a^9.
+_STRETCH_DEGREE = {4: ("prop1", 4), 6: ("prop4", 9)}
+
+
+def _jacobian(t, a):
+    """D = t^2/a^2 + (1 - t)(1 + t): the stretched body's radial function at
+    t is rho(t') D^(-1/2), with t' = (t/a)/sqrt(D) = t/sqrt(a^2 D)."""
+    return t * t / (a * a) + (1.0 - t) * (1.0 + t)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(body=st.sampled_from(BODIES), log_a=st.floats(-2.0, 2.0))
+def test_a_stretch_along_the_axis_moves_the_field_by_its_rule(body, log_a):
+    # I(AK) = |det A| A^(-T) IK (Gardner 2006, Thm 8.1.6) and linear images of
+    # zonoids are zonoids, so the stretch A = diag(1, ..., 1, a) maps the
+    # field to F_a(t) = a^-2 D^(-(n+1)/2) F(t') and an atom w at t' to
+    # w / (a D^((n-2)/2)) at t, scales the prop1 margin by a^4 and the prop4
+    # margin by a^9, and moves no verdict.  Rows with t <= 1e-3 carry the
+    # near-axis error of ROADMAP item 7 and are left out.
+    name, dim = body
+    a = 10.0 ** log_a
+    original = _body(name, dim)
+    stretch = BodyOfRevolution(dim, profile_from_json(stretched(original.profile.to_json_dict(), a)))
+    fld = obstruction_field(stretch, uniform_points=STRETCH_POINTS)
+    rows = [(t, v) for t, v, left in zip(fld.grid, fld.continuous_values, fld.is_left_limit)
+            if t > 1e-3 and not left]
+    t = np.array([r[0] for r in rows])
+    d = _jacobian(t, a)
+    # An interior row's t' is a grid point of the original's field, and a
+    # joint row's t' is the original's joint in the same place.
+    joints = stretch.profile.breakpoint_locations
+    source = np.array([original.profile.breakpoint_locations[joints.index(x)] if x in joints
+                       else x / math.sqrt(x * x + a * a * (1.0 - x) * (1.0 + x))
+                       for x in t.tolist()])
+    base = obstruction_field(original, grid=source[~np.isin(t, joints)])
+    old = {x: v for x, v, left in zip(base.grid, base.continuous_values, base.is_left_limit)
+           if not left}
+    want = a ** -2.0 * d ** (-(dim + 1) / 2) * np.array([old[x] for x in source.tolist()])
+    got = np.array([r[1] for r in rows])
+    assert np.max(np.abs(got - want)) <= _STRETCH_ROW_TOL[dim] * np.max(np.abs(want))
+    assert len(fld.atoms) == len(base.atoms)
+    for (x, w), (_, w0) in zip(fld.atoms, base.atoms):
+        assert abs(w - w0 / (a * _jacobian(x, a) ** ((dim - 2) / 2))) <= _STRETCH_TOL * abs(w)
+    assert fld.verdict == obstruction_field(original, uniform_points=STRETCH_POINTS).verdict
+    criterion, degree = _STRETCH_DEGREE[dim]
+    margin = check_for_dimension(original.profile, dim, criterion).margin * a ** degree
+    assert abs(check_for_dimension(stretch.profile, dim, criterion).margin - margin) <= \
+        _STRETCH_TOL * abs(margin)
+    assert (check_for_dimension(stretch.profile, dim).verdict
+            == check_for_dimension(original.profile, dim).verdict)
 
 
 # ------------------------------------------------------------ axis rows

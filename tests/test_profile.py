@@ -736,18 +736,33 @@ def test_locate_finds_the_searchsorted_piece(case, side):
     assert (_index_of(t, profile._locate(t, t.min(), t.max(), side)) == want).all()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_locate_case(), data=st.data())
+def test_locate_finds_each_points_searchsorted_piece_on_its_own_side(case, data):
+    # One side per point (-1 left, +1 right, 0 none): each point gets the
+    # piece that a walk of its own side gives it.
+    name, t = case
+    profile = _LOCATE_PROFILES[name]
+    sides = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=t.size,
+                                        max_size=t.size)), dtype=np.int8)
+    want = np.where(sides < 0, searchsorted_index(profile, t, "left"),
+                    searchsorted_index(profile, t, "right"))
+    assert (_index_of(t, profile._locate(t, t.min(), t.max(), sides)) == want).all()
+
+
 @pytest.mark.parametrize("joints", [1, 2, 5])
-def test_classify_breakpoints_calls_the_jet_source_once_per_side(joints):
+def test_classify_breakpoints_calls_the_jet_source_once(joints):
+    # One walk: every joint from the left, then every joint from the right.
     calls = []
 
     def source(t, order, side):
-        calls.append(side)
+        calls.append((t.tolist(), side.tolist()))
         return Jet.variable(t, order) * Jet.variable(t, order)
 
-    profile = DerivedProfile(source, np.linspace(0.0, 1.0, joints + 2)[1:-1].tolist())
-    bps = classify_breakpoints(profile)
+    locations = np.linspace(0.0, 1.0, joints + 2)[1:-1].tolist()
+    bps = classify_breakpoints(DerivedProfile(source, locations))
     assert [b.smoothness_class for b in bps] == ["C2+"] * joints
-    assert sorted(calls) == ["left", "right"]
+    assert calls == [(locations * 2, [-1] * joints + [1] * joints)]
 
 
 _ROUND_TRIP_CONSTS = st.floats(-1e6, 1e6, allow_nan=False)
