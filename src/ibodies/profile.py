@@ -221,9 +221,9 @@ def _format_number(x: float) -> str:
 def _format_exponent(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
-    if q.denominator <= 10**6:
-        return f"{q.numerator}/{q.denominator}"
-    return repr(float(q))
+    if q.denominator > 10**6 and Fraction(float(q)) == q:
+        return repr(float(q))
+    return f"{q.numerator}/{q.denominator}"
 
 
 # ------------------------------------------------------- expression helpers
@@ -388,7 +388,6 @@ class Breakpoint:
     location: float
     smoothness_class: str           # "C0" | "C1" | "C2+"
     first_derivative_jump: float    # right minus left
-    second_derivative_jump: float = 0.0
     # The one-sided jets (order min(2, max_order)) the class was read from.
     left_jet: Optional[Jet] = field(default=None, init=False, repr=False, compare=False)
     right_jet: Optional[Jet] = field(default=None, init=False, repr=False, compare=False)
@@ -413,39 +412,35 @@ def _refuse_outside(t: np.ndarray, lo: float, hi: float) -> None:
 
 
 def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float],
-                order: int, side, classes=None):
-    """Which side of its joints each point of ``t`` uses (a single point is
-    a one-point array): one for all ("left", "right" or None), or one per
-    point (an int8 array: -1 left, +1 right, 0 none).
+                order: int, side: np.ndarray, classes=None) -> np.ndarray:
+    """The side of its joints each point of ``t`` uses, from ``side``, one
+    int8 code per point (-1 left, +1 right, 0 none).
 
-    Returns "left", "right" or None (no point on a joint), or the array.
-    No-side points on joints where the requested derivatives agree take the
-    left side.  Raises DomainError for a point outside [lo, hi] or a side
-    pointing out of the domain at an endpoint, and SideRequired for a
-    no-side point on a non-smooth joint.
+    Returns the codes with every no-side point on a joint where the
+    requested derivatives agree on the left side.  Raises DomainError for a
+    point outside [lo, hi] or a side pointing out of the domain at an
+    endpoint, and SideRequired for a no-side point on a non-smooth joint.
     """
-    per_point = isinstance(side, np.ndarray)
-    if not per_point and side not in (None, "left", "right"):
-        raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
-    if not t.size:
-        return side
     _refuse_outside(t, lo, hi)
-    # One side gives bools: False skips a test below, True makes it everywhere.
-    code = side if per_point else {"left": -1, "right": 1, None: 0}[side]
-    left, right, free = code < 0, code > 0, code == 0
-    if left is not False and (left & (np.abs(t - lo) <= JOINT_TOL)).any():
-        raise DomainError(f"no left neighborhood at the lower endpoint {lo}")
-    if right is not False and (right & (np.abs(t - hi) <= JOINT_TOL)).any():
-        raise DomainError(f"no right neighborhood at the upper endpoint {hi}")
-    if free is False or not len(breakpoints):
+    # Each endpoint is tested when a point has its side, the joints when a
+    # point has none.
+    sided = np.count_nonzero(side)
+    if sided:
+        left = side < 0
+        lefts = np.count_nonzero(left)
+        if lefts and np.count_nonzero(left & (np.abs(t - lo) <= JOINT_TOL)):
+            raise DomainError(f"no left neighborhood at the lower endpoint {lo}")
+        if lefts < sided and np.count_nonzero((side > 0) & (np.abs(t - hi) <= JOINT_TOL)):
+            raise DomainError(f"no right neighborhood at the upper endpoint {hi}")
+    if sided == t.size or not len(breakpoints):
         return side
-    near = near_joint(t, breakpoints) & (free[:, None] if per_point else True)
+    near = near_joint(t, breakpoints) & (side == 0)[:, None]
     hit = np.flatnonzero(near.any(axis=0))
     if not hit.size:
         return side
     if order == 0 or (classes is not None
                       and all(order <= _SMOOTH_TO[classes[i]] for i in hit)):
-        return np.where(near.any(axis=1), np.int8(-1), side) if per_point else "left"
+        return np.where(near.any(axis=1), np.int8(-1), side)
     raise SideRequired(
         f"t={breakpoints[hit[0]]} is a non-smooth joint; pass side='left' or "
         f"side='right' for derivatives of order {order}"
@@ -458,10 +453,11 @@ class DerivedProfile:
     Every profile is one.  A transform output (a quadrature-backed
     intersection profile, an inverse-Radon profile) is backed by
     ``jet_source(t, order, side)``, which receives a 1-D array of points and
-    their resolved side and returns their array jet; :class:`RadialProfile`
-    evaluates closed-form pieces instead and passes no source.  :meth:`_jet`
-    is the one front for both: it checks the order, resolves the side on the
-    points as an array and turns a float into a one-point array.
+    one resolved int8 side code per point (see :func:`_array_side`) and
+    returns their array jet; :class:`RadialProfile` evaluates closed-form
+    pieces instead and passes no source.  :meth:`_jet` is the one front for
+    both: it checks the order and turns a float into a one-point array and
+    the caller's side into codes.
     """
 
     # The continuity classes of the joints, in order, when the profile knows
@@ -480,10 +476,10 @@ class DerivedProfile:
         self.name = name
 
     def _jet(self, t, order: int, side=None) -> Jet:
-        """Jet at t, a 1-D array of points or a float, on ``side``: one side
-        for all points, or for an array one per point (an int8 array, -1
-        left, +1 right, 0 none; see :func:`_array_side`).  A point's row
-        has the bits it has in a walk of its own side.
+        """Jet at t, a 1-D array of points or a float, on ``side``: "left",
+        "right" or None for every point, or an int8 code per point (-1 left,
+        +1 right, 0 none), which is all that :func:`_array_side` and the jet
+        sources see.  A point's row has the bits of a walk of its own side.
 
         A float is resolved as a one-point array and gives a float jet with
         the bits of the one-point array jet.
@@ -494,6 +490,10 @@ class DerivedProfile:
                 f"order {self.max_order}, requested {order}"
             )
         ts = t if isinstance(t, np.ndarray) else np.array([float(t)])
+        if not isinstance(side, np.ndarray):
+            if side not in (None, "left", "right"):
+                raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
+            side = np.full(ts.size, {"left": -1, None: 0, "right": 1}[side], np.int8)
         use = _array_side(ts, self.domain[0], self.domain[1],
                           self.breakpoint_locations, order, side, self._classes)
         with np.errstate(all="ignore"):
@@ -582,33 +582,34 @@ class RadialProfile(DerivedProfile):
 
     # ------------------------------------------------------------ evaluation
 
-    def _locate(self, t: np.ndarray, lo: float, hi: float, side):
+    def _locate(self, t: np.ndarray, lo: float, hi: float,
+                side: Optional[np.ndarray] = None):
         """The pieces of the points of t, which lie in [lo, hi]: one int when
-        lo and hi lie on one piece, else a (piece, integer rows) pair per
-        occupied piece.  A point is above edge e when t > e (side "left") or
-        t >= e, which for all but NaN gives np.searchsorted's piece; with one
-        side per point (an int8 array, see :func:`_array_side`) each point
-        compares with the edges of its own side.  Only the edges between lo
-        and hi are compared, and their counts skip empty pieces."""
-        if isinstance(side, np.ndarray):  # lo's left piece to hi's right one
-            first, last = bisect_left(self._left_of, lo), bisect_right(self._right_of, hi)
+        one piece holds them all, else a (piece, integer rows) pair per
+        occupied piece.  A jet walk passes its codes ``side``: a point coded
+        left is above a left edge e when t > e, any other above a right edge
+        e when t >= e; eval_array's values pass none and take the left edges.
+        For all but NaN this is np.searchsorted's piece.  Only the edges
+        between lo and hi are compared, and their counts skip empty pieces."""
+        first = bisect_left(self._left_of, lo)
+        if side is None:
+            last = bisect_left(self._left_of, hi)
+            above = [t > e for e in self._left_of[first:last]]
+        else:  # lo's left piece to hi's right one
+            last = bisect_right(self._right_of, hi)
             above = [np.where(side < 0, t > self._left_of[k], t >= self._right_of[k])
                      for k in range(first, last)]
-        else:
-            edges, find, beyond = ((self._left_of, bisect_left, operator.gt)
-                                   if side == "left"
-                                   else (self._right_of, bisect_right, operator.ge))
-            first, last = find(edges, float(lo)), find(edges, float(hi))
-            above = [beyond(t, e) for e in edges[first:last]]
         if first == last:
             return first
         counts = [t.size] + [np.count_nonzero(a) for a in above] + [0]
         # Piece first + j holds the points above edge j - 1 and not edge j.
+        pieces = [j for j in range(len(counts) - 1) if counts[j] > counts[j + 1]]
+        if len(pieces) == 1:
+            return first + pieces[0]
         above = [True] + above + [False]
-        return [(first + j, np.flatnonzero(above[j] ^ above[j + 1]))
-                for j in range(len(counts) - 1) if counts[j] > counts[j + 1]]
+        return [(first + j, np.flatnonzero(above[j] ^ above[j + 1])) for j in pieces]
 
-    def _evaluate(self, t, ts: np.ndarray, order: int, side) -> Jet:
+    def _evaluate(self, t, ts: np.ndarray, order: int, side: np.ndarray) -> Jet:
         if ts is t:
             lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
             return self._pieces_jet(t, self._locate(t, lo, hi, side), order)
@@ -656,7 +657,7 @@ class RadialProfile(DerivedProfile):
             # Extremes in [0, 1] put every point inside; NaN makes them NaN.
             if not 0.0 <= lo <= hi <= 1.0:
                 _refuse_outside(flat, *self.domain)
-            located = self._locate(flat, lo, hi, "left")
+            located = self._locate(flat, lo, hi)
             if isinstance(located, list):
                 out = np.empty(flat.size)
                 for i, rows in located:
@@ -760,7 +761,7 @@ def _joint_class(t0: float, left_jet: Jet, right_jet: Jet, order: int) -> Breakp
             abs(left[0]), abs(left[k]), abs(right[k]))
 
     cls = "C0" if jumps(1) else "C1" if jumps(2) else "C2+"
-    bp = Breakpoint(t0, cls, float(jump[1]), float(jump[2]) if order >= 2 else 0.0)
+    bp = Breakpoint(t0, cls, float(jump[1]))
     bp.left_jet, bp.right_jet = left_jet, right_jet
     return bp
 

@@ -112,10 +112,10 @@ def _first_nonfinite(t: np.ndarray, jet: Jet) -> float:
 
 # ------------------------------------------------------------------ h and IK
 
-def h_jet(profile: RadialProfile, x, moments: MomentTable, order: int = 4,
+def h_jet(profile: RadialProfile, x: np.ndarray, moments: MomentTable, order: int = 4,
           side=None) -> Jet:
-    """Jet of h_n(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at x, a
-    float (a float jet is returned) or an array of points (an array jet).
+    """Array jet of h_n(x) = integral_0^x q(t) (x^2 - t^2)^((n-4)/2) dt at
+    the points of the array x, on ``side`` (as :meth:`DerivedProfile._jet`).
 
     The moments of q = rho^(n-1) (n = ``moments.n``) are read from
     ``moments``, the :class:`MomentTable` of ``profile`` that holds x; a
@@ -130,31 +130,29 @@ def h_jet(profile: RadialProfile, x, moments: MomentTable, order: int = 4,
     if not 0 <= order <= 4:
         raise ValueError("order must be between 0 and 4")
     n = moments.n
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    d_val, c_val = moments.at(xs)  # d_val is B for n = 4
+    d_val, c_val = moments.at(x)  # d_val is B for n = 4
     if n == 4:
         derivs = [d_val]
         if order >= 1:
-            jq = profile._jet(xs, order - 1, side) ** (n - 1)
+            jq = profile._jet(x, order - 1, side) ** (n - 1)
             derivs += [jq.deriv(k - 1) for k in range(1, order + 1)]
     else:
         b_val = d_val + c_val
         # (1 - x)(1 + x) keeps the bits of 1 - x^2 near x = 1; H(1) = D(1).
-        derivs = [xs * xs * d_val - (1.0 - xs) * (1.0 + xs) * c_val]
+        derivs = [x * x * d_val - (1.0 - x) * (1.0 + x) * c_val]
         if order >= 1:
-            derivs.append(2.0 * xs * b_val)
+            derivs.append(2.0 * x * b_val)
         if order >= 2:
-            jq = profile._jet(xs, order - 2, side) ** (n - 1)
+            jq = profile._jet(x, order - 2, side) ** (n - 1)
             q0 = jq.deriv(0)
-            derivs.append(2.0 * b_val + 2.0 * xs * q0)
+            derivs.append(2.0 * b_val + 2.0 * x * q0)
             if order >= 3:
                 q1 = jq.deriv(1)
-                derivs.append(4.0 * q0 + 2.0 * xs * q1)
+                derivs.append(4.0 * q0 + 2.0 * x * q1)
             if order >= 4:
                 q2 = jq.deriv(2)
-                derivs.append(6.0 * q1 + 2.0 * xs * q2)
-    jet = Jet([d / math.factorial(k) for k, d in enumerate(derivs)])
-    return jet.item(0) if np.ndim(x) == 0 else jet
+                derivs.append(6.0 * q1 + 2.0 * x * q2)
+    return Jet([d / math.factorial(k) for k, d in enumerate(derivs)])
 
 
 def intersection_radial(body: BodyOfRevolution, x,
@@ -209,8 +207,8 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
     from the table ``moments`` (any object with ``n`` and ``at(x)``), which
     must hold every point asked; in dimension 6, points below _AXIS_NOISE_T
     take the axis ``series`` of rho^5 instead when there is one
-    (:func:`_axis_series`) and reach no table; per-point sides go with their
-    points."""
+    (:func:`_axis_series`) and reach no table; each point's side code goes
+    with it."""
     n = body.dimension
     profile = body.profile
 
@@ -226,8 +224,7 @@ def _reciprocal(body: BodyOfRevolution, moments: MomentTable,
         parts = [(rows, _series_reciprocal_jet(series, x.take(rows), order))]
         if rows.size < x.size:
             rows = np.flatnonzero(~near)
-            side = side.take(rows) if isinstance(side, np.ndarray) else side
-            parts.append((rows, from_moments(x.take(rows), order, side)))
+            parts.append((rows, from_moments(x.take(rows), order, side.take(rows))))
         return Jet.from_parts(parts, x.size, order)
 
     return DerivedProfile(source, profile.breakpoint_locations,
@@ -386,7 +383,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     Continuous part: box_operator(inverse_radon(x^(n-3)/(c_n h_n))) sampled
     over the grid (one-sided at kinks) and the joints' classes, from one
     walk of g over the joints from the left, then from the right, then the
-    interior rows (with no side without joints); atoms: (1 - t0^2) times the
+    interior rows with no side (:func:`two_sided`); atoms: (1 - t0^2) times the
     first-derivative jump of g at each kink where g is continuous but not
     C1.  The density is per surface measure and the atoms are per dt (see
     :class:`ObstructionField`).  Verdict is NotPolarZonoid iff the density
@@ -401,7 +398,7 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
     _require_dimension(n)
     series = _axis_series(body.profile, n)
     # g's joints: the profile's breakpoints inside its domain (_EPS_AXIS, 1).
-    breaks = [b for b in body.profile.breakpoint_locations if b > _EPS_AXIS]
+    breaks = np.array([b for b in body.profile.breakpoint_locations if b > _EPS_AXIS])
     if grid is None:
         grid_arr = default_grid(breaks, uniform_points=uniform_points)
     else:
@@ -415,19 +412,17 @@ def obstruction_field(body: BodyOfRevolution, grid: Optional[Sequence[float]] = 
 
     # One walk of g, joints first: an error names the point the
     # classification alone would name.
-    locs = np.asarray(g.breakpoint_locations, dtype=float)
-    k = locs.size
-    inner = grid_arr[~near_joint(grid_arr, locs).any(axis=1)]
-    walk = np.concatenate([locs, locs, inner])
-    sides = two_sided(k, inner.size) if k else None  # no side array without joints
-    jet = g._jet(walk, 2, sides) if walk.size else None
+    k = breaks.size
+    inner = grid_arr[~near_joint(grid_arr, breaks).any(axis=1)]
+    walk = np.concatenate([breaks, breaks, inner])
+    jet = g._jet(walk, 2, two_sided(k, inner.size)) if walk.size else None
     joints = classify_breakpoints(g, jet)
     kinked = np.array([j.smoothness_class != "C2+" for j in joints], dtype=bool)
 
     # One table of rows: the interior rows, then the joint rows (left at
     # every joint, right where g is not C2+), boxed in that order and sorted
     # by t with a joint's left limit first.
-    t = np.concatenate([inner, locs, locs[kinked]])
+    t = np.concatenate([inner, breaks, breaks[kinked]])
     rows = np.concatenate([2 * k + np.arange(inner.size), np.arange(k),
                            k + np.flatnonzero(kinked)])
     value = _box(t, Jet(tuple(c[rows] for c in jet.coeffs)), n) if t.size else t

@@ -8,7 +8,7 @@ small conveniences on library types.
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -151,12 +151,11 @@ def converted_variable(profile: DerivedProfile) -> DerivedProfile:
     target = SINE if profile.variable == COSINE else COSINE
     bps = sorted(np.sqrt(1.0 - np.array(profile.breakpoint_locations) ** 2))
 
-    def source(t: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    def source(t: np.ndarray, order: int, side: np.ndarray) -> Jet:
         inner = (1.0 - Jet.variable(t, order) * Jet.variable(t, order)).sqrt()
         u0 = inner.value
         # A side for t maps to the opposite side for u = sqrt(1 - t^2).
-        flip = {None: None, "left": "right", "right": "left"}[side]
-        outer = profile._jet(u0, order, flip)
+        outer = profile._jet(u0, order, -side)
         return compose(outer, inner)
 
     lo = max(np.sqrt(1.0 - profile.domain[1] ** 2), 1e-8)
@@ -231,13 +230,14 @@ def value_at(fld, t: float) -> float:
     return fld.continuous_values[idx]
 
 
-def searchsorted_index(profile, t: np.ndarray, side: str) -> np.ndarray:
-    """The piece of every point of t on ``side`` ("left", or "right" for
-    any other side), found by ``np.searchsorted`` against the profile's
-    edges: the reference for ``RadialProfile._locate``."""
-    if side == "left":
-        return np.searchsorted(profile._left_of, t, side="left")
-    return np.searchsorted(profile._right_of, t, side="right")
+def searchsorted_index(profile, t: np.ndarray, side) -> np.ndarray:
+    """The piece of every point of t on its side, ``side`` being one code
+    for all or one per point (-1 left; 0 or +1 right), found by
+    ``np.searchsorted`` against the profile's edges: the reference for
+    ``RadialProfile._locate``."""
+    return np.where(np.asarray(side) < 0,
+                    np.searchsorted(profile._left_of, t, side="left"),
+                    np.searchsorted(profile._right_of, t, side="right"))
 
 
 def masked_pieces_jet(pieces, t: np.ndarray, index: np.ndarray, order: int) -> Jet:
@@ -264,11 +264,9 @@ def closed_form_function(pieces, variable: str = COSINE, name: str = "") -> Deri
     pieces = tuple(pieces)
     joints = np.array([p.interval[1] for p in pieces[:-1]])
 
-    def source(t: np.ndarray, order: int, side: Optional[str]) -> Jet:
-        if side == "left":
-            index = np.searchsorted(joints + JOINT_TOL, t, side="left")
-        else:
-            index = np.searchsorted(joints - JOINT_TOL, t, side="right")
+    def source(t: np.ndarray, order: int, side: np.ndarray) -> Jet:
+        index = np.where(side < 0, np.searchsorted(joints + JOINT_TOL, t, side="left"),
+                         np.searchsorted(joints - JOINT_TOL, t, side="right"))
         return masked_pieces_jet(pieces, t, index, order)
 
     return DerivedProfile(source, joints.tolist(), variable=variable, max_order=3, name=name)
@@ -279,7 +277,7 @@ def masked_eval_array(profile, t) -> np.ndarray:
     points in the profile's domain."""
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
-    index = searchsorted_index(profile, flat, "left")
+    index = searchsorted_index(profile, flat, -1)
     return masked_pieces_jet(profile.pieces, flat, index, 0).value.reshape(t.shape)
 
 

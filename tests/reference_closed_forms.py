@@ -7,7 +7,6 @@ the margin as a function of a family parameter).
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -65,7 +64,7 @@ def radon_transform(rho: RadialProfile, n: int) -> DerivedProfile:
     """
     _require_dimension(n)
 
-    def source(x: np.ndarray, order: int, side: Optional[str]) -> Jet:
+    def source(x: np.ndarray, order: int, side: np.ndarray) -> Jet:
         jh = h_jet(rho, x, MomentTable(rho, n, x), order, side)
         return jh / Jet.variable(x, order) ** (n - 3)
 

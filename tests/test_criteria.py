@@ -273,7 +273,7 @@ def test_h_keeps_its_digits_for_a_body_elongated_along_its_axis(rel_tol):
     for label, want in (("h(1)", 2.0 * a / 3.0), ("k(1)", a ** 3 / 3.0)):
         assert abs(moments[label] - want) <= criteria.STRICTNESS * want, label
     table = MomentTable(profile, 6, [1.0], settings)
-    assert h_jet(profile, 1.0, table, order=0).value == moments["h(1)"]
+    assert h_jet(profile, np.array([1.0]), table, order=0).value[0] == moments["h(1)"]
 
 
 @pytest.mark.parametrize("name,dim,criterion,shape", [

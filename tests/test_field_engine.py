@@ -32,8 +32,8 @@ from ibodies import transform
 from ibodies.errors import SmoothnessError
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
 from ibodies.jets import Jet
-from ibodies.profile import (BodyOfRevolution, Piece, RadialProfile, add, classify_breakpoints,
-                             mul, sub, var_t)
+from ibodies.profile import (BodyOfRevolution, DerivedProfile, Piece, RadialProfile, add,
+                             classify_breakpoints, mul, sub, two_sided, var_t)
 from ibodies.transform import (_EPS_AXIS, MomentTable, _box, box_operator, default_grid,
                                obstruction_field)
 from reference_moments import field_g, reference_g, reference_rows, reference_value
@@ -177,6 +177,27 @@ def test_one_walk_per_field(monkeypatch):
         calls.clear()
         obstruction_field(_body(name, dim), uniform_points=POINTS)
         assert len(calls) == 1, (name, dim)
+
+
+def test_every_walk_of_a_field_passes_one_code_per_point(monkeypatch):
+    # The field names the sides of g's walk (two_sided), with or without
+    # joints, and every walk below it, of the reciprocal and of the
+    # profile's pieces, receives one int8 code per point.
+    walks = []
+    for cls in (DerivedProfile, RadialProfile):
+        def recording(self, t, ts, order, side, evaluate=cls.__dict__["_evaluate"]):
+            assert isinstance(side, np.ndarray) and side.dtype == np.int8
+            assert side.shape == ts.shape
+            walks.append(side)
+            return evaluate(self, t, ts, order, side)
+        monkeypatch.setattr(cls, "_evaluate", recording)
+    for name, dim in BODIES:
+        body = _body(name, dim)
+        k = len(body.profile.breakpoint_locations)
+        walks.clear()
+        obstruction_field(body, uniform_points=POINTS)
+        assert len(walks) == 3, (name, dim)  # g, the reciprocal, the profile
+        assert walks[0].tolist() == two_sided(k, walks[0].size - 2 * k).tolist()
 
 
 @pytest.mark.parametrize("name,dim", BODIES)

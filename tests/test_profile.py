@@ -151,10 +151,11 @@ def test_a_tree_at_the_depth_limit_compares_copies_pickles_and_hashes():
                  pickle.loads(pickle.dumps(chain))):
         assert back is not chain and back == chain and hash(back) == hash(chain)
         assert back.to_prefix() == chain.to_prefix()
-    # A copy keeps every bit: an exponent no prefix prints exactly included.
+    # A copy and the prefix keep every bit of an exponent whose denominator
+    # is above 10^6 and that no float holds.
     fine = powr(var_t(), Fraction(1, 3 * 10 ** 7))
     assert pickle.loads(pickle.dumps(fine)) == fine
-    assert parse_prefix(fine.to_prefix()) != fine
+    assert parse_prefix(fine.to_prefix()) == fine
 
 
 def test_a_tree_at_the_depth_limit_prints_from_a_deep_caller():
@@ -280,7 +281,7 @@ def test_capped_cylinder_joint_is_c1():
     assert abs(bp.location - SQ2) < 1e-15
     assert bp.smoothness_class == "C1"
     assert abs(bp.first_derivative_jump) < 1e-9
-    assert abs(bp.second_derivative_jump + 4.0 * math.sqrt(2.0)) < 1e-9
+    assert abs(bp.right_jet.deriv(2) - bp.left_jet.deriv(2) + 4.0 * math.sqrt(2.0)) < 1e-9
 
 
 def test_cap_radius_controls_joint_class():
@@ -428,6 +429,26 @@ def test_profile_json_round_trip():
     back = profile_from_json(profile.to_json_dict())
     for t in (0.1, 0.4, 0.9):
         assert abs(back.value(t) - profile.value(t)) < 1e-14
+
+
+_JSON_BUILTINS = [("ball", {}), ("cylinder", {}), ("cyl_caps", {}), ("cyl_caps_KM", {"M": 1.2}),
+                  ("cyl_caps_KM", {"M": 2.25}), ("octagon_Kb", {"b": 0.65}),
+                  ("lp_revolution", {"p": 3}), ("lp_revolution", {"p": 4.3}),
+                  ("lp_revolution", {"p": 4.5}), ("lp_revolution", {"p": 9.6}),
+                  ("exp_decay", {}), ("three_bodies_L", {})]
+
+
+def test_the_json_builtins_cover_every_family():
+    assert sorted({name for name, _ in _JSON_BUILTINS}) == sorted(FAMILY_NAMES)
+
+
+@pytest.mark.parametrize("name, params", _JSON_BUILTINS,
+                         ids=[f"{n}{p}" for n, p in _JSON_BUILTINS])
+def test_every_builtin_round_trips_through_json_to_equal_pieces(name, params):
+    # lp_revolution's outer exponent -1/p has a denominator above 10^6 that
+    # no float holds at p = 4.3 and 9.6: it is written as a fraction.
+    profile = _builtin(name, **params)
+    assert profile_from_json(profile.to_json_dict()).pieces == profile.pieces
 
 
 def test_profile_from_json_builtin_form():
@@ -619,8 +640,9 @@ def test_pieces_jet_matches_the_masked_scatter_at_every_order():
     profile = _builtin("three_bodies_L")
     points = np.concatenate([np.linspace(0.05, 0.7, 9), np.linspace(0.72, 0.99, 9)])
     for pts in (points, points[:9], points[9:]):
-        index = searchsorted_index(profile, pts, "right")
-        located = profile._locate(pts, pts.min(), pts.max(), "right")
+        right = np.ones(pts.size, dtype=np.int8)
+        index = searchsorted_index(profile, pts, right)
+        located = profile._locate(pts, pts.min(), pts.max(), right)
         for order in range(4):
             got = profile._pieces_jet(pts, located, order)
             want = masked_pieces_jet(profile.pieces, pts, index, order)
@@ -678,8 +700,8 @@ def test_dispatch_matches_the_masked_dispatch(name, points):
     profile = _builtin(name, **_JOINTED[name])
     t = _straddling(profile) if points == "straddling" else _near_joints(profile)
     assert _bits(profile.eval_array(t)) == _bits(masked_eval_array(profile, t))
-    for side in ("left", "right"):
-        index = searchsorted_index(profile, t, side)
+    for side, code in (("left", -1), ("right", 1)):
+        index = searchsorted_index(profile, t, code)
         assert np.unique(index).size == len(profile.pieces)
         for order in range(4):
             _assert_same_jet(profile._jet(t, order, side),
@@ -696,9 +718,9 @@ def test_parts_of_one_point_have_the_bits_of_array_parts():
     for t in [np.array([0.1, (lo + hi) / 2, lo + 0.01, 0.97, hi - 0.01]),
               np.array([0.97, 0.1, (lo + hi) / 2])] + alone:
         assert _bits(profile.eval_array(t)) == _bits(masked_eval_array(profile, t))
-        for side in ("left", "right"):
-            index = searchsorted_index(profile, t, side)
-            located = profile._locate(t, t.min(), t.max(), side)
+        for side, code in (("left", -1), ("right", 1)):
+            index = searchsorted_index(profile, t, code)
+            located = profile._locate(t, t.min(), t.max(), np.full(t.size, code, np.int8))
             if t.size > 1:
                 assert [rows.size for _, rows in located].count(1) >= 2
             for order in range(4):
@@ -728,11 +750,13 @@ def _locate_case(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_locate_case(), side=st.sampled_from(["left", "right", None]))
-def test_locate_finds_the_searchsorted_piece(case, side):
+@given(case=_locate_case(), code=st.sampled_from([-1, 0, 1, None]))
+def test_locate_finds_the_searchsorted_piece(case, code):
+    # One code for every point, or none (eval_array's values: the left piece).
     name, t = case
     profile = _LOCATE_PROFILES[name]
-    want = searchsorted_index(profile, t, side)
+    want = searchsorted_index(profile, t, -1 if code is None else code)
+    side = None if code is None else np.full(t.size, code, np.int8)
     assert (_index_of(t, profile._locate(t, t.min(), t.max(), side)) == want).all()
 
 
@@ -745,8 +769,7 @@ def test_locate_finds_each_points_searchsorted_piece_on_its_own_side(case, data)
     profile = _LOCATE_PROFILES[name]
     sides = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=t.size,
                                         max_size=t.size)), dtype=np.int8)
-    want = np.where(sides < 0, searchsorted_index(profile, t, "left"),
-                    searchsorted_index(profile, t, "right"))
+    want = searchsorted_index(profile, t, sides)
     assert (_index_of(t, profile._locate(t, t.min(), t.max(), sides)) == want).all()
 
 
@@ -756,13 +779,39 @@ def test_classify_breakpoints_calls_the_jet_source_once(joints):
     calls = []
 
     def source(t, order, side):
-        calls.append((t.tolist(), side.tolist()))
+        calls.append((t.tolist(), _codes(t, side)))
         return Jet.variable(t, order) * Jet.variable(t, order)
 
     locations = np.linspace(0.0, 1.0, joints + 2)[1:-1].tolist()
     bps = classify_breakpoints(DerivedProfile(source, locations))
     assert [b.smoothness_class for b in bps] == ["C2+"] * joints
     assert calls == [(locations * 2, [-1] * joints + [1] * joints)]
+
+
+def _codes(t, side):
+    """The side a jet source received at the points t, as a list, after
+    checking that it is one int8 code per point."""
+    assert isinstance(side, np.ndarray) and side.dtype == np.int8 and side.shape == t.shape
+    return side.tolist()
+
+
+@pytest.mark.parametrize("side, codes", [
+    (None, [0, -1, 0]), ("left", [-1, -1, -1]), ("right", [1, 1, 1]),
+    (np.array([1, 0, -1], dtype=np.int8), [1, -1, -1])], ids=["None", "left", "right", "array"])
+def test_every_jet_source_call_receives_one_code_per_point(side, codes):
+    # Whatever side the caller names, for an array or a float, the source
+    # receives one int8 code per point; a point with no side on a joint (at
+    # 0.5) takes the left one at order 0.
+    calls = []
+
+    def source(t, order, side):
+        calls.append(_codes(t, side))
+        return Jet.variable(t, order)
+
+    profile = DerivedProfile(source, [0.5])
+    profile._jet(np.array([0.25, 0.5, 0.75]), 0, side)
+    profile._jet(0.5, 0, side[1:2] if isinstance(side, np.ndarray) else side)
+    assert calls == [codes, codes[1:2]]
 
 
 _ROUND_TRIP_CONSTS = st.floats(-1e6, 1e6, allow_nan=False)
@@ -798,7 +847,7 @@ def _outcome(fn):
 def test_prefix_round_trip_keeps_every_bit_of_eval_array(tree):
     text = tree.to_prefix()
     back = parse_prefix(text)
-    assert back.to_prefix() == text
+    assert back == tree and back.to_prefix() == text
     # A random tree is often negative somewhere, so each is walked as a
     # signed one-piece function: the value walk eval_array runs on a piece.
     grid = np.linspace(0.0, 1.0, 61)

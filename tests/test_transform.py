@@ -73,8 +73,9 @@ def _field_right(t):
 # ----------------------------------------------------------- moment function
 
 def _h(profile, n, x, order=4):
-    """h_jet at x, a float or an array, on a table over x's own points."""
-    return h_jet(profile, x, MomentTable(profile, n, np.atleast_1d(x)), order)
+    """h_jet's float jet at the float x, on a table over x alone."""
+    xs = np.array([x])
+    return h_jet(profile, xs, MomentTable(profile, n, xs), order).item(0)
 
 
 def test_h_for_the_ball_is_monomial():
@@ -120,7 +121,7 @@ def test_h_rejects_bad_arguments():
         with pytest.raises(DomainError):
             MomentTable(ball, n, [0.5, 1.5])
         with pytest.raises(ValueError, match=r"^x=0.25 is not a node of the moment table$"):
-            h_jet(ball, 0.25, MomentTable(ball, n, [0.5]))
+            h_jet(ball, np.array([0.25]), MomentTable(ball, n, [0.5]))
 
 
 def test_dimension_outside_four_and_six_is_rejected_alike():
@@ -146,7 +147,7 @@ def test_h_jet_checks_the_order_before_it_integrates(monkeypatch):
     monkeypatch.setattr(transform, "integrate", requests.append)
     monkeypatch.setattr(table, "at", requests.append)
     with pytest.raises(ValueError, match="^order must be between 0 and 4$"):
-        h_jet(ball, 0.5, table, order=5)
+        h_jet(ball, np.array([0.5]), table, order=5)
     assert requests == []
 
 
