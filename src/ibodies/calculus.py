@@ -170,8 +170,13 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
     integral of |f|.  A running sum over the panels, in order, gives every
     node's value, accumulated error estimate and integral of |f| (a round
     that accepts every open panel keeps them whole and ends the pass, and a
-    first round's panels are summed unsorted).  Results are bit-reproducible
-    for a given request.
+    first round's panels are summed unsorted).  That exact test runs only
+    when running totals over all panels (error estimates and integrals of
+    |f|, per integrand) leave it in doubt: sums of n terms >= 0 agree within
+    (n-1) eps in any order, so a total error above rel_tol (1 + 16 (n+2) eps)
+    times the total |f| fails it at the last node; a pass that ends on the
+    exact test returns its sums.  Results are bit-reproducible for a given
+    request.
 
     Raises ValueError for a node that is negative or not finite, or when no
     node lies above 0, and NoConvergence when the integrand is not finite at
@@ -192,6 +197,8 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
     a, b = edges[:-1], edges[1:]
 
     done_a, done_b, done_val, done_err, done_abs = [], [], [], [], []
+    done_totals = 0.0  # err, then resabs, per integrand, over the accepted panels
+    sums = ()  # values, errors and mass at the nodes, once an exact test passes
     panels = evaluations = max_depth = 0
     for depth in range(MAX_BISECTIONS + 1):
         if a.size == 0:
@@ -204,17 +211,25 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
         ok = np.all(err <= allowed, axis=0)
         mid = 0.5 * (a + b)
         ok |= (mid <= a) | (mid >= b)  # panel too narrow to bisect
-        if depth == MAX_BISECTIONS or panels + ok.sum() + 2 * (~ok).sum() > MAX_PANELS:
+        accepted = np.count_nonzero(ok)
+        if depth == MAX_BISECTIONS or panels + 2 * a.size - accepted > MAX_PANELS:
             ok[:] = True
-        elif not ok.all():
+        elif accepted < a.size:
             # A panel can miss its share for ever (a square-root singularity
             # in a derivative at its end) while every node already meets the
             # tolerance; stop refining then, open panels at their estimates.
-            errors, mass = _at_nodes(done_a + [a], done_b + [b], nodes,
-                                     done_err + [err], done_abs + [resabs],
-                                     in_order=depth == 0)
-            if np.all(errors <= rel_tol * mass):
-                ok[:] = True
+            # Sums of n terms >= 0 agree within (n-1) eps in any order, so
+            # totals past this slack fail that test at the last node for
+            # certain, and only totals within it pay for the sorted sums.
+            err_abs = np.concatenate([err, resabs])
+            total_err, total_abs = (done_totals + err_abs.sum(1)).reshape(2, -1)
+            slack = rel_tol * (1.0 + 16 * (panels + a.size + 2) * _EPMACH)
+            if not (total_err > slack * total_abs).any():
+                at = _at_nodes(done_a + [a], done_b + [b], nodes, done_val + [val],
+                               done_err + [err], done_abs + [resabs], in_order=depth == 0)
+                if np.all(at[1] <= rel_tol * at[2]):
+                    ok[:] = True  # every panel is accepted whole: these are the sums
+                    sums = at
         whole = ok.all()
         if ok.any():
             keep = slice(None) if whole else ok  # a whole round is not copied
@@ -227,12 +242,14 @@ def integrate(request: QuadratureRequest) -> CumulativeIntegral:
             max_depth = depth
         if whole:
             break
+        # Only a round that ran the stop test above leaves panels open.
+        done_totals = done_totals + err_abs[:, ok].sum(1)
         bad = ~ok
         a, b = (np.concatenate([a[bad], mid[bad]]),
                 np.concatenate([mid[bad], b[bad]]))
 
-    values, errors, mass = _at_nodes(done_a, done_b, nodes, done_val, done_err, done_abs,
-                                     in_order=max_depth == 0)
+    values, errors, mass = sums or _at_nodes(done_a, done_b, nodes, done_val, done_err,
+                                             done_abs, in_order=max_depth == 0)
     # A node with no error (a zero integrand) has fraction 0, not 0 / 0.
     fraction = np.divide(errors, rel_tol * mass, out=np.zeros_like(errors), where=errors != 0)
     worst = np.unravel_index(int(np.argmax(fraction)), fraction.shape)

@@ -478,8 +478,9 @@ class DerivedProfile:
     def _jet(self, t, order: int, side=None) -> Jet:
         """Jet at t, a 1-D array of points or a float, on ``side``: "left",
         "right" or None for every point, or an int8 code per point (-1 left,
-        +1 right, 0 none), which is all that :func:`_array_side` and the jet
-        sources see.  A point's row has the bits of a walk of its own side.
+        +1 right, 0 none) in an array of the points' shape, which is all that
+        :func:`_array_side` and the jet sources see; any other side raises
+        ValueError.  A point's row has the bits of a walk of its own side.
 
         A float is resolved as a one-point array and gives a float jet with
         the bits of the one-point array jet.
@@ -494,6 +495,12 @@ class DerivedProfile:
             if side not in (None, "left", "right"):
                 raise ValueError(f"side must be 'left', 'right', or None, not {side!r}")
             side = np.full(ts.size, {"left": -1, None: 0, "right": 1}[side], np.int8)
+        elif side.dtype != np.int8 or side.shape != ts.shape:
+            raise ValueError(f"side must hold one int8 code per point, of shape {ts.shape}, "
+                             f"not {side.dtype} of shape {side.shape}")
+        elif np.count_nonzero((side < -1) | (side > 1)):
+            raise ValueError(f"side codes must be -1, 0 or 1, "
+                             f"not {side[(side < -1) | (side > 1)][0]}")
         use = _array_side(ts, self.domain[0], self.domain[1],
                           self.breakpoint_locations, order, side, self._classes)
         with np.errstate(all="ignore"):

@@ -69,16 +69,21 @@ def reciprocal_intersection_profile(body, moments=None):
                        _axis_series(body.profile, n))
 
 
-def field_g(body, grid=None, uniform_points=2000):
-    """The g whose rows ``obstruction_field(body, grid, uniform_points)``
-    holds: inverse_radon of the reciprocal on the field's own moment table,
-    one pass over its grid before the joint split plus its joints, so each
-    row's t gives the row's bits."""
-    n = body.dimension
+def field_nodes(body, grid=None, uniform_points=2000):
+    """The nodes of the moment table of ``obstruction_field(body, grid,
+    uniform_points)``: its grid before the joint split, then its joints."""
     breaks = [b for b in body.profile.breakpoint_locations if b > _EPS_AXIS]
     if grid is None:
         grid = default_grid(breaks, uniform_points=uniform_points)
-    moments = MomentTable(body.profile, n, np.concatenate([sorted(grid), breaks]))
+    return np.concatenate([sorted(grid), breaks])
+
+
+def field_g(body, grid=None, uniform_points=2000):
+    """The g whose rows ``obstruction_field(body, grid, uniform_points)``
+    holds: inverse_radon of the reciprocal on the field's own moment table
+    (:func:`field_nodes`), so each row's t gives the row's bits."""
+    n = body.dimension
+    moments = MomentTable(body.profile, n, field_nodes(body, grid, uniform_points))
     return inverse_radon(reciprocal_intersection_profile(body, moments), n)
 
 

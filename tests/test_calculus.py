@@ -18,8 +18,11 @@ from ibodies.calculus import (DEFAULT_SETTINGS, QuadratureRequest, RootBracket,
                               Settings, find_root, integrate, sorted_unique)
 from ibodies.errors import InvalidBracket, NoConvergence
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
+from ibodies.transform import MomentTable
 from helpers import Divergent, bracket, fd_check, one_sided_limit
 import reference_quadpack
+import reference_quadrature
+from reference_moments import field_nodes
 
 SQ2 = math.sqrt(0.5)
 
@@ -270,6 +273,133 @@ def test_cumulative_explicit_tolerances_override_the_defaults():
     assert loose.evaluations < tight.evaluations
     assert abs(loose.values[0, 0] - 2.0 / 3.0) < 1e-4
     assert calculus.DEFAULT_REL_TOL == 1e-10
+
+
+# ------------------------------------------- the stop test from running totals
+
+# Midpoints of the parameter ranges the benchmark catalogue draws from, and
+# the double cone octagon_Kb(b=0), whose moment pass refines 16 rounds.
+_CATALOGUE_PARAMS = {"lp_revolution": {"p": 4.5}, "octagon_Kb": {"b": 0.65},
+                     "cyl_caps_KM": {"M": 2.25}}
+_TABLE_BODIES = [(name, params, dim)
+                 for name, params in [(name, _CATALOGUE_PARAMS.get(name, {}))
+                                      for name in FAMILY_NAMES] + [("octagon_Kb", {"b": 0.0})]
+                 for dim in (4, 6)]
+_LP_EXPONENTS = (1.5, 2.001, 2.3, 2.5, 3.0, 4.5, 9.6)
+_TOLERANCES = (DEFAULT_SETTINGS, Settings(1e-3), Settings(calculus.MIN_REL_TOL))
+
+
+def _outcome(run, request):
+    try:
+        res = run(request)
+    except NoConvergence as exc:
+        return "NoConvergence", str(exc)
+    return (res.nodes.tobytes(), res.values.tobytes(), res.panels, res.evaluations,
+            res.max_depth, res.worst_error_fraction.hex())
+
+
+def _assert_as_the_reference(request):
+    """The pass gives the bits of the loop that runs the exact test every
+    round: nodes, values, counters, or the NoConvergence message."""
+    want = _outcome(reference_quadrature.integrate, request)
+    assert _outcome(integrate, request) == want
+    return want
+
+
+class _Handed(Exception):
+    """What a stand-in for integrate raises: the request it was handed."""
+
+
+def _moment_requests(monkeypatch, profile, dim, nodes):
+    """The requests of a moment table's pass, one per tolerance."""
+    def hand_over(request):
+        raise _Handed(request)
+
+    requests = []
+    monkeypatch.setattr("ibodies.transform.integrate", hand_over)
+    for tol in _TOLERANCES:
+        with pytest.raises(_Handed) as handed:
+            MomentTable(profile, dim, nodes, tol)
+        requests.append(handed.value.args[0])
+    monkeypatch.undo()
+    return requests
+
+
+@pytest.mark.parametrize("name, params, dim", _TABLE_BODIES)
+def test_a_field_table_has_the_bits_of_the_exact_test_every_round(monkeypatch, name, params,
+                                                                    dim):
+    body = instantiate(FamilySpec(name, params, dim))
+    nodes = field_nodes(body, uniform_points=250)
+    for request in _moment_requests(monkeypatch, body.profile, dim, nodes):
+        _assert_as_the_reference(request)
+
+
+def test_a_one_node_table_has_the_bits_of_the_exact_test_every_round(monkeypatch):
+    bodies = [FamilySpec(name, params, dim) for name, params, dim in _TABLE_BODIES]
+    bodies += [FamilySpec("lp_revolution", {"p": p}, dim)
+               for p in _LP_EXPONENTS for dim in (4, 6)]
+    for spec in bodies:
+        for request in _moment_requests(monkeypatch, instantiate(spec).profile,
+                                        spec.dimension, [1.0]):
+            _assert_as_the_reference(request)
+
+
+def test_singular_and_degenerate_passes_have_the_bits_of_the_exact_test_every_round():
+    nodes = [0.05, 0.3, 1 / 3, 0.5, 0.9, 1.0]
+    fns = [np.sqrt, lambda t: np.sqrt(1.0 - t), lambda t: np.abs(t - 0.3) ** 0.5,
+           lambda t: np.stack([np.sqrt(t), np.abs(t - 0.3) ** 0.5]), lambda t: 0.0 * t]
+    for fn in fns:
+        for tol in _TOLERANCES:
+            for where in (nodes, nodes[-3:], [1.0]):
+                _assert_as_the_reference(QuadratureRequest(fn, where, settings=tol))
+    # A jump off every node and breakpoint: its panel misses its share at
+    # every depth, so the pass accepts it at MAX_BISECTIONS, within 10
+    # rel_tol of its int |f| at 1e-12 and past it at 50 eps.
+    def jump(t):
+        return np.where(t < 1 / 3, 1.0, 1e3)
+
+    outcome = _assert_as_the_reference(QuadratureRequest(jump, [0.5, 1.0],
+                                                         settings=Settings(1e-12)))
+    assert outcome[4] == calculus.MAX_BISECTIONS and 1.0 < float.fromhex(outcome[5]) < 10.0
+    outcome = _assert_as_the_reference(QuadratureRequest(jump, [0.5, 1.0],
+                                                         settings=Settings(calculus.MIN_REL_TOL)))
+    assert outcome[0] == "NoConvergence"
+    # 2^16 panels of sin^2(1e4 t) still miss their shares at 50 eps; their
+    # halves would pass MAX_PANELS, so that round is accepted as it is.
+    outcome = _assert_as_the_reference(QuadratureRequest(
+        lambda t: np.sin(1e4 * t) ** 2, [0.5, 1.0], settings=Settings(calculus.MIN_REL_TOL)))
+    assert outcome[2] == 2 ** 16 and 2 * outcome[2] > calculus.MAX_PANELS
+
+
+def _with_sorted_sums(monkeypatch, run):
+    """What ``run()`` returns, and how many sorted sums at the nodes it took."""
+    calls = []
+    at_nodes = calculus._at_nodes
+    monkeypatch.setattr(calculus, "_at_nodes",
+                        lambda *args, **kwargs: calls.append(1) or at_nodes(*args, **kwargs))
+    result = run()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("name, params, dim, nodes", [
+    ("octagon_Kb", {"b": 0.0}, 6, "field"),  # 17 sorted sums with the exact test every round
+    ("lp_revolution", {"p": 2.5}, 4, "one"),  # 11
+    ("lp_revolution", {"p": 2.5}, 6, "one"),  # 13
+    ("lp_revolution", {"p": 4.5}, 6, "one"),  # 7
+    ("ball", {}, 4, "field"),
+    ("ball", {}, 6, "field"),
+])
+def test_a_deep_pass_sums_its_panels_at_the_nodes_once(monkeypatch, name, params, dim, nodes):
+    # Every round that leaves panels open fails the stop test by far more
+    # than rounding, which the running totals show without a sorted sum;
+    # the one sorted sum is the exact test that ends the pass, or the
+    # pass's result.
+    body = instantiate(FamilySpec(name, params, dim))
+    nodes = field_nodes(body, uniform_points=250) if nodes == "field" else [1.0]
+    table, sums = _with_sorted_sums(monkeypatch, lambda: MomentTable(body.profile, dim, nodes))
+    assert sums == 1
+    assert (table.diagnostics["max_depth"] >= 5) == (name != "ball")
 
 
 def test_import_loads_no_scipy():

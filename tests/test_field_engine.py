@@ -200,6 +200,27 @@ def test_every_walk_of_a_field_passes_one_code_per_point(monkeypatch):
         assert walks[0].tolist() == two_sided(k, walks[0].size - 2 * k).tolist()
 
 
+@pytest.mark.parametrize("side, why", [
+    (np.array([1], np.int8), "one code for three points"),
+    (np.array([1, -1], np.int8), "two codes for three points"),
+    (np.array([1.0, -1.0, 1.0]), "float codes"),
+    (np.array([1, 2, -1], np.int8), "a code outside -1, 0, 1"),
+])
+def test_a_side_array_is_one_code_per_point_or_refused(side, why):
+    # Neither broadcast nor cast: the walk refuses the array before it reads
+    # a code, on the profile and through the box operator of its g.
+    t = np.array([0.2, 0.3, 0.9])
+    body = _body("cyl_caps", 4)
+    g = field_g(body, grid=t)
+    with pytest.raises(ValueError, match="^side"):
+        body.profile._jet(t, 1, side)
+    with pytest.raises(ValueError, match="^side"):
+        box_operator(g, 4, t, side=side)
+    codes = np.array([1, -1, 0], np.int8)
+    assert box_operator(g, 4, t, side=codes).tolist() == [
+        box_operator(g, 4, x, s) for x, s in zip(t, ("right", "left", None))]
+
+
 @pytest.mark.parametrize("name,dim", BODIES)
 def test_joint_rows_are_the_boxed_classification_jets(name, dim):
     # The joint rows and classes of the one walk equal, bit for bit, the box

@@ -1,7 +1,7 @@
 """One body, one field: the obstruction field depends on the body, never on
 the family name or the description it was built from, nor on joints where
 nothing changes; an ellipsoid, a linear image of the ball, gets its exact
-field and no certificate, and stretching any body along its axis moves its
+field, no certificate and its exact section ratios, and stretching any body along its axis moves its
 field, atoms and margins by a closed-form rule and no verdict; and the
 dimension-6 axis rows come from the Taylor series of rho^5 at 0 where it
 exists.
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ibodies.criteria import check_for_dimension
 from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
+from ibodies.oracle import section_ratio_report
 from ibodies.profile import BodyOfRevolution, Piece, RadialProfile, profile_from_json
 from ibodies.transform import NEGATIVITY_SCALE, box_operator, inverse_radon, obstruction_field
 from helpers import flat_top_check, stretched
@@ -208,6 +209,23 @@ def test_ellipsoid_rows_are_its_exact_field(a, dim):
     else:
         assert rel[t >= 1e-2].max() <= 1e-9
         assert rel[t < 1e-2].max() <= 1e-7
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_the_oracle_agrees_with_an_ellipsoids_exact_section_ratios(a, dim):
+    # I(AK) = |det A| A^(-T) IK (Gardner 2006, Thm 8.1.6), and the ball's IK
+    # is a ball, so the ellipsoid's IK is an ellipsoid with semi-axes
+    # proportional to 1 along the axis and a across it: the section at phi
+    # over the equatorial one (phi = pi/2) is (sin^2 phi + a^2 cos^2 phi)^(-1/2).
+    # Held within 1e-12 relative (measured 3e-16).  A larger or smaller a
+    # leaves too few hits in the bounding ball at 2e4 samples.
+    rep = section_ratio_report(_ellipsoid(a, dim), samples=2 * 10 ** 4)
+    assert rep["all_within_3sigma"]
+    for comp in rep["comparisons"]:
+        phi = comp["phi"]
+        exact = (math.sin(phi) ** 2 + a * a * math.cos(phi) ** 2) ** -0.5
+        assert abs(comp["quadrature_ratio"] - exact) <= 1e-12 * exact, phi
 
 
 # ------------------------------------------------------------ stretches
