@@ -21,6 +21,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -389,8 +390,8 @@ class Breakpoint:
     smoothness_class: str           # "C0" | "C1" | "C2+"
     first_derivative_jump: float    # right minus left
     # The one-sided jets (order min(2, max_order)) the class was read from.
-    left_jet: Optional[Jet] = field(default=None, init=False, repr=False, compare=False)
-    right_jet: Optional[Jet] = field(default=None, init=False, repr=False, compare=False)
+    left_jet: Optional[Jet] = field(default=None, repr=False, compare=False)
+    right_jet: Optional[Jet] = field(default=None, repr=False, compare=False)
 
 
 _SMOOTH_TO = {"C0": 0, "C1": 1, "C2+": 2}
@@ -412,7 +413,7 @@ def _refuse_outside(t: np.ndarray, lo: float, hi: float) -> None:
 
 
 def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float],
-                order: int, side: np.ndarray, classes=None) -> np.ndarray:
+                order: int, side: np.ndarray, classes: Callable) -> np.ndarray:
     """The side of its joints each point of ``t`` uses, from ``side``, one
     int8 code per point (-1 left, +1 right, 0 none).
 
@@ -420,6 +421,8 @@ def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float
     requested derivatives agree on the left side.  Raises DomainError for a
     point outside [lo, hi] or a side pointing out of the domain at an
     endpoint, and SideRequired for a no-side point on a non-smooth joint.
+    ``classes()`` gives the joints' continuity classes, or None; it is
+    called only for a no-side point on a joint at order > 0.
     """
     _refuse_outside(t, lo, hi)
     # Each endpoint is tested when a point has its side, the joints when a
@@ -438,13 +441,12 @@ def _array_side(t: np.ndarray, lo: float, hi: float, breakpoints: Sequence[float
     hit = np.flatnonzero(near.any(axis=0))
     if not hit.size:
         return side
-    if order == 0 or (classes is not None
-                      and all(order <= _SMOOTH_TO[classes[i]] for i in hit)):
-        return np.where(near.any(axis=1), np.int8(-1), side)
-    raise SideRequired(
-        f"t={breakpoints[hit[0]]} is a non-smooth joint; pass side='left' or "
-        f"side='right' for derivatives of order {order}"
-    )
+    if order > 0:
+        known = classes()
+        if known is None or any(order > _SMOOTH_TO[known[i]] for i in hit):
+            raise SideRequired(f"t={breakpoints[hit[0]]} is a non-smooth joint; pass side="
+                               f"'left' or side='right' for derivatives of order {order}")
+    return np.where(near.any(axis=1), np.int8(-1), side)
 
 
 class DerivedProfile:
@@ -460,10 +462,6 @@ class DerivedProfile:
     the caller's side into codes.
     """
 
-    # The continuity classes of the joints, in order, when the profile knows
-    # them: a point on a joint smooth to the requested order needs no side.
-    _classes = None
-
     def __init__(self, jet_source: Optional[Callable], breakpoints: Sequence[float],
                  domain: tuple = (0.0, 1.0), variable: str = COSINE,
                  max_order: int = 2, name: str = ""):
@@ -474,6 +472,13 @@ class DerivedProfile:
         self.variable = variable
         self.max_order = max_order
         self.name = name
+
+    def _classes(self) -> Optional[list]:
+        """The continuity classes of the joints, in order, when the profile
+        knows them: a point on a joint smooth to the requested order needs
+        no side.  A transform output does not; :func:`_array_side` asks only
+        for a no-side point on a joint at order > 0."""
+        return None
 
     def _jet(self, t, order: int, side=None) -> Jet:
         """Jet at t, a 1-D array of points or a float, on ``side``: "left",
@@ -533,8 +538,11 @@ class RadialProfile(DerivedProfile):
 
     The radial function of a body containing the origin, in the cosine
     convention.  Invariants enforced at construction: the pieces tile [0, 1]
-    exactly, the function is continuous across joints, and it is strictly
-    positive on a validation grid.
+    exactly, and each piece is finite and strictly positive on a 35-point
+    grid of its closed interval, whose end values show the function
+    continuous across joints.  No jet is walked: the joints' continuity
+    classes (:attr:`breakpoints`) are computed on first read, which a
+    singular joint refuses with SmoothnessError.
     """
 
     def __init__(self, pieces: Sequence[Piece], name: str = ""):
@@ -556,36 +564,43 @@ class RadialProfile(DerivedProfile):
         # joint b belongs to the piece on the side asked for (right by default).
         self._left_of = [b + JOINT_TOL for b in self.breakpoint_locations]
         self._right_of = [b - JOINT_TOL for b in self.breakpoint_locations]
-        self._validate_values()
-        self.breakpoints = classify_breakpoints(self)
-        self._check_continuity()
-        self._classes = [b.smoothness_class for b in self.breakpoints]
+        ends = self._validate_values()
+        # Each joint's one-sided values are its two pieces' end values there.
+        for t0, left, right in zip(self.breakpoint_locations, ends[1::2], ends[2::2]):
+            if abs(left - right) > 1e-9 * max(abs(left), abs(right)):
+                raise ValueError(f"pieces disagree at t={t0}: {left} (left) vs {right} (right)")
+
+    @cached_property
+    def breakpoints(self) -> list:
+        """Every joint's :class:`Breakpoint`, classified on first read and
+        kept on the instance.  Of the library's routes only ``validate``
+        reads them, and a derivative asked on a joint without a side."""
+        return classify_breakpoints(self)
+
+    def _classes(self) -> list:
+        return [b.smoothness_class for b in self.breakpoints]
 
     # ------------------------------------------------------------ invariants
 
-    def _validate_values(self):
+    def _validate_values(self) -> list:
+        """Each piece's first and last value on its closed interval, in
+        order, after checking that it is finite and strictly positive there."""
         # Ends and joints included: a profile that vanishes there certifies falsely.
+        ends = []
         for p in self.pieces:
             a, b = p.interval
             grid = np.linspace(a, b, 35)
             try:  # refused: a vanishing base of a negative power, an exp past a float
-                with np.errstate(all="ignore"):
-                    vals = p.expr.eval_value(grid)
+                with np.errstate(all="ignore"):  # a piece without t gives one float
+                    vals = np.broadcast_to(p.expr.eval_value(grid), grid.shape)
             except (SmoothnessError, OverflowError) as e:
                 raise ValueError(f"piece on [{a}, {b}] has no finite value: {e}") from e
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"piece on [{a}, {b}] is not finite on its closed interval")
             if not np.all(vals > 0.0):
                 raise ValueError(f"piece on [{a}, {b}] is not strictly positive")
-
-    def _check_continuity(self):
-        # Each joint's one-sided values, read from its classification jets.
-        for bp in self.breakpoints:
-            left, right = bp.left_jet.value, bp.right_jet.value
-            if abs(left - right) > 1e-9 * max(abs(left), abs(right)):
-                raise ValueError(
-                    f"pieces disagree at t={bp.location}: {left} (left) vs {right} (right)"
-                )
+            ends += vals[[0, -1]].tolist()
+        return ends
 
     # ------------------------------------------------------------ evaluation
 
@@ -768,9 +783,7 @@ def _joint_class(t0: float, left_jet: Jet, right_jet: Jet, order: int) -> Breakp
             abs(left[0]), abs(left[k]), abs(right[k]))
 
     cls = "C0" if jumps(1) else "C1" if jumps(2) else "C2+"
-    bp = Breakpoint(t0, cls, float(jump[1]))
-    bp.left_jet, bp.right_jet = left_jet, right_jet
-    return bp
+    return Breakpoint(t0, cls, float(jump[1]), left_jet, right_jet)
 
 
 # ---------------------------------------------------------------- convexity

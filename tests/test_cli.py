@@ -147,6 +147,28 @@ def test_a_small_ball_gets_no_flat_top_certificate():
     assert "5 points, 0 satisfied" in res.stderr
 
 
+# rho = 1 + (1/2 - t)^(3/2) below the joint at 1/2 and 1 above it: continuous
+# and C1 there, with an unbounded second derivative on the left.
+_SINGULAR_JOINT = ('{"pieces": [{"interval": [0, 0.5], "expr": "(add 1 (pow (sub 0.5 t) 3/2))"}, '
+                   '{"interval": [0.5, 1], "expr": "1"}]}')
+
+
+def test_a_singular_joint_is_refused_only_by_the_routes_that_read_its_jets(tmp_path, capsys):
+    # check reads rho(1), rho'(1) and one moment pass; validate classifies
+    # the joint, and the field walks rho's jets there.
+    path = tmp_path / "singular.json"
+    path.write_text(_SINGULAR_JOINT)
+    assert cli.main(["check", "--profile-json", str(path), "--dim", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "Inconclusive"
+    assert payload["margin"] == -1.7890740595652441
+    for command in ("validate", "field"):
+        assert cli.main([command, "--profile-json", str(path), "--dim", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: SmoothnessError: power 1.5 of a quantity "
+                                           "vanishing at the evaluation point has no finite "
+                                           "jet at this order\n")
+
+
 @pytest.mark.parametrize("interval", [[False, True], ["0", "1"]])
 def test_check_refuses_interval_ends_that_are_not_json_numbers(tmp_path, interval):
     path = tmp_path / "ends.json"

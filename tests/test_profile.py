@@ -16,14 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibodies.errors import (DomainError, ProfileFormatError, SideRequired,
+from ibodies import cli
+from ibodies.criteria import check_for_dimension
+from ibodies.errors import (DomainError, FlatTopRequired, ProfileFormatError, SideRequired,
                             SmoothnessError)
-from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate
+from ibodies.families import FAMILY_NAMES, FamilySpec, instantiate, sweep
 from ibodies.jets import Jet
+from ibodies.oracle import section_ratio_report
 from ibodies.profile import (JOINT_TOL, MAX_EXPR_DEPTH, BodyOfRevolution, DerivedProfile,
                              Piece, RadialProfile, add, classify_breakpoints, const, div,
                              exp_of, mul, neg, parse_prefix, powr, profile_from_json,
                              sqrt, sub, validate_convexity, var_t)
+from ibodies.transform import obstruction_field
 from helpers import (closed_form_function, converted_variable, masked_eval_array,
                      masked_pieces_jet, searchsorted_index)
 from reference_closed_forms import cylinder_intersection_closed_form
@@ -33,6 +37,15 @@ SQ2 = math.sqrt(0.5)
 
 def _builtin(name, **params):
     return instantiate(FamilySpec(name, params)).profile
+
+
+def _perfbench_inputs():
+    """The benchmark's input generator, perfbench/inputs.py, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 # ------------------------------------------------------------------ parsing
@@ -224,11 +237,7 @@ def test_builtin_and_benchmark_expressions_are_far_below_the_depth_limit():
               "lp_revolution": {"p": 4.5}}
     exprs = [piece.expr for name in FAMILY_NAMES
              for piece in _builtin(name, **params.get(name, {})).pieces]
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    rng = random.Random(1)
+    inputs, rng = _perfbench_inputs(), random.Random(1)
     exprs += [parse_prefix(piece["expr"]) for _ in range(20)
               for piece in inputs.perturbed_L(rng)["pieces"]]
     for expr in exprs:
@@ -322,6 +331,142 @@ def test_infinite_slope_raises_smoothness_error():
     assert abs(profile.value(1.0) - 1.0) < 1e-15
     with pytest.raises(SmoothnessError):
         profile.eval_jet(1.0, order=1, side="left")
+
+
+# ------------------------------------------ joints classified on first read
+
+# Midpoints of the parameter ranges the benchmark catalogue draws from.
+_CATALOGUE_PARAMS = {"lp_revolution": {"p": 4.5}, "octagon_Kb": {"b": 0.65},
+                     "cyl_caps_KM": {"M": 2.25}}
+_WITH_JOINTS = [name for name in FAMILY_NAMES
+                if _builtin(name, **_CATALOGUE_PARAMS.get(name, {})).breakpoint_locations]
+# The parameter and grid of each family's sweep: its own parameter, else the scale.
+_SWEPT = {"cyl_caps_KM": ("M", [1.0, 1.2, 1.4]), "octagon_Kb": ("b", [0.5, 0.65, 0.9])}
+
+
+@pytest.fixture
+def classified(monkeypatch):
+    """The RadialProfiles that ibodies.profile.classify_breakpoints is
+    called on, in call order, wherever the library calls it from."""
+    seen = []
+
+    def spy(profile, *args):
+        if isinstance(profile, RadialProfile):
+            seen.append(profile)
+        return classify_breakpoints(profile, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ibodies" and \
+                getattr(module, "classify_breakpoints", None) is classify_breakpoints:
+            monkeypatch.setattr(module, "classify_breakpoints", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", _WITH_JOINTS)
+def test_no_route_but_validate_classifies_a_profiles_joints(name, classified, capsys):
+    # The criteria read rho(1), rho'(1) and one moment pass, and the field
+    # classifies the joints of its own g: none of them needs rho's classes.
+    params = _CATALOGUE_PARAMS.get(name, {})
+    for dim, criterion in [(4, "prop1"), (6, "prop4"), (6, "cor6")]:
+        try:
+            check_for_dimension(_builtin(name, **params), dim, criterion)
+        except FlatTopRequired:
+            assert criterion == "cor6"
+    for dim in (4, 6):
+        obstruction_field(instantiate(FamilySpec(name, params, dim)), uniform_points=250)
+    param, grid = _SWEPT.get(name, ("scale", [0.5, 1.0, 2.0]))
+    sweep(FamilySpec(name, params), param, grid)
+    section_ratio_report(instantiate(FamilySpec(name, params, 4)), samples=20000)
+    assert classified == []
+    argv = ["validate", "--builtin", name]
+    for k, v in params.items():
+        argv += ["--param", f"{k}={v!r}"]
+    assert cli.main(argv) == 0
+    assert len(classified) == 1
+    assert json.loads(capsys.readouterr().out)["breakpoints"]
+
+
+def test_breakpoints_are_classified_on_first_read_and_kept(classified):
+    profile = _builtin("three_bodies_L")
+    assert classified == []
+    first = profile.breakpoints
+    assert profile.breakpoints is first
+    assert len(classified) == 1 and classified[0] is profile
+
+
+def test_only_a_no_side_derivative_on_a_joint_asks_for_the_classes(classified):
+    profile = _builtin("cyl_caps")  # C1 at 1/sqrt(2)
+    profile.eval_jet(0.5, 2)
+    profile.eval_jet(SQ2, 0)
+    profile.eval_jet(SQ2, 2, "right")
+    assert classified == []
+    assert profile.eval_jet(SQ2, 1) == profile.eval_jet(SQ2, 1, "left")
+    with pytest.raises(SideRequired):
+        profile.eval_jet(SQ2, 2)
+    assert len(classified) == 1 and classified[0] is profile
+
+
+@pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copy_of_an_unclassified_profile_classifies_its_own_joints(copier, classified):
+    profile = _builtin("octagon_Kb", b=0.65)
+    twin = copier(profile)
+    assert classified == []
+    assert [b.smoothness_class for b in twin.breakpoints] == ["C0", "C0"]
+    assert len(classified) == 1 and classified[0] is twin
+    assert [(b.location, b.smoothness_class) for b in profile.breakpoints] == \
+        [(b.location, b.smoothness_class) for b in twin.breakpoints]
+    assert len(classified) == 2 and classified[1] is profile
+
+
+def _lazy_matches_eager(profile) -> int:
+    """Assert that the profile's breakpoints have the bits of an eager
+    classification, and that the end values its construction judged
+    continuity on have the bits of the jets' coefficient 0; return the
+    number of joints."""
+    lazy, eager = profile.breakpoints, classify_breakpoints(profile)
+    ends = profile._validate_values()
+    assert len(lazy) == len(eager) == len(profile.pieces) - 1
+    for i, (got, want) in enumerate(zip(lazy, eager)):
+        assert (got.location, got.smoothness_class) == (want.location, want.smoothness_class)
+        assert _bits(got.first_derivative_jump) == _bits(want.first_derivative_jump)
+        for a, b in [(got.left_jet, want.left_jet), (got.right_jet, want.right_jet)]:
+            assert _bits(a.coeffs) == _bits(b.coeffs)
+        assert _bits(ends[2 * i + 1]) == _bits(got.left_jet.value)
+        assert _bits(ends[2 * i + 2]) == _bits(got.right_jet.value)
+    return len(lazy)
+
+
+@pytest.mark.parametrize("name, params",
+                         [(name, _CATALOGUE_PARAMS.get(name, {})) for name in FAMILY_NAMES]
+                         + [("cyl_caps_KM", {"M": 1.0})])
+def test_lazy_breakpoints_have_the_bits_of_an_eager_classification(name, params):
+    _lazy_matches_eager(_builtin(name, **params))
+
+
+def test_perturbed_L_breakpoints_have_the_bits_of_an_eager_classification():
+    ops = _perfbench_inputs().criteria_sweep(1)
+    profiles = [profile_from_json(op["profile"]) for op in ops if op["kind"] == "check_json"]
+    assert len(profiles) == 50
+    assert sum(_lazy_matches_eager(profile) for profile in profiles) == 50
+
+
+_SINGULAR_JOINT = "(add 1 (pow (sub 0.5 t) 3/2))"  # rho'' is unbounded at t = 1/2
+
+
+def test_a_singular_joint_is_refused_when_its_jets_are_read():
+    profile = profile_from_json({"pieces": [{"interval": [0.0, 0.5], "expr": _SINGULAR_JOINT},
+                                            {"interval": [0.5, 1.0], "expr": "1"}]})
+    assert profile.value(0.5) == 1.0
+    with pytest.raises(SmoothnessError, match="^power 1.5 of a quantity vanishing"):
+        profile.eval_jet(0.5, 1)
+    with pytest.raises(SmoothnessError, match="^power 1.5 of a quantity vanishing"):
+        profile.breakpoints
+    # Continuity is judged on the pieces' end values, before any jet.
+    with pytest.raises(ProfileFormatError,
+                       match=r"^pieces disagree at t=0.5: 1.0 \(left\) vs 2.0 \(right\)$"):
+        profile_from_json({"pieces": [{"interval": [0.0, 0.5], "expr": _SINGULAR_JOINT},
+                                      {"interval": [0.5, 1.0], "expr": "2"}]})
 
 
 # ------------------------------------------------------------- evaluation
